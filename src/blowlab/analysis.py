@@ -97,28 +97,10 @@ def _radial_hessian_bounds(r, du, d2u):
     return hess_max, np.abs(du)
 
 
-def _perturbation_worst(op, pts_r, w, dw_abs, hess_max):
-    """|(L - Delta) w| bound: worst case for a class, sampled for a spec."""
-    if isinstance(op, StructureClass):
-        return op.c_l * (pts_r**2 * hess_max + pts_r * dw_abs + np.abs(w))
-    raise ConfigError("pointwise operators need explicit sample evaluation")
-
-
-def _is_euclidean(op):
-    return (isinstance(op, StructureClass) and op.c_l == 0.0) or (
-        hasattr(op, "is_euclidean") and op.is_euclidean
-    )
-
-
 def _class_of(op, n):
     if isinstance(op, StructureClass):
         return op
-    c_l = op.c_l
-    if c_l is None:
-        from .operators import structure_constant
-
-        c_l = structure_constant(op, 1.0)
-    return StructureClass(n=n, c_l=c_l, label=op.label)
+    return StructureClass(n=n, c_l=op.c_l, label=op.label)
 
 
 # ---------------------------------------------------------------------------

@@ -521,85 +521,3 @@ def jacobian_T(tmap, x):
         e[j] = h
         jac[:, j] = (apply_T(tmap, x + e) - apply_T(tmap, x - e)) / (2.0 * h)
     return jac
-
-
-def check_boundary_mapping(tmap, samples=40, seed=23, tol=1e-9):
-    """Verify T sends the corner boundary onto the tangent-cone boundary.
-
-    Samples points on each surface inside the straightening ball (via the
-    graph parameterization) and checks that their images land on the
-    matching tangent plane, and that interior sample points keep positive
-    plane distances.  Returns the worst boundary defect.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    k = tmap.fan.k
-    for i, surf in enumerate(tmap.surfaces[:k]):
-        for _ in range(samples):
-            yp = rng.uniform(-0.3, 0.3, surf.n - 1) * tmap.r_T
-            y = np.append(yp, surf.graph.value(yp))
-            x = surf.rotation.T @ y
-            if np.linalg.norm(x) >= 0.9 * tmap.r_T:
-                continue
-            xb = apply_T(tmap, x)
-            worst = max(worst, abs(tmap.fan.normals[i] @ xb))
-    if worst > tol:
-        raise DomainError(
-            f"straightening map misses the cone boundary by {worst:.3e}"
-        )
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# fixture IO
-
-
-def surface_from_config(options):
-    """Build a surface from plain key-value options.
-
-    kind = plane | paraboloid | sphere | polynomial; planes take `normal`,
-    paraboloids `coeff`, spheres `radius`; polynomial graphs list terms as
-    `term.<e1>.<e2>... = coeff` exponent keys.
-    """
-    opts = dict(options)
-    kind = opts.pop("kind")
-    n = int(opts.pop("n"))
-    label = opts.pop("label", kind)
-    if kind == "plane":
-        normal = [float(v) for v in str(opts.pop("normal")).split()]
-        return plane_surface(n, normal, label=label)
-    if kind == "paraboloid":
-        return paraboloid_surface(n, coeff=float(opts.pop("coeff", 1.0)),
-                                  label=label)
-    if kind == "sphere":
-        return sphere_surface(n, radius=float(opts.pop("radius", 1.0)),
-                              label=label)
-    if kind == "polynomial":
-        terms = {}
-        for key, val in opts.items():
-            if not key.startswith("term."):
-                continue
-            exps = tuple(int(tok) for tok in key.split(".")[1:])
-            terms[exps] = float(val)
-        return GraphSurface(n=n, graph=PolyGraph(Polynomial(n - 1, terms)),
-                            label=label)
-    raise ConfigError(f"unknown surface kind {kind!r}")
-
-
-def write_sample_distances(path, surfaces, points):
-    """CSV of sample points with their signed distances, x1..xn, d1..dk."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[1]
-    header = [f"x{i+1}" for i in range(n)] + [f"d{i+1}" for i in range(len(surfaces))]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for x in points:
-            dists = [signed_distance(s, x) for s in surfaces]
-            row = [f"{v:.17g}" for v in list(x) + dists]
-            fh.write(",".join(row) + "\n")
-
-
-def read_sample_distances(path, n):
-    """Read back a sample-point CSV; returns (points, distances)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, :n], data[:, n:]

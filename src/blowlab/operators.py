@@ -21,9 +21,9 @@ Christoffel symbols, cross-checked by a half-step Richardson pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigError, DomainError, StructureViolationError
 from .polynomials import Polynomial
@@ -123,6 +123,8 @@ class MetricFamily:
 
 def _ball_samples(n, radius, count, seed=0, exclude_inner=0.0):
     """Deterministic quasi-random samples in the ball of given radius."""
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=n, scramble=True, seed=seed)
     pts = []
     need = count
@@ -206,8 +208,16 @@ class OperatorSpec:
     b: callable                 # (P, n) -> (P, n)
     c: callable                 # (P, n) -> (P,)
     label: str = ""
-    c_l: float = None           # measured structure constant
     validity_radius: float = 2.0
+
+    @cached_property
+    def c_l(self):
+        """Structure constant, measured at first read on the unit ball.
+
+        Only certificates read it; `structure_constant` with its default
+        sample (4096 points, seed 11) fixes the value.
+        """
+        return structure_constant(self, 1.0)
 
     def coefficients(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -226,22 +236,23 @@ def euclidean_operator(n):
         out[:, idx, idx] = 1.0
         return out
 
-    return OperatorSpec(
+    spec = OperatorSpec(
         n=n,
         a=a,
         b=lambda pts: np.zeros((pts.shape[0], n)),
         c=lambda pts: np.zeros(pts.shape[0]),
         label="euclidean",
-        c_l=0.0,
     )
+    spec.c_l = 0.0   # exact: a = delta, b = 0, c = 0; no sample needed
+    return spec
 
 
-def conformal_operator(metric, measure_radius=1.0, measure_samples=4096):
+def conformal_operator(metric):
     """Expand the conformal Laplacian of `metric` into (a, b, c).
 
     a = g^ij exactly; b from exact first derivatives of det(g)^(1/2) g^(ij);
     c = -(n-2)/(4(n-1)) S_g with the FD/Richardson curvature pipeline.
-    The structure constant is measured on a quasi-random sample and stored.
+    The structure constant `c_l` is measured when first read.
     """
     n = metric.n
     cn = (n - 2.0) / (4.0 * (n - 1.0))
@@ -265,9 +276,7 @@ def conformal_operator(metric, measure_radius=1.0, measure_samples=4096):
     if metric.params:
         inner = ",".join(f"{k}={v:g}" for k, v in sorted(metric.params.items()))
         label = f"{label}({inner},n={n})"
-    spec = OperatorSpec(n=n, a=a_eval, b=b_eval, c=c_eval, label=label)
-    spec.c_l = structure_constant(spec, measure_radius, samples=measure_samples)
-    return spec
+    return OperatorSpec(n=n, a=a_eval, b=b_eval, c=c_eval, label=label)
 
 
 def structure_constant(spec, radius, samples=4096, seed=11, inner_exclusion=1e-4):
@@ -345,24 +354,6 @@ def _axis_d2(coords, f, axis):
     out[0] = out[1]
     out[-1] = out[-2]
     return np.moveaxis(out, 0, axis)
-
-
-def write_coefficient_snapshot(path, spec, points):
-    """Debug CSV of the coefficient fields at sample points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    a, b, c = spec.coefficients(pts)
-    n = spec.n
-    header = ([f"x{i+1}" for i in range(n)]
-              + [f"a{i+1}{j+1}" for i in range(n) for j in range(i, n)]
-              + [f"b{i+1}" for i in range(n)] + ["c"])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for p in range(pts.shape[0]):
-            row = list(pts[p])
-            row += [a[p, i, j] for i in range(n) for j in range(i, n)]
-            row += list(b[p])
-            row.append(c[p])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def apply_operator(spec, fld, mesh):

@@ -17,7 +17,10 @@ m(m+2-k) g with k = 2 instead of k = n).
 The infinite boundary value is approximated by Dirichlet truncation
 g = M with M escalated geometrically until the interior stops moving;
 by the comparison principle the truncated profiles increase monotonically
-in M, and Newton from a supersolution start descends monotonically.
+in M, and Newton from a supersolution start descends monotonically.  The
+damped Newton and the escalation are the shared core of `blowlab.newton`;
+this module supplies the pentadiagonal truncated problem (`BandedProblem`),
+which the radial ball solve of `blowlab.solver` reuses.
 
 The weight rho = g^(-2/(n-2)) is comparable to the arc distance to the
 blow-up boundary and is the coefficient the spectral module consumes.
@@ -33,7 +36,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from .errors import ConfigError, DomainError, NewtonError
+from .errors import ConfigError, DomainError
+from .newton import escalate
 
 __all__ = [
     "SphericalDomain1D",
@@ -269,168 +273,104 @@ class BlowupProfile:
         return float(np.max(np.abs(self.pde_residual()[mask]) * d[mask] ** power))
 
 
-def _assemble_linear_rows(domain, n, theta):
-    """Linear part of the profile operator as pentadiagonal rows.
+class BandedProblem:
+    """Truncated problem  a2 g'' + a1 g' + a0 g = n(n-2)/4 g^p  on 1-D nodes.
 
-    Interior rows carry the 3-point stencil; a regular pole contributes a
-    one-sided 3-point derivative row, which is why two off-diagonals are
-    kept on each side.  Blow-up endpoints get plain Dirichlet rows.
+    The separated profile (nodes theta) and the radial ball solve (nodes
+    r) share it; `d` is the distance to the blow-up ends and `span` the
+    length of the interval.  Interior rows carry the 3-point stencils; a
+    regular pole contributes a one-sided 3-point derivative row, which is
+    why two off-diagonals are kept on each side.  Blow-up ends get plain
+    Dirichlet rows.  Rows are rescaled to O(1) before the norm test: the
+    clustered cells near a blow-up end carry 1/h^2 ~ 1e17 stencil weights
+    whose rounding noise would otherwise dominate any residual criterion.
     """
-    N = theta.size
-    sub2, diag2, sup2 = nonuniform_d2(theta)
-    sub1, diag1, sup1 = nonuniform_d1(theta)
-    if domain.geometry == POLAR_SPHERE:
-        cot = np.cos(theta[1:-1]) / np.sin(theta[1:-1])
-        drift = (n - 2.0) * cot
-        zero_order = -0.25 * (n - 2.0) ** 2
-    else:
-        drift = np.zeros(N - 2)
-        zero_order = +0.25 * (n - 2.0) ** 2
 
-    lo = np.zeros(N)  # second subdiagonal (for one-sided pole rows)
-    a = np.zeros(N)   # first subdiagonal
-    b = np.zeros(N)   # diagonal
-    c = np.zeros(N)   # first superdiagonal
-    hi = np.zeros(N)  # second superdiagonal
+    def __init__(self, x, a2, a1, a0, bc_lo, bc_hi, n, d, span, name):
+        N = x.size
+        self.name = name
+        self.p = (n + 2.0) / (n - 2.0)
+        self.coef = 0.25 * n * (n - 2.0)
+        sub2, diag2, sup2 = nonuniform_d2(x)
+        sub1, diag1, sup1 = nonuniform_d1(x)
+        # lo/hi: second sub/superdiagonal, a/c: first, b: diagonal
+        lo, a, b, c, hi = (np.zeros(N) for _ in range(5))
+        a[1:-1] = a2 * sub2 + a1 * sub1
+        b[1:-1] = a2 * diag2 + a1 * diag1 + a0
+        c[1:-1] = a2 * sup2 + a1 * sup1
+        if bc_lo == BLOWUP:
+            b[0] = 1.0
+        else:
+            b[0], c[0], hi[0] = one_sided_d1(x[0], x[1], x[2])
+        if bc_hi == BLOWUP:
+            b[-1] = 1.0
+        else:
+            b[-1], a[-1], lo[-1] = one_sided_d1(x[-1], x[-2], x[-3])
+        self.row_scale = 1.0 / (1.0 + np.abs(lo) + np.abs(a) + np.abs(b)
+                                + np.abs(c) + np.abs(hi))
+        self.lo, self.a, self.b, self.c, self.hi = (
+            v * self.row_scale for v in (lo, a, b, c, hi))
 
-    # interior rows j = 1..N-2
-    a_int = sub2 + drift * sub1
-    b_int = diag2 + drift * diag1 + zero_order
-    c_int = sup2 + drift * sup1
-    a[1:-1] = a_int
-    b[1:-1] = b_int
-    c[1:-1] = c_int
+        self.fixed = np.zeros(N, dtype=bool)
+        self.fixed[0] = bc_lo == BLOWUP
+        self.fixed[-1] = bc_hi == BLOWUP
+        self.interior = np.ones(N, dtype=bool)
+        self.interior[0] = self.interior[-1] = False
+        self.band = self.interior & (d >= 0.02 * span)
+        # probes of the resolvability cap, a few cells inside each wall
+        self.probes = [k for k, end in ((4, 0), (-5, -1))
+                       if self.fixed[end] and N > 4]
+        m = 0.5 * (n - 2.0)
+        with np.errstate(divide="ignore"):
+            self.start = 2.0**m * np.where(d > 0, d, np.inf) ** (-m)
 
-    # endpoint rows
-    if domain.bc_lo == BLOWUP:
-        b[0] = 1.0
-    else:
-        w0, w1, w2 = one_sided_d1(theta[0], theta[1], theta[2])
-        b[0], c[0], hi[0] = w0, w1, w2
-    if domain.bc_hi == BLOWUP:
-        b[-1] = 1.0
-    else:
-        w0, w1, w2 = one_sided_d1(theta[-1], theta[-2], theta[-3])
-        b[-1], a[-1], lo[-1] = w0, w1, w2
+    def dirichlet(self, M):
+        return np.where(self.fixed, M, 0.0)
 
-    return lo, a, b, c, hi
+    def warm_start(self, g, M):
+        return np.maximum(np.minimum(self.start if g is None else g, M), 1e-10)
 
-
-def _banded_matvec(lo, a, b, c, hi, x):
-    y = b * x
-    y[1:] += a[1:] * x[:-1]
-    y[:-1] += c[:-1] * x[1:]
-    y[2:] += lo[2:] * x[:-2]
-    y[:-2] += hi[:-2] * x[2:]
-    return y
-
-
-def _newton_truncated(domain, n, theta, g0, M, tol=1e-10, max_iter=60):
-    """Damped Newton for one truncation level; returns (g, residual, iters).
-
-    Rows are rescaled to O(1) before the norm test: the clustered cells
-    near a blow-up endpoint carry 1/h^2 ~ 1e17 stencil weights whose
-    rounding noise would otherwise dominate any residual criterion.
-    """
-    N = theta.size
-    p = (n + 2.0) / (n - 2.0)
-    coef = 0.25 * n * (n - 2.0)
-    lo, a, b, c, hi = _assemble_linear_rows(domain, n, theta)
-
-    row_scale = 1.0 / (1.0 + np.abs(lo) + np.abs(a) + np.abs(b) + np.abs(c) + np.abs(hi))
-    lo = lo * row_scale
-    a = a * row_scale
-    b = b * row_scale
-    c = c * row_scale
-    hi = hi * row_scale
-
-    rhs_bc = np.zeros(N)
-    if domain.bc_lo == BLOWUP:
-        rhs_bc[0] = M
-    if domain.bc_hi == BLOWUP:
-        rhs_bc[-1] = M
-
-    mask_dir = np.zeros(N, dtype=bool)
-    if domain.bc_lo == BLOWUP:
-        mask_dir[0] = True
-    if domain.bc_hi == BLOWUP:
-        mask_dir[-1] = True
-    mask_pole = np.zeros(N, dtype=bool)
-    if domain.bc_lo == REGULAR_POLE:
-        mask_pole[0] = True
-    if domain.bc_hi == REGULAR_POLE:
-        mask_pole[-1] = True
-    interior = ~(mask_dir | mask_pole)
-
-    def residual(g):
-        r = _banded_matvec(lo, a, b, c, hi, g)
-        r[interior] -= row_scale[interior] * coef * g[interior] ** p
-        r[mask_dir] = row_scale[mask_dir] * (g[mask_dir] - rhs_bc[mask_dir])
+    def residual(self, g, data):
+        interior, fixed = self.interior, self.fixed
+        r = self.b * g
+        r[1:] += self.a[1:] * g[:-1]
+        r[:-1] += self.c[:-1] * g[1:]
+        r[2:] += self.lo[2:] * g[:-2]
+        r[:-2] += self.hi[:-2] * g[2:]
+        r[interior] -= self.row_scale[interior] * self.coef * g[interior] ** self.p
+        r[fixed] = self.row_scale[fixed] * (g[fixed] - data[fixed])
         return r
 
-    def res_scale(g):
-        return np.linalg.norm(row_scale[interior] * coef * g[interior] ** p) + 1.0
+    def scale(self, g):
+        interior = self.interior
+        return np.linalg.norm(
+            self.row_scale[interior] * self.coef * g[interior] ** self.p) + 1.0
 
-    g = g0.copy()
-    g[mask_dir] = rhs_bc[mask_dir]
-    res = residual(g)
-    norm = np.linalg.norm(res)
-    trace = [norm]
-    for it in range(max_iter):
-        if norm <= tol * res_scale(g):
-            return g, norm / res_scale(g), it
-        jac_diag = b.copy()
-        jac_diag[interior] -= row_scale[interior] * coef * p * g[interior] ** (p - 1.0)
-        ab = np.zeros((5, N))
-        ab[0, 2:] = hi[:-2]
-        ab[1, 1:] = c[:-1]
+    def step(self, g, res):
+        interior = self.interior
+        jac_diag = self.b.copy()
+        jac_diag[interior] -= (self.row_scale[interior] * self.coef * self.p
+                               * g[interior] ** (self.p - 1.0))
+        ab = np.zeros((5, g.size))
+        ab[0, 2:] = self.hi[:-2]
+        ab[1, 1:] = self.c[:-1]
         ab[2, :] = jac_diag
-        ab[3, :-1] = a[1:]
-        ab[4, :-2] = lo[2:]
-        step = solve_banded((2, 2), ab, -res)
-        rel_step = np.max(np.abs(step) / np.maximum(np.abs(g), 1e-300))
-        if rel_step < 1e-13:
-            # at the rounding floor of the stiff rows; the iterate is done
-            return g, norm / res_scale(g), it
-        t = 1.0
-        for _ in range(40):
-            g_try = g + t * step
-            if np.all(g_try[~mask_dir] > 0.0):
-                res_try = residual(g_try)
-                norm_try = np.linalg.norm(res_try)
-                if norm_try < norm:
-                    break
-            t *= 0.5
-        else:
-            raise NewtonError(
-                f"profile Newton stalled at M={M:g} (residual {norm:.3e})",
-                trace=trace,
-            )
-        g, res, norm = g_try, res_try, norm_try
-        trace.append(norm)
-    raise NewtonError(
-        f"profile Newton did not converge in {max_iter} iterations at M={M:g}",
-        trace=trace,
-    )
+        ab[3, :-1] = self.a[1:]
+        ab[4, :-2] = self.lo[2:]
+        return solve_banded((2, 2), ab, -res)
 
+    def cap_reached(self, g, M):
+        """True when the truncation layer has receded into the last few cells.
 
-def _resolvability_cap_reached(domain, theta, g, M, buffer_cells=4):
-    """True when the truncation layer has receded into the last few cells.
-
-    On a fixed mesh the M -> infinity limit does not exist nodewise: once
-    the level exceeds the profile value a few cells inside the wall, the
-    layer where g ~ M is sub-grid and further escalation only inflates
-    the wall-adjacent cells.  Stopping here is where the truncated grid
-    function is closest to the untruncated profile.
-    """
-    refs = []
-    if domain.bc_lo == BLOWUP and theta.size > buffer_cells:
-        refs.append(g[buffer_cells])
-    if domain.bc_hi == BLOWUP and theta.size > buffer_cells:
-        refs.append(g[-1 - buffer_cells])
-    # factor 2: while the layer still covers the buffer cells their values
-    # ride just below M, so demand a clear gap before declaring recession
-    return bool(refs) and M >= 2.0 * max(refs)
+        On a fixed mesh the M -> infinity limit does not exist nodewise:
+        once the level exceeds the profile value a few cells inside the
+        wall, the layer where g ~ M is sub-grid and further escalation only
+        inflates the wall-adjacent cells.  Stopping here is where the
+        truncated grid function is closest to the untruncated profile.
+        The factor 2: while the layer still covers the probe cells their
+        values ride just below M, so demand a clear gap.
+        """
+        return bool(self.probes) and M >= 2.0 * max(g[k] for k in self.probes)
 
 
 def solve_profile(domain, n, schedule=None, grid=None, nodes=None,
@@ -441,8 +381,9 @@ def solve_profile(domain, n, schedule=None, grid=None, nodes=None,
     1e2); after the explicit levels are exhausted, M keeps doubling until
     the interior (wall buffer excluded) stops moving at `interior_tol`
     relative, or until the mesh can no longer resolve the layer where the
-    profile reaches M.  `nodes` overrides the graded grid with explicit
-    theta nodes (used to match a 2-D solver's angular grid exactly).
+    profile reaches M (`blowlab.newton.escalate`).  `nodes` overrides the
+    graded grid with explicit theta nodes (used to match a 2-D solver's
+    angular grid exactly).
     """
     if n < 3:
         raise ConfigError("dimension must satisfy n >= 3")
@@ -459,40 +400,19 @@ def solve_profile(domain, n, schedule=None, grid=None, nodes=None,
     if any(m2 <= m1 for m1, m2 in zip(schedule, schedule[1:])):
         raise ConfigError("truncation schedule must be strictly increasing")
 
-    m_exp = 0.5 * (n - 2.0)
-    d = domain.wall_distance(theta)
-    with np.errstate(divide="ignore"):
-        super_init = 2.0**m_exp * np.where(d > 0, d, np.inf) ** (-m_exp)
-    span = domain.theta_hi - domain.theta_lo
-    band = (d >= 0.02 * span)
-    band[0] = band[-1] = False
-
-    g = None
-    m_history = []
-    M = schedule[0]
-    level = 0
-    residual = np.inf
-    while True:
-        if g is None:
-            g0 = np.minimum(M, super_init)
-            g0 = np.maximum(g0, 1e-8)
-        else:
-            g0 = np.minimum(np.maximum(g, 1e-8), M)
-        g_new, residual, _ = _newton_truncated(domain, n, theta, g0, M)
-        m_history.append(M)
-        scheduled_left = level + 1 < len(schedule)
-        if g is not None and not scheduled_left:
-            change = np.max(np.abs(g_new[band] - g[band]) / g_new[band])
-            if change < interior_tol:
-                g = g_new
-                break
-        g = g_new
-        if not scheduled_left and _resolvability_cap_reached(domain, theta, g, M):
-            break
-        level += 1
-        if level >= max_levels:
-            break
-        M = schedule[level] if level < len(schedule) else M * 2.0
+    if domain.geometry == POLAR_SPHERE:
+        drift = (n - 2.0) * (np.cos(theta[1:-1]) / np.sin(theta[1:-1]))
+        zero_order = -0.25 * (n - 2.0) ** 2
+    else:
+        drift = np.zeros(theta.size - 2)
+        zero_order = +0.25 * (n - 2.0) ** 2
+    problem = BandedProblem(
+        theta, 1.0, drift, zero_order, domain.bc_lo, domain.bc_hi, n,
+        domain.wall_distance(theta), domain.theta_hi - domain.theta_lo,
+        "profile")
+    g, m_history, residual = escalate(
+        problem, schedule, tol=1e-10, growth=2.0, interior_tol=interior_tol,
+        max_levels=max_levels)
 
     return BlowupProfile(
         domain=domain,

@@ -44,6 +44,11 @@ def write_csv(path, header, rows, meta=None):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def _cell(x):
+    """A Markdown table cell: a literal `|` must not end the cell."""
+    return fmt(x).replace("|", r"\|")
+
+
 def write_markdown_table(path, title, header, rows, preamble="", meta=None):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
@@ -54,10 +59,10 @@ def write_markdown_table(path, title, header, rows, preamble="", meta=None):
             for k in sorted(meta):
                 fh.write(f"- {k}: {fmt(meta[k])}\n")
             fh.write("\n")
-        fh.write("| " + " | ".join(header) + " |\n")
+        fh.write("| " + " | ".join(_cell(h) for h in header) + " |\n")
         fh.write("|" + "|".join("---" for _ in header) + "|\n")
         for row in rows:
-            fh.write("| " + " | ".join(fmt(v) for v in row) + " |\n")
+            fh.write("| " + " | ".join(_cell(v) for v in row) + " |\n")
 
 
 def write_ratio_csv(path, fit, meta=None):

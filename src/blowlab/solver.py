@@ -16,13 +16,16 @@ coefficients.
 
 The infinite boundary value is imposed as u = M on the lateral wall with
 a geometric escalation of M, capped when the truncation layer recedes
-into the last mesh cells (same semantics as the 1-D profile solver).
+into the last mesh cells; the damped Newton and the escalation are the
+core of `blowlab.newton`, shared with the 1-D profile solver, and each
+Newton step factorizes the sparse Jacobian with `splu`.
 The artificial radial cuts carry bracket data {1/2, 2} x cone reference;
 solving once with each and recording the interior disagreement turns the
 ill-posed cut into a quantified localization error.
 
 A degenerate radial path handles balls (blow-up on the outer sphere,
-regular center), including non-Euclidean radially symmetric operators.
+regular center), including non-Euclidean radially symmetric operators,
+with the pentadiagonal rows of the profile solver.
 """
 
 from __future__ import annotations
@@ -33,9 +36,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ConfigError, DomainError, LocalizationError, NewtonError
+from .errors import ConfigError, DomainError, LocalizationError
+from .newton import escalate
 from .profiles import (
     BLOWUP,
+    REGULAR_POLE,
+    BandedProblem,
     GridSpec,
     SphericalDomain1D,
     nonuniform_d1,
@@ -222,7 +228,10 @@ class SolutionField:
         dom = self.domain
         if dom.reduction == BALL:
             return (r < dom.r_max) & (self.d > 0)
-        mask = (r >= 4.0 * dom.r_min) & (r <= (r_hi or dom.r_max / 4.0))
+        # relative slack: a row nominally on an edge (r = 1/8 as exp(t))
+        # can round to either side of it
+        lo, hi = 4.0 * dom.r_min, r_hi or dom.r_max / 4.0
+        mask = (r >= lo * (1.0 - 1e-12)) & (r <= hi * (1.0 + 1e-12))
         span = dom.aperture
         wall = (1.0 - self.eta) * span
         if dom.reduction == CROSS_SECTION:
@@ -366,7 +375,13 @@ def _eta_nodes(domain, config):
 
 
 class _WedgeSystem:
-    """Assembled linear stencil and metadata for one (domain, op) pair."""
+    """Assembled linear stencil and metadata for one (domain, op) pair.
+
+    It is the truncated problem that `blowlab.newton.escalate` solves; the
+    cut rows carry `bracket_factor` times the cone data.
+    """
+
+    name = "2-D"
 
     def __init__(self, domain, op, n, config):
         self.domain = domain
@@ -399,6 +414,27 @@ class _WedgeSystem:
         self.reference = self.reference_profile.g
 
         self._assemble_linear()
+        self.d = _wall_distance_field(domain, self.rr, self.theta)
+        m = self.m
+        with np.errstate(divide="ignore"):
+            sup_init = 2.0**m * np.where(self.d > 0, self.d, np.inf) ** (-m)
+        self.sup_w = (self.rr**m * sup_init).ravel()
+        self.wrad = self.rr.ravel() ** m
+
+        # interior band for the escalation stop: clear of the wall layer
+        span = domain.aperture
+        if domain.reduction == MERIDIAN:
+            wall_gap = (1.0 - self.eta) * span
+        else:
+            wall_gap = np.minimum(self.eta, 1.0 - self.eta) * span
+        band2d = np.zeros((self.nt, self.ne), dtype=bool)
+        band2d[1:-1, :] = wall_gap[None, :] >= 0.02 * span
+        self.band = band2d.ravel() & self.interior_mask
+
+        # resolvability probe: u four cells inside the lateral wall
+        self.probe_cols = [self.ne - 5]
+        if domain.reduction == CROSS_SECTION:
+            self.probe_cols.append(4)
 
     # -- masks ------------------------------------------------------------
     def _classify(self):
@@ -538,11 +574,10 @@ class _WedgeSystem:
         self.L = sp.diags(scale) @ L
         self.idx = idx
         self.interior_mask = (kind == 0).ravel()
-        self.wall_mask = (kind == 2).ravel()
-        self.cut_mask = (kind == 1).ravel()
+        self.fixed = ((kind == 1) | (kind == 2)).ravel()   # cuts and walls
 
-    # -- data vectors -------------------------------------------------------
-    def boundary_values(self, M, bracket_factor):
+    # -- the truncated problem of blowlab.newton ----------------------------
+    def dirichlet(self, M):
         """Dirichlet data vector: wall truncation + bracket cone data."""
         nt, ne = self.nt, self.ne
         vals = np.zeros(nt * ne)
@@ -562,133 +597,44 @@ class _WedgeSystem:
             gvals[~inside] = self.reference[~inside]  # matched wall nodes
             for k in range(ne):
                 if kind[j, k] == 1:
-                    data = bracket_factor * gvals[k]
+                    data = self.bracket_factor * gvals[k]
                     vals[self.idx[j, k]] = min(data, wall_w[j])
         return vals
+
+    def warm_start(self, w, M):
+        if w is None:
+            return np.maximum(np.minimum(self.sup_w, M * self.wrad), 1e-10)
+        return np.minimum(w, M * self.wrad)
 
     def residual(self, w, bc_vals):
         f = self.L @ w
         wi = np.where(self.interior_mask, w, 0.0)
         f = f - self.row_scale * self.interior_mask * self.coef * np.abs(wi) ** self.p
-        fixed = self.wall_mask | self.cut_mask
+        fixed = self.fixed
         f[fixed] = self.row_scale[fixed] * (w[fixed] - bc_vals[fixed])
         return f
 
-    def newton(self, w0, bc_vals, tol=None, max_iter=40):
-        tol = tol or self.config.newton_tol
-        w = w0.copy()
-        fixed = self.wall_mask | self.cut_mask
-        w[fixed] = bc_vals[fixed]
-        res = self.residual(w, bc_vals)
-        norm = np.linalg.norm(res)
-        trace = [norm]
+    def scale(self, w):
+        wi = np.where(self.interior_mask, w, 0.0)
+        return np.linalg.norm(
+            self.row_scale * self.interior_mask * self.coef * np.abs(wi) ** self.p
+        ) + 1.0
 
-        def scale_of(wv):
-            wi = np.where(self.interior_mask, wv, 0.0)
-            return np.linalg.norm(
-                self.row_scale * self.interior_mask * self.coef * np.abs(wi) ** self.p
-            ) + 1.0
+    def step(self, w, res):
+        dvals = np.where(
+            self.interior_mask,
+            self.row_scale * self.coef * self.p * np.abs(w) ** (self.p - 1.0),
+            0.0,
+        )
+        J = (self.L - sp.diags(dvals)).tocsc()
+        return splu(J).solve(-res)
 
-        for _ in range(max_iter):
-            if norm <= tol * scale_of(w):
-                return w, norm / scale_of(w)
-            dvals = np.where(
-                self.interior_mask,
-                self.row_scale * self.coef * self.p * np.abs(w) ** (self.p - 1.0),
-                0.0,
-            )
-            J = (self.L - sp.diags(dvals)).tocsc()
-            step = splu(J).solve(-res)
-            rel = np.max(np.abs(step) / np.maximum(np.abs(w), 1e-250))
-            if rel < 1e-13:
-                return w, norm / scale_of(w)
-            t_damp = 1.0
-            for _ in range(40):
-                w_try = w + t_damp * step
-                if np.all(w_try[~fixed] > 0.0):
-                    res_try = self.residual(w_try, bc_vals)
-                    norm_try = np.linalg.norm(res_try)
-                    if norm_try < norm:
-                        break
-                t_damp *= 0.5
-            else:
-                raise NewtonError("2-D Newton stalled", trace=trace)
-            w, res, norm = w_try, res_try, norm_try
-            trace.append(norm)
-        raise NewtonError("2-D Newton did not converge", trace=trace)
-
-    def escalate(self, bracket_factor, keep_levels=False, forced_schedule=None):
-        """Run the M schedule with the resolvability cap; returns final w.
-
-        `forced_schedule` replays an exact level sequence so the two
-        bracket solves terminate at the same truncation state.
-        """
-        cfg = self.config
-        m = self.m
-        d = _wall_distance_field(self.domain, self.rr, self.theta)
-        with np.errstate(divide="ignore"):
-            sup_init = 2.0**m * np.where(d > 0, d, np.inf) ** (-m)
-        sup_w = (self.rr**m * sup_init).ravel()
-
-        # interior band for the escalation stop: clear of the wall layer
-        span = self.domain.aperture
-        if self.domain.reduction == MERIDIAN:
-            wall_gap = (1.0 - self.eta) * span
-        else:
-            wall_gap = np.minimum(self.eta, 1.0 - self.eta) * span
-        band2d = np.zeros((self.nt, self.ne), dtype=bool)
-        band2d[1:-1, :] = wall_gap[None, :] >= 0.02 * span
-        band = band2d.ravel() & self.interior_mask
-
-        # resolvability probe: u four cells inside the lateral wall
-        probe_cols = [self.ne - 5]
-        if self.domain.reduction == CROSS_SECTION:
-            probe_cols.append(4)
-
-        schedule = ([float(M) for M in forced_schedule] if forced_schedule
-                    else [float(M) for M in cfg.schedule])
-        forced = forced_schedule is not None
-        w = None
-        level = 0
-        M = schedule[0]
-        m_hist = []
-        snapshots = []
-        residual = np.inf
-        wrad = self.rr.ravel() ** m
-        while True:
-            bc = self.boundary_values(M, bracket_factor)
-            if w is None:
-                w0 = np.maximum(np.minimum(sup_w, M * wrad), 1e-10)
-            else:
-                w0 = np.minimum(w, M * wrad)
-            w_new, residual = self.newton(w0, bc)
-            m_hist.append(M)
-            if keep_levels:
-                snapshots.append((M, self._to_u(w_new)))
-            scheduled_left = level + 1 < len(schedule)
-            if forced:
-                w = w_new
-                if not scheduled_left:
-                    break
-            else:
-                if w is not None and not scheduled_left:
-                    change = np.max(np.abs(w_new[band] - w[band]) / w_new[band])
-                    if change < cfg.interior_tol:
-                        w = w_new
-                        break
-                w = w_new
-                if not scheduled_left:
-                    # per-column wall data is M r^m in w-units, so the last
-                    # column to resolve its layer is the innermost one
-                    w2d = w.reshape(self.nt, self.ne)
-                    probe = max(np.max(w2d[1:-1, col]) for col in probe_cols)
-                    if M * np.exp(self.m * self.t[0]) >= 2.0 * probe:
-                        break
-            level += 1
-            if level >= cfg.max_levels:
-                break
-            M = schedule[level] if level < len(schedule) else M * cfg.m_growth
-        return w, M, m_hist, snapshots, residual
+    def cap_reached(self, w, M):
+        # per-column wall data is M r^m in w-units, so the last column to
+        # resolve its layer is the innermost one
+        w2d = w.reshape(self.nt, self.ne)
+        probe = max(np.max(w2d[1:-1, col]) for col in self.probe_cols)
+        return M * np.exp(self.m * self.t[0]) >= 2.0 * probe
 
     def _to_u(self, w):
         return w.reshape(self.nt, self.ne) / self.rr**self.m
@@ -708,15 +654,28 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     check_axisymmetry(op, domain, n)
     system = _WedgeSystem(domain, op, n, config)
 
+    schedule, max_levels = config.schedule, config.max_levels
+    if forced_schedule:
+        # a replay stops after exactly the given levels
+        schedule = forced_schedule
+        max_levels = min(max_levels, len(forced_schedule))
+    snaps = []
+    keep = ((lambda M, w: snaps.append((M, system._to_u(w))))
+            if config.keep_level_fields else None)
+
+    def run(bracket_factor, schedule, max_levels, on_level=None):
+        system.bracket_factor = bracket_factor
+        return escalate(system, schedule, tol=config.newton_tol,
+                        growth=config.m_growth, interior_tol=config.interior_tol,
+                        max_levels=max_levels, on_level=on_level)
+
     lo_fac, hi_fac = config.bracket
-    w_lo, M_final, m_hist, snaps, residual = system.escalate(
-        lo_fac, keep_levels=config.keep_level_fields,
-        forced_schedule=forced_schedule)
-    w_hi, _, _, _, _ = system.escalate(hi_fac, forced_schedule=m_hist)
+    w_lo, m_hist, residual = run(lo_fac, schedule, max_levels, keep)
+    w_hi, _, _ = run(hi_fac, m_hist, len(m_hist))
+    M_final = m_hist[-1]
 
     u_lo = system._to_u(w_lo)
     u_hi = system._to_u(w_hi)
-    d = _wall_distance_field(domain, system.rr, system.theta)
 
     # re-solve the angular reference at the truncation state an interior
     # column actually sees (wall data M r^m varies across columns; matching
@@ -738,7 +697,7 @@ def solve(domain, op, n, config=None, forced_schedule=None):
         t=system.t,
         eta=system.eta,
         u=u_lo,
-        d=d,
+        d=system.d,
         truncation=M_final,
         newton_residual=residual,
         reference=reference_profile.g,
@@ -800,9 +759,6 @@ def check_radial_symmetry(op, n, r_max, samples=16, tol=1e-9):
 def _solve_ball(domain, op, n, config):
     R = domain.r_max
     check_radial_symmetry(op, n, R)
-    m = 0.5 * (n - 2.0)
-    p = (n + 2.0) / (n - 2.0)
-    coef = 0.25 * n * (n - 2.0)
 
     count = max(config.n_eta * 10, 2000)
     s = np.linspace(0.0, 1.0, count)
@@ -810,108 +766,19 @@ def _solve_ball(domain, op, n, config):
     r[0], r[-1] = 0.0, R
 
     arr, trans, brad, cval = _radial_coefficients(op, r, n)
-    sub1, diag1, sup1 = nonuniform_d1(r)
-    sub2, diag2, sup2 = nonuniform_d2(r)
-    N = r.size
-
-    lo = np.zeros(N)
-    a = np.zeros(N)
-    bb = np.zeros(N)
-    cc = np.zeros(N)
-    hi = np.zeros(N)
     with np.errstate(divide="ignore"):
         drift = trans[1:-1] / r[1:-1] + brad[1:-1]
-    a[1:-1] = arr[1:-1] * sub2 + drift * sub1
-    bb[1:-1] = arr[1:-1] * diag2 + drift * diag1 + cval[1:-1]
-    cc[1:-1] = arr[1:-1] * sup2 + drift * sup1
-    w0c, w1c, w2c = one_sided_d1(r[0], r[1], r[2])
-    bb[0], cc[0], hi[0] = w0c, w1c, w2c      # regular center: u'(0) = 0
-    bb[-1] = 1.0                             # wall Dirichlet
-
-    row_scale = 1.0 / (1.0 + np.abs(lo) + np.abs(a) + np.abs(bb) + np.abs(cc) + np.abs(hi))
-    lo, a, bb, cc, hi = (v * row_scale for v in (lo, a, bb, cc, hi))
-
-    interior = np.ones(N, dtype=bool)
-    interior[0] = interior[-1] = False
-
-    def residual(u, M):
-        f = bb * u
-        f[1:] += a[1:] * u[:-1]
-        f[:-1] += cc[:-1] * u[1:]
-        f[:-2] += hi[:-2] * u[2:]
-        f[interior] -= row_scale[interior] * coef * u[interior] ** p
-        f[-1] = row_scale[-1] * (u[-1] - M)
-        return f
-
-    from scipy.linalg import solve_banded
-
-    def newton(u0, M):
-        u = u0.copy()
-        u[-1] = M
-        res = residual(u, M)
-        norm = np.linalg.norm(res)
-        scale = np.linalg.norm(row_scale[interior] * coef * u[interior] ** p) + 1.0
-        for _ in range(60):
-            if norm <= config.newton_tol * scale:
-                return u, norm / scale
-            jd = bb.copy()
-            jd[interior] -= row_scale[interior] * coef * p * u[interior] ** (p - 1.0)
-            # (2, 2)-banded: the one-sided center row needs two superdiagonals
-            ab = np.zeros((5, N))
-            ab[0, 2:] = hi[:-2]
-            ab[1, 1:] = cc[:-1]
-            ab[2, :] = jd
-            ab[3, :-1] = a[1:]
-            ab[4, :-2] = lo[2:]
-            step = solve_banded((2, 2), ab, -res)
-            rel = np.max(np.abs(step) / np.maximum(np.abs(u), 1e-250))
-            if rel < 1e-13:
-                return u, norm / scale
-            t_damp = 1.0
-            for _ in range(40):
-                u_try = u + t_damp * step
-                if np.all(u_try[:-1] > 0.0):
-                    res_try = residual(u_try, M)
-                    norm_try = np.linalg.norm(res_try)
-                    if norm_try < norm:
-                        break
-                t_damp *= 0.5
-            else:
-                raise NewtonError("radial Newton stalled")
-            u, res, norm = u_try, res_try, norm_try
-            scale = np.linalg.norm(row_scale[interior] * coef * u[interior] ** p) + 1.0
-        raise NewtonError("radial Newton did not converge")
-
     d = R - r
-    with np.errstate(divide="ignore"):
-        sup_init = 2.0**m * np.where(d > 0, d, np.inf) ** (-m)
-    schedule = [float(M) for M in config.schedule]
-    u = None
-    level = 0
-    M = schedule[0]
-    m_hist = []
+    # regular center: u'(0) = 0 by the one-sided pole row
+    problem = BandedProblem(r, arr[1:-1], drift, cval[1:-1], REGULAR_POLE,
+                            BLOWUP, n, d, R, "radial")
     snaps = []
-    band = interior & (d >= 0.02 * R)
-    while True:
-        u0 = np.minimum(sup_init, M) if u is None else np.minimum(u, M)
-        u0 = np.maximum(u0, 1e-10)
-        u_new, residual_norm = newton(u0, M)
-        m_hist.append(M)
-        if config.keep_level_fields:
-            snaps.append((M, u_new[:, None].copy()))
-        scheduled_left = level + 1 < len(schedule)
-        if u is not None and not scheduled_left:
-            change = np.max(np.abs(u_new[band] - u[band]) / u_new[band])
-            if change < config.interior_tol:
-                u = u_new
-                break
-        u = u_new
-        if not scheduled_left and M >= 2.0 * u[-5]:
-            break
-        level += 1
-        if level >= config.max_levels:
-            break
-        M = schedule[level] if scheduled_left else M * config.m_growth
+    keep = ((lambda M, u: snaps.append((M, u[:, None].copy())))
+            if config.keep_level_fields else None)
+    u, m_hist, residual_norm = escalate(
+        problem, config.schedule, tol=config.newton_tol, growth=config.m_growth,
+        interior_tol=config.interior_tol, max_levels=config.max_levels,
+        on_level=keep)
 
     return SolutionField(
         domain=domain,

@@ -78,10 +78,6 @@ class EigenResult:
     def n(self):
         return self.profile.n
 
-    def interior_phi(self):
-        mask = self.profile.interior_mask()
-        return self.profile.theta[mask], self.phi[mask]
-
 
 def _weight(profile):
     if profile.domain.geometry == POLAR_SPHERE:

@@ -168,3 +168,26 @@ def test_structure_constant_radius_guard():
     op = euclidean_operator(3)
     with pytest.raises(DomainError):
         structure_constant(op, 5.0)
+
+
+def test_structure_constant_measured_on_first_read():
+    op = conformal_operator(conformal_quadratic_metric(3, 0.3))
+    assert "c_l" not in vars(op)
+    assert op.c_l == structure_constant(op, 1.0)
+    assert vars(op)["c_l"] == op.c_l
+    assert euclidean_operator(3).c_l == 0.0
+
+
+def test_import_leaves_scipy_stats_out():
+    import os
+    import subprocess
+    import sys
+
+    import blowlab
+
+    src = os.path.dirname(os.path.dirname(blowlab.__file__))
+    code = "import sys, blowlab; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

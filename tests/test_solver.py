@@ -10,6 +10,7 @@ from blowlab.operators import (
 )
 from blowlab.solver import (
     DomainSpec2D,
+    SolutionField,
     SolveConfig,
     exact_ball,
     exact_halfspace,
@@ -247,3 +248,23 @@ def test_majorant_from_certificate(ball_field):
     beta = cert.constants["beta"]
     w = u_star + A * u_star**beta + B * u_star * r[mask] ** 2
     assert np.all(ball_field.u[mask, 0] <= w * (1.0 + 1e-10))
+
+
+def test_interior_window_keeps_rows_on_its_edges():
+    # r_min = 2^-12 with 24 rows per octave puts a row at r = 1/8 that
+    # exp(t) rounds to 0.12500000000000008
+    dom = DomainSpec2D("meridian", aperture=np.pi / 3, r_min=2.0**-12)
+    t = np.linspace(np.log(dom.r_min), 0.0, 12 * 24 + 1)
+    eta = np.linspace(0.0, 1.0, 9)
+    u = np.ones((t.size, eta.size))
+    u_high = 1.001 * u
+    edge = int(np.argmin(np.abs(np.exp(t) - 0.125)))
+    assert np.exp(t[edge]) > 0.125
+    u_high[edge] = 1.5
+    fld = SolutionField(domain=dom, n=3, operator_label="hand-built", t=t,
+                        eta=eta, u=u, d=u, truncation=1e2,
+                        newton_residual=0.0, u_high=u_high)
+    assert np.any(fld.interior_window(r_hi=0.125)[edge])
+    assert fld.bracket_width_over(r_hi=0.125) == pytest.approx(0.5)
+    inner = int(np.argmin(np.abs(np.exp(t) - 4.0 * dom.r_min)))
+    assert np.any(fld.interior_window()[inner])
