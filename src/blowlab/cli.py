@@ -7,7 +7,8 @@ the config, and artifacts are deterministic: rerunning a stage with the
 same inputs rewrites byte-identical files.
 
 Exit codes: 0 ok, 1 failed certificate or theorem row, 2 unknown case
-label, 3 missing upstream artifact, 4 malformed config.
+label, 3 missing upstream artifact, 4 malformed config, 5 solver failure
+(Newton divergence, bracket localization, domain or bound failure).
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ EXIT_FAILED_CHECK = 1
 EXIT_UNKNOWN_CASE = 2
 EXIT_MISSING_ARTIFACT = 3
 EXIT_BAD_CONFIG = 4
+EXIT_SOLVER_FAILED = 5
 
 STAGES = ("profile", "eigen", "solve", "certify", "verify", "report")
 
@@ -437,6 +439,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except BlowlabError as exc:     # the remaining library errors come from solvers
+        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILED
 
     for label, message in results:
         print(f"[{label}] {message}", file=sys.stderr)

@@ -26,10 +26,6 @@ class FootPointError(NewtonError):
     """Foot-point projection onto a graph surface did not converge."""
 
 
-class StructureViolationError(BlowlabError):
-    """Coefficient field fails the quadratic structure inequality."""
-
-
 class BoundFailureError(BlowlabError):
     """A certified two-sided bound degenerated (ratio out of range)."""
 

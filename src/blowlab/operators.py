@@ -13,9 +13,9 @@ conformal Laplacian of such a metric expands to divergence form with
     a = g^ij,  b_i = det(g)^(-1/2) d_j (det(g)^(1/2) g^(ji)),
     c = -(n-2)/(4(n-1)) S_g,
 
-where first metric derivatives are exact (polynomial calculus) and the
-scalar curvature is built from fourth-order finite differences of the
-Christoffel symbols, cross-checked by a half-step Richardson pass.
+where every metric derivative is exact (polynomial calculus on h) and
+the scalar curvature is contracted in closed form from g^-1, dg and the
+second-derivative table d2g; no finite difference is taken.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, StructureViolationError
+from .errors import ConfigError, DomainError
 from .polynomials import Polynomial
 
 __all__ = [
@@ -39,9 +39,6 @@ __all__ = [
     "euclidean_operator",
     "scalar_curvature",
 ]
-
-CURVATURE_STEP = 1e-3
-CURVATURE_CHECK_TOL = 1e-4
 
 
 @dataclass
@@ -78,46 +75,31 @@ class MetricFamily:
                 f"(min eigenvalue {np.min(eigs):.3e})"
             )
 
-    def metric(self, points):
+    def derivatives(self, order, points):
+        """Exact d_k..d_l h_ij (= d_k..d_l g_ij for order >= 1), shape
+        (P,) + (n,) * (order + 2), index [p, k, .., l, i, j]."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        P = pts.shape[0]
-        g = np.zeros((P, self.n, self.n))
-        for i in range(self.n):
-            g[:, i, i] = 1.0
-            for j in range(self.n):
-                if self.h[i][j].terms:
-                    g[:, i, j] += self.h[i][j](pts)
-        return g
+        out = np.zeros((pts.shape[0],) + (self.n,) * (order + 2))
+        values = {}         # a polynomial shared by entries is evaluated once
+        for idx in np.ndindex(out.shape[1:]):
+            poly = self.h[idx[-2]][idx[-1]]
+            for k in idx[:-2]:
+                poly = poly.derivative(k)
+            if poly.terms:
+                if id(poly) not in values:
+                    values[id(poly)] = poly(pts)
+                out[(slice(None),) + idx] = values[id(poly)]
+        return out
 
-    def dmetric(self, points):
-        """Exact first derivatives d_k g_ij, shape (P, n, n, n), index [p,k,i,j]."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        P = pts.shape[0]
-        dg = np.zeros((P, self.n, self.n, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                if not self.h[i][j].terms:
-                    continue
-                for k in range(self.n):
-                    dk = self.h[i][j].derivative(k)
-                    if dk.terms:
-                        dg[:, k, i, j] += dk(pts)
-        return dg
+    def metric(self, points):
+        return np.eye(self.n) + self.derivatives(0, points)
 
     def christoffel(self, points):
         """Gamma^k_ij, shape (P, n, n, n), index [p,k,i,j]."""
-        g = self.metric(points)
-        dg = self.dmetric(points)
-        ginv = np.linalg.inv(g)
-        # bracket_{l ij} = d_i g_jl + d_j g_il - d_l g_ij, built index by
-        # index to keep the bookkeeping readable
-        P = g.shape[0]
-        n = self.n
-        bracket = np.empty((P, n, n, n))
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    bracket[:, l, i, j] = dg[:, i, j, l] + dg[:, j, i, l] - dg[:, l, i, j]
+        ginv = np.linalg.inv(self.metric(points))
+        dg = self.derivatives(1, points)
+        lead = np.transpose(dg, (0, 3, 1, 2))        # [p,l,i,j] = d_i g_jl
+        bracket = lead + np.swapaxes(lead, 2, 3) - dg
         return 0.5 * np.einsum("pkl,plij->pkij", ginv, bracket)
 
 
@@ -155,48 +137,30 @@ def conformal_quadratic_metric(n, q):
     return MetricFamily(n=n, h=h, label="conformal-quadratic", params={"q": q})
 
 
-def scalar_curvature(metric, points, step=CURVATURE_STEP, check=True):
-    """S_g by 4th-order central differences of the Christoffel symbols.
+def scalar_curvature(metric, points):
+    """S_g = g^ij R_ij in closed form from exact derivatives of g.
 
-    The derivative step halves for a Richardson consistency pass; relative
-    disagreement beyond CURVATURE_CHECK_TOL raises.
+    With d g^-1 = -g^-1 (dg) g^-1, G^m_mj = d_j log sqrt(det g) and
+    A_i = g^-1 d_i g, the two derivative terms of the traced Ricci tensor
+    R_ij = d_m G^m_ij - d_i G^m_mj + G^m_ml G^l_ij - G^m_il G^l_mj are
+      g^ij d_m G^m_ij = g^ml g^ij (d_m d_i g_jl - d_m d_l g_ij / 2)
+                        - g^ma d_m g_ak g^ij G^k_ij,
+      g^ij d_i G^m_mj = g^ij g^ml d_i d_j g_ml / 2 - g^ij tr(A_i A_j) / 2,
+    so no derivative of G is formed; the only (P, n^4) array is d2g.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-
-    def curvature_at(h):
-        n = metric.n
-        P = pts.shape[0]
-        dGamma = np.empty((P, n, n, n, n))  # [p, mu, k, i, j] = d_mu Gamma^k_ij
-        for mu in range(n):
-            e = np.zeros(n)
-            e[mu] = h
-            gp2 = metric.christoffel(pts + 2 * e)
-            gp1 = metric.christoffel(pts + e)
-            gm1 = metric.christoffel(pts - e)
-            gm2 = metric.christoffel(pts - 2 * e)
-            dGamma[:, mu] = (-gp2 + 8 * gp1 - 8 * gm1 + gm2) / (12.0 * h)
-        gam = metric.christoffel(pts)
-        ginv = np.linalg.inv(metric.metric(pts))
-        # R_ij = d_mu Gamma^mu_ij - d_i Gamma^mu_mu j + G^mu_mu l G^l_ij - G^mu_il G^l_mu j
-        term1 = np.einsum("pmmij->pij", dGamma)
-        term2 = np.einsum("pimmj->pij", dGamma)
-        trG = np.einsum("pmml->pl", gam)
-        term3 = np.einsum("pl,plij->pij", trG, gam)
-        term4 = np.einsum("pmil,plmj->pij", gam, gam)
-        ricci = term1 - term2 + term3 - term4
-        return np.einsum("pij,pij->p", ginv, ricci)
-
-    s = curvature_at(step)
-    if check:
-        s_half = curvature_at(0.5 * step)
-        scale = np.maximum(np.abs(s_half), 1.0)
-        worst = np.max(np.abs(s - s_half) / scale)
-        if worst > CURVATURE_CHECK_TOL:
-            raise StructureViolationError(
-                f"curvature FD disagreement {worst:.3e} between steps "
-                f"{step:g} and {0.5 * step:g}"
-            )
-    return s
+    ginv = np.linalg.inv(metric.metric(pts))
+    dg = metric.derivatives(1, pts)
+    d2g = metric.derivatives(2, pts)
+    gam = metric.christoffel(pts)
+    mixed = np.einsum("pml,pml->p", ginv, np.einsum("pij,pmijl->pml", ginv, d2g))
+    laplace = np.einsum("pij,pij->p", ginv, np.einsum("pml,pijml->pij", ginv, d2g))
+    a = np.einsum("pac,picb->piab", ginv, dg)
+    trace_aa = np.einsum("pij,piab,pjba->p", ginv, a, a)
+    drift = np.einsum("pma,pmak->pk", ginv, dg) - np.einsum("pmmk->pk", gam)
+    quad = np.einsum("pij,pmil,plmj->p", ginv, gam, gam)
+    return (mixed - laplace + 0.5 * trace_aa - quad
+            - np.einsum("pk,pij,pkij->p", drift, ginv, gam))
 
 
 @dataclass
@@ -250,9 +214,10 @@ def euclidean_operator(n):
 def conformal_operator(metric):
     """Expand the conformal Laplacian of `metric` into (a, b, c).
 
-    a = g^ij exactly; b from exact first derivatives of det(g)^(1/2) g^(ij);
-    c = -(n-2)/(4(n-1)) S_g with the FD/Richardson curvature pipeline.
-    The structure constant `c_l` is measured when first read.
+    a = g^ij exactly; b = -g^jk Gamma^i_jk from exact first derivatives;
+    c = -(n-2)/(4(n-1)) S_g with S_g in closed form from exact first and
+    second derivatives (`scalar_curvature`).  The structure constant `c_l`
+    is measured when first read.
     """
     n = metric.n
     cn = (n - 2.0) / (4.0 * (n - 1.0))
@@ -261,13 +226,9 @@ def conformal_operator(metric):
         return np.linalg.inv(metric.metric(pts))
 
     def b_eval(pts):
-        g = metric.metric(pts)
-        dg = metric.dmetric(pts)
-        ginv = np.linalg.inv(g)
-        # d_j g^{ji}: sandwich rule, then the log-volume correction
-        dginv_diag = -np.einsum("pja,pjab,pbi->pi", ginv, dg, ginv)
-        trace_term = 0.5 * np.einsum("pab,pjab,pji->pi", ginv, dg, ginv)
-        return dginv_diag + trace_term
+        # det(g)^(-1/2) d_j (det(g)^(1/2) g^ji) = -g^jk Gamma^i_jk
+        ginv = np.linalg.inv(metric.metric(pts))
+        return -np.einsum("pjk,pijk->pi", ginv, metric.christoffel(pts))
 
     def c_eval(pts):
         return -cn * scalar_curvature(metric, pts)

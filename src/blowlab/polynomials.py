@@ -5,7 +5,8 @@ perturbation entries h_ij(x).  Terms are stored sparsely as a mapping
 from exponent tuples to coefficients; evaluation is vectorized over a
 (P, dim) block of points, and differentiation is exact, so curvature
 and foot-point computations never pay finite-difference error for the
-input data itself.
+input data itself.  Derivatives are cached on the polynomial they were
+taken of.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ class Polynomial:
     def __init__(self, dim, terms=None):
         self.dim = int(dim)
         self.terms = {}
+        self._derivatives = {}
         if terms:
             for exps, coeff in terms.items():
                 self._add_term(exps, coeff)
@@ -31,6 +33,7 @@ class Polynomial:
             raise ValueError(f"exponent tuple {exps} does not match dim {self.dim}")
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
+        self._derivatives.clear()
         c = self.terms.get(exps, 0.0) + float(coeff)
         if c == 0.0:
             self.terms.pop(exps, None)
@@ -101,6 +104,9 @@ class Polynomial:
 
     # -- calculus ---------------------------------------------------------
     def derivative(self, i):
+        """Exact d/dx_i, computed once per polynomial and variable."""
+        if i in self._derivatives:
+            return self._derivatives[i]
         out = Polynomial(self.dim)
         for exps, coeff in self.terms.items():
             if exps[i] == 0:
@@ -108,6 +114,7 @@ class Polynomial:
             new = list(exps)
             new[i] -= 1
             out._add_term(tuple(new), coeff * exps[i])
+        self._derivatives[i] = out
         return out
 
     def gradient(self):
@@ -129,7 +136,12 @@ class Polynomial:
         return min(sum(e) for e in self.terms)
 
     def __call__(self, points):
-        """Evaluate at points of shape (dim,) or (P, dim)."""
+        """Evaluate at points of shape (dim,) or (P, dim).
+
+        Every term coeff * x_0^e_0 * x_1^e_1 * ... reads one table of the
+        coordinate powers that occur, and the terms are summed from zero in
+        order, so each value is the same float as the term-by-term sum.
+        """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         if single:
@@ -137,12 +149,18 @@ class Polynomial:
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[1]}, expected {self.dim}")
         out = np.zeros(pts.shape[0])
-        for exps, coeff in self.terms.items():
-            term = np.full(pts.shape[0], coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * pts[:, i] ** e
-            out += term
+        if self.terms:
+            exps = np.array(list(self.terms))
+            powers = np.ones((self.dim, exps.max() + 1, pts.shape[0]))
+            for i in range(self.dim):
+                for e in set(exps[:, i].tolist()) - {0}:
+                    powers[i, e] = pts[:, i] ** e
+            coeffs = np.array(list(self.terms.values()))
+            terms = np.repeat(coeffs[:, None], len(pts), axis=1)
+            for i in range(self.dim):
+                terms *= powers[i, exps[:, i]]
+            for term in terms:      # in order; a reduction may pair terms up
+                out += term
         return out[0] if single else out
 
     def __repr__(self):

@@ -183,8 +183,17 @@ class SolveConfig:
     def __post_init__(self):
         if any(m2 <= m1 for m1, m2 in zip(self.schedule, self.schedule[1:])):
             raise ConfigError("truncation schedule must be strictly increasing")
-        if not self.bracket[0] < self.bracket[1]:
-            raise ConfigError("bracket must satisfy low < high")
+        if not 0.0 < self.bracket[0] < self.bracket[1]:
+            raise ConfigError("bracket must satisfy 0 < low < high")
+        # written as `not (x > bound)` so that NaN is rejected too
+        for name, value, bound in (("newton_tol", self.newton_tol, 0.0),
+                                   ("interior_tol", self.interior_tol, 0.0),
+                                   ("m_growth", self.m_growth, 1.0),
+                                   ("nt_per_octave", self.nt_per_octave, 0),
+                                   ("n_eta", self.n_eta, 4),
+                                   ("max_levels", self.max_levels, 0)):
+            if not value > bound:
+                raise ConfigError(f"{name} must exceed {bound}, got {value}")
 
 
 @dataclass

@@ -1,5 +1,9 @@
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from blowlab.profiles import GridSpec, SphericalDomain1D, solve_profile
 from blowlab.spectral import first_eigenpair
@@ -28,6 +32,19 @@ def cap_complement(r):
 
 def band(a, b):
     return SphericalDomain1D("polar-sphere", a, b, label=f"band-{a:g}-{b:g}")
+
+
+def pytest_configure(config):
+    # hypothesis writes a cache of the constants it scans from local modules
+    # into its storage directory at collection, even with database=None;
+    # a temporary directory keeps .hypothesis/ out of the checkout
+    config.hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 FINE = GridSpec(count=3200, grading=2.0)

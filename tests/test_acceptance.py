@@ -23,7 +23,9 @@ as a fixed threshold that the exact solution never reaches:
   below 1e-3; the n = 3 fixture (mu1 = 4.66, C ~ 2.5) has width 3.98e-3
   at r = 4 r_min, and 3.95e-3 with twice the radial and 1.5x the angular
   nodes. For n = 3 the test fits both decay slopes and checks them
-  against +-mu1 within 2% (measured +-4.655 against 4.6645).
+  against +-mu1 within 2% (measured +-4.655 against 4.6645), and checks
+  that halving r_max multiplies the width on [16 r_min, 1/8], which the
+  outer cut sets, by 2^mu1 within 5% (measured 24.96 against 25.36).
 """
 
 import numpy as np
@@ -287,6 +289,7 @@ def test_criterion_11_t_map_properties():
 
 
 RATE_TOL = 0.02
+DOUBLING_TOL = 0.05
 
 
 def row_widths(fld):
@@ -324,6 +327,18 @@ def test_criterion_12_localization(cone_cases):
     dom3 = cone_cases[3]["domain"]
     mu1 = first_eigenpair(
         solve_profile(cap(np.pi / 3), 3, grid=EIGEN_GRID)).mu1
+
+    # both maxima on r <= 1/8 sit at the shared inner edge 4 r_min, so
+    # `shrinks` holds only by rounding; away from it, on [16 r_min, 1/8],
+    # the outer cut sets the width, and halving r_max multiplies it by 2^mu1
+    def outer_width(fld):
+        r, w = row_widths(fld)
+        lo, hi = 16.0 * fld.domain.r_min, 0.125
+        sel = (r >= lo * (1.0 - 1e-9)) & (r <= hi * (1.0 + 1e-9))
+        return w[sel].max()
+
+    doubling = outer_width(half) / outer_width(cone_cases[3]["baseline"])
+    doubling_ok = abs(doubling / 2.0**mu1 - 1.0) <= DOUBLING_TOL
     r, w = row_widths(cone_cases[3]["field"])
     outer = log_slope(r, w, dom3.r_max / 32.0, dom3.r_max / 4.0)
     inner = log_slope(r, w, 4.0 * dom3.r_min, 32.0 * dom3.r_min)
@@ -331,7 +346,7 @@ def test_criterion_12_localization(cone_cases):
              and abs(-inner / mu1 - 1.0) <= RATE_TOL)
     positive = widths[3] > 0
     r_peak = r[np.argmax(w)] / dom3.r_min
-    ok = below[6] and positive and rates and shrinks
+    ok = below[6] and positive and rates and shrinks and doubling_ok
     report(12, ok,
            f"bracket widths: n=6 {widths[6]:.2e} (tol 1e-3), n=3 "
            f"{widths[3]:.2e} (vs 1e-3; floor ~2.5*4^-mu1 = "
@@ -339,8 +354,14 @@ def test_criterion_12_localization(cone_cases):
            f"r = {r_peak:.3g} r_min); n=3 decay slopes {outer:+.3f} on "
            f"[r_max/32, r_max/4] and {inner:+.3f} on [4 r_min, 32 r_min] vs "
            f"+-mu1 = {mu1:.4f} (tol {RATE_TOL:.0%}): {rates}; doubling r_max "
-           f"shrinks ({w_small:.2e} -> {w_big:.2e} on r <= 1/8): {shrinks}")
+           f"shrinks ({w_small:.2e} -> {w_big:.2e} on r <= 1/8): {shrinks}; "
+           f"width ratio r_max 1/2 : 1 on [16 r_min, 1/8] {doubling:.2f} vs "
+           f"2^mu1 = {2.0**mu1:.2f} (tol {DOUBLING_TOL:.0%}): {doubling_ok}")
     assert shrinks
+    assert doubling_ok, (
+        "halving r_max should multiply the outer-cut bracket width on "
+        f"[16 r_min, 1/8] by 2^mu1 = {2.0**mu1:.2f}; measured {doubling:.2f}"
+    )
     assert below[6]
     assert positive
     assert rates, (

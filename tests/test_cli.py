@@ -135,3 +135,41 @@ def test_report_artifacts(workdir):
     assert (out / "tiny-ball" / "ratio.svg").exists()
     svg = (out / "tiny-ball" / "ratio.svg").read_text()
     assert svg.startswith("<svg")
+
+
+UNLOCALIZED = """
+[suite]
+output = {out}
+
+[case:tight-bracket]
+stages = solve
+reduction = meridian
+n = 3
+operator = euclidean
+aperture = 1.0471975511965976
+r_min = 0.00390625
+r_max = 1.0
+nt_per_octave = 4
+n_eta = 32
+eta_grading = 2.0
+schedule = 1e2
+newton_tol = 1e-10
+interior_tol = 1e-8
+bracket_low = 0.5
+bracket_high = 2.0
+bracket_tol = 1e-9
+fit_lo = 0.0078125
+fit_hi = 0.25
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_solver_failure_exit_code(tmp_path, jobs):
+    # a bracket tolerance no {1/2, 2}x bracket meets raises LocalizationError
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(UNLOCALIZED.format(out=tmp_path / "out"))
+    res = run_cli("solve", "--config", str(cfg), "--jobs", jobs)
+    assert res.returncode == 5
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver failure: LocalizationError")

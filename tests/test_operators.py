@@ -29,14 +29,62 @@ def test_scalar_curvature_against_conformal_identity(n, q):
                      0.3 * np.eye(n)[0]])
     s = scalar_curvature(met, pts)
     oracle = conformal_curvature_oracle(n, q, pts)
-    assert np.max(np.abs(s / oracle - 1.0)) < 1e-8
-    assert s[0] == pytest.approx(-8.0 * n * (n - 1.0) * q / (n - 2.0), rel=1e-10)
+    # exact derivatives, so the error is rounding only
+    assert np.max(np.abs(s / oracle - 1.0)) < 1e-13
+    assert s[0] == pytest.approx(-8.0 * n * (n - 1.0) * q / (n - 2.0), rel=1e-13)
 
 
-def test_curvature_richardson_guard():
-    # sane metrics agree between steps; no exception
-    met = conformal_quadratic_metric(3, 0.5)
-    scalar_curvature(met, np.array([[0.2, 0.1, -0.1]]))
+def sympy_scalar_curvature(g, x, pts):
+    """S_g by brute force: symbolic Christoffels, symbolic derivatives,
+    Ricci trace, evaluated exactly at rational points."""
+    import sympy as sp
+
+    n = len(x)
+    ginv = g.inv()
+    gam = [[[sum(ginv[k, l] * (sp.diff(g[j, l], x[i]) + sp.diff(g[i, l], x[j])
+                               - sp.diff(g[i, j], x[l])) for l in range(n)) / 2
+             for j in range(n)] for i in range(n)] for k in range(n)]
+    out = []
+    for pt in pts:
+        at = dict(zip(x, (sp.Rational(str(v)) for v in pt)))
+        total = 0
+        for i in range(n):
+            for j in range(n):
+                rij = sum(sp.diff(gam[m][i][j], x[m]) - sp.diff(gam[m][m][j], x[i])
+                          + sum(gam[m][m][l] * gam[l][i][j]
+                                - gam[m][i][l] * gam[l][m][j] for l in range(n))
+                          for m in range(n))
+                total += ginv[i, j].subs(at) * rij.subs(at)
+        out.append(float(total))
+    return np.array(out)
+
+
+def test_scalar_curvature_against_sympy_off_diagonal_metric():
+    # a metric that is not conformally flat: off-diagonal h and mixed
+    # monomials, all vanishing to second order at 0
+    import sympy as sp
+
+    n = 3
+    x = sp.symbols("x0:3")
+    entries = {(0, 0): x[2] ** 2 / 4 - x[0] * x[1] ** 2 / 10,
+               (0, 1): 3 * x[0] * x[2] / 10 + x[1] ** 2 / 5,
+               (1, 2): -x[0] ** 2 * x[1] / 5,
+               (2, 2): x[0] * x[1] / 10}
+    h_sym = sp.zeros(n, n)
+    for (i, j), e in entries.items():
+        h_sym[i, j] = h_sym[j, i] = e
+
+    def to_poly(e):
+        return Polynomial(n, {m: float(c) for m, c in sp.Poly(e, *x).terms()})
+
+    met = MetricFamily(n=n, h=[[to_poly(h_sym[i, j]) for j in range(n)]
+                               for i in range(n)])
+    pts = np.array([[0.1, -0.2, 0.3], [0.4, 0.25, -0.15], [-0.3, 0.05, 0.2]])
+    expected = sympy_scalar_curvature(sp.eye(n) + h_sym, x, pts)
+    assert np.max(np.abs(scalar_curvature(met, pts) / expected - 1.0)) < 1e-14
+    # g = delta and dg = 0 at the origin, so S_g(0) is
+    # sum_ij (d_i d_j h_ij - d_i d_i h_jj) = -d_2 d_2 h_00 = -1/2
+    assert scalar_curvature(met, np.zeros(n)) == pytest.approx(-0.5, rel=1e-14)
 
 
 def test_metric_validation():

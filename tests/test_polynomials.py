@@ -38,3 +38,37 @@ def test_validation():
         Polynomial(2, {(-1, 0): 1.0})
     with pytest.raises(ValueError):
         Polynomial.coordinate(2, 0) ** -1
+
+
+def term_by_term(poly, pts):
+    out = np.zeros(pts.shape[0])
+    for exps, coeff in poly.terms.items():
+        term = np.full(pts.shape[0], coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * pts[:, i] ** e
+        out += term
+    return out
+
+
+def test_vectorized_eval_equals_term_by_term():
+    # same products in the same order and the same sum from zero, so the
+    # values are the same floats, zero signs included
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        dim = int(rng.integers(1, 7))
+        terms = {tuple(rng.integers(0, 9, dim)): rng.normal()
+                 for _ in range(int(rng.integers(0, 40)))}
+        poly = Polynomial(dim, terms)
+        pts = 2.0 * rng.normal(size=(int(rng.integers(1, 50)), dim))
+        pts[0] = 0.0
+        got, ref = poly(pts), term_by_term(poly, pts)
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+        assert poly(pts[-1]) == term_by_term(poly, pts[-1:])[0]
+
+
+def test_derivatives_are_cached():
+    p = (1.0 + 0.3 * Polynomial.radius_squared(3)) ** 3
+    assert p.derivative(1) is p.derivative(1)
+    assert p.derivative(1).derivative(2) is p.derivative(1).derivative(2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowlab.errors import ConfigError, DomainError
 from blowlab.operators import (
@@ -233,6 +235,48 @@ def test_domain_validation():
         SolveConfig(schedule=(1e3, 1e2))
     with pytest.raises(ConfigError):
         SolveConfig(bracket=(2.0, 0.5))
+
+
+# values SolveConfig must reject, and values on the valid side of each bound
+INVALID_SETTINGS = {
+    "m_growth": st.floats(max_value=1.0) | st.just(float("nan")),
+    "n_eta": st.integers(max_value=4),
+    "nt_per_octave": st.integers(max_value=0),
+    "newton_tol": st.floats(max_value=0.0) | st.just(float("nan")),
+    "interior_tol": st.floats(max_value=0.0) | st.just(float("nan")),
+    "max_levels": st.integers(max_value=0),
+    "bracket": st.tuples(st.floats(max_value=0.0), st.floats(allow_nan=False)),
+}
+VALID_SETTINGS = {
+    "m_growth": st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+    "n_eta": st.integers(min_value=5, max_value=10**6),
+    "nt_per_octave": st.integers(min_value=1, max_value=10**6),
+    "newton_tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "interior_tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "max_levels": st.integers(min_value=1, max_value=10**6),
+    "bracket": st.tuples(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+                         st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),
+}
+
+
+def _one_setting(table):
+    return st.sampled_from(sorted(table)).flatmap(
+        lambda name: st.tuples(st.just(name), table[name]))
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(_one_setting(INVALID_SETTINGS))
+def test_solve_config_rejects_invalid_settings(setting):
+    name, value = setting
+    with pytest.raises(ConfigError):
+        SolveConfig(**{name: value})
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(_one_setting(VALID_SETTINGS))
+def test_solve_config_accepts_valid_settings(setting):
+    name, value = setting
+    assert getattr(SolveConfig(**{name: value}), name) == value
 
 
 def test_majorant_from_certificate(ball_field):
