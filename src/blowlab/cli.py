@@ -8,7 +8,9 @@ same inputs rewrites byte-identical files.
 
 Exit codes: 0 ok, 1 failed certificate or theorem row, 2 unknown case
 label, 3 missing upstream artifact, 4 malformed config, 5 solver failure
-(Newton divergence, bracket localization, domain or bound failure).
+(Newton divergence, bracket localization, domain or bound failure).  A
+solver failure ends only its own case: the other cases still run and write
+their artifacts, and the stage exits 5.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def run_profile(case, outdir):
     prof = solve_profile(dom, n, schedule=schedule, grid=case.grid_spec(),
                          interior_tol=case.get("interior_tol", float))
     profile_to_csv(prof, os.path.join(_case_dir(outdir, case.label), "profile.csv"))
-    return f"profile: g(lo)={prof.g[0]:.8g} M={prof.truncation:g}"
+    return True, f"profile: g(lo)={prof.g[0]:.8g} M={prof.truncation:g}"
 
 
 def run_eigen(case, outdir):
@@ -205,7 +207,7 @@ def run_eigen(case, outdir):
         ["lambda1", "mu1", "regime", "predicted_form", "nu_hat"],
         [(eig.lambda1, eig.mu1, eig.regime, form.description, eig.nu_hat)],
     )
-    return f"eigen: lambda1={eig.lambda1:.8g} mu1={eig.mu1:.6g} [{eig.regime}]"
+    return True, f"eigen: lambda1={eig.lambda1:.8g} mu1={eig.mu1:.6g} [{eig.regime}]"
 
 
 def run_solve(case, outdir):
@@ -228,7 +230,7 @@ def run_solve(case, outdir):
                     meta={"reference": ratio.reference,
                           "bracket_width": fld.bracket_width})
     width = "n/a" if fld.bracket_width is None else f"{fld.bracket_width:.3e}"
-    return f"solve: alpha_hat={fit.alpha_hat:.4f} bracket_width={width}"
+    return True, f"solve: alpha_hat={fit.alpha_hat:.4f} bracket_width={width}"
 
 
 def _read_ratio(cdir, case):
@@ -262,9 +264,8 @@ def run_certify(case, outdir):
         [(cert.label, cert.region, cert.margin, cert.node_count, cert.passed,
           ";".join(f"{k}={fmt(v)}" for k, v in sorted(cert.constants.items())))],
     )
-    if not cert.passed:
-        return f"certify: FAIL margin={cert.margin:.3e}"
-    return f"certify: PASS margin={cert.margin:.3e}"
+    status = "PASS" if cert.passed else "FAIL"
+    return cert.passed, f"certify: {status} margin={cert.margin:.3e}"
 
 
 def run_verify(case, outdir):
@@ -302,8 +303,8 @@ def run_verify(case, outdir):
           row.passed)],
     )
     status = "PASS" if row.passed else "FAIL"
-    return (f"verify: predicted={row.predicted:.3g} "
-            f"measured={row.measured:.4f} {status}")
+    return row.passed, (f"verify: predicted={row.predicted:.3g} "
+                        f"measured={row.measured:.4f} {status}")
 
 
 def run_report(cases, outdir):
@@ -376,9 +377,20 @@ STAGE_RUNNERS = {
 
 
 def _run_stage_for_case(args):
+    """Run one case; returns (label, exit status, message).
+
+    A solver failure ends only its own case.  A missing artifact or a bad
+    config entry still ends the stage: the fix lies upstream of it.
+    """
     stage, case, outdir = args
-    message = STAGE_RUNNERS[stage](case, outdir)
-    return case.label, message
+    try:
+        passed, message = STAGE_RUNNERS[stage](case, outdir)
+    except (MissingArtifactError, ConfigError):
+        raise
+    except BlowlabError as exc:     # the remaining library errors come from solvers
+        return case.label, EXIT_SOLVER_FAILED, (
+            f"solver failure: {type(exc).__name__}: case {case.label}: {exc}")
+    return case.label, EXIT_OK if passed else EXIT_FAILED_CHECK, message
 
 
 def main(argv=None):
@@ -426,7 +438,6 @@ def main(argv=None):
         print(f"no cases request stage {args.stage!r}", file=sys.stderr)
         return EXIT_OK
 
-    failures = 0
     try:
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -439,15 +450,15 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except BlowlabError as exc:     # the remaining library errors come from solvers
-        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILED
 
-    for label, message in results:
-        print(f"[{label}] {message}", file=sys.stderr)
-        if "FAIL" in message:
-            failures += 1
-    return EXIT_FAILED_CHECK if failures else EXIT_OK
+    for label, status, message in results:
+        if status == EXIT_SOLVER_FAILED:
+            print(message, file=sys.stderr)
+        else:
+            print(f"[{label}] {message}", file=sys.stderr)
+    # a case's status is EXIT_OK, EXIT_FAILED_CHECK or EXIT_SOLVER_FAILED,
+    # in rising severity
+    return max(status for _, status, _ in results)
 
 
 if __name__ == "__main__":

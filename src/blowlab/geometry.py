@@ -150,10 +150,6 @@ class GraphSurface:
         """Unit normal at 0 in ambient coordinates."""
         return self.rotation.T @ self._nu_graph
 
-    def tangent_plane_distance(self, x):
-        """Signed distance to the tangent plane at 0 (ambient input)."""
-        return float(self.normal_at_origin() @ np.asarray(x, dtype=float))
-
 
 def plane_surface(n, normal, label="plane"):
     """Hyperplane through 0 with the given (not necessarily unit) normal."""

@@ -284,7 +284,11 @@ class BandedProblem:
     Dirichlet rows.  Rows are rescaled to O(1) before the norm test: the
     clustered cells near a blow-up end carry 1/h^2 ~ 1e17 stencil weights
     whose rounding noise would otherwise dominate any residual criterion.
+    `solve_banded` factorizes on every call, so a kept Jacobian saves
+    nothing and Newton takes a fresh one at every step.
     """
+
+    reuse_factor = False
 
     def __init__(self, x, a2, a1, a0, bc_lo, bc_hi, n, d, span, name):
         N = x.size
@@ -346,7 +350,7 @@ class BandedProblem:
         return np.linalg.norm(
             self.row_scale[interior] * self.coef * g[interior] ** self.p) + 1.0
 
-    def step(self, g, res):
+    def factor(self, g):
         interior = self.interior
         jac_diag = self.b.copy()
         jac_diag[interior] -= (self.row_scale[interior] * self.coef * self.p
@@ -357,7 +361,7 @@ class BandedProblem:
         ab[2, :] = jac_diag
         ab[3, :-1] = self.a[1:]
         ab[4, :-2] = self.lo[2:]
-        return solve_banded((2, 2), ab, -res)
+        return lambda rhs: solve_banded((2, 2), ab, rhs)
 
     def cap_reached(self, g, M):
         """True when the truncation layer has receded into the last few cells.

@@ -17,8 +17,10 @@ coefficients.
 The infinite boundary value is imposed as u = M on the lateral wall with
 a geometric escalation of M, capped when the truncation layer recedes
 into the last mesh cells; the damped Newton and the escalation are the
-core of `blowlab.newton`, shared with the 1-D profile solver, and each
-Newton step factorizes the sparse Jacobian with `splu`.
+core of `blowlab.newton`, shared with the 1-D profile solver.  The sparse
+Jacobian is factorized with `splu`, and Newton keeps that factorization
+over steps and truncation levels for as long as full steps from it cut
+the residual by 4x or more (`reuse_factor`).
 The artificial radial cuts carry bracket data {1/2, 2} x cone reference;
 solving once with each and recording the interior disagreement turns the
 ill-posed cut into a quantified localization error.
@@ -391,6 +393,7 @@ class _WedgeSystem:
     """
 
     name = "2-D"
+    reuse_factor = True     # a sparse LU costs far more than a residual
 
     def __init__(self, domain, op, n, config):
         self.domain = domain
@@ -581,34 +584,27 @@ class _WedgeSystem:
         scale = 1.0 / (1.0 + np.abs(L).max(axis=1).toarray().ravel())
         self.row_scale = scale
         self.L = sp.diags(scale) @ L
-        self.idx = idx
         self.interior_mask = (kind == 0).ravel()
         self.fixed = ((kind == 1) | (kind == 2)).ravel()   # cuts and walls
 
     # -- the truncated problem of blowlab.newton ----------------------------
     def dirichlet(self, M):
         """Dirichlet data vector: wall truncation + bracket cone data."""
-        nt, ne = self.nt, self.ne
-        vals = np.zeros(nt * ne)
-        wall_w = M * np.exp(self.m * self.t)      # w = M r^m on the wall
         kind = self.kind
-        for j in range(nt):
-            for k in (0, ne - 1):
-                if kind[j, k] == 2:
-                    vals[self.idx[j, k]] = wall_w[j]
+        wall_w = M * np.exp(self.m * self.t)      # w = M r^m on the wall
+        vals = np.where(kind == 2, wall_w[:, None], 0.0)
         spline = self.reference_profile._spline
-        for j in (0, nt - 1):
+        guard = self.reference_profile.theta[-2]
+        for j in (0, self.nt - 1):
             theta_cut = self.eta * self.domain.theta_b(self.r[j])
-            guard = self.reference_profile.theta[-2]
             gvals = np.empty(self.eta.size)
             inside = theta_cut <= guard
             gvals[inside] = spline(theta_cut[inside])
             gvals[~inside] = self.reference[~inside]  # matched wall nodes
-            for k in range(ne):
-                if kind[j, k] == 1:
-                    data = self.bracket_factor * gvals[k]
-                    vals[self.idx[j, k]] = min(data, wall_w[j])
-        return vals
+            cut = kind[j] == 1
+            data = np.minimum(self.bracket_factor * gvals, wall_w[j])
+            vals[j, cut] = data[cut]
+        return vals.ravel()
 
     def warm_start(self, w, M):
         if w is None:
@@ -629,14 +625,14 @@ class _WedgeSystem:
             self.row_scale * self.interior_mask * self.coef * np.abs(wi) ** self.p
         ) + 1.0
 
-    def step(self, w, res):
+    def factor(self, w):
         dvals = np.where(
             self.interior_mask,
             self.row_scale * self.coef * self.p * np.abs(w) ** (self.p - 1.0),
             0.0,
         )
         J = (self.L - sp.diags(dvals)).tocsc()
-        return splu(J).solve(-res)
+        return splu(J).solve
 
     def cap_reached(self, w, M):
         # per-column wall data is M r^m in w-units, so the last column to

@@ -173,3 +173,25 @@ def test_solver_failure_exit_code(tmp_path, jobs):
     assert "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("solver failure: LocalizationError")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_solver_failure_ends_only_its_case(tmp_path, jobs):
+    # z-loose is tight-bracket with a tolerance its bracket meets, fitted
+    # from the inner edge of the interior window, r = 4 r_min
+    loose = (UNLOCALIZED.split("[case:tight-bracket]")[1]
+             .replace("bracket_tol = 1e-9", "bracket_tol = 1.0")
+             .replace("fit_lo = 0.0078125", "fit_lo = 0.015625"))
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(UNLOCALIZED.format(out=tmp_path / "out")
+                   + "\n[case:z-loose]" + loose)
+    res = run_cli("solve", "--config", str(cfg), "--jobs", jobs)
+    assert res.returncode == 5
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(
+        "solver failure: LocalizationError: case tight-bracket:")
+    assert lines[1].startswith("[z-loose] solve: alpha_hat=")
+    assert (tmp_path / "out" / "z-loose" / "field.csv").exists()
+    assert not (tmp_path / "out" / "tight-bracket" / "field.csv").exists()

@@ -10,10 +10,12 @@ from blowlab.operators import (
     conformal_quadratic_metric,
     euclidean_operator,
 )
+from blowlab import solver
 from blowlab.solver import (
     DomainSpec2D,
     SolutionField,
     SolveConfig,
+    _WedgeSystem,
     exact_ball,
     exact_halfspace,
     growth_check,
@@ -312,3 +314,64 @@ def test_interior_window_keeps_rows_on_its_edges():
     assert fld.bracket_width_over(r_hi=0.125) == pytest.approx(0.5)
     inner = int(np.argmin(np.abs(np.exp(t) - 4.0 * dom.r_min)))
     assert np.any(fld.interior_window()[inner])
+
+
+def test_bench_mesh_n6_solve_factorizes_rarely(monkeypatch):
+    # the n = 6 mesh of the cone-pair benchmark climbs through 27 levels per
+    # bracket; a fresh LU at every Newton step took 220 factorizations
+    calls = []
+    splu = solver.splu
+
+    def counting_splu(J):
+        calls.append(J.shape)
+        return splu(J)
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    dom = DomainSpec2D("meridian", aperture=np.pi / 3, r_min=2.0**-9)
+    cfg = SolveConfig(schedule=(1e2,), nt_per_octave=4, n_eta=32,
+                      bracket_tol=1.0)
+    fld = solve(dom, euclidean_operator(6), 6, cfg)
+    assert len(fld.m_history) == 27
+    assert 0 < len(calls) <= 70
+
+
+def _dirichlet_by_loops(system, M):
+    """Node-by-node Dirichlet data, the reference for the vectorized one."""
+    nt, ne = system.nt, system.ne
+    idx = np.arange(nt * ne).reshape(nt, ne)
+    vals = np.zeros(nt * ne)
+    wall_w = M * np.exp(system.m * system.t)
+    kind = system.kind
+    for j in range(nt):
+        for k in (0, ne - 1):
+            if kind[j, k] == 2:
+                vals[idx[j, k]] = wall_w[j]
+    spline = system.reference_profile._spline
+    for j in (0, nt - 1):
+        theta_cut = system.eta * system.domain.theta_b(system.r[j])
+        guard = system.reference_profile.theta[-2]
+        gvals = np.empty(system.eta.size)
+        inside = theta_cut <= guard
+        gvals[inside] = spline(theta_cut[inside])
+        gvals[~inside] = system.reference[~inside]
+        for k in range(ne):
+            if kind[j, k] == 1:
+                data = system.bracket_factor * gvals[k]
+                vals[idx[j, k]] = min(data, wall_w[j])
+    return vals
+
+
+@pytest.mark.parametrize("domain", [
+    DomainSpec2D("meridian", aperture=np.pi / 3, curve=(0.2,)),
+    DomainSpec2D("cross-section", aperture=np.pi / 2),
+])
+def test_dirichlet_data_matches_node_loop(domain):
+    cfg = SolveConfig(nt_per_octave=4, n_eta=32)
+    system = _WedgeSystem(domain, euclidean_operator(3), 3, cfg)
+    for factor in cfg.bracket:
+        system.bracket_factor = factor
+        # M = 1 clips cut data at the wall value, M = 1e4 does not
+        for M in (1.0, 1e4):
+            want = _dirichlet_by_loops(system, M)
+            got = system.dirichlet(M)
+            assert got.tobytes() == want.tobytes()
