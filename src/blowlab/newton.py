@@ -69,8 +69,9 @@ def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
     norm = np.linalg.norm(res)
     trace = [norm]
     for _ in range(max_iter):
-        if norm <= tol * problem.scale(x):
-            return x, norm / problem.scale(x), solve
+        scale = problem.scale(x)
+        if norm <= tol * scale:
+            return x, norm / scale, solve
         if solve is not None:
             x_try = x + solve(-res)
             if np.all(x_try[free] > 0.0):
@@ -84,7 +85,7 @@ def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
         solve = problem.factor(x)
         step = solve(-res)
         if np.max(np.abs(step) / np.maximum(np.abs(x), 1e-300)) < STEP_FLOOR:
-            return x, norm / problem.scale(x), None
+            return x, norm / scale, None
         t = 1.0
         for _ in range(MAX_HALVINGS):
             x_try = x + t * step

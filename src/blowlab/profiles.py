@@ -126,10 +126,13 @@ class GridSpec:
     grading: float = 1.5
 
     def __post_init__(self):
-        if self.count < 200:
-            raise ConfigError("need at least 200 nodes on a profile grid")
-        if self.grading < 1.0:
-            raise ConfigError("grading exponent must be >= 1")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 200:
+            raise ConfigError(f"need an integer count of at least 200 nodes "
+                              f"on a profile grid, got {self.count!r}")
+        # a negated range test, so that NaN is rejected too
+        if not 1.0 <= self.grading < np.inf:
+            raise ConfigError(f"grading exponent must be finite and >= 1, "
+                              f"got {self.grading}")
 
 
 def graded_nodes(domain, count, grading):

@@ -14,6 +14,14 @@ theta / theta_b(r) in [0, 1], turning the (possibly curved) wedge into a
 rectangle; the chain-rule terms are carried analytically through the
 coefficients.
 
+The linear stencil is assembled as one COO list keyed by stencil offset,
+whole arrays at a time: the nine neighbour offsets of the interior block,
+the one-sided pole rows and the unit Dirichlet rows.  It holds the same
+terms a node-by-node loop would add, in the same arithmetic order, so the
+matrix is bit-identical to that loop's; exact-zero coefficients (the
+mixed terms of a straight Euclidean wedge) stay explicit entries until
+the row-scaling product `diags(row_scale) @ L`, which drops them.
+
 The infinite boundary value is imposed as u = M on the lateral wall with
 a geometric escalation of M, capped when the truncation layer recedes
 into the last mesh cells; the damped Newton and the escalation are the
@@ -67,6 +75,9 @@ __all__ = [
 MERIDIAN = "meridian"
 CROSS_SECTION = "cross-section"
 BALL = "ball"
+
+# node kinds of the 2-D mesh
+INTERIOR, CUT, WALL, POLE = 0, 1, 2, 3
 
 
 def exact_halfspace(n, d):
@@ -190,12 +201,16 @@ class SolveConfig:
         # written as `not (x > bound)` so that NaN is rejected too
         for name, value, bound in (("newton_tol", self.newton_tol, 0.0),
                                    ("interior_tol", self.interior_tol, 0.0),
+                                   ("bracket_tol", self.bracket_tol, 0.0),
                                    ("m_growth", self.m_growth, 1.0),
                                    ("nt_per_octave", self.nt_per_octave, 0),
                                    ("n_eta", self.n_eta, 4),
                                    ("max_levels", self.max_levels, 0)):
             if not value > bound:
                 raise ConfigError(f"{name} must exceed {bound}, got {value}")
+        if not 1.0 <= self.eta_grading < np.inf:
+            raise ConfigError(f"eta_grading must be finite and >= 1, "
+                              f"got {self.eta_grading}")
 
 
 @dataclass
@@ -450,35 +465,22 @@ class _WedgeSystem:
 
     # -- masks ------------------------------------------------------------
     def _classify(self):
-        nt, ne = self.nt, self.ne
-        kind = np.zeros((nt, ne), dtype=np.int8)  # 0 interior
-        KIND_CUT, KIND_WALL, KIND_POLE = 1, 2, 3
-        kind[0, :] = KIND_CUT
-        kind[-1, :] = KIND_CUT
-        kind[:, -1] = KIND_WALL
-        if self.domain.reduction == MERIDIAN:
-            kind[1:-1, 0] = KIND_POLE
-        else:
-            kind[:, 0] = KIND_WALL
-            kind[0, :] = KIND_CUT
-            kind[-1, :] = KIND_CUT
-        # corners: radial cuts win so the bracket data stays consistent
-        kind[0, -1] = KIND_CUT
-        kind[-1, -1] = KIND_CUT
+        kind = np.full((self.nt, self.ne), INTERIOR, dtype=np.int8)
+        kind[:, -1] = WALL
+        kind[1:-1, 0] = POLE if self.domain.reduction == MERIDIAN else WALL
+        # radial cuts win at the corners so the bracket data stays consistent
+        kind[[0, -1], :] = CUT
         return kind
 
-    def _assemble_linear(self):
-        nt, ne = self.nt, self.ne
+    def _coefficients(self):
+        """Stencil coefficients of the straightened operator on the (t, eta) mesh.
+
+        Returns (A_tt, A_te, A_ee, B_t, B_e, C): the operator is
+        A_tt w_tt + A_te w_te + A_ee w_ee + B_t w_t + B_e w_e + C w.
+        """
         dom = self.domain
         n = self.n
         m = self.m
-        kind = self._classify()
-        self.kind = kind
-
-        ht = self.t[1] - self.t[0]
-        sub1, diag1, sup1 = nonuniform_d1(self.eta)
-        sub2, diag2, sup2 = nonuniform_d2(self.eta)
-
         r = self.rr
         theta = self.theta
         base_t = (n - 2.0) if dom.reduction == MERIDIAN else 0.0
@@ -488,12 +490,7 @@ class _WedgeSystem:
         base_th = (n - 2.0) * cot if dom.reduction == MERIDIAN else np.zeros_like(theta)
 
         if self.op.is_euclidean:
-            att = np.zeros_like(r)
-            atth = np.zeros_like(r)
-            athth = np.zeros_like(r)
-            at = np.zeros_like(r)
-            ath = np.zeros_like(r)
-            cc = np.zeros_like(r)
+            att = atth = athth = at = ath = cc = np.zeros_like(r)
         else:
             out = _alphas(self.op, r.ravel(), theta.ravel(), 0.0,
                           dom.reduction, n)
@@ -516,67 +513,49 @@ class _WedgeSystem:
         lam_eta = -dbeta / beta * np.ones_like(EE)
         lam_t = -EE * (d2beta / beta - (dbeta / beta) ** 2)
 
-        At_tt = A_tt
         At_te = 2.0 * lam * A_tt + A_tth / beta
         At_ee = lam**2 * A_tt + lam * A_tth / beta + A_thth / beta**2
-        Bt_t = B_t
         Bt_e = (A_tt * (lam_t + lam * lam_eta) + A_tth * lam_eta / beta
                 + B_t * lam + B_th / beta)
-        Ct = C
+        return A_tt, At_te, At_ee, B_t, Bt_e, C
 
-        # sparse linear operator rows
+    def _assemble_linear(self):
+        nt, ne = self.nt, self.ne
+        kind = self._classify()
+        self.kind = kind
+        A_tt, A_te, A_ee, B_t, B_e, C = (
+            x[1:-1, 1:-1] for x in self._coefficients())
+
+        # the interior nodes are the [1:-1, 1:-1] block; the eta stencil
+        # tables have one row per interior column
+        ht = self.t[1] - self.t[0]
+        eta = self.eta
+        sub1, diag1, sup1 = nonuniform_d1(eta)
+        sub2, diag2, sup2 = nonuniform_d2(eta)
+        ctt = A_tt / ht**2
+        c1t = B_t / (2.0 * ht)
+        cte = A_te / (2.0 * ht * (eta[2:] - eta[:-2]))
+        stencil = (                                  # (dt, deta) -> coefficient
+            ((-1, 0), ctt), ((1, 0), ctt), ((1, 0), c1t), ((-1, 0), -c1t),
+            ((0, -1), A_ee * sub2 + B_e * sub1),
+            ((0, 1), A_ee * sup2 + B_e * sup1),
+            ((1, 1), cte), ((-1, -1), cte), ((1, -1), -cte), ((-1, 1), -cte),
+            ((0, 0), -2.0 * ctt + (A_ee * diag2 + B_e * diag1) + C),
+        )
         idx = np.arange(nt * ne).reshape(nt, ne)
-        rows, cols, vals = [], [], []
-
-        def add(rix, cix, v):
-            rows.append(rix)
-            cols.append(cix)
-            vals.append(v)
-
-        interior = np.argwhere(kind == 0)
-        for j, k in interior:
-            i0 = idx[j, k]
-            hl = self.eta[k] - self.eta[k - 1]
-            # second derivative in t (uniform)
-            ctt = At_tt[j, k] / ht**2
-            add(i0, idx[j - 1, k], ctt)
-            add(i0, idx[j + 1, k], ctt)
-            cdiag = -2.0 * ctt
-            # first derivative in t
-            c1t = Bt_t[j, k] / (2.0 * ht)
-            add(i0, idx[j + 1, k], c1t)
-            add(i0, idx[j - 1, k], -c1t)
-            # eta derivatives (nonuniform row k-1 of the stencil tables)
-            s2, d2, p2 = sub2[k - 1], diag2[k - 1], sup2[k - 1]
-            s1, d1, p1 = sub1[k - 1], diag1[k - 1], sup1[k - 1]
-            cee = At_ee[j, k]
-            ce = Bt_e[j, k]
-            add(i0, idx[j, k - 1], cee * s2 + ce * s1)
-            add(i0, idx[j, k + 1], cee * p2 + ce * p1)
-            cdiag += cee * d2 + ce * d1
-            # mixed derivative, centered
-            cte = At_te[j, k] / (2.0 * ht * (self.eta[k + 1] - self.eta[k - 1]))
-            add(i0, idx[j + 1, k + 1], cte)
-            add(i0, idx[j - 1, k - 1], cte)
-            add(i0, idx[j + 1, k - 1], -cte)
-            add(i0, idx[j - 1, k + 1], -cte)
-            cdiag += Ct[j, k]
-            add(i0, i0, cdiag)
-
-        pole = np.argwhere(kind == 3)
-        for j, k in pole:
-            i0 = idx[j, k]
-            w0, w1, w2 = one_sided_d1(self.eta[0], self.eta[1], self.eta[2])
-            add(i0, idx[j, 0], w0)
-            add(i0, idx[j, 1], w1)
-            add(i0, idx[j, 2], w2)
-
-        fixed = np.argwhere((kind == 1) | (kind == 2))
-        for j, k in fixed:
-            add(idx[j, k], idx[j, k], 1.0)
-
+        inner = idx[1:-1, 1:-1].ravel()
+        pole = idx[kind == POLE]
+        fixed = idx[(kind == CUT) | (kind == WALL)]
+        rows = [inner] * len(stencil) + [pole] * 3 + [fixed]
+        cols = ([inner + dt * ne + de for (dt, de), _ in stencil]
+                + [pole, pole + 1, pole + 2] + [fixed])
+        vals = ([v.ravel() for _, v in stencil]
+                + [np.full(pole.size, w) for w in one_sided_d1(*eta[:3])]
+                + [np.ones(fixed.size)])
+        # one COO list holding the loop's terms; sum_duplicates adds the
+        # (+-1, 0) pairs, and exact zeros stay until the row scaling
         L = sp.csr_matrix(
-            (np.asarray(vals, dtype=float), (np.asarray(rows), np.asarray(cols))),
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nt * ne, nt * ne),
         )
         L.sum_duplicates()
@@ -584,15 +563,15 @@ class _WedgeSystem:
         scale = 1.0 / (1.0 + np.abs(L).max(axis=1).toarray().ravel())
         self.row_scale = scale
         self.L = sp.diags(scale) @ L
-        self.interior_mask = (kind == 0).ravel()
-        self.fixed = ((kind == 1) | (kind == 2)).ravel()   # cuts and walls
+        self.interior_mask = (kind == INTERIOR).ravel()
+        self.fixed = ((kind == CUT) | (kind == WALL)).ravel()
 
     # -- the truncated problem of blowlab.newton ----------------------------
     def dirichlet(self, M):
         """Dirichlet data vector: wall truncation + bracket cone data."""
         kind = self.kind
         wall_w = M * np.exp(self.m * self.t)      # w = M r^m on the wall
-        vals = np.where(kind == 2, wall_w[:, None], 0.0)
+        vals = np.where(kind == WALL, wall_w[:, None], 0.0)
         spline = self.reference_profile._spline
         guard = self.reference_profile.theta[-2]
         for j in (0, self.nt - 1):
@@ -601,7 +580,7 @@ class _WedgeSystem:
             inside = theta_cut <= guard
             gvals[inside] = spline(theta_cut[inside])
             gvals[~inside] = self.reference[~inside]  # matched wall nodes
-            cut = kind[j] == 1
+            cut = kind[j] == CUT
             data = np.minimum(self.bracket_factor * gvals, wall_w[j])
             vals[j, cut] = data[cut]
         return vals.ravel()

@@ -159,21 +159,13 @@ def _assemble(profile):
         dirichlet[-1] = True
     free = np.where(~dirichlet)[0]
 
-    nf = free.size
-    diag = np.zeros(nf)
-    sub = np.zeros(nf)
-    sup = np.zeros(nf)
-    for k, j in enumerate(free):
-        d = pot[j]
-        if j > 0:
-            d += flux[j - 1]
-            if not dirichlet[j - 1]:
-                sub[k] = -flux[j - 1]
-        if j < N - 1:
-            d += flux[j]
-            if not dirichlet[j + 1]:
-                sup[k] = -flux[j]
-        diag[k] = d
+    # conductance to the left and right neighbour, zero past either end; a
+    # missing or Dirichlet neighbour gets no off-diagonal entry
+    left = np.r_[0.0, flux]
+    right = np.r_[flux, 0.0]
+    diag = (pot + left + right)[free]
+    sub = np.where(np.r_[False, ~dirichlet[:-1]], -left, 0.0)[free]
+    sup = np.where(np.r_[~dirichlet[1:], False], -right, 0.0)[free]
     return free, sub, diag, sup, mass[free]
 
 

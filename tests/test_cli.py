@@ -76,6 +76,22 @@ def test_bad_config_exit_code(tmp_path):
     assert res.returncode == 4
 
 
+@pytest.mark.parametrize("setting", ["grading = nan", "grading = inf",
+                                     "nodes = 800.5"])
+def test_invalid_value_exit_code(tmp_path, setting):
+    key = setting.split(" = ")[0]
+    profile_case = CONFIG.split("[case:tiny-ball]")[0]
+    lines = [setting if line.startswith(key + " = ") else line
+             for line in profile_case.splitlines()]
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text("\n".join(lines).format(out=tmp_path / "out"))
+    res = run_cli("profile", "--config", str(cfg))
+    assert res.returncode == 4
+    assert "Traceback" not in res.stderr
+    err = res.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
 def test_unknown_case_exit_code(workdir):
     _, cfg, _ = workdir
     res = run_cli("profile", "--config", str(cfg), "--case", "nope")

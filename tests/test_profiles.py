@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blowlab.errors import BoundFailureError, ConfigError, DomainError
 from blowlab.profiles import (
+    BLOWUP,
+    CIRCLE_ARC,
+    POLAR_SPHERE,
+    REGULAR_POLE,
     GridSpec,
     SphericalDomain1D,
     check_rho_bounds,
@@ -144,6 +150,89 @@ def test_bad_configurations():
         solve_profile(cap(1.0), 2, grid=MEDIUM)
     with pytest.raises(ConfigError):
         GridSpec(count=100)
+
+
+@pytest.mark.parametrize("count, grading", [
+    (199, 2.0), (800.0, 2.0), (200.5, 2.0), ("800", 2.0), (None, 2.0),
+    (800, 0.5), (800, float("nan")), (800, float("inf")), (800, -float("inf")),
+])
+def test_grid_spec_rejects_invalid_settings(count, grading):
+    with pytest.raises(ConfigError):
+        GridSpec(count=count, grading=grading)
+
+
+@pytest.mark.parametrize("count, grading", [
+    (200, 1.0), (np.int64(800), 2.5), (10**6, 1e6),
+])
+def test_grid_spec_accepts_valid_settings(count, grading):
+    grid = GridSpec(count=count, grading=grading)
+    assert (grid.count, grid.grading) == (count, grading)
+
+
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+ENDPOINT = st.floats(min_value=-10.0, max_value=10.0)
+UNKNOWN_TAG = st.text(max_size=12).filter(
+    lambda tag: tag not in (POLAR_SPHERE, CIRCLE_ARC, BLOWUP, REGULAR_POLE))
+
+
+@st.composite
+def _invalid_interval(draw):
+    """(geometry, theta_lo, theta_hi, bc_lo, bc_hi) that must be rejected."""
+    geometry = draw(st.sampled_from([POLAR_SPHERE, CIRCLE_ARC]))
+    lo, hi = sorted(draw(st.tuples(ENDPOINT, ENDPOINT)))
+    bc_lo = bc_hi = BLOWUP
+    flaw = draw(st.sampled_from(
+        ["inverted", "equal", "lo", "hi", "geometry", "bc_lo", "bc_hi"]))
+    if flaw == "inverted":
+        assume(lo < hi)
+        lo, hi = hi, lo
+    elif flaw == "equal":
+        hi = lo
+    elif flaw == "lo":
+        lo = draw(NON_FINITE)
+    elif flaw == "hi":
+        hi = draw(NON_FINITE)
+    elif flaw == "geometry":
+        geometry = draw(UNKNOWN_TAG)
+    elif flaw == "bc_lo":
+        bc_lo = draw(UNKNOWN_TAG)
+    else:
+        bc_hi = draw(UNKNOWN_TAG)
+    return geometry, lo, hi, bc_lo, bc_hi
+
+
+@st.composite
+def _valid_interval(draw):
+    geometry = draw(st.sampled_from([POLAR_SPHERE, CIRCLE_ARC]))
+    if geometry == POLAR_SPHERE:
+        lo, hi = sorted(draw(st.tuples(st.floats(0.0, np.pi),
+                                       st.floats(0.0, np.pi))))
+        assume(lo < hi)
+        bcs = [(BLOWUP, BLOWUP)]
+        if lo == 0.0:
+            bcs.append((REGULAR_POLE, BLOWUP))
+        if hi == np.pi:
+            bcs.append((BLOWUP, REGULAR_POLE))
+        bc_lo, bc_hi = draw(st.sampled_from(bcs))
+    else:
+        lo = draw(ENDPOINT)
+        hi = lo + draw(st.floats(min_value=1e-3, max_value=6.0))
+        bc_lo = bc_hi = BLOWUP
+    return geometry, lo, hi, bc_lo, bc_hi
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(_invalid_interval())
+def test_spherical_domain_rejects_invalid_intervals(args):
+    with pytest.raises(ConfigError):
+        SphericalDomain1D(*args)
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(_valid_interval())
+def test_spherical_domain_accepts_valid_intervals(args):
+    dom = SphericalDomain1D(*args)
+    assert (dom.geometry, dom.theta_lo, dom.theta_hi, dom.bc_lo, dom.bc_hi) == args
 
 
 def test_graded_nodes_cluster_toward_blowup():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from blowlab.operators import (
     euclidean_operator,
 )
 from blowlab import solver
+from blowlab.profiles import nonuniform_d1, nonuniform_d2, one_sided_d1
 from blowlab.solver import (
     DomainSpec2D,
     SolutionField,
@@ -248,6 +250,9 @@ INVALID_SETTINGS = {
     "interior_tol": st.floats(max_value=0.0) | st.just(float("nan")),
     "max_levels": st.integers(max_value=0),
     "bracket": st.tuples(st.floats(max_value=0.0), st.floats(allow_nan=False)),
+    "bracket_tol": st.floats(max_value=0.0) | st.just(float("nan")),
+    "eta_grading": (st.floats(max_value=1.0, exclude_max=True)
+                    | st.sampled_from([float("nan"), float("inf")])),
 }
 VALID_SETTINGS = {
     "m_growth": st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
@@ -258,6 +263,8 @@ VALID_SETTINGS = {
     "max_levels": st.integers(min_value=1, max_value=10**6),
     "bracket": st.tuples(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
                          st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),
+    "bracket_tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "eta_grading": st.floats(min_value=1.0, allow_infinity=False),
 }
 
 
@@ -375,3 +382,115 @@ def test_dirichlet_data_matches_node_loop(domain):
             want = _dirichlet_by_loops(system, M)
             got = system.dirichlet(M)
             assert got.tobytes() == want.tobytes()
+
+
+def _linear_by_loops(system):
+    """Node-by-node stencil assembly, the reference for the offset-keyed one.
+
+    Returns the row-scaled operator and its row scale.
+    """
+    nt, ne = system.nt, system.ne
+    kind = system.kind
+    At_tt, At_te, At_ee, Bt_t, Bt_e, Ct = system._coefficients()
+    ht = system.t[1] - system.t[0]
+    sub1, diag1, sup1 = nonuniform_d1(system.eta)
+    sub2, diag2, sup2 = nonuniform_d2(system.eta)
+
+    idx = np.arange(nt * ne).reshape(nt, ne)
+    rows, cols, vals = [], [], []
+
+    def add(rix, cix, v):
+        rows.append(rix)
+        cols.append(cix)
+        vals.append(v)
+
+    interior = np.argwhere(kind == 0)
+    for j, k in interior:
+        i0 = idx[j, k]
+        # second derivative in t (uniform)
+        ctt = At_tt[j, k] / ht**2
+        add(i0, idx[j - 1, k], ctt)
+        add(i0, idx[j + 1, k], ctt)
+        cdiag = -2.0 * ctt
+        # first derivative in t
+        c1t = Bt_t[j, k] / (2.0 * ht)
+        add(i0, idx[j + 1, k], c1t)
+        add(i0, idx[j - 1, k], -c1t)
+        # eta derivatives (nonuniform row k-1 of the stencil tables)
+        s2, d2, p2 = sub2[k - 1], diag2[k - 1], sup2[k - 1]
+        s1, d1, p1 = sub1[k - 1], diag1[k - 1], sup1[k - 1]
+        cee = At_ee[j, k]
+        ce = Bt_e[j, k]
+        add(i0, idx[j, k - 1], cee * s2 + ce * s1)
+        add(i0, idx[j, k + 1], cee * p2 + ce * p1)
+        cdiag += cee * d2 + ce * d1
+        # mixed derivative, centered
+        cte = At_te[j, k] / (2.0 * ht * (system.eta[k + 1] - system.eta[k - 1]))
+        add(i0, idx[j + 1, k + 1], cte)
+        add(i0, idx[j - 1, k - 1], cte)
+        add(i0, idx[j + 1, k - 1], -cte)
+        add(i0, idx[j - 1, k + 1], -cte)
+        cdiag += Ct[j, k]
+        add(i0, i0, cdiag)
+
+    pole = np.argwhere(kind == 3)
+    for j, k in pole:
+        i0 = idx[j, k]
+        w0, w1, w2 = one_sided_d1(system.eta[0], system.eta[1], system.eta[2])
+        add(i0, idx[j, 0], w0)
+        add(i0, idx[j, 1], w1)
+        add(i0, idx[j, 2], w2)
+
+    fixed = np.argwhere((kind == 1) | (kind == 2))
+    for j, k in fixed:
+        add(idx[j, k], idx[j, k], 1.0)
+
+    L = sp.csr_matrix(
+        (np.asarray(vals, dtype=float), (np.asarray(rows), np.asarray(cols))),
+        shape=(nt * ne, nt * ne),
+    )
+    L.sum_duplicates()
+
+    scale = 1.0 / (1.0 + np.abs(L).max(axis=1).toarray().ravel())
+    return sp.diags(scale) @ L, scale
+
+
+def _kinds_by_assignment(nt, ne, reduction):
+    """Node kinds as the cut, wall and pole rows were first assigned."""
+    kind = np.zeros((nt, ne), dtype=np.int8)
+    kind[0, :] = 1
+    kind[-1, :] = 1
+    kind[:, -1] = 2
+    if reduction == "meridian":
+        kind[1:-1, 0] = 3
+    else:
+        kind[:, 0] = 2
+        kind[0, :] = 1
+        kind[-1, :] = 1
+    kind[0, -1] = 1
+    kind[-1, -1] = 1
+    return kind
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("domain", [
+    DomainSpec2D("meridian", aperture=np.pi / 3),
+    DomainSpec2D("meridian", aperture=np.pi / 3, curve=(0.2,)),
+    DomainSpec2D("cross-section", aperture=np.pi / 2),
+], ids=["straight", "curved", "cross-section"])
+@pytest.mark.parametrize("conformal", [False, True],
+                         ids=["euclidean", "conformal-q03"])
+def test_linear_stencil_matches_node_loop(n, domain, conformal):
+    op = (conformal_operator(conformal_quadratic_metric(n, 0.3)) if conformal
+          else euclidean_operator(n))
+    system = _WedgeSystem(domain, op, n, SolveConfig(nt_per_octave=4, n_eta=32))
+    assert np.array_equal(system.kind,
+                          _kinds_by_assignment(system.nt, system.ne,
+                                               domain.reduction))
+    want, want_scale = _linear_by_loops(system)
+    got = system.L.copy()
+    for mat in (want, got):
+        mat.sum_duplicates()
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+    assert system.row_scale.tobytes() == want_scale.tobytes()

@@ -4,6 +4,9 @@ import pytest
 from blowlab.errors import ConfigError, DomainError
 from blowlab.profiles import GridSpec, SphericalDomain1D, solve_profile
 from blowlab.spectral import (
+    _assemble,
+    _gauss_cell,
+    _weight,
     first_eigenpair,
     half_sphere_lambda1,
     rayleigh,
@@ -202,3 +205,80 @@ def test_circle_arc_rejected(half_sphere_eigen):
     prof = solve_profile(arc, 3, grid=MEDIUM)
     with pytest.raises(ConfigError):
         first_eigenpair(prof)
+
+
+def _assemble_by_loops(profile):
+    """Free-node loop assembly, the reference for the padded-array one."""
+    n = profile.n
+    theta = profile.theta
+    rho = profile.rho.copy()
+    N = theta.size
+    w = _weight(profile)
+    coef = 0.25 * n * (n + 2.0)
+
+    if profile.domain.bc_lo == "blowup":
+        slope = (rho[2] - rho[1]) / (theta[2] - theta[1])
+        rho[0] = max(rho[1] - slope * (theta[1] - theta[0]), 0.0)
+    if profile.domain.bc_hi == "blowup":
+        slope = (rho[-3] - rho[-2]) / (theta[-3] - theta[-2])
+        rho[-1] = max(rho[-2] - slope * (theta[-1] - theta[-2]), 0.0)
+
+    h = np.diff(theta)
+    mid = theta[:-1] + 0.5 * h
+    flux = w(mid) / h
+
+    def pot_half(a, b, ra, rb, ta, tb):
+        def integrand(t):
+            lam = (t - ta[..., None]) / (tb - ta)[..., None]
+            rr = ra[..., None] * (1 - lam) + rb[..., None] * lam
+            rr = np.maximum(rr, 1e-300)
+            return w(t) * coef / rr**2
+
+        return _gauss_cell(integrand, a, b)
+
+    mass_half_lo = _gauss_cell(w, theta[:-1], mid)
+    mass_half_hi = _gauss_cell(w, mid, theta[1:])
+    pot_half_lo = pot_half(theta[:-1], mid, rho[:-1], rho[1:], theta[:-1], theta[1:])
+    pot_half_hi = pot_half(mid, theta[1:], rho[:-1], rho[1:], theta[:-1], theta[1:])
+
+    mass = np.zeros(N)
+    mass[:-1] += mass_half_lo
+    mass[1:] += mass_half_hi
+    pot = np.zeros(N)
+    pot[:-1] += pot_half_lo
+    pot[1:] += pot_half_hi
+
+    dirichlet = np.zeros(N, dtype=bool)
+    if profile.domain.bc_lo == "blowup":
+        dirichlet[0] = True
+    if profile.domain.bc_hi == "blowup":
+        dirichlet[-1] = True
+    free = np.where(~dirichlet)[0]
+
+    nf = free.size
+    diag = np.zeros(nf)
+    sub = np.zeros(nf)
+    sup = np.zeros(nf)
+    for k, j in enumerate(free):
+        d = pot[j]
+        if j > 0:
+            d += flux[j - 1]
+            if not dirichlet[j - 1]:
+                sub[k] = -flux[j - 1]
+        if j < N - 1:
+            d += flux[j]
+            if not dirichlet[j + 1]:
+                sup[k] = -flux[j]
+        diag[k] = d
+    return free, sub, diag, sup, mass[free]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("domain", [cap(np.pi / 3), cap_complement(0.3),
+                                    band(0.5, 2.0)],
+                         ids=["cap", "cap-complement", "band"])
+def test_assembly_matches_node_loop(n, domain):
+    prof = solve_profile(domain, n, grid=GridSpec(400, 2.0))
+    for got, want in zip(_assemble(prof), _assemble_by_loops(prof)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
