@@ -15,21 +15,32 @@ method; a problem supplies only its discrete pieces:
     residual(x, data)   row-scaled residual
     factor(x)           factorization of the Jacobian J at x, as a function
                         rhs -> J^-1 rhs
-    scale(x)            scale of the stopping test |res| <= tol * scale(x)
     cap_reached(x, M)   True once the truncation layer is sub-grid
     reuse_factor        class attribute: True lets Newton keep a
                         factorization over several steps and levels
     name                label for error messages
 
-With `reuse_factor`, Newton is the simplified (chord) method of Deuflhard,
-*Newton Methods for Nonlinear Problems*, sec. 2.1.  A factorization is
-kept while a full step from it stays positive off the Dirichlet nodes and
-cuts the residual norm to CONTRACTION = 1/4 of its value or less, and
-escalation carries it into the next level, where the same test decides
-whether it still serves.  A kept step that fails the test is discarded;
-the Jacobian is then factorized afresh at the current iterate and the
-damped step is taken from it.  A fresh factorization is kept only after a
-full step (t = 1) that made the same 4x cut.  This pays where a
+A level ends on the update, not on the residual (Deuflhard, *Newton
+Methods for Nonlinear Problems*, sec. 2.1): after each step the next
+correction is predicted as the step's relative size on the free nodes,
+max |dx| / |x| with dx the undamped correction, times the residual
+contraction min(1, |res_new| / |res|), and the level is done once that
+prediction is at most `tol`.  The residual norm is no measure of
+convergence here, since the stiff rows next to the wall dominate it.  A
+level always takes at least one step, so a warm start that is off is
+corrected even when its residual looks small.  A fresh correction that is
+already within `tol` is taken whole and ends the level without a line
+search: at the rounding floor the residual need not decrease.
+
+With `reuse_factor`, Newton is the simplified (chord) method of the same
+section.  A factorization is kept while a full step from it stays positive
+off the Dirichlet nodes and cuts the residual norm to CONTRACTION = 1/4 of
+its value or less, and escalation carries it into the next level, where
+the same test decides whether it still serves.  A kept step that fails
+the test is discarded; the Jacobian is then factorized afresh at the
+current iterate and the damped step is taken from it.  A fresh
+factorization is kept only after a full step (t = 1) that made the same
+4x cut, or after a correction that ended the level.  This pays where a
 factorization costs far more than a residual (the sparse 2-D Jacobian); a
 banded solve that refactors anyway only loses by it, so the 1-D problems
 take a fresh Jacobian at every step.
@@ -45,20 +56,18 @@ __all__ = ["damped_newton", "escalate"]
 
 MAX_ITER = 60
 MAX_HALVINGS = 40
-STEP_FLOOR = 1e-13
 CONTRACTION = 0.25
 
 
 def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
     """Damped Newton at truncation level M.
 
-    Returns (x, scaled residual, solve), where `solve` is the factorization
-    still kept for the next level (None if there is none).  `solve` on
-    input is a factorization kept from an earlier level.  A fresh step is
-    halved until the iterate stays positive off the Dirichlet nodes and
-    the residual norm decreases.  A relative fresh step below STEP_FLOOR
-    ends the iteration: the stiff wall rows are then at their rounding
-    floor.
+    Returns (x, predicted correction, solve), where the predicted
+    correction is the relative update the stop judged (at most `tol`) and
+    `solve` is the factorization still kept for the next level (None if
+    there is none).  `solve` on input is a factorization kept from an
+    earlier level.  A fresh step is halved until the iterate stays
+    positive off the Dirichlet nodes and the residual norm decreases.
     """
     data = problem.dirichlet(M)
     fixed = problem.fixed
@@ -69,42 +78,49 @@ def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
     norm = np.linalg.norm(res)
     trace = [norm]
     for _ in range(max_iter):
-        scale = problem.scale(x)
-        if norm <= tol * scale:
-            return x, norm / scale, solve
+        fresh = True
         if solve is not None:
-            x_try = x + solve(-res)
+            step = solve(-res)
+            x_try = x + step
             if np.all(x_try[free] > 0.0):
                 res_try = problem.residual(x_try, data)
                 norm_try = np.linalg.norm(res_try)
-                if norm_try <= CONTRACTION * norm:
-                    x, res, norm = x_try, res_try, norm_try
-                    trace.append(norm)
-                    continue
+                fresh = norm_try > CONTRACTION * norm
+        if fresh:
             solve = None    # free the stale factorization before the new one
-        solve = problem.factor(x)
-        step = solve(-res)
-        if np.max(np.abs(step) / np.maximum(np.abs(x), 1e-300)) < STEP_FLOOR:
-            return x, norm / scale, None
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            x_try = x + t * step
-            if np.all(x_try[free] > 0.0):
-                res_try = problem.residual(x_try, data)
-                norm_try = np.linalg.norm(res_try)
-                if norm_try < norm:
-                    break
-            t *= 0.5
-        else:
-            raise NewtonError(
-                f"{problem.name} Newton stalled at M={M:g} (residual {norm:.3e})",
-                trace=trace,
-            )
-        if not (problem.reuse_factor and t == 1.0
-                and norm_try <= CONTRACTION * norm):
-            solve = None
+            solve = problem.factor(x)
+            step = solve(-res)
+        # relative size of the undamped correction on the free nodes
+        rel = np.max(np.abs(step[free]) / np.abs(x[free]))
+        if fresh:
+            if not problem.reuse_factor:
+                solve = None
+            if rel <= tol:
+                # already within tol: take it whole, since at the rounding
+                # floor a line search finds no decrease
+                return x + step, rel, solve
+            t = 1.0
+            for _ in range(MAX_HALVINGS):
+                x_try = x + t * step
+                if np.all(x_try[free] > 0.0):
+                    res_try = problem.residual(x_try, data)
+                    norm_try = np.linalg.norm(res_try)
+                    if norm_try < norm:
+                        break
+                t *= 0.5
+            else:
+                raise NewtonError(
+                    f"{problem.name} Newton stalled at M={M:g} "
+                    f"(residual {norm:.3e})",
+                    trace=trace,
+                )
+            if not (t == 1.0 and norm_try <= CONTRACTION * norm):
+                solve = None
+        predicted = rel * min(1.0, norm_try / norm) if norm > 0.0 else rel
         x, res, norm = x_try, res_try, norm_try
         trace.append(norm)
+        if predicted <= tol:
+            return x, predicted, solve
     raise NewtonError(
         f"{problem.name} Newton did not converge in {max_iter} iterations "
         f"at M={M:g}",
@@ -114,16 +130,18 @@ def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
 
 def escalate(problem, schedule, *, tol, growth, interior_tol, max_levels,
              on_level=None):
-    """Solve the truncation levels in turn; returns (x, m_history, residual).
+    """Solve the truncation levels in turn.
 
-    The levels of `schedule` run first and M then grows by `growth`.  From
-    the last scheduled level on, escalation stops once the relative change
-    on `problem.band` drops below `interior_tol` or the resolvability cap
-    is reached; it always stops after `max_levels` levels, so a schedule
-    replayed with `max_levels=len(schedule)` runs exactly its levels.
-    `on_level(M, x)` sees every converged level; `residual` is the last
-    level's scaled Newton residual.  A factorization Newton keeps at the
-    end of a level is offered to the next one.
+    Returns (x, m_history, residual, stop_reason).  The levels of
+    `schedule` run first and M then grows by `growth`.  From the last
+    scheduled level on, escalation stops once the relative change on
+    `problem.band` drops below `interior_tol` (stop_reason "interior") or
+    the resolvability cap is reached ("cap"); it always stops after
+    `max_levels` levels ("max_levels"), so a schedule replayed with
+    `max_levels=len(schedule)` runs exactly its levels.  `on_level(M, x)`
+    sees every converged level; `residual` is the last level's predicted
+    Newton correction.  A factorization Newton keeps at the end of a level
+    is offered to the next one.
     """
     schedule = [float(M) for M in schedule]
     x = None
@@ -142,13 +160,15 @@ def escalate(problem, schedule, *, tol, growth, interior_tol, max_levels,
             band = problem.band
             change = np.max(np.abs(x_new[band] - x[band]) / x_new[band])
             if change < interior_tol:
-                x = x_new
+                x, reason = x_new, "interior"
                 break
         x = x_new
         if not scheduled_left and problem.cap_reached(x, M):
+            reason = "cap"
             break
         level += 1
         if level >= max_levels:
+            reason = "max_levels"
             break
         M = schedule[level] if level < len(schedule) else M * growth
-    return x, m_history, residual
+    return x, m_history, residual, reason

@@ -215,6 +215,7 @@ class BlowupProfile:
     truncation: float
     newton_residual: float
     m_history: list = field(default_factory=list)
+    stop_reason: str = None        # why escalation stopped; not written out
     rho: np.ndarray = None
     dg: np.ndarray = None
     d2g: np.ndarray = None
@@ -284,9 +285,9 @@ class BandedProblem:
     length of the interval.  Interior rows carry the 3-point stencils; a
     regular pole contributes a one-sided 3-point derivative row, which is
     why two off-diagonals are kept on each side.  Blow-up ends get plain
-    Dirichlet rows.  Rows are rescaled to O(1) before the norm test: the
-    clustered cells near a blow-up end carry 1/h^2 ~ 1e17 stencil weights
-    whose rounding noise would otherwise dominate any residual criterion.
+    Dirichlet rows.  Rows are rescaled to O(1): the clustered cells near a
+    blow-up end carry 1/h^2 ~ 1e17 stencil weights, whose rounding noise
+    would otherwise swamp the damping's residual-decrease test.
     `solve_banded` factorizes on every call, so a kept Jacobian saves
     nothing and Newton takes a fresh one at every step.
     """
@@ -347,11 +348,6 @@ class BandedProblem:
         r[interior] -= self.row_scale[interior] * self.coef * g[interior] ** self.p
         r[fixed] = self.row_scale[fixed] * (g[fixed] - data[fixed])
         return r
-
-    def scale(self, g):
-        interior = self.interior
-        return np.linalg.norm(
-            self.row_scale[interior] * self.coef * g[interior] ** self.p) + 1.0
 
     def factor(self, g):
         interior = self.interior
@@ -417,7 +413,7 @@ def solve_profile(domain, n, schedule=None, grid=None, nodes=None,
         theta, 1.0, drift, zero_order, domain.bc_lo, domain.bc_hi, n,
         domain.wall_distance(theta), domain.theta_hi - domain.theta_lo,
         "profile")
-    g, m_history, residual = escalate(
+    g, m_history, residual, stop_reason = escalate(
         problem, schedule, tol=1e-10, growth=2.0, interior_tol=interior_tol,
         max_levels=max_levels)
 
@@ -429,6 +425,7 @@ def solve_profile(domain, n, schedule=None, grid=None, nodes=None,
         truncation=m_history[-1],
         newton_residual=residual,
         m_history=m_history,
+        stop_reason=stop_reason,
     )
 
 

@@ -29,9 +29,15 @@ core of `blowlab.newton`, shared with the 1-D profile solver.  The sparse
 Jacobian is factorized with `splu`, and Newton keeps that factorization
 over steps and truncation levels for as long as full steps from it cut
 the residual by 4x or more (`reuse_factor`).
+
 The artificial radial cuts carry bracket data {1/2, 2} x cone reference;
 solving once with each and recording the interior disagreement turns the
-ill-posed cut into a quantified localization error.
+ill-posed cut into a quantified localization error.  The low bracket runs
+the escalation; the high one differs only in the cut data, so it is solved
+by one continuation step (Allgower & Georg, *Introduction to Numerical
+Continuation Methods*): Newton at the final truncation level, started from
+the low field.  Newton's update-based stop makes that step take real
+Newton steps, so it lands where a replay of every level would.
 
 A degenerate radial path handles balls (blow-up on the outer sphere,
 regular center), including non-Euclidean radially symmetric operators,
@@ -47,7 +53,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, DomainError, LocalizationError
-from .newton import escalate
+from .newton import damped_newton, escalate
 from .profiles import (
     BLOWUP,
     REGULAR_POLE,
@@ -198,6 +204,10 @@ class SolveConfig:
             raise ConfigError("truncation schedule must be strictly increasing")
         if not 0.0 < self.bracket[0] < self.bracket[1]:
             raise ConfigError("bracket must satisfy 0 < low < high")
+        for name in ("nt_per_octave", "n_eta", "max_levels"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         # written as `not (x > bound)` so that NaN is rejected too
         for name, value, bound in (("newton_tol", self.newton_tol, 0.0),
                                    ("interior_tol", self.interior_tol, 0.0),
@@ -233,6 +243,7 @@ class SolutionField:
     u_high: np.ndarray = None
     m_history: list = field(default_factory=list)
     level_fields: list = field(default_factory=list)   # (M, u) snapshots
+    stop_reason: str = None        # why escalation stopped; not written out
 
     @property
     def r(self):
@@ -598,12 +609,6 @@ class _WedgeSystem:
         f[fixed] = self.row_scale[fixed] * (w[fixed] - bc_vals[fixed])
         return f
 
-    def scale(self, w):
-        wi = np.where(self.interior_mask, w, 0.0)
-        return np.linalg.norm(
-            self.row_scale * self.interior_mask * self.coef * np.abs(wi) ** self.p
-        ) + 1.0
-
     def factor(self, w):
         dvals = np.where(
             self.interior_mask,
@@ -630,7 +635,8 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     `forced_schedule` replays an exact escalation sequence (e.g. from a
     companion Euclidean solve on the same mesh) so a perturbed-metric
     field and its discrete cone reference end in matching truncation
-    states.
+    states.  Only the low bracket escalates; the high bracket is Newton
+    at the final level from the low field.
     """
     config = config or SolveConfig()
     if domain.reduction == BALL:
@@ -647,16 +653,17 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     keep = ((lambda M, w: snaps.append((M, system._to_u(w))))
             if config.keep_level_fields else None)
 
-    def run(bracket_factor, schedule, max_levels, on_level=None):
-        system.bracket_factor = bracket_factor
-        return escalate(system, schedule, tol=config.newton_tol,
-                        growth=config.m_growth, interior_tol=config.interior_tol,
-                        max_levels=max_levels, on_level=on_level)
-
     lo_fac, hi_fac = config.bracket
-    w_lo, m_hist, residual = run(lo_fac, schedule, max_levels, keep)
-    w_hi, _, _ = run(hi_fac, m_hist, len(m_hist))
+    system.bracket_factor = lo_fac
+    w_lo, m_hist, residual, stop_reason = escalate(
+        system, schedule, tol=config.newton_tol, growth=config.m_growth,
+        interior_tol=config.interior_tol, max_levels=max_levels, on_level=keep)
     M_final = m_hist[-1]
+    # the high bracket by one continuation step: only the cut data change,
+    # so Newton from the low field at the final level lands on the field a
+    # replay of every level would reach
+    system.bracket_factor = hi_fac
+    w_hi, _, _ = damped_newton(system, w_lo, M_final, config.newton_tol)
 
     u_lo = system._to_u(w_lo)
     u_hi = system._to_u(w_hi)
@@ -690,6 +697,7 @@ def solve(domain, op, n, config=None, forced_schedule=None):
         u_high=u_hi,
         m_history=m_hist,
         level_fields=snaps,
+        stop_reason=stop_reason,
     )
     fld.reference_profile = reference_profile
     window = fld.interior_window()
@@ -759,7 +767,7 @@ def _solve_ball(domain, op, n, config):
     snaps = []
     keep = ((lambda M, u: snaps.append((M, u[:, None].copy())))
             if config.keep_level_fields else None)
-    u, m_hist, residual_norm = escalate(
+    u, m_hist, residual_norm, stop_reason = escalate(
         problem, config.schedule, tol=config.newton_tol, growth=config.m_growth,
         interior_tol=config.interior_tol, max_levels=config.max_levels,
         on_level=keep)
@@ -776,6 +784,7 @@ def _solve_ball(domain, op, n, config):
         newton_residual=residual_norm,
         m_history=m_hist,
         level_fields=snaps,
+        stop_reason=stop_reason,
     )
 
 

@@ -6,6 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
 CONFIG = """
 [suite]
 output = {out}
@@ -52,9 +55,14 @@ c_l = 0.5
 
 
 def run_cli(*args):
+    # the child finds blowlab in this checkout's src/ whether or not it is
+    # installed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run(
         [sys.executable, "-m", "blowlab.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 from blowlab.errors import NewtonError
 from blowlab.newton import damped_newton, escalate
 from blowlab.operators import euclidean_operator
+from blowlab import solver
 from blowlab.solver import DomainSpec2D, SolveConfig, _WedgeSystem, solve
 
 
@@ -51,9 +52,6 @@ class _Toy:
         return lambda rhs: -self.step_sign * np.where(self.fixed, 0.0,
                                                       rhs / (2.0 * x))
 
-    def scale(self, x):
-        return 1.0
-
     def cap_reached(self, x, M):
         return M >= self.cap_at
 
@@ -67,19 +65,33 @@ def test_stalled_newton_raises_with_trace():
 
 def test_escalate_stops():
     # an interior that does not move stops at the schedule's last level
-    x, m_hist, _ = escalate(_Toy(), [1.0, 2.0], **KW, max_levels=10)
-    assert m_hist == [1.0, 2.0]
+    x, m_hist, _, reason = escalate(_Toy(), [1.0, 2.0], **KW, max_levels=10)
+    assert m_hist == [1.0, 2.0] and reason == "interior"
     assert x[0] == 2.0
     # a moving interior escalates by the growth factor up to the cap ...
     moving = _Toy(coupling=1.0, cap_at=8.0)
-    x, m_hist, _ = escalate(moving, [1.0, 2.0], **KW, max_levels=10)
-    assert m_hist == [1.0, 2.0, 4.0, 8.0]
+    x, m_hist, _, reason = escalate(moving, [1.0, 2.0], **KW, max_levels=10)
+    assert m_hist == [1.0, 2.0, 4.0, 8.0] and reason == "cap"
     assert np.allclose(x[1:], np.sqrt(12.0), rtol=1e-12)
     # ... or up to max_levels, which also cuts a schedule short
-    _, m_hist, _ = escalate(_Toy(coupling=1.0), [1.0, 2.0], **KW, max_levels=3)
-    assert m_hist == [1.0, 2.0, 4.0]
-    _, m_hist, _ = escalate(_Toy(), [1.0, 2.0, 4.0], **KW, max_levels=2)
-    assert m_hist == [1.0, 2.0]
+    _, m_hist, _, reason = escalate(_Toy(coupling=1.0), [1.0, 2.0], **KW,
+                                    max_levels=3)
+    assert m_hist == [1.0, 2.0, 4.0] and reason == "max_levels"
+    _, m_hist, _, reason = escalate(_Toy(), [1.0, 2.0, 4.0], **KW,
+                                    max_levels=2)
+    assert m_hist == [1.0, 2.0] and reason == "max_levels"
+
+
+def test_level_takes_a_step_from_a_converged_start():
+    # a level started from its own converged field still takes a step
+    # before it ends
+    toy = _Counting()
+    x, _, _ = damped_newton(toy, np.full(3, 3.0), 5.0, tol=1e-12)
+    toy.factored_at.clear()
+    x2, predicted, _ = damped_newton(toy, x, 5.0, tol=1e-12)
+    assert len(toy.factored_at) == 1
+    assert predicted <= 1e-12
+    assert np.allclose(x2, x, rtol=1e-11, atol=0.0)
 
 
 class _Counting(_Toy):
@@ -128,7 +140,7 @@ def test_kept_factor_carries_to_the_next_level():
     assert moving.factored_at == []
     # escalate hands the factor over in the same way
     levels = _Counting(coupling=1.0)
-    _, m_hist, _ = escalate(levels, [1.0, 1.1], **KW, max_levels=2)
+    _, m_hist, _, _ = escalate(levels, [1.0, 1.1], **KW, max_levels=2)
     assert m_hist == [1.0, 1.1]
     assert len(levels.factored_at) == first_level
 
@@ -154,3 +166,62 @@ def test_reused_factor_follows_the_fresh_newton_path(n, monkeypatch):
     window = fresh.interior_window()
     for a, b in ((chord.u, fresh.u), (chord.u_high, fresh.u_high)):
         assert np.max(np.abs(a - b)[window] / b[window]) <= 1e-9
+
+
+# the mesh of the cone-n6-pair benchmark
+BENCH_DOMAIN = DomainSpec2D("meridian", aperture=np.pi / 3, r_min=2.0**-9)
+BENCH_CONFIG = SolveConfig(schedule=(1e2,), nt_per_octave=4, n_eta=32,
+                           bracket_tol=1.0)
+
+
+def _low_bracket(n):
+    system = _WedgeSystem(BENCH_DOMAIN, euclidean_operator(n), n, BENCH_CONFIG)
+    system.bracket_factor = BENCH_CONFIG.bracket[0]
+    cfg = BENCH_CONFIG
+    w_lo, m_hist, _, _ = escalate(
+        system, cfg.schedule, tol=cfg.newton_tol, growth=cfg.m_growth,
+        interior_tol=cfg.interior_tol, max_levels=cfg.max_levels)
+    system.bracket_factor = cfg.bracket[1]
+    return system, w_lo, m_hist
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_continued_high_bracket_matches_replay(n):
+    # solve() takes the high bracket by one continuation step from the low
+    # field; replaying every level with the high cut data lands on it too
+    fld = solve(BENCH_DOMAIN, euclidean_operator(n), n, BENCH_CONFIG)
+    system, _, m_hist = _low_bracket(n)
+    assert m_hist == fld.m_history
+    cfg = BENCH_CONFIG
+    w_replay, _, _, _ = escalate(
+        system, m_hist, tol=cfg.newton_tol, growth=cfg.m_growth,
+        interior_tol=cfg.interior_tol, max_levels=len(m_hist))
+    u_replay = system._to_u(w_replay)
+    window = fld.interior_window()
+    rel = np.abs(fld.u_high - u_replay)[window] / u_replay[window]
+    assert np.max(rel) <= 1e-9
+
+
+def test_high_bracket_from_low_field_is_newton_converged(monkeypatch):
+    # with the high cut data the low field's residual is small beside the
+    # wall rows, yet the field is percents off near the cuts: Newton must
+    # still step
+    system, w_lo, m_hist = _low_bracket(6)
+    calls = []
+    splu = solver.splu
+
+    def counting_splu(J):
+        calls.append(J.shape)
+        return splu(J)
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    tol = BENCH_CONFIG.newton_tol
+    w_hi, predicted, _ = damped_newton(system, w_lo, m_hist[-1], tol)
+    assert len(calls) >= 1 and predicted <= tol
+    # eight fresh Newton steps from the result barely move it
+    data = system.dirichlet(m_hist[-1])
+    x = w_hi.copy()
+    for _ in range(8):
+        x = x + system.factor(x)(-system.residual(x, data))
+    free = ~system.fixed
+    assert np.max(np.abs(x - w_hi)[free] / x[free]) <= tol

@@ -244,11 +244,11 @@ def test_domain_validation():
 # values SolveConfig must reject, and values on the valid side of each bound
 INVALID_SETTINGS = {
     "m_growth": st.floats(max_value=1.0) | st.just(float("nan")),
-    "n_eta": st.integers(max_value=4),
-    "nt_per_octave": st.integers(max_value=0),
+    "n_eta": st.integers(max_value=4) | st.floats(),
+    "nt_per_octave": st.integers(max_value=0) | st.floats(),
     "newton_tol": st.floats(max_value=0.0) | st.just(float("nan")),
     "interior_tol": st.floats(max_value=0.0) | st.just(float("nan")),
-    "max_levels": st.integers(max_value=0),
+    "max_levels": st.integers(max_value=0) | st.floats(),
     "bracket": st.tuples(st.floats(max_value=0.0), st.floats(allow_nan=False)),
     "bracket_tol": st.floats(max_value=0.0) | st.just(float("nan")),
     "eta_grading": (st.floats(max_value=1.0, exclude_max=True)
@@ -324,8 +324,10 @@ def test_interior_window_keeps_rows_on_its_edges():
 
 
 def test_bench_mesh_n6_solve_factorizes_rarely(monkeypatch):
-    # the n = 6 mesh of the cone-pair benchmark climbs through 27 levels per
-    # bracket; a fresh LU at every Newton step took 220 factorizations
+    # the n = 6 mesh of the cone-pair benchmark climbs through 27 levels
+    # for the low bracket and continues to the high one at the last level;
+    # a fresh LU at every Newton step and a replay of all 27 levels for the
+    # high bracket took 220 factorizations
     calls = []
     splu = solver.splu
 
@@ -339,7 +341,7 @@ def test_bench_mesh_n6_solve_factorizes_rarely(monkeypatch):
                       bracket_tol=1.0)
     fld = solve(dom, euclidean_operator(6), 6, cfg)
     assert len(fld.m_history) == 27
-    assert 0 < len(calls) <= 70
+    assert 0 < len(calls) <= 40
 
 
 def _dirichlet_by_loops(system, M):
