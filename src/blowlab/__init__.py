@@ -22,7 +22,6 @@ from .geometry import (
     TangentConeSpec,
     apply_T,
     build_T,
-    choose_reference_direction,
     jacobian_T,
     paraboloid_surface,
     plane_surface,

@@ -355,7 +355,8 @@ def certify_supersolution(op, candidate, n=None, eigen=None, tmap=None, **kw):
         if eigen is None:
             raise ConfigError("cone barriers need the first eigenpair")
         case = candidate.split("-", 1)[1]
-        case = {"quadratic": "quadratic", "log": "log", "slow": "slow"}[case]
+        if case not in ("quadratic", "log", "slow"):
+            raise ConfigError(f"unknown barrier candidate {candidate!r}")
         return _certify_cone_corrected(op, eigen, case, **kw)
     if candidate == "t-composed":
         if eigen is None or tmap is None:
@@ -382,7 +383,7 @@ class RatioField:
             raise ConfigError("values and radii must align")
 
 
-def compare_to_cone(fld, tmap=None, baseline=None, wall_margin=0.05):
+def compare_to_cone(fld, baseline=None):
     """Cone-approximation error |u(x)/u_V(Tx) - 1| inside the window.
 
     Reference resolution order:
@@ -397,7 +398,7 @@ def compare_to_cone(fld, tmap=None, baseline=None, wall_margin=0.05):
     if baseline is not None:
         if baseline.u.shape != fld.u.shape:
             raise ConfigError("baseline must share the mesh")
-        window = fld.interior_window(wall_margin)
+        window = fld.interior_window()
         vals = np.abs(fld.u / baseline.u - 1.0)
         return RatioField(vals[window], fld.radii()[window],
                           label=fld.operator_label, reference="discrete-cone")
@@ -409,7 +410,7 @@ def compare_to_cone(fld, tmap=None, baseline=None, wall_margin=0.05):
                           label=fld.operator_label, reference="halfspace-distance")
     if fld.reference is None:
         raise DomainError("field carries no cone reference")
-    window = fld.interior_window(wall_margin)
+    window = fld.interior_window()
     ref = np.exp(fld.t)[:, None] ** (-m) * fld.reference[None, :]
     vals = np.abs(fld.u / ref - 1.0)
     return RatioField(vals[window], fld.radii()[window],
@@ -490,7 +491,6 @@ class TheoremRow:
     measured: float
     passed: bool
     sharp_check: bool = None
-    notes: str = ""
 
     def as_markdown(self):
         verdict = "PASS" if self.passed else "FAIL"
@@ -501,7 +501,7 @@ class TheoremRow:
 
 
 def verify_theorem(case, n, rate_fit, predicted=None, eigen=None,
-                   slack=0.2, sharp_at=None, notes=""):
+                   slack=0.2, sharp_at=None):
     """Assemble one verification row; PASS iff measured >= predicted - slack.
 
     `predicted` overrides the spectral regime (for statements with a fixed
@@ -532,5 +532,4 @@ def verify_theorem(case, n, rate_fit, predicted=None, eigen=None,
         measured=float(measured),
         passed=bool(passed),
         sharp_check=sharp,
-        notes=notes,
     )

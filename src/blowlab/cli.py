@@ -183,6 +183,11 @@ def _need(path, what, case):
     return path
 
 
+def _read_profile(cdir, case):
+    return profile_from_csv(_need(os.path.join(cdir, "profile.csv"),
+                                  "profile artifact", case))
+
+
 def run_profile(case, outdir):
     dom = case.spherical_domain()
     n = case.get("n", int)
@@ -195,9 +200,7 @@ def run_profile(case, outdir):
 
 def run_eigen(case, outdir):
     cdir = _case_dir(outdir, case.label)
-    prof = profile_from_csv(_need(os.path.join(cdir, "profile.csv"),
-                                  "profile artifact", case.label))
-    eig = first_eigenpair(prof)
+    eig = first_eigenpair(_read_profile(cdir, case.label))
     write_eigen_csv(os.path.join(cdir, "eigen.csv"), eig)
     from .spectral import regime_exponent
 
@@ -250,14 +253,11 @@ def run_certify(case, outdir):
     candidate = case.get("barrier")
     c_l = case.get("c_l", float)
     op = StructureClass(n=n, c_l=c_l, label=f"class C_L={c_l:g}")
-    kw = {}
     if candidate.startswith("cone-"):
-        prof = profile_from_csv(_need(os.path.join(cdir, "profile.csv"),
-                                      "profile artifact", case.label))
-        kw["eigen"] = first_eigenpair(prof)
-        cert = certify_supersolution(op, candidate, **kw)
+        eig = first_eigenpair(_read_profile(cdir, case.label))
+        cert = certify_supersolution(op, candidate, eigen=eig)
     else:
-        cert = certify_supersolution(op, candidate, n=n, **kw)
+        cert = certify_supersolution(op, candidate, n=n)
     write_csv(
         os.path.join(cdir, "certificates.csv"),
         ["barrier", "region", "margin", "nodes", "passed", "constants"],
@@ -284,9 +284,7 @@ def run_verify(case, outdir):
     predicted = case.get("predicted", float, required=False)
     eigen = None
     if predicted is None:
-        prof = profile_from_csv(_need(os.path.join(cdir, "profile.csv"),
-                                      "profile artifact", case.label))
-        eigen = first_eigenpair(prof)
+        eigen = first_eigenpair(_read_profile(cdir, case.label))
     row = verify_theorem(
         case.label,
         case.get("n", int),
@@ -308,8 +306,6 @@ def run_verify(case, outdir):
 
 
 def run_report(cases, outdir):
-    import json
-
     rows = []
     cert_rows = []
     failures = 0
@@ -333,12 +329,8 @@ def run_report(cases, outdir):
                     cert_rows.append(parts)
                     if parts[4] != "true":
                         failures += 1
-        rpath = os.path.join(cdir, "ratio.csv")
-        if os.path.exists(rpath):
-            with open(rpath) as fh:
-                meta = json.loads(fh.readline()[2:])
-                fh.readline()
-                pts = [tuple(float(x) for x in line.split(",")) for line in fh]
+        if os.path.exists(os.path.join(cdir, "ratio.csv")):
+            meta, pts = _read_ratio(cdir, label)
             if pts:
                 write_loglog_svg(
                     os.path.join(cdir, "ratio.svg"),

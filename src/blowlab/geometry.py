@@ -40,7 +40,6 @@ __all__ = [
     "build_T",
     "apply_T",
     "jacobian_T",
-    "choose_reference_direction",
 ]
 
 
@@ -208,7 +207,6 @@ def signed_distance(surface, x, tol=1e-12, max_iter=60, n_seeds=5):
         seeds.append(yp + delta)
 
     best = None
-    worst_residual = np.inf
     for seed in seeds:
         foot = _project_to_graph(f, yp, yn, seed, tol, max_iter)
         if foot is None:
@@ -220,7 +218,6 @@ def signed_distance(surface, x, tol=1e-12, max_iter=60, n_seeds=5):
         raise FootPointError(
             f"foot-point projection failed from all {n_seeds} seeds",
             point=np.asarray(x, dtype=float),
-            trace=[worst_residual],
         )
     return float(sign * best)
 
@@ -266,9 +263,8 @@ def _project_to_graph(f, yp, yn, seed, tol, max_iter):
 class HyperplaneFan:
     """Unit normals nu_1..nu_k completed to a basis adapted to the corner."""
 
-    normals: np.ndarray            # (k, n)
-    completion: np.ndarray = None  # (n-k, n)
-    reference: np.ndarray = None   # e_n direction
+    normals: np.ndarray                        # (k, n)
+    completion: np.ndarray = field(init=False)  # (n-k, n)
 
     def __post_init__(self):
         self.normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
@@ -276,21 +272,16 @@ class HyperplaneFan:
         if k > n:
             raise ConfigError("more normals than ambient dimensions")
         norms = np.linalg.norm(self.normals, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
+        # negated tests, so that NaN fails them
+        if not np.all(np.abs(norms - 1.0) <= 1e-10):
             raise ConfigError("fan normals must be unit vectors")
         gram = self.normals @ self.normals.T
-        if abs(np.linalg.det(gram)) < 1e-12:
+        if not abs(np.linalg.det(gram)) >= 1e-12:
             i, j = _most_dependent_pair(self.normals)
             raise ConfigError(
                 f"normals are linearly dependent (offending pair {i}, {j})"
             )
-        if self.completion is None:
-            self.completion = _complete_basis(self.normals, n)
-        self.completion = np.atleast_2d(np.asarray(self.completion, dtype=float))
-        if self.reference is None:
-            self.reference = choose_reference_direction(self.normals)
-        if np.any(self.normals @ self.reference <= 0):
-            raise ConfigError("reference direction must see every normal positively")
+        self.completion = _complete_basis(self.normals, n)
 
     @property
     def k(self):
@@ -314,49 +305,6 @@ def _most_dependent_pair(normals):
             if c > best:
                 best, pair = c, (i, j)
     return pair
-
-
-def choose_reference_direction(normals, grid_size=10_000, seed=5):
-    """Direction maximizing the worst inner product with the normals.
-
-    Scans a quasi-random unit-sphere grid, seeds a Nelder-Mead polish with
-    the best grid point, and also tries the equalizing analytic candidate
-    N (N^T N)^{-1} 1 which is optimal when all its weights are positive.
-    """
-    from scipy.optimize import minimize
-    from scipy.stats import qmc
-
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    k, n = normals.shape
-
-    def score(e):
-        return float(np.min(normals @ e))
-
-    rng_pts = qmc.Halton(d=n, scramble=True, seed=seed).random(grid_size)
-    from scipy.special import ndtri
-
-    dirs = ndtri(np.clip(rng_pts, 1e-12, 1 - 1e-12))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    scores = np.min(dirs @ normals.T, axis=1)
-    best = dirs[np.argmax(scores)]
-
-    try:
-        w = np.linalg.solve(normals @ normals.T, np.ones(k))
-        cand = normals.T @ w
-        cand /= np.linalg.norm(cand)
-        if score(cand) > score(best):
-            best = cand
-    except np.linalg.LinAlgError:
-        pass
-
-    res = minimize(
-        lambda v: -score(v / np.linalg.norm(v)),
-        best,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-    )
-    polished = res.x / np.linalg.norm(res.x)
-    return polished if score(polished) >= score(best) else best
 
 
 @dataclass
@@ -488,11 +436,9 @@ class DiffeoT:
         return apply_T(self, x)
 
 
-def build_T(surfaces, fan=None):
-    if fan is None:
-        normals = np.vstack([s.normal_at_origin() for s in surfaces])
-        fan = HyperplaneFan(normals)
-    return DiffeoT(surfaces=list(surfaces), fan=fan)
+def build_T(surfaces):
+    normals = np.vstack([s.normal_at_origin() for s in surfaces])
+    return DiffeoT(surfaces=list(surfaces), fan=HyperplaneFan(normals))
 
 
 def apply_T(tmap, x):

@@ -58,7 +58,6 @@ from .profiles import (
     BLOWUP,
     REGULAR_POLE,
     BandedProblem,
-    GridSpec,
     SphericalDomain1D,
     nonuniform_d1,
     nonuniform_d2,
@@ -238,8 +237,6 @@ class SolutionField:
     newton_residual: float
     reference: np.ndarray = None   # matched cone profile on the eta nodes
     bracket_width: float = None
-    bracket_low: float = 0.5
-    bracket_high: float = 2.0
     u_high: np.ndarray = None
     m_history: list = field(default_factory=list)
     level_fields: list = field(default_factory=list)   # (M, u) snapshots
@@ -443,12 +440,8 @@ class _WedgeSystem:
         self.rr = np.exp(TT)
 
         # reference profile on the matching angular nodes (vertex cone)
-        section = domain.section()
-        theta_nodes = self.eta * domain.aperture
         self.reference_profile = solve_profile(
-            section, n, nodes=theta_nodes,
-            grid=GridSpec(count=max(self.ne, 200), grading=config.eta_grading),
-        )
+            domain.section(), n, nodes=self.eta * domain.aperture)
         self.reference = self.reference_profile.g
 
         self._assemble_linear()
@@ -692,8 +685,6 @@ def solve(domain, op, n, config=None, forced_schedule=None):
         truncation=M_final,
         newton_residual=residual,
         reference=reference_profile.g,
-        bracket_low=lo_fac,
-        bracket_high=hi_fac,
         u_high=u_hi,
         m_history=m_hist,
         level_fields=snaps,
@@ -795,14 +786,15 @@ def _solve_ball(domain, op, n, config):
 def monotone_check(fields, slack=1e-10, interior=None):
     """Nodewise monotone nondecrease along the truncation schedule.
 
+    `fields` are the `(M, u)` snapshots of `SolutionField.level_fields`.
     Monotonicity is asserted on every node; the reported Cauchy increments
     are restricted to `interior` (default: the boundary ring stripped),
     since Dirichlet nodes jump by the escalation factor by construction.
     """
     if len(fields) < 2:
         raise ConfigError("need at least two truncation levels")
-    levels = [f[0] if isinstance(f, tuple) else f.truncation for f in fields]
-    arrays = [np.asarray(f[1] if isinstance(f, tuple) else f.u) for f in fields]
+    levels = [M for M, _ in fields]
+    arrays = [np.asarray(u) for _, u in fields]
     if any(m2 <= m1 for m1, m2 in zip(levels, levels[1:])):
         raise ConfigError("fields must come in increasing truncation order")
     if interior is None:

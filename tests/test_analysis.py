@@ -86,6 +86,10 @@ def test_t_composed_certificate(half_sphere_eigen):
 def test_unknown_candidate(half_sphere_eigen):
     with pytest.raises(ConfigError):
         certify_supersolution(euclidean_operator(3), "magic", n=3)
+    # a "cone-" prefix with an unknown decay case
+    with pytest.raises(ConfigError, match="cone-foo"):
+        certify_supersolution(euclidean_operator(3), "cone-foo",
+                              eigen=half_sphere_eigen[3])
 
 
 def test_ball_ratio_matches_analytic(ball_field):

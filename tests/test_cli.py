@@ -100,6 +100,41 @@ def test_invalid_value_exit_code(tmp_path, setting):
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+UNKNOWN_CONE_BARRIER = """
+[suite]
+output = {out}
+
+[case:cap-cone-foo]
+stages = profile certify
+geometry = polar-sphere
+theta_lo = 0.0
+theta_hi = 1.0471975511965976
+bc_lo = regular-pole
+bc_hi = blowup
+n = 3
+nodes = 400
+grading = 2.0
+schedule = 1e2
+interior_tol = 1e-8
+barrier = cone-foo
+c_l = 0.5
+"""
+
+
+def test_unknown_cone_barrier_exit_code(tmp_path):
+    # "cone-" names a cone barrier, so certify reads the profile first and
+    # only then meets the unknown case "foo"
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(UNKNOWN_CONE_BARRIER.format(out=tmp_path / "out"))
+    assert run_cli("profile", "--config", str(cfg)).returncode == 0
+    res = run_cli("certify", "--config", str(cfg))
+    assert res.returncode == 4
+    assert "Traceback" not in res.stderr
+    err = res.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "cone-foo" in err[0]
+
+
 def test_unknown_case_exit_code(workdir):
     _, cfg, _ = workdir
     res = run_cli("profile", "--config", str(cfg), "--case", "nope")

@@ -7,7 +7,6 @@ from blowlab.geometry import (
     TangentConeSpec,
     apply_T,
     build_T,
-    choose_reference_direction,
     jacobian_T,
     paraboloid_surface,
     plane_surface,
@@ -88,17 +87,14 @@ def test_dependent_normals_error():
         tangent_cone([pl1, pl2])
 
 
-def test_reference_direction():
-    normals = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    e = choose_reference_direction(normals)
-    assert np.min(normals @ e) == pytest.approx(np.cos(np.pi / 4), abs=1e-9)
-    one = choose_reference_direction(np.array([[0.0, 1.0, 0.0]]))
-    assert np.allclose(one, [0, 1, 0], atol=1e-9)
-
-
 def test_fan_validation():
     with pytest.raises(ConfigError):
         HyperplaneFan(np.array([[0.0, 0.0, 2.0]]))  # not unit
+    for bad in ([[np.nan, 0.0, 0.0]],
+                [[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]],
+                [[np.inf, 0.0, 0.0]]):
+        with pytest.raises(ConfigError, match="unit"):
+            HyperplaneFan(np.array(bad))
     HyperplaneFan(np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
 
 

@@ -234,8 +234,12 @@ def test_import_leaves_scipy_stats_out():
     import blowlab
 
     src = os.path.dirname(os.path.dirname(blowlab.__file__))
-    code = "import sys, blowlab; print('scipy.stats' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    # the import alone, and a straightening map built on top of it
+    for work in ("import blowlab",
+                 "from blowlab import build_T, sphere_surface; "
+                 "build_T([sphere_surface(3, 1.0)])"):
+        code = f"import sys; {work}; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "False", work
