@@ -66,7 +66,12 @@ class MetricFamily:
         self._check_positive_definite()
 
     def _check_positive_definite(self, radius=2.0, samples=256):
-        pts = _ball_samples(self.n, radius, samples, seed=7)
+        # uniform in the ball: a normal direction times radius U^(1/n);
+        # `_ball_samples` would import scipy.stats into every metric build
+        rng = np.random.default_rng(7)
+        dirs = rng.standard_normal((samples, self.n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        pts = dirs * (radius * rng.uniform(size=samples) ** (1.0 / self.n))[:, None]
         g = self.metric(pts)
         eigs = np.linalg.eigvalsh(g)
         if np.min(eigs) <= 0:

