@@ -16,6 +16,12 @@ conformal Laplacian of such a metric expands to divergence form with
 where every metric derivative is exact (polynomial calculus on h) and
 the scalar curvature is contracted in closed form from g^-1, dg and the
 second-derivative table d2g; no finite difference is taken.
+
+A metric keeps, per derivative order, the distinct nonzero derivative
+polynomials of h and the entries each one fills, built on first use; a
+call evaluates each polynomial once.  An operator has one coefficient
+evaluator (P, n) -> (a, b, c): the conformal one forms g^-1, dg, d2g and
+Gamma once per call and shares them between a, b and S_g.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ class MetricFamily:
                     raise ConfigError(
                         "h must vanish to second order at 0 (normal coordinates)"
                     )
+        self._tables = {}
         self._check_positive_definite()
 
     def _check_positive_definite(self, radius=2.0, samples=256):
@@ -80,32 +87,52 @@ class MetricFamily:
                 f"(min eigenvalue {np.min(eigs):.3e})"
             )
 
+    def _table(self, order):
+        """The distinct nonzero polynomials d_k..d_l h_ij of one order, and
+        for each index [k, .., l, i, j] its polynomial's column (the last
+        column, len(polys), holds zeros).  Built once per metric and order."""
+        if order not in self._tables:
+            polys, column = [], {}
+            index = np.full((self.n,) * (order + 2), -1, dtype=np.intp)
+            for idx in np.ndindex(index.shape):
+                poly = self.h[idx[-2]][idx[-1]]
+                for k in idx[:-2]:
+                    poly = poly.derivative(k)
+                if poly.terms:
+                    if id(poly) not in column:
+                        column[id(poly)] = len(polys)
+                        polys.append(poly)
+                    index[idx] = column[id(poly)]
+            index[index < 0] = len(polys)
+            self._tables[order] = (polys, index)
+        return self._tables[order]
+
     def derivatives(self, order, points):
         """Exact d_k..d_l h_ij (= d_k..d_l g_ij for order >= 1), shape
         (P,) + (n,) * (order + 2), index [p, k, .., l, i, j]."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((pts.shape[0],) + (self.n,) * (order + 2))
-        values = {}         # a polynomial shared by entries is evaluated once
-        for idx in np.ndindex(out.shape[1:]):
-            poly = self.h[idx[-2]][idx[-1]]
-            for k in idx[:-2]:
-                poly = poly.derivative(k)
-            if poly.terms:
-                if id(poly) not in values:
-                    values[id(poly)] = poly(pts)
-                out[(slice(None),) + idx] = values[id(poly)]
-        return out
+        polys, index = self._table(order)
+        values = np.zeros((pts.shape[0], len(polys) + 1))
+        for col, poly in enumerate(polys):
+            values[:, col] = poly(pts)
+        return np.take(values, index, axis=1)
 
     def metric(self, points):
         return np.eye(self.n) + self.derivatives(0, points)
 
     def christoffel(self, points):
         """Gamma^k_ij, shape (P, n, n, n), index [p,k,i,j]."""
-        ginv = np.linalg.inv(self.metric(points))
-        dg = self.derivatives(1, points)
-        lead = np.transpose(dg, (0, 3, 1, 2))        # [p,l,i,j] = d_i g_jl
-        bracket = lead + np.swapaxes(lead, 2, 3) - dg
-        return 0.5 * np.einsum("pkl,plij->pkij", ginv, bracket)
+        return _christoffel(np.linalg.inv(self.metric(points)),
+                            self.derivatives(1, points))
+
+
+def _christoffel(ginv, dg):
+    """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 as one
+    batched matmul; dg[p,k,i,j] = d_k g_ij."""
+    P, n = ginv.shape[:2]
+    lead = np.transpose(dg, (0, 3, 1, 2))        # [p,l,i,j] = d_i g_jl
+    bracket = lead + np.swapaxes(lead, 2, 3) - dg
+    return 0.5 * (ginv @ bracket.reshape(P, n, n * n)).reshape(P, n, n, n)
 
 
 def _ball_samples(n, radius, count, seed=0, exclude_inner=0.0):
@@ -143,7 +170,13 @@ def conformal_quadratic_metric(n, q):
 
 
 def scalar_curvature(metric, points):
-    """S_g = g^ij R_ij in closed form from exact derivatives of g.
+    """S_g = g^ij R_ij in closed form from exact derivatives of g."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return _metric_terms(metric, pts)[2]
+
+
+def _metric_terms(metric, pts):
+    """(g^-1, Gamma, S_g) at pts, each metric derivative evaluated once.
 
     With d g^-1 = -g^-1 (dg) g^-1, G^m_mj = d_j log sqrt(det g) and
     A_i = g^-1 d_i g, the two derivative terms of the traced Ricci tensor
@@ -151,31 +184,30 @@ def scalar_curvature(metric, points):
       g^ij d_m G^m_ij = g^ml g^ij (d_m d_i g_jl - d_m d_l g_ij / 2)
                         - g^ma d_m g_ak g^ij G^k_ij,
       g^ij d_i G^m_mj = g^ij g^ml d_i d_j g_ml / 2 - g^ij tr(A_i A_j) / 2,
-    so no derivative of G is formed; the only (P, n^4) array is d2g.
+    so no derivative of G is formed; the only (P, n^4) array is d2g.  The
+    two d2g contractions stay unoptimized: `optimize=True` would copy d2g.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     ginv = np.linalg.inv(metric.metric(pts))
     dg = metric.derivatives(1, pts)
     d2g = metric.derivatives(2, pts)
-    gam = metric.christoffel(pts)
+    gam = _christoffel(ginv, dg)
     mixed = np.einsum("pml,pml->p", ginv, np.einsum("pij,pmijl->pml", ginv, d2g))
     laplace = np.einsum("pij,pij->p", ginv, np.einsum("pml,pijml->pij", ginv, d2g))
-    a = np.einsum("pac,picb->piab", ginv, dg)
-    trace_aa = np.einsum("pij,piab,pjba->p", ginv, a, a)
+    a = ginv[:, None] @ dg                          # [p,i,a,b] = (A_i)_ab
+    trace_aa = np.einsum("pij,piab,pjba->p", ginv, a, a, optimize=True)
     drift = np.einsum("pma,pmak->pk", ginv, dg) - np.einsum("pmmk->pk", gam)
-    quad = np.einsum("pij,pmil,plmj->p", ginv, gam, gam)
-    return (mixed - laplace + 0.5 * trace_aa - quad
-            - np.einsum("pk,pij,pkij->p", drift, ginv, gam))
+    quad = np.einsum("pij,pmil,plmj->p", ginv, gam, gam, optimize=True)
+    s = (mixed - laplace + 0.5 * trace_aa - quad
+         - np.einsum("pk,pij,pkij->p", drift, ginv, gam, optimize=True))
+    return ginv, gam, s
 
 
 @dataclass
 class OperatorSpec:
-    """Coefficient evaluators of L = sum a_ij d_ij + sum b_i d_i + c."""
+    """Coefficients of L = sum a_ij d_ij + sum b_i d_i + c from one evaluator."""
 
     n: int
-    a: callable                 # (P, n) -> (P, n, n)
-    b: callable                 # (P, n) -> (P, n)
-    c: callable                 # (P, n) -> (P,)
+    evaluate: callable          # (P, n) -> (a (P, n, n), b (P, n), c (P,))
     label: str = ""
     validity_radius: float = 2.0
 
@@ -189,8 +221,7 @@ class OperatorSpec:
         return structure_constant(self, 1.0)
 
     def coefficients(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.a(pts), self.b(pts), self.c(pts)
+        return self.evaluate(np.atleast_2d(np.asarray(points, dtype=float)))
 
     @property
     def is_euclidean(self):
@@ -198,20 +229,14 @@ class OperatorSpec:
 
 
 def euclidean_operator(n):
-    def a(pts):
+    def evaluate(pts):
         P = pts.shape[0]
-        out = np.zeros((P, n, n))
+        a = np.zeros((P, n, n))
         idx = np.arange(n)
-        out[:, idx, idx] = 1.0
-        return out
+        a[:, idx, idx] = 1.0
+        return a, np.zeros((P, n)), np.zeros(P)
 
-    spec = OperatorSpec(
-        n=n,
-        a=a,
-        b=lambda pts: np.zeros((pts.shape[0], n)),
-        c=lambda pts: np.zeros(pts.shape[0]),
-        label="euclidean",
-    )
+    spec = OperatorSpec(n=n, evaluate=evaluate, label="euclidean")
     spec.c_l = 0.0   # exact: a = delta, b = 0, c = 0; no sample needed
     return spec
 
@@ -221,28 +246,23 @@ def conformal_operator(metric):
 
     a = g^ij exactly; b = -g^jk Gamma^i_jk from exact first derivatives;
     c = -(n-2)/(4(n-1)) S_g with S_g in closed form from exact first and
-    second derivatives (`scalar_curvature`).  The structure constant `c_l`
-    is measured when first read.
+    second derivatives.  One pass per call forms g^-1, dg, d2g and Gamma
+    for all three.  The structure constant `c_l` is measured when first
+    read.
     """
     n = metric.n
     cn = (n - 2.0) / (4.0 * (n - 1.0))
 
-    def a_eval(pts):
-        return np.linalg.inv(metric.metric(pts))
-
-    def b_eval(pts):
+    def evaluate(pts):
         # det(g)^(-1/2) d_j (det(g)^(1/2) g^ji) = -g^jk Gamma^i_jk
-        ginv = np.linalg.inv(metric.metric(pts))
-        return -np.einsum("pjk,pijk->pi", ginv, metric.christoffel(pts))
-
-    def c_eval(pts):
-        return -cn * scalar_curvature(metric, pts)
+        ginv, gam, s = _metric_terms(metric, pts)
+        return ginv, -np.einsum("pjk,pijk->pi", ginv, gam), -cn * s
 
     label = metric.label or "metric"
     if metric.params:
         inner = ",".join(f"{k}={v:g}" for k, v in sorted(metric.params.items()))
         label = f"{label}({inner},n={n})"
-    return OperatorSpec(n=n, a=a_eval, b=b_eval, c=c_eval, label=label)
+    return OperatorSpec(n=n, evaluate=evaluate, label=label)
 
 
 def structure_constant(spec, radius, samples=4096, seed=11, inner_exclusion=1e-4):

@@ -302,9 +302,9 @@ class SolutionField:
 def _alphas(op, r, theta, psi, reduction, n):
     """Dimensionless perturbation coefficients of r^2(L - base) in (t, theta).
 
-    `psi` is the azimuth of the representative meridian half-plane; an
-    axisymmetric operator gives psi-independent results, which is what
-    `check_axisymmetry` samples.
+    `psi` is the azimuth of the representative meridian half-plane, one
+    for all points or one per point; an axisymmetric operator gives
+    psi-independent results, which is what `check_axisymmetry` samples.
     """
     r = np.asarray(r, dtype=float).ravel()
     theta = np.asarray(theta, dtype=float).ravel()
@@ -366,9 +366,11 @@ def check_axisymmetry(op, domain, n, samples=24, tol=1e-9):
     rng = np.random.default_rng(3)
     r = np.exp(rng.uniform(np.log(domain.r_min), np.log(domain.r_max), samples))
     theta = rng.uniform(0.05, 0.95, samples) * domain.theta_b(r)
-    base = _alphas(op, r, theta, 0.0, MERIDIAN, n)
-    for psi in (0.7, 2.1):
-        other = _alphas(op, r, theta, psi, MERIDIAN, n)
+    # the three azimuths in one coefficient evaluation
+    psi = np.repeat([0.0, 0.7, 2.1], samples)
+    alphas = _alphas(op, np.tile(r, 3), np.tile(theta, 3), psi, MERIDIAN, n)
+    base, *others = zip(*(np.split(x, 3) for x in alphas))
+    for other in others:
         worst = max(np.max(np.abs(x - y)) for x, y in zip(base, other))
         if worst > tol:
             raise ConfigError(
@@ -739,7 +741,7 @@ def _radial_coefficients(op, rnodes, n, direction=None):
     e[-1] = 1.0
     if direction is not None:
         e = np.asarray(direction, dtype=float)
-        e /= np.linalg.norm(e)
+        e = e / np.linalg.norm(e)
     pts = rnodes[:, None] * e[None, :]
     a, b, c = op.coefficients(pts)
     arr = np.einsum("i,pij,j->p", e, a, e)

@@ -1,3 +1,6 @@
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from blowlab.operators import (
     MetricFamily,
     OperatorSpec,
     TensorMesh,
+    _ball_samples,
     apply_operator,
     conformal_operator,
     conformal_quadratic_metric,
@@ -59,9 +63,10 @@ def sympy_scalar_curvature(g, x, pts):
     return np.array(out)
 
 
-def test_scalar_curvature_against_sympy_off_diagonal_metric():
-    # a metric that is not conformally flat: off-diagonal h and mixed
-    # monomials, all vanishing to second order at 0
+def off_diagonal_metric():
+    """A metric that is not conformally flat: off-diagonal h and mixed
+    monomials, all vanishing to second order at 0.  Returns the family,
+    the sympy table h and its symbols."""
     import sympy as sp
 
     n = 3
@@ -79,12 +84,149 @@ def test_scalar_curvature_against_sympy_off_diagonal_metric():
 
     met = MetricFamily(n=n, h=[[to_poly(h_sym[i, j]) for j in range(n)]
                                for i in range(n)])
+    return met, h_sym, x
+
+
+def test_scalar_curvature_against_sympy_off_diagonal_metric():
+    import sympy as sp
+
+    met, h_sym, x = off_diagonal_metric()
+    n = met.n
     pts = np.array([[0.1, -0.2, 0.3], [0.4, 0.25, -0.15], [-0.3, 0.05, 0.2]])
     expected = sympy_scalar_curvature(sp.eye(n) + h_sym, x, pts)
     assert np.max(np.abs(scalar_curvature(met, pts) / expected - 1.0)) < 1e-14
     # g = delta and dg = 0 at the origin, so S_g(0) is
     # sum_ij (d_i d_j h_ij - d_i d_i h_jj) = -d_2 d_2 h_00 = -1/2
     assert scalar_curvature(met, np.zeros(n)) == pytest.approx(-0.5, rel=1e-14)
+
+
+def reference_derivatives(metric, order, points):
+    """The per-call index walk that `MetricFamily.derivatives` replaced."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros((pts.shape[0],) + (metric.n,) * (order + 2))
+    values = {}         # a polynomial shared by entries is evaluated once
+    for idx in np.ndindex(out.shape[1:]):
+        poly = metric.h[idx[-2]][idx[-1]]
+        for k in idx[:-2]:
+            poly = poly.derivative(k)
+        if poly.terms:
+            if id(poly) not in values:
+                values[id(poly)] = poly(pts)
+            out[(slice(None),) + idx] = values[id(poly)]
+    return out
+
+
+def reference_coefficients(metric, points):
+    """The three closures a, b, c that the one-pass evaluator replaced:
+    each forms its own g^-1, dg and Gamma, by the index walk."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = metric.n
+
+    def ginv_of(pts):
+        return np.linalg.inv(np.eye(n) + reference_derivatives(metric, 0, pts))
+
+    def christoffel(pts):
+        ginv = ginv_of(pts)
+        dg = reference_derivatives(metric, 1, pts)
+        lead = np.transpose(dg, (0, 3, 1, 2))
+        bracket = lead + np.swapaxes(lead, 2, 3) - dg
+        return 0.5 * np.einsum("pkl,plij->pkij", ginv, bracket)
+
+    def curvature(pts):
+        ginv = ginv_of(pts)
+        dg = reference_derivatives(metric, 1, pts)
+        d2g = reference_derivatives(metric, 2, pts)
+        gam = christoffel(pts)
+        mixed = np.einsum("pml,pml->p", ginv,
+                          np.einsum("pij,pmijl->pml", ginv, d2g))
+        laplace = np.einsum("pij,pij->p", ginv,
+                            np.einsum("pml,pijml->pij", ginv, d2g))
+        a = np.einsum("pac,picb->piab", ginv, dg)
+        trace_aa = np.einsum("pij,piab,pjba->p", ginv, a, a)
+        drift = np.einsum("pma,pmak->pk", ginv, dg) - np.einsum("pmmk->pk", gam)
+        quad = np.einsum("pij,pmil,plmj->p", ginv, gam, gam)
+        return (mixed - laplace + 0.5 * trace_aa - quad
+                - np.einsum("pk,pij,pkij->p", drift, ginv, gam))
+
+    a = ginv_of(pts)
+    b = -np.einsum("pjk,pijk->pi", ginv_of(pts), christoffel(pts))
+    c = -(n - 2.0) / (4.0 * (n - 1.0)) * curvature(pts)
+    return a, b, c
+
+
+METRICS = pytest.mark.parametrize("build", [
+    lambda: conformal_quadratic_metric(3, 0.3),
+    lambda: conformal_quadratic_metric(4, 0.2),
+    lambda: conformal_quadratic_metric(6, 0.3),
+    lambda: off_diagonal_metric()[0],
+], ids=["conformal-n3", "conformal-n4", "conformal-n6", "off-diagonal-n3"])
+
+
+@METRICS
+def test_derivative_tables_match_index_walk(build):
+    met = build()
+    pts = _ball_samples(met.n, 1.0, 257, seed=21)
+    for order in range(3):
+        got = met.derivatives(order, pts)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, reference_derivatives(met, order, pts))
+
+
+@METRICS
+def test_one_pass_coefficients_match_three_closures(build):
+    met = build()
+    pts = _ball_samples(met.n, 1.0, 4096, seed=13)
+    a, b, c = conformal_operator(met).coefficients(pts)
+    a_ref, b_ref, c_ref = reference_coefficients(met, pts)
+    assert np.array_equal(a, a_ref)
+    if met.label == "conformal-quadratic":
+        # g^-1 is diagonal, so the matmul Gamma adds exact zeros only
+        assert np.array_equal(b, b_ref)
+        assert np.max(np.abs(c / c_ref - 1.0)) < 1e-14
+    else:
+        # off-diagonal g^-1: Gamma by matmul sums in another order; b
+        # and S_g change sign inside the ball, so the error is measured
+        # against the largest value
+        assert np.max(np.abs(b - b_ref)) < 1e-14 * np.max(np.abs(b_ref))
+        assert np.max(np.abs(c - c_ref)) < 1e-14 * np.max(np.abs(c_ref))
+    # the public curvature is the one the evaluator uses
+    cn = (met.n - 2.0) / (4.0 * (met.n - 1.0))
+    assert np.array_equal(c, -cn * scalar_curvature(met, pts))
+
+
+def test_one_pass_memory_and_evaluations(monkeypatch):
+    # bench-mesh size at n = 6: d2g alone is 1184 * 6^4 doubles = 11.7 MiB;
+    # an `optimize=True` contraction of d2g copies it (28 MiB peak)
+    met = conformal_quadratic_metric(6, 0.3)
+    op = conformal_operator(met)
+    pts = _ball_samples(6, 1.0, 1184, seed=5)
+    op.coefficients(pts)            # builds the derivative tables
+    tracemalloc.start()
+    try:
+        op.coefficients(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+    distinct = {}
+    for order in range(3):
+        for idx in np.ndindex((6,) * (order + 2)):
+            poly = met.h[idx[-2]][idx[-1]]
+            for k in idx[:-2]:
+                poly = poly.derivative(k)
+            if poly.terms:
+                distinct[id(poly)] = 1
+    calls = collections.Counter()
+    evaluate = Polynomial.__call__
+
+    def counting(self, points):
+        calls[id(self)] += 1
+        return evaluate(self, points)
+
+    monkeypatch.setattr(Polynomial, "__call__", counting)
+    op.coefficients(pts)
+    assert calls == distinct
 
 
 def test_metric_validation():
@@ -106,13 +248,12 @@ def test_structure_constants():
     assert structure_constant(euclidean_operator(3), 1.0) == 0.0
     n = 3
 
-    def drift_b(pts):
-        out = np.zeros((pts.shape[0], n))
-        out[:, 0] = np.linalg.norm(pts, axis=1)
-        return out
+    def drift_coefficients(pts):
+        a, b, c = euclidean_operator(n).coefficients(pts)
+        b[:, 0] = np.linalg.norm(pts, axis=1)
+        return a, b, c
 
-    drift = OperatorSpec(n=n, a=euclidean_operator(n).a, b=drift_b,
-                         c=lambda p: np.zeros(p.shape[0]), label="drift")
+    drift = OperatorSpec(n=n, evaluate=drift_coefficients, label="drift")
     assert structure_constant(drift, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -217,16 +217,41 @@ def test_ball_order_of_accuracy():
 def test_axisymmetry_guard():
     n = 3
 
-    def skew_a(pts):
-        out = euclidean_operator(n).a(pts)
-        out[:, 0, 0] += 0.3 * pts[:, 1] ** 2  # depends on a transverse axis
-        return out
+    def skew_coefficients(pts):
+        a, b, c = euclidean_operator(n).coefficients(pts)
+        a[:, 0, 0] += 0.3 * pts[:, 1] ** 2  # depends on a transverse axis
+        return a, b, c
 
-    op = OperatorSpec(n=n, a=skew_a, b=lambda p: np.zeros((p.shape[0], n)),
-                      c=lambda p: np.zeros(p.shape[0]), label="skew")
+    op = OperatorSpec(n=n, evaluate=skew_coefficients, label="skew")
     dom = DomainSpec2D("meridian", aperture=0.7, r_min=2.0**-4, r_max=1.0)
     with pytest.raises(ConfigError, match="axisymmetric"):
         solve(dom, op, n, SolveConfig(schedule=(1e2,), bracket_tol=1.0))
+
+
+def test_axisymmetry_check_evaluates_all_azimuths_at_once():
+    op = conformal_operator(conformal_quadratic_metric(6, 0.3))
+    evaluate = op.evaluate
+    batches = []
+
+    def counting(pts):
+        batches.append(len(pts))
+        return evaluate(pts)
+
+    op.evaluate = counting
+    dom = DomainSpec2D("meridian", aperture=0.7, r_min=2.0**-4, r_max=1.0)
+    solver.check_axisymmetry(op, dom, 6)      # axisymmetric: no error
+    assert batches == [3 * 24]
+
+
+def test_radial_coefficients_leave_direction_alone():
+    op = conformal_operator(conformal_quadratic_metric(3, 0.3))
+    rnodes = np.linspace(0.1, 0.9, 5)
+    direction = np.array([0.0, 0.0, 2.0])
+    got = solver._radial_coefficients(op, rnodes, 3, direction=direction)
+    assert np.array_equal(direction, [0.0, 0.0, 2.0])
+    unit = solver._radial_coefficients(op, rnodes, 3)
+    for x, y in zip(got, unit):
+        assert np.array_equal(x, y)
 
 
 def test_domain_validation():
