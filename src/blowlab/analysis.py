@@ -22,6 +22,9 @@ Ratio fields |u/u_V - 1| are measured inside the localization window and
 their decay fitted over dyadic annuli; a solve with the Euclidean
 operator on the identical mesh serves as the discrete cone reference for
 perturbed-metric rate fits, cancelling the shared truncation state.
+Without one, u_V is the vertex-cone profile that `compare_to_cone`
+solves on the field's angular nodes, matched to its truncation state;
+no other path pays for that profile.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .profiles import solve_profile
 from .solver import BALL, SolutionField
 
 __all__ = [
@@ -205,7 +209,6 @@ def _cone_barrier_ingredients(eigen, r, case):
 
     R, TH = np.meshgrid(r, theta, indexing="ij")
     G = np.broadcast_to(g, R.shape)
-    RHO = np.broadcast_to(rho, R.shape)
     PHI = np.broadcast_to(phi, R.shape)
     VV = np.broadcast_to(V, R.shape)
 
@@ -230,16 +233,17 @@ def _cone_barrier_ingredients(eigen, r, case):
                 - R ** (alpha - 2.0) * (alpha * (alpha + n - 2.0) - lam + VV)) * PHI
     else:
         raise ConfigError(f"unknown cone barrier case {case!r}")
-    return u_v, lap_uv, term0, lap0, term1, lap1, term2, lap2, RHO
+    return u_v, lap_uv, term0, lap0, term1, lap1, term2, lap2, rho
 
 
 def _certify_cone_corrected(op, eigen, case, samples=None,
                             a0_grid=None, k_grid=None, r_grid=None,
-                            penalty=None, label=None):
+                            c_t=None, label=None):
     """u_V + A0 u_V r^2 + A1 r^((6-n)/2) + A2 (case term), vertex region.
 
-    `penalty(w, RR, RHO)` subtracts an extra pointwise error bound from the
-    margin (used by the T-composed variant for the straightening error).
+    `c_t`, the straightening constant of a map T, subtracts the composition
+    error bound C_T 2 A |w| (rho^-2 + 1) / r from the margin (the
+    T-composed variant).
     """
     n = eigen.n
     cls = _class_of(op, n)
@@ -248,13 +252,17 @@ def _certify_cone_corrected(op, eigen, case, samples=None,
     a0_grid = a0_grid if a0_grid is not None else np.geomspace(0.5, 512.0, 11)
     k_grid = k_grid if k_grid is not None else np.geomspace(1.0, 64.0, 7)
     r_grid = r_grid if r_grid is not None else np.geomspace(0.25, 2.0**-8, 12)
+    # measured derivative constant of u_V: the paper's A-bound
+    # r rho |grad u_V| <= A u_V with A from the profile
+    A_meas = _profile_derivative_constant(eigen.profile)
 
     best = None
     for r0 in r_grid:
         r = np.geomspace(r0 * 2.0**-6, r0, samples or 48)
-        (u_v, lap_uv, t0, l0, t1, l1, t2, l2, RHO) = _cone_barrier_ingredients(
+        (u_v, lap_uv, t0, l0, t1, l1, t2, l2, rho) = _cone_barrier_ingredients(
             eigen, r, case)
         RR = np.broadcast_to(r[:, None], u_v.shape)
+        rho_w = rho**-2 + 1.0      # per angular node, broadcast over r
         for A0 in a0_grid:
             for k1 in k_grid:
                 for k2 in k_grid:
@@ -265,14 +273,10 @@ def _certify_cone_corrected(op, eigen, case, samples=None,
                     lap_w = lap_uv + A0 * l0 + A1 * l1 + A2 * l2
                     margin = coef * w**p - lap_w
                     if cls.c_l > 0:
-                        # measured derivative constant of u_V: the paper's
-                        # A-bound r rho |grad u_V| <= A u_V with A from the
-                        # profile, inflated for the correction terms
-                        A_meas = _profile_derivative_constant(eigen.profile)
-                        pert = cls.c_l * 4.0 * A_meas * np.abs(w) * (RHO**-2 + 1.0)
-                        margin = margin - pert
-                    if penalty is not None:
-                        margin = margin - penalty(w, RR, RHO)
+                        # A inflated for the correction terms
+                        margin = margin - cls.c_l * 4.0 * A_meas * np.abs(w) * rho_w
+                    if c_t is not None:
+                        margin = margin - c_t * 2.0 * A_meas * np.abs(w) * rho_w / RR
                     worst = float(np.min(margin))
                     cert = BarrierCertificate(
                         label=label or f"cone-{case}",
@@ -321,13 +325,8 @@ def _certify_t_composed(op, eigen, tmap, case="quadratic", samples=24):
             x = s * 0.5 * tmap.r_T * v
             dev = np.linalg.norm(apply_T(tmap, x) - x)
             worst_ct = max(worst_ct, dev / np.linalg.norm(x) ** 2)
-    A_meas = _profile_derivative_constant(eigen.profile)
-
-    def penalty(w, RR, RHO):
-        return worst_ct * 2.0 * A_meas * np.abs(w) * (RHO**-2 + 1.0) / RR
-
     r_grid = np.geomspace(0.5 * tmap.r_T, 2.0**-8, 10)
-    cert = _certify_cone_corrected(op, eigen, case, penalty=penalty,
+    cert = _certify_cone_corrected(op, eigen, case, c_t=worst_ct,
                                    r_grid=r_grid, label=f"t-composed-{case}")
     if cert is not None:
         cert.constants["C_T"] = worst_ct
@@ -383,6 +382,23 @@ class RatioField:
             raise ConfigError("values and radii must align")
 
 
+def _matched_profile(fld):
+    """Vertex-cone profile on the field's eta nodes, at its truncation state.
+
+    The profile is solved up to the truncation an interior column actually
+    sees: wall data M r^m varies across columns, and matching the
+    mid-window state keeps the comparison bias at the slow-drift level.
+    """
+    dom = fld.domain
+    r_geo = np.sqrt(4.0 * dom.r_min * dom.r_max / 4.0)
+    tau = fld.truncation * r_geo ** (0.5 * (fld.n - 2.0))
+    schedule = [100.0]
+    while schedule[-1] < tau:
+        schedule.append(schedule[-1] * 2.0)
+    return solve_profile(dom.section(), fld.n, nodes=fld.eta * dom.aperture,
+                         schedule=schedule).g
+
+
 def compare_to_cone(fld, baseline=None):
     """Cone-approximation error |u(x)/u_V(Tx) - 1| inside the window.
 
@@ -392,7 +408,8 @@ def compare_to_cone(fld, baseline=None):
       * ball fields: the half-space form through the distance, u_V(Tx) =
         d(x)^(-(n-2)/2) (the k = 1 tangent-plane reference; T enters
         through the signed distance, which the mesh carries).
-      * otherwise the field's matched angular profile.
+      * otherwise the vertex-cone profile, solved here on the field's eta
+        nodes up to the field's truncation state.
     """
     m = 0.5 * (fld.n - 2.0)
     if baseline is not None:
@@ -408,10 +425,8 @@ def compare_to_cone(fld, baseline=None):
         vals = np.abs(fld.d**m * fld.u - 1.0)
         return RatioField(vals[window], fld.d[window],
                           label=fld.operator_label, reference="halfspace-distance")
-    if fld.reference is None:
-        raise DomainError("field carries no cone reference")
     window = fld.interior_window()
-    ref = np.exp(fld.t)[:, None] ** (-m) * fld.reference[None, :]
+    ref = np.exp(fld.t)[:, None] ** (-m) * _matched_profile(fld)[None, :]
     vals = np.abs(fld.u / ref - 1.0)
     return RatioField(vals[window], fld.radii()[window],
                       label=fld.operator_label, reference="matched-profile")

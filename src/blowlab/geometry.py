@@ -117,7 +117,6 @@ class GraphSurface:
     chart_radius: float = 1.0
     rotation: np.ndarray = None
     label: str = ""
-    c2_bound: float = None
 
     def __post_init__(self):
         if self.n < 3:
@@ -130,8 +129,6 @@ class GraphSurface:
         origin = np.zeros(self.n - 1)
         if abs(self.graph.value(origin)) > 1e-12:
             raise ConfigError("surface must pass through the origin: f(0') = 0")
-        if self.c2_bound is None:
-            self.c2_bound = float(self.graph.c2_seminorm(self.chart_radius))
         grad0 = self.graph.grad(origin)
         nu_graph = np.append(-grad0, 1.0) / np.sqrt(1.0 + grad0 @ grad0)
         if nu_graph[-1] <= 0:
@@ -156,7 +153,7 @@ def plane_surface(n, normal, label="plane"):
     nu = nu / np.linalg.norm(nu)
     rot = _rotation_aligning(nu, n)
     return GraphSurface(n=n, graph=PolyGraph(Polynomial.zero(n - 1)),
-                        rotation=rot, label=label, c2_bound=0.0)
+                        rotation=rot, label=label)
 
 
 def paraboloid_surface(n, coeff=1.0, label="paraboloid"):

@@ -44,6 +44,7 @@ __all__ = [
     "GridSpec",
     "BlowupProfile",
     "graded_nodes",
+    "power_law_nodes",
     "nonuniform_d1",
     "nonuniform_d2",
     "solve_profile",
@@ -135,16 +136,16 @@ class GridSpec:
                               f"got {self.grading}")
 
 
-def graded_nodes(domain, count, grading):
-    """Nodes on [theta_lo, theta_hi] clustered toward blow-up endpoints.
+def power_law_nodes(lo, hi, count, grading, lo_blow, hi_blow):
+    """Nodes on [lo, hi] clustered toward the blow-up endpoints.
 
     The map pulls a uniform parameter s through a power law so the
     distance of node j to the nearest blow-up endpoint behaves like
-    s^grading; regular poles get no clustering.
+    s^grading; an end that does not blow up gets no clustering.  The
+    profile grids, the 2-D solver's eta nodes and its ball radii all
+    come from here.
     """
     s = np.linspace(0.0, 1.0, count)
-    lo_blow = domain.bc_lo == BLOWUP
-    hi_blow = domain.bc_hi == BLOWUP
     b = float(grading)
     if lo_blow and hi_blow:
         frac = s**b / (s**b + (1.0 - s) ** b)
@@ -152,10 +153,15 @@ def graded_nodes(domain, count, grading):
         frac = 1.0 - (1.0 - s) ** b
     else:
         frac = s**b
-    theta = domain.theta_lo + (domain.theta_hi - domain.theta_lo) * frac
-    theta[0] = domain.theta_lo
-    theta[-1] = domain.theta_hi
-    return theta
+    x = lo + (hi - lo) * frac
+    x[0], x[-1] = lo, hi
+    return x
+
+
+def graded_nodes(domain, count, grading):
+    """Nodes on [theta_lo, theta_hi] clustered toward blow-up endpoints."""
+    return power_law_nodes(domain.theta_lo, domain.theta_hi, count, grading,
+                           domain.bc_lo == BLOWUP, domain.bc_hi == BLOWUP)
 
 
 def nonuniform_d1(theta):

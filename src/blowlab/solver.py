@@ -37,9 +37,12 @@ Newton keeps a factorization over steps and truncation levels for as
 long as full steps from it cut the residual by 4x or more
 (`reuse_factor`).
 
-The artificial radial cuts carry bracket data {1/2, 2} x cone reference;
+The artificial radial cuts carry bracket data {1/2, 2} x cone reference,
+the vertex-cone profile splined onto the cut rows once per system;
 solving once with each and recording the interior disagreement turns the
-ill-posed cut into a quantified localization error.  The low bracket runs
+ill-posed cut into a quantified localization error.  A field carries no
+cone profile: `blowlab.analysis.compare_to_cone` solves the one matched
+to the field's truncation state where it compares.  The low bracket runs
 the escalation; the high one differs only in the cut data, so it is solved
 by one continuation step (Allgower & Georg, *Introduction to Numerical
 Continuation Methods*): Newton at the final truncation level, started from
@@ -53,6 +56,7 @@ with the pentadiagonal rows of the profile solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +73,7 @@ from .profiles import (
     nonuniform_d1,
     nonuniform_d2,
     one_sided_d1,
+    power_law_nodes,
     solve_profile,
 )
 
@@ -147,26 +152,13 @@ class DomainSpec2D:
             if self.curve:
                 raise ConfigError("curved wedge cross-sections are not supported")
 
-    def theta_b(self, r):
+    def theta_b(self, r, order=0):
+        """theta_b(r) or its derivative of the given order in r."""
         r = np.asarray(r, dtype=float)
-        out = np.full_like(r, self.aperture, dtype=float)
+        out = np.full_like(r, self.aperture if order == 0 else 0.0, dtype=float)
         for k, ck in enumerate(self.curve):
-            out = out + ck * r ** (k + 1)
-        return out
-
-    def dtheta_b(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r, dtype=float)
-        for k, ck in enumerate(self.curve):
-            out = out + (k + 1) * ck * r**k
-        return out
-
-    def d2theta_b(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r, dtype=float)
-        for k, ck in enumerate(self.curve):
-            if k >= 1:
-                out = out + (k + 1) * k * ck * r ** (k - 1)
+            if k + 1 >= order:
+                out = out + math.perm(k + 1, order) * ck * r ** (k + 1 - order)
         return out
 
     @property
@@ -242,7 +234,6 @@ class SolutionField:
     d: np.ndarray                  # (Nt, Ne) distance to the real boundary
     truncation: float
     newton_residual: float
-    reference: np.ndarray = None   # matched cone profile on the eta nodes
     bracket_width: float = None
     u_high: np.ndarray = None
     m_history: list = field(default_factory=list)
@@ -273,11 +264,7 @@ class SolutionField:
         # can round to either side of it
         lo, hi = 4.0 * dom.r_min, r_hi or dom.r_max / 4.0
         mask = (r >= lo * (1.0 - 1e-12)) & (r <= hi * (1.0 + 1e-12))
-        span = dom.aperture
-        wall = (1.0 - self.eta) * span
-        if dom.reduction == CROSS_SECTION:
-            wall = np.minimum(self.eta, 1.0 - self.eta) * span
-        return mask & (wall[None, :] >= wall_margin)
+        return mask & (_wall_gap(dom, self.eta)[None, :] >= wall_margin)
 
     def bracket_width_over(self, r_hi=None):
         """Relative low/high disagreement over an explicit radius cap.
@@ -305,58 +292,42 @@ def _alphas(op, r, theta, psi, reduction, n):
     `psi` is the azimuth of the representative meridian half-plane, one
     for all points or one per point; an axisymmetric operator gives
     psi-independent results, which is what `check_axisymmetry` samples.
+    The planar cross-section x' = r (cos phi, sin phi) is the meridian
+    frame with e_sigma = e_2 and e_z = e_1 and no transverse trace: its
+    transverse directions are straight lines along which u is constant.
     """
     r = np.asarray(r, dtype=float).ravel()
     theta = np.asarray(theta, dtype=float).ravel()
     st, ct = np.sin(theta), np.cos(theta)
-
+    e_sigma = np.zeros((r.size, n))
+    e_z = np.zeros((r.size, n))
     if reduction == MERIDIAN:
-        e_sigma = np.zeros((r.size, n))
         e_sigma[:, 0] = np.cos(psi)
         e_sigma[:, 1] = np.sin(psi)
-        e_z = np.zeros((r.size, n))
         e_z[:, -1] = 1.0
-        pts = r[:, None] * (st[:, None] * e_sigma + ct[:, None] * e_z)
-        a, b, c = op.coefficients(pts)
-        delta = np.eye(n)
-        am = a - delta
-        a11 = np.einsum("pi,pij,pj->p", e_sigma, am, e_sigma)
-        ann = np.einsum("pi,pij,pj->p", e_z, am, e_z)
-        a1n = np.einsum("pi,pij,pj->p", e_sigma, a, e_z)
-        trans = np.einsum("pii->p", am) - a11 - ann
-        bs = np.einsum("pi,pi->p", b, e_sigma)
-        bz = np.einsum("pi,pi->p", b, e_z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cot = np.where(np.abs(st) > 1e-300, ct / st, 0.0)
-        alpha_tt = a11 * st**2 + ann * ct**2 + 2.0 * a1n * st * ct
-        alpha_tth = 2.0 * (a11 - ann) * st * ct + 2.0 * a1n * (ct**2 - st**2)
-        alpha_thth = a11 * ct**2 + ann * st**2 - 2.0 * a1n * st * ct
-        alpha_t = ((a11 - ann) * (ct**2 - st**2) - 4.0 * a1n * st * ct
-                   + trans + r * (bs * st + bz * ct))
-        alpha_th = (-2.0 * (a11 - ann) * st * ct + 2.0 * a1n * (st**2 - ct**2)
-                    + trans * cot + r * (bs * ct - bz * st))
-        cc = c
     else:
-        # planar cross-section: x' = r (cos phi, sin phi), invariant transverse
-        cph, sph = ct, st  # theta plays the role of phi
-        pts = np.zeros((r.size, n))
-        pts[:, 0] = r * cph
-        pts[:, 1] = r * sph
-        a, b, c = op.coefficients(pts)
-        a11 = a[:, 0, 0] - 1.0
-        a22 = a[:, 1, 1] - 1.0
-        a12 = a[:, 0, 1]
-        b1 = b[:, 0]
-        b2 = b[:, 1]
-        alpha_tt = a22 * sph**2 + a11 * cph**2 + 2.0 * a12 * sph * cph
-        alpha_tth = 2.0 * (a22 - a11) * sph * cph + 2.0 * a12 * (cph**2 - sph**2)
-        alpha_thth = a22 * cph**2 + a11 * sph**2 - 2.0 * a12 * sph * cph
-        alpha_t = ((a22 - a11) * (cph**2 - sph**2) - 4.0 * a12 * sph * cph
-                   + r * (b2 * sph + b1 * cph))
-        alpha_th = (-2.0 * (a22 - a11) * sph * cph + 2.0 * a12 * (sph**2 - cph**2)
-                    + r * (b2 * cph - b1 * sph))
-        cc = c
-    return alpha_tt, alpha_tth, alpha_thth, alpha_t, alpha_th, cc
+        e_sigma[:, 1] = 1.0
+        e_z[:, 0] = 1.0
+    pts = r[:, None] * (st[:, None] * e_sigma + ct[:, None] * e_z)
+    a, b, c = op.coefficients(pts)
+    am = a - np.eye(n)
+    a11 = np.einsum("pi,pij,pj->p", e_sigma, am, e_sigma)
+    ann = np.einsum("pi,pij,pj->p", e_z, am, e_z)
+    a1n = np.einsum("pi,pij,pj->p", e_sigma, a, e_z)
+    trans = (np.einsum("pii->p", am) - a11 - ann if reduction == MERIDIAN
+             else 0.0)
+    bs = np.einsum("pi,pi->p", b, e_sigma)
+    bz = np.einsum("pi,pi->p", b, e_z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot = np.where(np.abs(st) > 1e-300, ct / st, 0.0)
+    alpha_tt = a11 * st**2 + ann * ct**2 + 2.0 * a1n * st * ct
+    alpha_tth = 2.0 * (a11 - ann) * st * ct + 2.0 * a1n * (ct**2 - st**2)
+    alpha_thth = a11 * ct**2 + ann * st**2 - 2.0 * a1n * st * ct
+    alpha_t = ((a11 - ann) * (ct**2 - st**2) - 4.0 * a1n * st * ct
+               + trans + r * (bs * st + bz * ct))
+    alpha_th = (-2.0 * (a11 - ann) * st * ct + 2.0 * a1n * (st**2 - ct**2)
+                + trans * cot + r * (bs * ct - bz * st))
+    return alpha_tt, alpha_tth, alpha_thth, alpha_t, alpha_th, c
 
 
 def check_axisymmetry(op, domain, n, samples=24, tol=1e-9):
@@ -404,17 +375,11 @@ def _wall_distance_field(domain, r, theta):
 # meridian / cross-section solve
 
 
-def _eta_nodes(domain, config):
-    if domain.reduction == MERIDIAN:
-        s = np.linspace(0.0, 1.0, config.n_eta)
-        eta = 1.0 - (1.0 - s) ** config.eta_grading
-        eta[0], eta[-1] = 0.0, 1.0
-        return eta
-    s = np.linspace(0.0, 1.0, config.n_eta)
-    b = config.eta_grading
-    eta = s**b / (s**b + (1.0 - s) ** b)
-    eta[0], eta[-1] = 0.0, 1.0
-    return eta
+def _wall_gap(domain, eta):
+    """Angle from the eta nodes to the lateral wall(s), at the vertex aperture."""
+    if domain.reduction == CROSS_SECTION:
+        return np.minimum(eta, 1.0 - eta) * domain.aperture
+    return (1.0 - eta) * domain.aperture
 
 
 class _WedgeSystem:
@@ -439,7 +404,9 @@ class _WedgeSystem:
         octaves = np.log2(domain.r_max / domain.r_min)
         nt = max(int(np.ceil(octaves * config.nt_per_octave)) + 1, 8)
         self.t = np.linspace(np.log(domain.r_min), np.log(domain.r_max), nt)
-        self.eta = _eta_nodes(domain, config)
+        self.eta = power_law_nodes(0.0, 1.0, config.n_eta, config.eta_grading,
+                                   lo_blow=domain.reduction == CROSS_SECTION,
+                                   hi_blow=True)
         self.nt, self.ne = self.t.size, self.eta.size
         self.r = np.exp(self.t)
 
@@ -448,12 +415,9 @@ class _WedgeSystem:
         self.theta = EE * beta[:, None]
         self.rr = np.exp(TT)
 
-        # reference profile on the matching angular nodes (vertex cone)
-        self.reference_profile = solve_profile(
-            domain.section(), n, nodes=self.eta * domain.aperture)
-        self.reference = self.reference_profile.g
-
         self._assemble_linear()
+        self.cut_cone = self._cut_cone(solve_profile(
+            domain.section(), n, nodes=self.eta * domain.aperture))
         self.d = _wall_distance_field(domain, self.rr, self.theta)
         m = self.m
         with np.errstate(divide="ignore"):
@@ -462,13 +426,9 @@ class _WedgeSystem:
         self.wrad = self.rr.ravel() ** m
 
         # interior band for the escalation stop: clear of the wall layer
-        span = domain.aperture
-        if domain.reduction == MERIDIAN:
-            wall_gap = (1.0 - self.eta) * span
-        else:
-            wall_gap = np.minimum(self.eta, 1.0 - self.eta) * span
         band2d = np.zeros((self.nt, self.ne), dtype=bool)
-        band2d[1:-1, :] = wall_gap[None, :] >= 0.02 * span
+        gap = _wall_gap(domain, self.eta)
+        band2d[1:-1, :] = gap[None, :] >= 0.02 * domain.aperture
         self.band = band2d.ravel() & self.interior_mask
 
         # resolvability probe: u four cells inside the lateral wall
@@ -517,10 +477,10 @@ class _WedgeSystem:
         C = m * m * A_tt - m * (base_t + at) + r**2 * cc
 
         # straighten theta = eta beta(t)
-        beta = dom.theta_b(self.r)[:, None]
-        dbeta = dom.dtheta_b(self.r)[:, None] * self.r[:, None]        # d beta/dt
-        d2beta = (dom.d2theta_b(self.r)[:, None] * self.r[:, None] ** 2
-                  + dom.dtheta_b(self.r)[:, None] * self.r[:, None])   # d2 beta/dt2
+        r1 = self.r[:, None]
+        beta, db, d2b = (dom.theta_b(r1, order) for order in (0, 1, 2))
+        dbeta = db * r1                                 # d beta/dt
+        d2beta = d2b * r1**2 + db * r1                  # d2 beta/dt2
         EE = self.eta[None, :]
         lam = -EE * dbeta / beta
         lam_eta = -dbeta / beta * np.ones_like(EE)
@@ -593,24 +553,29 @@ class _WedgeSystem:
         self.nl_scale = self.row_scale * self.interior_mask * self.coef
         self.jac_scale = (self.row_scale * self.coef * self.p)[self.interior_mask]
 
+    def _cut_cone(self, profile):
+        """Vertex-cone profile on the cut rows, inf on the wall nodes.
+
+        `profile` lives on the eta nodes times the aperture; past its last
+        interior node the spline is unreliable, and the nodal values of
+        the matching wall nodes stand in.  `dirichlet` takes the minimum
+        of these data and the wall value.
+        """
+        cone = np.where(self.kind == WALL, np.inf, 0.0)
+        guard = profile.theta[-2]
+        for j in (0, self.nt - 1):          # whole rows: cuts win the corners
+            theta_cut = self.eta * self.domain.theta_b(self.r[j])
+            inside = theta_cut <= guard
+            cone[j] = profile.g
+            cone[j, inside] = profile._spline(theta_cut[inside])
+        return cone
+
     # -- the truncated problem of blowlab.newton ----------------------------
     def dirichlet(self, M):
         """Dirichlet data vector: wall truncation + bracket cone data."""
-        kind = self.kind
         wall_w = M * np.exp(self.m * self.t)      # w = M r^m on the wall
-        vals = np.where(kind == WALL, wall_w[:, None], 0.0)
-        spline = self.reference_profile._spline
-        guard = self.reference_profile.theta[-2]
-        for j in (0, self.nt - 1):
-            theta_cut = self.eta * self.domain.theta_b(self.r[j])
-            gvals = np.empty(self.eta.size)
-            inside = theta_cut <= guard
-            gvals[inside] = spline(theta_cut[inside])
-            gvals[~inside] = self.reference[~inside]  # matched wall nodes
-            cut = kind[j] == CUT
-            data = np.minimum(self.bracket_factor * gvals, wall_w[j])
-            vals[j, cut] = data[cut]
-        return vals.ravel()
+        return np.minimum(self.bracket_factor * self.cut_cone,
+                          wall_w[:, None]).ravel()
 
     def warm_start(self, w, M):
         if w is None:
@@ -688,20 +653,6 @@ def solve(domain, op, n, config=None, forced_schedule=None):
 
     u_lo = system._to_u(w_lo)
     u_hi = system._to_u(w_hi)
-
-    # re-solve the angular reference at the truncation state an interior
-    # column actually sees (wall data M r^m varies across columns; matching
-    # the mid-window state keeps the comparison bias at the slow-drift level)
-    r_geo = np.sqrt(4.0 * domain.r_min * domain.r_max / 4.0)
-    tau_ref = M_final * r_geo ** (0.5 * (n - 2.0))
-    ref_schedule = [100.0]
-    while ref_schedule[-1] < tau_ref:
-        ref_schedule.append(ref_schedule[-1] * 2.0)
-    reference_profile = solve_profile(
-        domain.section(), n, nodes=system.eta * domain.aperture,
-        schedule=ref_schedule,
-    )
-
     fld = SolutionField(
         domain=domain,
         n=n,
@@ -712,13 +663,11 @@ def solve(domain, op, n, config=None, forced_schedule=None):
         d=system.d,
         truncation=M_final,
         newton_residual=residual,
-        reference=reference_profile.g,
         u_high=u_hi,
         m_history=m_hist,
         level_fields=snaps,
         stop_reason=stop_reason,
     )
-    fld.reference_profile = reference_profile
     window = fld.interior_window()
     if np.any(window):
         width = np.max((u_hi[window] - u_lo[window]) / u_lo[window])
@@ -771,10 +720,8 @@ def _solve_ball(domain, op, n, config):
     R = domain.r_max
     check_radial_symmetry(op, n, R)
 
-    count = max(config.n_eta * 10, 2000)
-    s = np.linspace(0.0, 1.0, count)
-    r = R * (1.0 - (1.0 - s) ** config.eta_grading)
-    r[0], r[-1] = 0.0, R
+    r = power_law_nodes(0.0, R, max(config.n_eta * 10, 2000),
+                        config.eta_grading, lo_blow=False, hi_blow=True)
 
     arr, trans, brad, cval = _radial_coefficients(op, r, n)
     with np.errstate(divide="ignore"):

@@ -176,10 +176,8 @@ def _quadratic_form(sub, diag, sup, mass, x):
     return float(x @ ax), float(x @ (mass * x))
 
 
-def first_eigenpair(profile, n=None, tol=1e-10, max_iter=200):
+def first_eigenpair(profile, tol=1e-10, max_iter=200):
     """Smallest eigenpair by shifted inverse iteration on the banded form."""
-    if n is not None and n != profile.n:
-        raise ConfigError(f"profile was solved for n={profile.n}, got n={n}")
     n = profile.n
     free, sub, diag, sup, mass = _assemble(profile)
 

@@ -167,3 +167,27 @@ def test_verify_requires_inputs(ball_field):
     fit = fit_rate(compare_to_cone(ball_field), 2.0**-9, 2.0**-2)
     with pytest.raises(ConfigError):
         verify_theorem("x", 3, fit)
+
+
+@pytest.mark.parametrize("candidate, tmap_radius", [
+    ("cone-quadratic", None), ("t-composed", 1.0),
+])
+def test_cone_search_measures_derivative_constant_once(
+        half_sphere_eigen, monkeypatch, candidate, tmap_radius):
+    from blowlab import analysis
+    from blowlab.geometry import build_T, sphere_surface
+
+    measure = analysis._profile_derivative_constant
+    calls = []
+
+    def counting(profile):
+        calls.append(profile)
+        return measure(profile)
+
+    monkeypatch.setattr(analysis, "_profile_derivative_constant", counting)
+    kw = {} if tmap_radius is None else {
+        "tmap": build_T([sphere_surface(3, tmap_radius)])}
+    cert = certify_supersolution(StructureClass(3, 2.0), candidate,
+                                 eigen=half_sphere_eigen[3], **kw)
+    assert cert.passed
+    assert len(calls) == 1

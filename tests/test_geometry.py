@@ -198,3 +198,22 @@ def test_wedge_section_matches_opening():
     tc = TangentConeSpec.wedge([0, 0, 1], [1, 0, 0], 3)
     assert tc.section.geometry == "circle-arc"
     assert tc.section.theta_hi == pytest.approx(np.pi / 2)
+
+
+def test_building_a_surface_scans_no_hessians(monkeypatch):
+    # the C^2 seminorm is evaluated on demand, over the radius asked for
+    from blowlab import geometry
+
+    scan = geometry.PolyGraph.c2_seminorm
+    radii = []
+
+    def counting(self, radius):
+        radii.append(radius)
+        return scan(self, radius)
+
+    monkeypatch.setattr(geometry.PolyGraph, "c2_seminorm", counting)
+    surf = paraboloid_surface(4, 0.5)
+    plane_surface(4, [0, 0, 1, 1])
+    assert radii == []
+    assert surf.c2_bound_on(0.3) == scan(surf.graph, 0.3)
+    assert radii == [0.3]

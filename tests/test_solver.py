@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowlab.analysis import compare_to_cone
 from blowlab.errors import ConfigError, DomainError
 from blowlab.operators import (
     OperatorSpec,
@@ -13,7 +14,13 @@ from blowlab.operators import (
 )
 from blowlab import solver
 from blowlab.newton import damped_newton
-from blowlab.profiles import nonuniform_d1, nonuniform_d2, one_sided_d1
+from blowlab.profiles import (
+    graded_nodes,
+    nonuniform_d1,
+    nonuniform_d2,
+    one_sided_d1,
+    solve_profile,
+)
 from blowlab.solver import (
     DomainSpec2D,
     SolutionField,
@@ -191,13 +198,11 @@ def test_cross_section_wedge():
     cfg = SolveConfig(schedule=(1e2,), nt_per_octave=16, n_eta=160,
                       eta_grading=2.0, bracket_tol=1.0)
     fld = solve(dom, euclidean_operator(3), 3, cfg)
-    ref = np.exp(fld.t)[:, None] ** -0.5 * fld.reference[None, :]
-    win = fld.interior_window()
-    ratio = np.abs(fld.u / ref - 1.0)
-    assert np.max(ratio[win]) < 1e-2
-    r = fld.radii()
-    core = win & (r >= 2.0**-4) & (r <= 2.0**-3)
-    assert np.max(ratio[core]) < 2e-3
+    ratio = compare_to_cone(fld)
+    assert ratio.reference == "matched-profile"
+    assert np.max(ratio.values) < 1e-2
+    core = (ratio.radii >= 2.0**-4) & (ratio.radii <= 2.0**-3)
+    assert np.max(ratio.values[core]) < 2e-3
 
 
 def test_ball_order_of_accuracy():
@@ -386,14 +391,16 @@ def _dirichlet_by_loops(system, M):
         for k in (0, ne - 1):
             if kind[j, k] == 2:
                 vals[idx[j, k]] = wall_w[j]
-    spline = system.reference_profile._spline
+    dom = system.domain
+    profile = solve_profile(dom.section(), system.n,
+                            nodes=system.eta * dom.aperture)
     for j in (0, nt - 1):
-        theta_cut = system.eta * system.domain.theta_b(system.r[j])
-        guard = system.reference_profile.theta[-2]
+        theta_cut = system.eta * dom.theta_b(system.r[j])
+        guard = profile.theta[-2]
         gvals = np.empty(system.eta.size)
         inside = theta_cut <= guard
-        gvals[inside] = spline(theta_cut[inside])
-        gvals[~inside] = system.reference[~inside]
+        gvals[inside] = profile._spline(theta_cut[inside])
+        gvals[~inside] = profile.g[~inside]
         for k in range(ne):
             if kind[j, k] == 1:
                 data = system.bracket_factor * gvals[k]
@@ -577,3 +584,148 @@ def test_jacobian_matches_sparse_difference(n, domain, conformal):
         assert system.residual(w, data).tobytes() == f.tobytes()
     # the cached stencil is left as it was
     assert system.L_csc.data.tobytes() == system.L.tocsc().data.tobytes()
+
+
+def test_meridian_solve_runs_one_profile_solve(monkeypatch):
+    # the solve needs the vertex profile for its cut data only; the profile
+    # matched to the final truncation is solved by compare_to_cone
+    schedules = []
+
+    def counting(*args, **kwargs):
+        schedules.append(kwargs.get("schedule"))
+        return solve_profile(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_profile", counting)
+    dom = DomainSpec2D("meridian", aperture=0.7, r_min=2.0**-4)
+    cfg = SolveConfig(schedule=(1e2,), nt_per_octave=4, n_eta=32,
+                      bracket_tol=1.0)
+    solve(dom, euclidean_operator(3), 3, cfg)
+    assert schedules == [None]
+
+
+def _alphas_two_branch(op, r, theta, psi, reduction, n):
+    """The meridian and cross-section pushforwards as two separate bodies,
+    the reference for the one-frame `_alphas`."""
+    r = np.asarray(r, dtype=float).ravel()
+    theta = np.asarray(theta, dtype=float).ravel()
+    st, ct = np.sin(theta), np.cos(theta)
+    if reduction == "meridian":
+        e_sigma = np.zeros((r.size, n))
+        e_sigma[:, 0] = np.cos(psi)
+        e_sigma[:, 1] = np.sin(psi)
+        e_z = np.zeros((r.size, n))
+        e_z[:, -1] = 1.0
+        pts = r[:, None] * (st[:, None] * e_sigma + ct[:, None] * e_z)
+        a, b, c = op.coefficients(pts)
+        am = a - np.eye(n)
+        a11 = np.einsum("pi,pij,pj->p", e_sigma, am, e_sigma)
+        ann = np.einsum("pi,pij,pj->p", e_z, am, e_z)
+        a1n = np.einsum("pi,pij,pj->p", e_sigma, a, e_z)
+        trans = np.einsum("pii->p", am) - a11 - ann
+        bs = np.einsum("pi,pi->p", b, e_sigma)
+        bz = np.einsum("pi,pi->p", b, e_z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cot = np.where(np.abs(st) > 1e-300, ct / st, 0.0)
+        alpha_tt = a11 * st**2 + ann * ct**2 + 2.0 * a1n * st * ct
+        alpha_tth = 2.0 * (a11 - ann) * st * ct + 2.0 * a1n * (ct**2 - st**2)
+        alpha_thth = a11 * ct**2 + ann * st**2 - 2.0 * a1n * st * ct
+        alpha_t = ((a11 - ann) * (ct**2 - st**2) - 4.0 * a1n * st * ct
+                   + trans + r * (bs * st + bz * ct))
+        alpha_th = (-2.0 * (a11 - ann) * st * ct + 2.0 * a1n * (st**2 - ct**2)
+                    + trans * cot + r * (bs * ct - bz * st))
+        return alpha_tt, alpha_tth, alpha_thth, alpha_t, alpha_th, c
+    # planar cross-section: x' = r (cos phi, sin phi), invariant transverse
+    cph, sph = ct, st
+    pts = np.zeros((r.size, n))
+    pts[:, 0] = r * cph
+    pts[:, 1] = r * sph
+    a, b, c = op.coefficients(pts)
+    a11 = a[:, 0, 0] - 1.0
+    a22 = a[:, 1, 1] - 1.0
+    a12 = a[:, 0, 1]
+    b1 = b[:, 0]
+    b2 = b[:, 1]
+    alpha_tt = a22 * sph**2 + a11 * cph**2 + 2.0 * a12 * sph * cph
+    alpha_tth = 2.0 * (a22 - a11) * sph * cph + 2.0 * a12 * (cph**2 - sph**2)
+    alpha_thth = a22 * cph**2 + a11 * sph**2 - 2.0 * a12 * sph * cph
+    alpha_t = ((a22 - a11) * (cph**2 - sph**2) - 4.0 * a12 * sph * cph
+               + r * (b2 * sph + b1 * cph))
+    alpha_th = (-2.0 * (a22 - a11) * sph * cph + 2.0 * a12 * (sph**2 - cph**2)
+                + r * (b2 * cph - b1 * sph))
+    return alpha_tt, alpha_tth, alpha_thth, alpha_t, alpha_th, c
+
+
+@pytest.mark.parametrize("conformal", [False, True],
+                         ids=["euclidean", "conformal-q03"])
+@pytest.mark.parametrize("reduction, psi", [
+    ("meridian", 0.0), ("meridian", 0.7), ("cross-section", 0.0),
+])
+@pytest.mark.parametrize("n", [3, 6])
+def test_one_frame_alphas_match_two_branches(n, reduction, psi, conformal):
+    op = (conformal_operator(conformal_quadratic_metric(n, 0.3)) if conformal
+          else euclidean_operator(n))
+    rng = np.random.default_rng(11)
+    r = np.exp(rng.uniform(np.log(2.0**-8), 0.0, 300))
+    # theta = 0 exercises the meridian's cot guard at the pole
+    theta = np.concatenate([[0.0], rng.uniform(0.0, np.pi / 2, 299)])
+    got = solver._alphas(op, r, theta, psi, reduction, n)
+    want = _alphas_two_branch(op, r, theta, psi, reduction, n)
+    for x, y in zip(got, want):
+        # bit-identical, except that the cross-section's zero transverse
+        # terms (+ 0.0) may turn an exact -0.0 into +0.0
+        assert np.array_equal(x, y)
+        assert np.all((x.view(np.uint64) == y.view(np.uint64)) | (y == 0.0))
+
+
+@pytest.mark.parametrize("grading", [1.0, 1.5, 2.0, 3])
+def test_node_maps_match_inline_formulas(grading):
+    # reference: each node set's own inline power law
+    count = 41
+    s = np.linspace(0.0, 1.0, count)
+    cfg = SolveConfig(schedule=(1e2,), nt_per_octave=2, n_eta=count,
+                      eta_grading=grading, bracket_tol=1.0)
+    op = euclidean_operator(3)
+    eta = 1.0 - (1.0 - s) ** grading
+    eta[0], eta[-1] = 0.0, 1.0
+    system = _WedgeSystem(DomainSpec2D("meridian", aperture=np.pi / 3), op,
+                          3, cfg)
+    assert system.eta.tobytes() == eta.tobytes()
+    eta = s**grading / (s**grading + (1.0 - s) ** grading)
+    eta[0], eta[-1] = 0.0, 1.0
+    system = _WedgeSystem(DomainSpec2D("cross-section", aperture=np.pi / 2),
+                          op, 3, cfg)
+    assert system.eta.tobytes() == eta.tobytes()
+
+    R = 0.75
+    ball = DomainSpec2D("ball", aperture=np.pi, r_max=R)
+    fld = solve(ball, op, 3, cfg)
+    s = np.linspace(0.0, 1.0, 2000)
+    r = R * (1.0 - (1.0 - s) ** grading)
+    r[0], r[-1] = 0.0, R
+    assert fld.t.tobytes() == r.tobytes()
+    # graded_nodes on a cap: clustered at the blow-up end only
+    dom = DomainSpec2D("meridian", aperture=1.0).section()
+    theta = 0.0 + (1.0 - 0.0) * (1.0 - (1.0 - s) ** float(grading))
+    theta[0], theta[-1] = 0.0, 1.0
+    assert graded_nodes(dom, 2000, grading).tobytes() == theta.tobytes()
+
+
+def _theta_b_by_loops(domain, r):
+    """theta_b and its first two derivatives, one loop each."""
+    out0 = np.full_like(r, domain.aperture, dtype=float)
+    out1 = np.zeros_like(r, dtype=float)
+    out2 = np.zeros_like(r, dtype=float)
+    for k, ck in enumerate(domain.curve):
+        out0 = out0 + ck * r ** (k + 1)
+        out1 = out1 + (k + 1) * ck * r**k
+        if k >= 1:
+            out2 = out2 + (k + 1) * k * ck * r ** (k - 1)
+    return out0, out1, out2
+
+
+@pytest.mark.parametrize("curve", [(), (0.2,), (0.2, -0.3, 0.05)])
+def test_theta_b_orders_match_loops(curve):
+    dom = DomainSpec2D("meridian", aperture=np.pi / 3, curve=curve)
+    r = np.geomspace(2.0**-8, 1.0, 50)[:, None]
+    for order, want in enumerate(_theta_b_by_loops(dom, r)):
+        assert dom.theta_b(r, order).tobytes() == want.tobytes()
