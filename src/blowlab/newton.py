@@ -30,7 +30,26 @@ convergence here, since the stiff rows next to the wall dominate it.  A
 level always takes at least one step, so a warm start that is off is
 corrected even when its residual looks small.  A fresh correction that is
 already within `tol` is taken whole and ends the level without a line
-search: at the rounding floor the residual need not decrease.
+search: at the rounding floor the residual need not decrease.  For the
+same reason the line search accepts a damping factor t either when the
+residual norm decreases or, failing that, when the simplified correction
+J^-1 F(x + t dx) from the factorization in hand is at most (1 - t/4) times
+dx in the stop's measure (natural monotonicity, Deuflhard's NLEQ-ERR); a
+trial costs one solve with the factorization in hand.
+
+Only the level escalation stops at is reported, so the levels before it
+are continuation steps (Allgower & Georg, *Introduction to Numerical
+Continuation Methods*): level k is solved to max(tol, KAPPA c), with c the
+relative change level k - 1 made on the band (1 before that exists), and
+only the reported level is then converged to `tol`, from where it stands
+and with the factorization it kept.  The stop tests must decide as they
+would on levels converged to `tol`.  A loose field is taken to lie within
+twice its predicted correction of the converged one; when that error
+could carry the band change across `interior_tol`, or flip the cap
+probe, the fields the test compares are converged to `tol` first and the
+test is taken on those.  The tests run at every level, so a replay of
+the levels makes the very same Newton solves.  With an `on_level` hook,
+which sees every level, each level is converged to `tol`.
 
 With `reuse_factor`, Newton is the simplified (chord) method of the same
 section.  A factorization is kept while a full step from it stays positive
@@ -48,15 +67,18 @@ take a fresh Jacobian at every step.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import NewtonError
 
-__all__ = ["damped_newton", "escalate"]
+__all__ = ["Escalation", "damped_newton", "escalate"]
 
 MAX_ITER = 60
 MAX_HALVINGS = 40
 CONTRACTION = 0.25
+KAPPA = 1e-2
 
 
 def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
@@ -67,7 +89,8 @@ def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
     `solve` is the factorization still kept for the next level (None if
     there is none).  `solve` on input is a factorization kept from an
     earlier level.  A fresh step is halved until the iterate stays
-    positive off the Dirichlet nodes and the residual norm decreases.
+    positive off the Dirichlet nodes and either the residual norm
+    decreases or the simplified correction shrinks (natural monotonicity).
     """
     data = problem.dirichlet(M)
     fixed = problem.fixed
@@ -93,12 +116,10 @@ def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
         # relative size of the undamped correction on the free nodes
         rel = np.max(np.abs(step[free]) / np.abs(x[free]))
         if fresh:
-            if not problem.reuse_factor:
-                solve = None
             if rel <= tol:
                 # already within tol: take it whole, since at the rounding
                 # floor a line search finds no decrease
-                return x + step, rel, solve
+                return x + step, rel, solve if problem.reuse_factor else None
             t = 1.0
             for _ in range(MAX_HALVINGS):
                 x_try = x + t * step
@@ -107,6 +128,12 @@ def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
                     norm_try = np.linalg.norm(res_try)
                     if norm_try < norm:
                         break
+                    # the residual may sit at its rounding floor: accept t
+                    # once the simplified correction shrinks enough instead
+                    simplified = solve(-res_try)
+                    if (np.max(np.abs(simplified[free]) / np.abs(x[free]))
+                            <= (1.0 - 0.25 * t) * rel):
+                        break
                 t *= 0.5
             else:
                 raise NewtonError(
@@ -114,7 +141,8 @@ def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
                     f"(residual {norm:.3e})",
                     trace=trace,
                 )
-            if not (t == 1.0 and norm_try <= CONTRACTION * norm):
+            if not (problem.reuse_factor and t == 1.0
+                    and norm_try <= CONTRACTION * norm):
                 solve = None
         predicted = rel * min(1.0, norm_try / norm) if norm > 0.0 else rel
         x, res, norm = x_try, res_try, norm_try
@@ -128,47 +156,99 @@ def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
     )
 
 
+@dataclass
+class Escalation:
+    """Result of `escalate`; unpacks as (x, m_history, residual, stop_reason).
+
+    `solve` is the factorization Newton kept at the end of the reported
+    level (None if there is none); its Jacobian depends only on x off the
+    Dirichlet nodes, so a solve at the same level with other Dirichlet data
+    may start from it.
+    """
+
+    x: np.ndarray
+    m_history: list
+    residual: float
+    stop_reason: str
+    solve: object = None
+
+    def __iter__(self):
+        return iter((self.x, self.m_history, self.residual, self.stop_reason))
+
+
 def escalate(problem, schedule, *, tol, growth, interior_tol, max_levels,
              on_level=None):
     """Solve the truncation levels in turn.
 
-    Returns (x, m_history, residual, stop_reason).  The levels of
-    `schedule` run first and M then grows by `growth`.  From the last
-    scheduled level on, escalation stops once the relative change on
-    `problem.band` drops below `interior_tol` (stop_reason "interior") or
-    the resolvability cap is reached ("cap"); it always stops after
-    `max_levels` levels ("max_levels"), so a schedule replayed with
-    `max_levels=len(schedule)` runs exactly its levels.  `on_level(M, x)`
-    sees every converged level; `residual` is the last level's predicted
-    Newton correction.  A factorization Newton keeps at the end of a level
-    is offered to the next one.
+    Returns an `Escalation`.  The levels of `schedule` run first and M then
+    grows by `growth`.  From the last scheduled level on, escalation stops
+    once the relative change on `problem.band` drops below `interior_tol`
+    (stop_reason "interior") or the resolvability cap is reached ("cap");
+    it always stops after `max_levels` levels ("max_levels"), so a schedule
+    replayed with `max_levels=len(schedule)` runs exactly its levels and
+    the same Newton solves.  Levels before the stop are solved loosely and
+    the reported one to `tol` (module docstring); `on_level(M, x)` sees
+    every level, each converged to `tol`.  `residual` is the reported
+    level's predicted Newton correction.  A factorization Newton keeps at
+    the end of a level is offered to the next one.
     """
     schedule = [float(M) for M in schedule]
+    band = problem.band
+
+    def newton(x, M, level_tol):
+        nonlocal solve
+        x, err, solve = damped_newton(problem, x, M, level_tol, solve=solve)
+        # a field's error bound; a field within tol counts as converged
+        return x, err, 2.0 * err if err > tol else 0.0
+
+    def band_change(x_new, x):
+        return np.max(np.abs(x_new[band] - x[band]) / x_new[band])
+
     x = None
     solve = None
     m_history = []
+    change = 1.0
     level = 0
     M = schedule[0]
     while True:
-        x_new, residual, solve = damped_newton(
-            problem, problem.warm_start(x, M), M, tol, solve=solve)
+        level_tol = tol if on_level is not None else max(tol, KAPPA * change)
+        x_new, err_new, bound_new = newton(problem.warm_start(x, M), M,
+                                           level_tol)
         m_history.append(M)
         if on_level is not None:
             on_level(M, x_new)
-        scheduled_left = level + 1 < len(schedule)
-        if x is not None and not scheduled_left:
-            band = problem.band
-            change = np.max(np.abs(x_new[band] - x[band]) / x_new[band])
+        # the stop tests run at every level, so that a replay of the levels
+        # makes the same Newton solves, but stop only past the schedule
+        reason = None
+        if x is not None:
+            change = band_change(x_new, x)
+            if ((bound or bound_new) and abs(change - interior_tol)
+                    <= (bound + bound_new) * (1.0 + change)):
+                # too close to call: decide on the fields converged to tol
+                if bound:
+                    x, _, bound = newton(x, m_history[-2], tol)
+                if bound_new:
+                    x_new, err_new, bound_new = newton(x_new, M, tol)
+                change = band_change(x_new, x)
             if change < interior_tol:
-                x, reason = x_new, "interior"
-                break
-        x = x_new
-        if not scheduled_left and problem.cap_reached(x, M):
-            reason = "cap"
+                reason = "interior"
+        if reason is None:
+            reached = problem.cap_reached(x_new, M)
+            if (bound_new and problem.cap_reached(x_new * (1.0 - bound_new), M)
+                    != problem.cap_reached(x_new * (1.0 + bound_new), M)):
+                x_new, err_new, bound_new = newton(x_new, M, tol)
+                reached = problem.cap_reached(x_new, M)
+            if reached:
+                reason = "cap"
+        x, err, bound = x_new, err_new, bound_new
+        if reason is not None and level + 1 >= len(schedule):
             break
         level += 1
         if level >= max_levels:
             reason = "max_levels"
             break
         M = schedule[level] if level < len(schedule) else M * growth
-    return x, m_history, residual, reason
+    if bound:
+        # the reported level, from where it stands
+        x, err, bound = newton(x, M, tol)
+    return Escalation(x, m_history, err, reason, solve)

@@ -185,13 +185,17 @@ def _metric_terms(metric, pts):
                         - g^ma d_m g_ak g^ij G^k_ij,
       g^ij d_i G^m_mj = g^ij g^ml d_i d_j g_ml / 2 - g^ij tr(A_i A_j) / 2,
     so no derivative of G is formed; the only (P, n^4) array is d2g.  The
-    two d2g contractions stay unoptimized: `optimize=True` would copy d2g.
+    two d2g contractions read it in place: g^ij d_m d_i g_jl is a batched
+    matmul on views, and `optimize=True` would copy d2g.
     """
     ginv = np.linalg.inv(metric.metric(pts))
     dg = metric.derivatives(1, pts)
     d2g = metric.derivatives(2, pts)
     gam = _christoffel(ginv, dg)
-    mixed = np.einsum("pml,pml->p", ginv, np.einsum("pij,pmijl->pml", ginv, d2g))
+    P, n = ginv.shape[:2]
+    gd2g = (ginv.reshape(P, 1, 1, n * n)
+            @ d2g.reshape(P, n, n * n, n)).reshape(P, n, n)
+    mixed = np.einsum("pml,pml->p", ginv, gd2g)
     laplace = np.einsum("pij,pij->p", ginv, np.einsum("pml,pijml->pij", ginv, d2g))
     a = ginv[:, None] @ dg                          # [p,i,a,b] = (A_i)_ab
     trace_aa = np.einsum("pij,piab,pjba->p", ginv, a, a, optimize=True)

@@ -35,7 +35,9 @@ L is kept once in CSC with the position of each row's diagonal, so a
 Jacobian is a copy of L's values with only the diagonal rewritten.
 Newton keeps a factorization over steps and truncation levels for as
 long as full steps from it cut the residual by 4x or more
-(`reuse_factor`).
+(`reuse_factor`).  Levels before the one escalation stops at are solved
+only as accurately as the escalation needs, and the reported level to
+`newton_tol` (`blowlab.newton`).
 
 The artificial radial cuts carry bracket data {1/2, 2} x cone reference,
 the vertex-cone profile splined onto the cut rows once per system;
@@ -46,8 +48,10 @@ to the field's truncation state where it compares.  The low bracket runs
 the escalation; the high one differs only in the cut data, so it is solved
 by one continuation step (Allgower & Georg, *Introduction to Numerical
 Continuation Methods*): Newton at the final truncation level, started from
-the low field.  Newton's update-based stop makes that step take real
-Newton steps, so it lands where a replay of every level would.
+the low field and from the factorization the low bracket kept (the
+Jacobian does not read the cut data).  Newton's update-based stop makes
+that step take real Newton steps, so it lands where a replay of every
+level would.
 
 A degenerate radial path handles balls (blow-up on the outer sphere,
 regular center), including non-Euclidean radially symmetric operators,
@@ -556,16 +560,17 @@ class _WedgeSystem:
     def _cut_cone(self, profile):
         """Vertex-cone profile on the cut rows, inf on the wall nodes.
 
-        `profile` lives on the eta nodes times the aperture; past its last
-        interior node the spline is unreliable, and the nodal values of
+        `profile` lives on the eta nodes times the aperture; outside the
+        nodes its spline is fitted on (a blow-up end: both ends of a
+        cross-section) the spline is unreliable, and the nodal values of
         the matching wall nodes stand in.  `dirichlet` takes the minimum
         of these data and the wall value.
         """
         cone = np.where(self.kind == WALL, np.inf, 0.0)
-        guard = profile.theta[-2]
+        lo, hi = profile.theta[profile.interior_mask()][[0, -1]]
         for j in (0, self.nt - 1):          # whole rows: cuts win the corners
             theta_cut = self.eta * self.domain.theta_b(self.r[j])
-            inside = theta_cut <= guard
+            inside = (theta_cut >= lo) & (theta_cut <= hi)
             cone[j] = profile.g
             cone[j, inside] = profile._spline(theta_cut[inside])
         return cone
@@ -622,7 +627,8 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     companion Euclidean solve on the same mesh) so a perturbed-metric
     field and its discrete cone reference end in matching truncation
     states.  Only the low bracket escalates; the high bracket is Newton
-    at the final level from the low field.
+    at the final level from the low field and its kept factorization.
+    With `keep_level_fields` every level is converged to `newton_tol`.
     """
     config = config or SolveConfig()
     if domain.reduction == BALL:
@@ -641,15 +647,18 @@ def solve(domain, op, n, config=None, forced_schedule=None):
 
     lo_fac, hi_fac = config.bracket
     system.bracket_factor = lo_fac
-    w_lo, m_hist, residual, stop_reason = escalate(
+    low = escalate(
         system, schedule, tol=config.newton_tol, growth=config.m_growth,
         interior_tol=config.interior_tol, max_levels=max_levels, on_level=keep)
+    w_lo, m_hist, residual, stop_reason = low
     M_final = m_hist[-1]
     # the high bracket by one continuation step: only the cut data change,
     # so Newton from the low field at the final level lands on the field a
-    # replay of every level would reach
+    # replay of every level would reach; the Jacobian is the low bracket's,
+    # so the factorization it kept serves from the start
     system.bracket_factor = hi_fac
-    w_hi, _, _ = damped_newton(system, w_lo, M_final, config.newton_tol)
+    w_hi, _, _ = damped_newton(system, w_lo, M_final, config.newton_tol,
+                               solve=low.solve)
 
     u_lo = system._to_u(w_lo)
     u_hi = system._to_u(w_hi)

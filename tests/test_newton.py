@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from blowlab.errors import NewtonError
-from blowlab.newton import damped_newton, escalate
+from blowlab import newton
+from blowlab.newton import KAPPA, damped_newton, escalate
 from blowlab.operators import euclidean_operator
 from blowlab import solver
 from blowlab.solver import DomainSpec2D, SolveConfig, _WedgeSystem, solve
@@ -132,17 +135,18 @@ def test_kept_factor_carries_to_the_next_level():
     # the end of M = 1 converges M = 1.1 without a new one
     moving = _Counting(coupling=1.0)
     x, _, solve = damped_newton(moving, np.full(3, 3.0), 1.0, tol=1e-12)
-    first_level = len(moving.factored_at)
     assert solve is not None
     moving.factored_at.clear()
     x2, _, _ = damped_newton(moving, x, 1.1, tol=1e-12, solve=solve)
     assert np.allclose(x2[1:], np.sqrt(5.1), rtol=1e-12)
     assert moving.factored_at == []
-    # escalate hands the factor over in the same way
+    # escalate hands the factor over in the same way: no factorization is
+    # made during the second level (the fixed node holds the level's M)
     levels = _Counting(coupling=1.0)
     _, m_hist, _, _ = escalate(levels, [1.0, 1.1], **KW, max_levels=2)
     assert m_hist == [1.0, 1.1]
-    assert len(levels.factored_at) == first_level
+    assert levels.factored_at
+    assert all(x[0] == 1.0 for x in levels.factored_at)
 
 
 def test_stalled_newton_with_kept_factor_raises_with_trace():
@@ -225,3 +229,105 @@ def test_high_bracket_from_low_field_is_newton_converged(monkeypatch):
         x = x + system.factor(x)(-system.residual(x, data))
     free = ~system.fixed
     assert np.max(np.abs(x - w_hi)[free] / x[free]) <= tol
+
+
+class _Floor(_Toy):
+    """x1^2 = 4 beside a stiff wall row whose noise floor dominates |res|.
+
+    Row 2 carries a fixed-size noise term that its Jacobian does not see,
+    as rounding in the stiff rows next to the wall does: once row 1 is
+    below it, |res| goes up and down at random while the correction still
+    falls quadratically.  A line search on |res| alone stalls here at
+    M = 5 from x1 = 3 (NewtonError after 5 factorizations).
+    """
+
+    reuse_factor = False
+
+    def __init__(self):
+        super().__init__()
+        self.factored = 0
+
+    def residual(self, x, data):
+        return np.array([x[0] - data[0], x[1] ** 2 - 4.0,
+                         1e8 * (x[2] ** 2 - 4.0) + 1e-3 * np.sin(1e7 * x[1])])
+
+    def factor(self, x):
+        self.factored += 1
+        diag = np.array([1.0, 2.0 * x[1], 2e8 * x[2]])
+        return lambda rhs: rhs / diag
+
+
+def test_damping_at_the_residual_floor_judges_the_correction():
+    # the simplified correction from the factor in hand accepts the full
+    # steps the residual norm cannot judge: 5 factorizations to 1e-12
+    toy = _Floor()
+    x, predicted, _ = damped_newton(toy, np.array([5.0, 3.0, 2.0]), 5.0,
+                                    tol=1e-12)
+    assert predicted <= 1e-12
+    assert abs(x[1] - 2.0) <= 1e-12
+    assert toy.factored <= 5
+
+
+def test_interior_that_settles_in_one_level_stops_as_when_converged():
+    # the interior converges within the first level: the loose fields
+    # cannot tell, so the doubt rule decides on converged ones and stops
+    # at the same level as an escalation that converges every level
+    for schedule, levels in (([1.0], [1.0, 2.0]), ([1.0, 3.0], [1.0, 3.0])):
+        ref = escalate(_Toy(), schedule, **KW, max_levels=10,
+                       on_level=lambda M, x: None)
+        loose = escalate(_Toy(), schedule, **KW, max_levels=10)
+        assert loose.m_history == ref.m_history == levels
+        assert loose.stop_reason == ref.stop_reason == "interior"
+        assert np.allclose(loose.x, ref.x, rtol=1e-12)
+
+
+class _Probe(_Toy):
+    """The toy with a cap that reads the field: reached once x1 <= 2(1 + 1e-9)."""
+
+    def cap_reached(self, x, M):
+        return x[1] <= 2.0 * (1.0 + 1e-9)
+
+
+def test_cap_in_doubt_is_decided_on_the_converged_field():
+    # the loose first level stands above the root by far more than the
+    # cap's 1e-9 margin; converged, it lies within it
+    ref = escalate(_Probe(), [1.0], **KW, max_levels=10,
+                   on_level=lambda M, x: None)
+    loose = escalate(_Probe(), [1.0], **KW, max_levels=10)
+    assert ref.m_history == loose.m_history == [1.0]
+    assert ref.stop_reason == loose.stop_reason == "cap"
+
+
+def test_levels_before_the_stop_are_solved_loosely(monkeypatch):
+    # the first level goes to KAPPA, the reported one to tol from where it
+    # stood, with the factor it kept
+    tols = []
+
+    def recording(problem, x0, M, tol, **kw):
+        tols.append((M, tol))
+        return damped_newton(problem, x0, M, tol, **kw)
+
+    monkeypatch.setattr(newton, "damped_newton", recording)
+    result = escalate(_Toy(coupling=1.0, cap_at=8.0), [1.0], **KW,
+                      max_levels=10)
+    assert result.m_history == [1.0, 2.0, 4.0, 8.0]
+    assert tols[0] == (1.0, KAPPA)
+    assert tols[-1] == (8.0, KW["tol"])
+    assert result.residual <= KW["tol"]
+    assert np.allclose(result.x[1:], np.sqrt(12.0), rtol=1e-12)
+    assert result.solve is not None
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_loose_levels_match_levels_converged_to_tol(n):
+    # keep_level_fields converges every level to newton_tol: the reference
+    dom = DomainSpec2D("meridian", aperture=np.pi / 3)
+    cfg = SolveConfig(nt_per_octave=4, n_eta=32)
+    op = euclidean_operator(n)
+    loose = solve(dom, op, n, cfg)
+    ref = solve(dom, op, n, replace(cfg, keep_level_fields=True))
+    assert loose.m_history == ref.m_history
+    assert loose.stop_reason == ref.stop_reason
+    window = ref.interior_window()
+    for a, b in ((loose.u, ref.u), (loose.u_high, ref.u_high)):
+        assert np.max(np.abs(a - b)[window] / b[window]) <= 1e-9

@@ -10,6 +10,7 @@ from blowlab.operators import (
     OperatorSpec,
     TensorMesh,
     _ball_samples,
+    _christoffel,
     apply_operator,
     conformal_operator,
     conformal_quadratic_metric,
@@ -192,6 +193,38 @@ def test_one_pass_coefficients_match_three_closures(build):
     # the public curvature is the one the evaluator uses
     cn = (met.n - 2.0) / (4.0 * (met.n - 1.0))
     assert np.array_equal(c, -cn * scalar_curvature(met, pts))
+
+
+def _curvature_by_einsum(met, pts):
+    """S_g with g^ij d_m d_i g_jl contracted by einsum, the reference for
+    the batched matmul on views."""
+    ginv = np.linalg.inv(met.metric(pts))
+    dg = met.derivatives(1, pts)
+    d2g = met.derivatives(2, pts)
+    gam = _christoffel(ginv, dg)
+    mixed = np.einsum("pml,pml->p", ginv, np.einsum("pij,pmijl->pml", ginv, d2g))
+    laplace = np.einsum("pij,pij->p", ginv, np.einsum("pml,pijml->pij", ginv, d2g))
+    a = ginv[:, None] @ dg
+    trace_aa = np.einsum("pij,piab,pjba->p", ginv, a, a, optimize=True)
+    drift = np.einsum("pma,pmak->pk", ginv, dg) - np.einsum("pmmk->pk", gam)
+    quad = np.einsum("pij,pmil,plmj->p", ginv, gam, gam, optimize=True)
+    return (mixed - laplace + 0.5 * trace_aa - quad
+            - np.einsum("pk,pij,pkij->p", drift, ginv, gam, optimize=True))
+
+
+@METRICS
+def test_d2g_matmul_matches_einsum(build):
+    # equal bits where g^-1 is diagonal; off the diagonal the matmul sums
+    # in another order, within 1e-14 of the largest |S_g| (S_g changes
+    # sign inside the ball)
+    met = build()
+    pts = _ball_samples(met.n, 1.0, 1184, seed=5)
+    got = scalar_curvature(met, pts)
+    want = _curvature_by_einsum(met, pts)
+    if met.label == "conformal-quadratic":
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_one_pass_memory_and_evaluations(monkeypatch):

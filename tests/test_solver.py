@@ -380,6 +380,72 @@ def test_bench_mesh_n6_solve_factorizes_rarely(monkeypatch):
     assert fill[0] <= 30_000
 
 
+def test_loose_levels_save_triangular_solves(monkeypatch):
+    # levels before the stop are solved to KAPPA times the change the level
+    # before made, and the high bracket starts from the low bracket's kept
+    # factorization: 28 factorizations and 90 triangular solves (31 and 208
+    # with every level solved to newton_tol and a fresh high bracket)
+    factorizations = []
+    solves = []
+    splu = solver.splu
+
+    def counting_splu(J, **kwargs):
+        lu = splu(J, **kwargs)
+        factorizations.append(J.shape)
+
+        class Counted:
+            def solve(self, rhs):
+                solves.append(rhs.shape)
+                return lu.solve(rhs)
+
+        return Counted()
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    dom = DomainSpec2D("meridian", aperture=np.pi / 3)
+    fld = solve(dom, euclidean_operator(6), 6,
+                SolveConfig(nt_per_octave=4, n_eta=32))
+    assert len(fld.m_history) == 20 and fld.stop_reason == "cap"
+    assert len(factorizations) <= 29
+    assert len(solves) <= 110
+
+
+def test_high_bracket_starts_from_the_low_brackets_factor(monkeypatch):
+    # the Jacobian does not read the cut data, so the factorization the
+    # low bracket kept serves the high bracket from its first step
+    kept, offered = [], []
+    escalate, damped_newton = solver.escalate, solver.damped_newton
+
+    def recording_escalate(*args, **kwargs):
+        result = escalate(*args, **kwargs)
+        kept.append(result.solve)
+        return result
+
+    def recording_newton(*args, solve=None, **kwargs):
+        offered.append(solve)
+        return damped_newton(*args, solve=solve, **kwargs)
+
+    monkeypatch.setattr(solver, "escalate", recording_escalate)
+    monkeypatch.setattr(solver, "damped_newton", recording_newton)
+    solve(DomainSpec2D("meridian", aperture=np.pi / 3), euclidean_operator(6),
+          6, SolveConfig(nt_per_octave=4, n_eta=32))
+    assert kept[0] is not None
+    assert offered == kept
+
+
+def test_symmetric_wedge_gets_symmetric_cut_data():
+    # the cross-section profile blows up at both ends; the spline is
+    # guarded at both, so the eta = 0 and eta = 1 corners both take the
+    # profile's truncation value
+    dom = DomainSpec2D("cross-section", aperture=np.pi / 2)
+    system = _WedgeSystem(dom, euclidean_operator(3), 3,
+                          SolveConfig(nt_per_octave=4, n_eta=32))
+    system.bracket_factor = 0.5
+    data = system.dirichlet(1e4).reshape(system.nt, system.ne)
+    for row in (data[0], data[-1]):
+        assert np.max(np.abs(row - row[::-1]) / row) <= 1e-13
+    assert data[0, 0] == data[0, -1]
+
+
 def _dirichlet_by_loops(system, M):
     """Node-by-node Dirichlet data, the reference for the vectorized one."""
     nt, ne = system.nt, system.ne
@@ -396,9 +462,10 @@ def _dirichlet_by_loops(system, M):
                             nodes=system.eta * dom.aperture)
     for j in (0, nt - 1):
         theta_cut = system.eta * dom.theta_b(system.r[j])
-        guard = profile.theta[-2]
+        lo_guard = profile.theta[1 if dom.reduction == "cross-section" else 0]
+        hi_guard = profile.theta[-2]
         gvals = np.empty(system.eta.size)
-        inside = theta_cut <= guard
+        inside = (theta_cut >= lo_guard) & (theta_cut <= hi_guard)
         gvals[inside] = profile._spline(theta_cut[inside])
         gvals[~inside] = profile.g[~inside]
         for k in range(ne):
