@@ -44,12 +44,17 @@ relative change level k - 1 made on the band (1 before that exists), and
 only the reported level is then converged to `tol`, from where it stands
 and with the factorization it kept.  The stop tests must decide as they
 would on levels converged to `tol`.  A loose field is taken to lie within
-twice its predicted correction of the converged one; when that error
-could carry the band change across `interior_tol`, or flip the cap
-probe, the fields the test compares are converged to `tol` first and the
-test is taken on those.  The tests run at every level, so a replay of
-the levels makes the very same Newton solves.  With an `on_level` hook,
-which sees every level, each level is converged to `tol`.
+twice its predicted correction of the converged one.  When that error
+could carry the band change c across `interior_tol`, the fields the test
+compares are solved on to KAPPA c, which settles a change well above
+`interior_tol`, and, if the test is still in doubt, to `tol`; when it
+could flip the cap probe, the field is converged to `tol`.  The test is
+then taken on the tightened fields.  Levels 0 and 1 both go to KAPPA, so
+the first comparison is often in doubt; solving them tighter up front
+costs more solves than this two-step settling.  The tests run at every
+level, so a replay of the levels makes the very same Newton solves.  With
+an `on_level` hook, which sees every level, each level is converged to
+`tol`.
 
 With `reuse_factor`, Newton is the simplified (chord) method of the same
 section.  A factorization is kept while a full step from it stays positive
@@ -222,13 +227,16 @@ def escalate(problem, schedule, *, tol, growth, interior_tol, max_levels,
         reason = None
         if x is not None:
             change = band_change(x_new, x)
-            if ((bound or bound_new) and abs(change - interior_tol)
-                    <= (bound + bound_new) * (1.0 + change)):
-                # too close to call: decide on the fields converged to tol
-                if bound:
-                    x, _, bound = newton(x, m_history[-2], tol)
-                if bound_new:
-                    x_new, err_new, bound_new = newton(x_new, M, tol)
+            for target in (max(tol, KAPPA * change), tol):
+                if not ((bound or bound_new) and abs(change - interior_tol)
+                        <= (bound + bound_new) * (1.0 + change)):
+                    break
+                # too close to call: tighten the fields the test compares,
+                # first as far as a change of this size needs, then to tol
+                if bound > 2.0 * target:
+                    x, _, bound = newton(x, m_history[-2], target)
+                if bound_new > 2.0 * target:
+                    x_new, err_new, bound_new = newton(x_new, M, target)
                 change = band_change(x_new, x)
             if change < interior_tol:
                 reason = "interior"

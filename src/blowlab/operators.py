@@ -46,6 +46,10 @@ __all__ = [
     "scalar_curvature",
 ]
 
+# points per evaluator call: at n = 6 the d2g array of a call holds P * 6^4
+# doubles, 432 MB for a 41,664-node mesh at once and 21 MB per chunk
+COEFFICIENT_CHUNK = 2048
+
 
 @dataclass
 class MetricFamily:
@@ -225,7 +229,11 @@ class OperatorSpec:
         return structure_constant(self, 1.0)
 
     def coefficients(self, points):
-        return self.evaluate(np.atleast_2d(np.asarray(points, dtype=float)))
+        """(a, b, c) at points, evaluated COEFFICIENT_CHUNK points at a time."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        parts = [self.evaluate(pts[k:k + COEFFICIENT_CHUNK])
+                 for k in range(0, max(len(pts), 1), COEFFICIENT_CHUNK)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
     @property
     def is_euclidean(self):

@@ -33,7 +33,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import ConfigError, DomainError
@@ -210,6 +209,51 @@ def _fd_derivative_arrays(theta, g):
     return dg, d2g
 
 
+class _NotAKnotSpline:
+    """Cubic spline with not-a-knot ends (de Boor, *A Practical Guide to
+    Splines*, ch. IV), extrapolated by its end pieces.
+
+    Built and evaluated in the operations and order of SciPy's
+    `CubicSpline` (as of 1.17), so its values are the same floats, without
+    importing `scipy.interpolate` (and with it `scipy.special` and
+    `scipy.optimize`).
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dx = np.diff(x)
+        if x.size < 4 or not np.all(dx > 0.0):
+            raise DomainError("a not-a-knot spline needs at least 4 "
+                              "strictly increasing nodes")
+        slope = np.diff(y) / dx
+        # node slopes s from the tridiagonal system, in banded storage
+        ab = np.zeros((3, x.size))
+        ab[0, 2:] = dx[:-1]
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[2, :-2] = dx[1:]
+        rhs = np.empty(x.size)
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        ab[1, 0], ab[0, 1] = dx[1], d
+        rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        ab[1, -1], ab[2, -2] = dx[-2], d
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.coef = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+
+    def __call__(self, v):
+        v = np.asarray(v, dtype=float)
+        k = np.clip(np.searchsorted(self.x, v, "right") - 1, 0, self.x.size - 2)
+        h = v - self.x[k]
+        c0, c1, c2, c3 = (c[k] for c in self.coef)
+        return c3 + c2 * h + c1 * (h * h) + c0 * ((h * h) * h)
+
+
 @dataclass
 class BlowupProfile:
     """Converged truncated profile with derived weight rho."""
@@ -225,7 +269,7 @@ class BlowupProfile:
     rho: np.ndarray = None
     dg: np.ndarray = None
     d2g: np.ndarray = None
-    _spline: CubicSpline = None
+    _spline: _NotAKnotSpline = None
 
     def __post_init__(self):
         if np.any(self.g <= 0.0):
@@ -237,7 +281,7 @@ class BlowupProfile:
             # blow-up endpoint is a truncation artifact and would ring
             # through a global cubic fit
             mask = self.interior_mask()
-            self._spline = CubicSpline(self.theta[mask], self.g[mask])
+            self._spline = _NotAKnotSpline(self.theta[mask], self.g[mask])
         if self.dg is None or self.d2g is None:
             self.dg, self.d2g = _fd_derivative_arrays(self.theta, self.g)
 

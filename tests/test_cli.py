@@ -54,16 +54,18 @@ c_l = 0.5
 """
 
 
-def run_cli(*args):
+def run_python(*args):
     # the child finds blowlab in this checkout's src/ whether or not it is
     # installed
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run(
-        [sys.executable, "-m", "blowlab.cli", *args],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def run_cli(*args):
+    return run_python("-m", "blowlab.cli", *args)
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +256,25 @@ def test_solver_failure_ends_only_its_case(tmp_path, jobs):
     assert lines[1].startswith("[z-loose] solve: alpha_hat=")
     assert (tmp_path / "out" / "z-loose" / "field.csv").exists()
     assert not (tmp_path / "out" / "tight-bracket" / "field.csv").exists()
+
+
+IMPORT_GUARD = """
+import sys
+import numpy as np
+import blowlab, blowlab.cli
+from blowlab import (DomainSpec2D, GridSpec, SolveConfig, SphericalDomain1D,
+                     cone_solution, euclidean_operator, solve, solve_profile)
+solve(DomainSpec2D("meridian", aperture=np.pi / 3), euclidean_operator(3), 3,
+      SolveConfig(nt_per_octave=4, n_eta=32))
+cap = SphericalDomain1D("polar-sphere", 0.0, np.pi / 3, bc_lo="regular-pole")
+cone_solution(solve_profile(cap, 3, grid=GridSpec(200, 2.0)), 0.5, 0.3)
+print(" ".join(m for m in ("scipy.interpolate", "scipy.special",
+                           "scipy.optimize") if m in sys.modules))
+"""
+
+
+def test_solves_do_not_import_heavy_scipy_modules():
+    # each of these costs every CLI process a few hundred ms of import
+    proc = run_python("-c", IMPORT_GUARD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

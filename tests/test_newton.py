@@ -7,8 +7,10 @@ from blowlab.errors import NewtonError
 from blowlab import newton
 from blowlab.newton import KAPPA, damped_newton, escalate
 from blowlab.operators import euclidean_operator
+from blowlab.profiles import GridSpec, solve_profile
 from blowlab import solver
 from blowlab.solver import DomainSpec2D, SolveConfig, _WedgeSystem, solve
+from conftest import half_sphere
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -331,3 +333,27 @@ def test_loose_levels_match_levels_converged_to_tol(n):
     window = ref.interior_window()
     for a, b in ((loose.u, ref.u), (loose.u_high, ref.u_high)):
         assert np.max(np.abs(a - b)[window] / b[window]) <= 1e-9
+
+
+def test_first_comparison_in_doubt_is_settled_short_of_tol(monkeypatch):
+    # levels 0 and 1 both go to KAPPA, so at M = 200 the n = 3 interior
+    # test is in doubt; tightening the two fields to KAPPA times their
+    # change settles it, and only the reported level goes to tol
+    domain = half_sphere()
+    grid = GridSpec(1600, 2.0)
+    tols = []
+
+    def recording(problem, x0, M, tol, **kw):
+        tols.append((M, tol))
+        return damped_newton(problem, x0, M, tol, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(newton, "KAPPA", 0.0)      # every level to tol
+        ref = solve_profile(domain, 3, grid=grid)
+    monkeypatch.setattr(newton, "damped_newton", recording)
+    prof = solve_profile(domain, 3, grid=grid)
+    assert prof.m_history == ref.m_history
+    assert prof.stop_reason == ref.stop_reason
+    assert [M for M, _ in tols[:4]] == [1e2, 2e2, 1e2, 2e2]   # the doubt
+    assert [M for M, tol in tols if tol == 1e-10] == [prof.m_history[-1]]
+    assert np.max(np.abs(prof.g - ref.g) / ref.g) <= 1e-9

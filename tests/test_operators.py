@@ -6,6 +6,7 @@ import pytest
 
 from blowlab.errors import ConfigError, DomainError
 from blowlab.operators import (
+    COEFFICIENT_CHUNK,
     MetricFamily,
     OperatorSpec,
     TensorMesh,
@@ -260,6 +261,32 @@ def test_one_pass_memory_and_evaluations(monkeypatch):
     monkeypatch.setattr(Polynomial, "__call__", counting)
     op.coefficients(pts)
     assert calls == distinct
+
+
+def test_coefficients_are_evaluated_in_bounded_chunks():
+    # a mesh of three chunks and a tail: the values of one call over all
+    # points, at the memory of one chunk
+    op = conformal_operator(conformal_quadratic_metric(6, 0.3))
+    pts = _ball_samples(6, 1.0, 3 * COEFFICIENT_CHUNK + 5, seed=5)
+    whole = op.evaluate(pts)
+    sizes = []
+    evaluate = op.evaluate
+
+    def recording(chunk):
+        sizes.append(len(chunk))
+        return evaluate(chunk)
+
+    op.evaluate = recording
+    tracemalloc.start()
+    try:
+        chunked = op.coefficients(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [COEFFICIENT_CHUNK] * 3 + [5]
+    for got, want in zip(chunked, whole):
+        assert np.array_equal(got, want)
+    assert peak < 48 * 2**20
 
 
 def test_metric_validation():

@@ -17,6 +17,7 @@ from blowlab.profiles import (
     profile_from_csv,
     profile_to_csv,
     solve_profile,
+    _NotAKnotSpline,
 )
 from conftest import FINE, MEDIUM, band, cap, cap_complement, half_sphere
 
@@ -260,3 +261,51 @@ def test_rho_bound_failure_detection():
     prof.rho = prof.rho * 1e9  # corrupt the weight
     with pytest.raises(BoundFailureError):
         check_rho_bounds(prof)
+
+
+SPLINE_PROFILES = {
+    "cap-pi3-n3": (cap(np.pi / 3), 3),
+    "cap-pi3-n4": (cap(np.pi / 3), 4),
+    "cap-pi3-n6": (cap(np.pi / 3), 6),
+    "arc-pi2-n3": (SphericalDomain1D("circle-arc", 0.0, np.pi / 2), 3),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SPLINE_PROFILES))
+def test_spline_is_scipy_cubic_spline_float_for_float(label):
+    # the profile spline is SciPy's not-a-knot CubicSpline, bit for bit, on
+    # the nodes it is fitted on, between them and just outside both ends
+    from scipy.interpolate import CubicSpline
+
+    domain, n = SPLINE_PROFILES[label]
+    prof = solve_profile(domain, n, grid=GridSpec(400, 2.0))
+    mask = prof.interior_mask()
+    x = prof.theta[mask]
+    ref = CubicSpline(x, prof.g[mask])
+    outside = 1e-3 * (x[-1] - x[0])
+    points = np.concatenate([
+        x,
+        0.5 * (x[:-1] + x[1:]),
+        np.random.default_rng(3).uniform(x[0], x[-1], 2000),
+        [np.nextafter(x[0], -np.inf), x[0] - outside,
+         np.nextafter(x[-1], np.inf), x[-1] + outside],
+    ])
+    assert np.array_equal(prof._spline(points), ref(points))
+    for v in (x[0], x[len(x) // 2], x[-1], 0.5 * (x[0] + x[1]),
+              x[0] - outside, x[-1] + outside):
+        value = prof._spline(float(v))
+        assert np.ndim(value) == 0
+        assert value == ref(float(v))
+
+
+def test_spline_needs_four_increasing_nodes():
+    from scipy.interpolate import CubicSpline
+
+    x, y = [0.0, 0.5, 1.5, 2.0], [1.0, 2.0, 0.5, 3.0]
+    v = np.linspace(-0.5, 2.5, 61)
+    assert np.array_equal(_NotAKnotSpline(x, y)(v), CubicSpline(x, y)(v))
+    with pytest.raises(DomainError):
+        _NotAKnotSpline([0.0, 1.0, 2.0], [1.0, 2.0, 0.5])
+    for x in ([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]):
+        with pytest.raises(DomainError):
+            _NotAKnotSpline(x, [1.0, 2.0, 0.5, 3.0])
