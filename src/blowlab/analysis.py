@@ -30,6 +30,7 @@ no other path pays for that profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -93,12 +94,12 @@ def _ball_profile(n, R, r):
     return u, du, d2u, lap
 
 
-def _radial_hessian_bounds(r, du, d2u):
-    """max_ij |d_ij w| and sum_i |d_i w| for a radial function."""
+def _radial_class_term(c_l, r, w, dw, d2w):
+    """C_L (r^2 max_ij |d_ij w| + r sum_i |d_i w| + |w|) for a radial w."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(r > 0, np.abs(du) / r, np.abs(d2u))
-    hess_max = np.maximum(np.abs(d2u), slope)
-    return hess_max, np.abs(du)
+        slope = np.where(r > 0, np.abs(dw) / r, np.abs(d2w))
+    hess_max = np.maximum(np.abs(d2w), slope)
+    return c_l * (r**2 * hess_max + r * np.abs(dw) + np.abs(w))
 
 
 def _class_of(op, n):
@@ -111,6 +112,26 @@ def _class_of(op, n):
 # certificates
 
 
+def _trial(label, region, margin, constants):
+    """The certificate of one trial from its nodewise margin."""
+    worst = float(np.min(margin))
+    return BarrierCertificate(label=label, region=region, margin=worst,
+                              node_count=margin.size, passed=worst > 0.0,
+                              constants=constants)
+
+
+def _search(trials):
+    """The first passing certificate of `trials`, in search order; if none
+    passes, the first one with the best margin."""
+    best = None
+    for cert in trials:
+        if cert.passed:
+            return cert
+        if best is None or cert.margin > best.margin:
+            best = cert
+    return best
+
+
 def _certify_double_ball(op, n, radii=None, samples=512):
     """2 u_R supersolution with an explicitly found largest radius R*."""
     cls = _class_of(op, n)
@@ -118,27 +139,18 @@ def _certify_double_ball(op, n, radii=None, samples=512):
     coef = 0.25 * n * (n - 2.0)
     if radii is None:
         radii = np.geomspace(1.0, 2.0**-12, 25)
-    best = None
-    for R in radii:
-        r = np.linspace(0.0, R * (1.0 - 1e-6), samples)
-        u, du, d2u, lap = _ball_profile(n, R, r)
-        w = 2.0 * u
-        margin = coef * w**p - 2.0 * lap
-        hess_max, dw_abs = _radial_hessian_bounds(r, 2.0 * du, 2.0 * d2u)
-        margin -= cls.c_l * (r**2 * hess_max + r * dw_abs + w)
-        worst = float(np.min(margin))
-        cert = BarrierCertificate(
-            label="double-ball",
-            region=f"B_{R:g}",
-            margin=worst,
-            node_count=samples,
-            passed=worst > 0.0,
-            constants={"R_star": R, "C_L": cls.c_l},
-        )
-        if worst > 0.0:
-            return cert
-        best = cert if best is None or worst > best.margin else best
-    return best
+
+    def trials():
+        for R in radii:
+            r = np.linspace(0.0, R * (1.0 - 1e-6), samples)
+            u, du, d2u, lap = _ball_profile(n, R, r)
+            w = 2.0 * u
+            margin = (coef * w**p - 2.0 * lap
+                      - _radial_class_term(cls.c_l, r, w, 2.0 * du, 2.0 * d2u))
+            yield _trial("double-ball", f"B_{R:g}", margin,
+                         {"R_star": R, "C_L": cls.c_l})
+
+    return _search(trials())
 
 
 def _certify_graded_sum(op, n, R=1.0, samples=512,
@@ -152,44 +164,33 @@ def _certify_graded_sum(op, n, R=1.0, samples=512,
     b_grid = b_grid if b_grid is not None else np.geomspace(0.25, 256.0, 11)
     r_grid = r_grid if r_grid is not None else np.geomspace(0.5, 2.0**-6, 15)
 
-    best = None
-    for r0 in r_grid:
-        r = np.linspace(0.0, min(r0, R * (1 - 1e-6)), samples)
-        u, du, d2u, lap_u = _ball_profile(n, R, r)
-        # calculus of the three graded terms, all radial
-        ub = u**beta
-        dub = beta * u ** (beta - 1.0) * du
-        d2ub = beta * u ** (beta - 1.0) * d2u + beta * (beta - 1.0) * u ** (
-            beta - 2.0) * du**2
-        lap_ub = d2ub + (n - 1.0) * np.where(r > 0, dub / np.maximum(r, 1e-300), d2ub)
-        ur2 = u * r**2
-        dur2 = du * r**2 + 2.0 * r * u
-        d2ur2 = d2u * r**2 + 4.0 * r * du + 2.0 * u
-        lap_ur2 = lap_u * r**2 + 4.0 * r * du + 2.0 * n * u
-        for A in a_grid:
-            for B in b_grid:
+    def trials():
+        for r0 in r_grid:
+            r = np.linspace(0.0, min(r0, R * (1 - 1e-6)), samples)
+            u, du, d2u, lap_u = _ball_profile(n, R, r)
+            # calculus of the three graded terms, all radial
+            ub = u**beta
+            dub = beta * u ** (beta - 1.0) * du
+            d2ub = beta * u ** (beta - 1.0) * d2u + beta * (beta - 1.0) * u ** (
+                beta - 2.0) * du**2
+            lap_ub = d2ub + (n - 1.0) * np.where(
+                r > 0, dub / np.maximum(r, 1e-300), d2ub)
+            ur2 = u * r**2
+            dur2 = du * r**2 + 2.0 * r * u
+            d2ur2 = d2u * r**2 + 4.0 * r * du + 2.0 * u
+            lap_ur2 = lap_u * r**2 + 4.0 * r * du + 2.0 * n * u
+            for A, B in product(a_grid, b_grid):
                 w = u + A * ub + B * ur2
                 lap_w = lap_u + A * lap_ub + B * lap_ur2
                 dw = du + A * dub + B * dur2
                 d2w = d2u + A * d2ub + B * d2ur2
-                margin = coef * w**p - lap_w
-                hess_max, dw_abs = _radial_hessian_bounds(r, dw, d2w)
-                margin -= cls.c_l * (r**2 * hess_max + r * dw_abs + np.abs(w))
-                worst = float(np.min(margin))
-                cert = BarrierCertificate(
-                    label="graded-sum",
-                    region=f"B_{r0:g} (ball R={R:g})",
-                    margin=worst,
-                    node_count=samples,
-                    passed=worst > 0.0,
-                    constants={"A": A, "B": B, "beta": beta, "r0": r0,
-                               "C_L": cls.c_l},
-                )
-                if worst > 0.0:
-                    return cert
-                if best is None or worst > best.margin:
-                    best = cert
-    return best
+                margin = (coef * w**p - lap_w
+                          - _radial_class_term(cls.c_l, r, w, dw, d2w))
+                yield _trial("graded-sum", f"B_{r0:g} (ball R={R:g})", margin,
+                             {"A": A, "B": B, "beta": beta, "r0": r0,
+                              "C_L": cls.c_l})
+
+    return _search(trials())
 
 
 def _cone_barrier_ingredients(eigen, r, case):
@@ -236,14 +237,14 @@ def _cone_barrier_ingredients(eigen, r, case):
     return u_v, lap_uv, term0, lap0, term1, lap1, term2, lap2, rho
 
 
-def _certify_cone_corrected(op, eigen, case, samples=None,
+def _certify_cone_corrected(op, eigen, case, samples=48,
                             a0_grid=None, k_grid=None, r_grid=None,
                             c_t=None, label=None):
     """u_V + A0 u_V r^2 + A1 r^((6-n)/2) + A2 (case term), vertex region.
 
     `c_t`, the straightening constant of a map T, subtracts the composition
-    error bound C_T 2 A |w| (rho^-2 + 1) / r from the margin (the
-    T-composed variant).
+    error bound C_T 2 A |w| (rho^-2 + 1) / r from the margin and is
+    recorded as the constant C_T (the T-composed variant).
     """
     n = eigen.n
     cls = _class_of(op, n)
@@ -255,43 +256,33 @@ def _certify_cone_corrected(op, eigen, case, samples=None,
     # measured derivative constant of u_V: the paper's A-bound
     # r rho |grad u_V| <= A u_V with A from the profile
     A_meas = _profile_derivative_constant(eigen.profile)
+    label = label or f"cone-{case}"
 
-    best = None
-    for r0 in r_grid:
-        r = np.geomspace(r0 * 2.0**-6, r0, samples or 48)
-        (u_v, lap_uv, t0, l0, t1, l1, t2, l2, rho) = _cone_barrier_ingredients(
-            eigen, r, case)
-        RR = np.broadcast_to(r[:, None], u_v.shape)
-        rho_w = rho**-2 + 1.0      # per angular node, broadcast over r
-        for A0 in a0_grid:
-            for k1 in k_grid:
-                for k2 in k_grid:
-                    A1, A2 = k1 * A0, k2 * A0
-                    w = u_v + A0 * t0 + A1 * t1 + A2 * t2
-                    if np.any(w <= 0):
-                        continue
-                    lap_w = lap_uv + A0 * l0 + A1 * l1 + A2 * l2
-                    margin = coef * w**p - lap_w
-                    if cls.c_l > 0:
-                        # A inflated for the correction terms
-                        margin = margin - cls.c_l * 4.0 * A_meas * np.abs(w) * rho_w
-                    if c_t is not None:
-                        margin = margin - c_t * 2.0 * A_meas * np.abs(w) * rho_w / RR
-                    worst = float(np.min(margin))
-                    cert = BarrierCertificate(
-                        label=label or f"cone-{case}",
-                        region=f"V cap B_{r0:g}",
-                        margin=worst,
-                        node_count=int(np.prod(u_v.shape)),
-                        passed=worst > 0.0,
-                        constants={"A0": A0, "A1": A1, "A2": A2, "r0": r0,
-                                   "C_L": cls.c_l},
-                    )
-                    if worst > 0.0:
-                        return cert
-                    if best is None or worst > best.margin:
-                        best = cert
-    return best
+    def trials():
+        for r0 in r_grid:
+            r = np.geomspace(r0 * 2.0**-6, r0, samples)
+            (u_v, lap_uv, t0, l0, t1, l1, t2, l2, rho) = (
+                _cone_barrier_ingredients(eigen, r, case))
+            RR = np.broadcast_to(r[:, None], u_v.shape)
+            rho_w = rho**-2 + 1.0      # per angular node, broadcast over r
+            for A0, k1, k2 in product(a0_grid, k_grid, k_grid):
+                A1, A2 = k1 * A0, k2 * A0
+                w = u_v + A0 * t0 + A1 * t1 + A2 * t2
+                if np.any(w <= 0):
+                    continue
+                lap_w = lap_uv + A0 * l0 + A1 * l1 + A2 * l2
+                margin = coef * w**p - lap_w
+                if cls.c_l > 0:
+                    # A inflated for the correction terms
+                    margin = margin - cls.c_l * 4.0 * A_meas * np.abs(w) * rho_w
+                constants = {"A0": A0, "A1": A1, "A2": A2, "r0": r0,
+                             "C_L": cls.c_l}
+                if c_t is not None:
+                    margin = margin - c_t * 2.0 * A_meas * np.abs(w) * rho_w / RR
+                    constants["C_T"] = c_t
+                yield _trial(label, f"V cap B_{r0:g}", margin, constants)
+
+    return _search(trials())
 
 
 def _profile_derivative_constant(profile):
@@ -326,11 +317,8 @@ def _certify_t_composed(op, eigen, tmap, case="quadratic", samples=24):
             dev = np.linalg.norm(apply_T(tmap, x) - x)
             worst_ct = max(worst_ct, dev / np.linalg.norm(x) ** 2)
     r_grid = np.geomspace(0.5 * tmap.r_T, 2.0**-8, 10)
-    cert = _certify_cone_corrected(op, eigen, case, c_t=worst_ct,
+    return _certify_cone_corrected(op, eigen, case, c_t=worst_ct,
                                    r_grid=r_grid, label=f"t-composed-{case}")
-    if cert is not None:
-        cert.constants["C_T"] = worst_ct
-    return cert
 
 
 def certify_supersolution(op, candidate, n=None, eigen=None, tmap=None, **kw):

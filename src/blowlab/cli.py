@@ -7,10 +7,10 @@ the config, and artifacts are deterministic: rerunning a stage with the
 same inputs rewrites byte-identical files.
 
 Exit codes: 0 ok, 1 failed certificate or theorem row, 2 unknown case
-label, 3 missing upstream artifact, 4 malformed config, 5 solver failure
-(Newton divergence, bracket localization, domain or bound failure).  A
-solver failure ends only its own case: the other cases still run and write
-their artifacts, and the stage exits 5.
+label, 3 missing or malformed upstream artifact, 4 malformed config, 5
+solver failure (Newton divergence, bracket localization, domain or bound
+failure).  A solver failure ends only its own case: the other cases still
+run and write their artifacts, and the stage exits 5.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .profiles import (
 )
 from .reports import (
     fmt,
+    read_csv,
     write_csv,
     write_eigen_csv,
     write_field_csv,
@@ -130,6 +131,9 @@ class Case:
         raise ConfigError(f"case {self.label}: unknown operator {name!r}")
 
     def solve_config(self):
+        # a mesh key the case leaves out takes SolveConfig's default
+        mesh = {key: self.get(key, int) for key in ("nt_per_octave", "n_eta")
+                if key in self.opt}
         return SolveConfig(
             schedule=_parse_floats(self.get("schedule")),
             newton_tol=self.get("newton_tol", float),
@@ -137,10 +141,8 @@ class Case:
             bracket=(self.get("bracket_low", float),
                      self.get("bracket_high", float)),
             bracket_tol=self.get("bracket_tol", float),
-            nt_per_octave=self.get("nt_per_octave", int, default=24),
-            n_eta=self.get("n_eta", int, default=160),
             eta_grading=self.get("eta_grading", float),
-            m_growth=self.get("m_growth", float, default=2.0),
+            **mesh,
         )
 
 
@@ -175,17 +177,8 @@ def _case_dir(outdir, label):
     return path
 
 
-def _need(path, what, case):
-    if not os.path.exists(path):
-        raise MissingArtifactError(
-            f"case {case}: stage needs {what} at {path}; run the upstream stage"
-        )
-    return path
-
-
-def _read_profile(cdir, case):
-    return profile_from_csv(_need(os.path.join(cdir, "profile.csv"),
-                                  "profile artifact", case))
+def _read_profile(cdir):
+    return profile_from_csv(os.path.join(cdir, "profile.csv"))
 
 
 def run_profile(case, outdir):
@@ -200,7 +193,7 @@ def run_profile(case, outdir):
 
 def run_eigen(case, outdir):
     cdir = _case_dir(outdir, case.label)
-    eig = first_eigenpair(_read_profile(cdir, case.label))
+    eig = first_eigenpair(_read_profile(cdir))
     write_eigen_csv(os.path.join(cdir, "eigen.csv"), eig)
     from .spectral import regime_exponent
 
@@ -236,14 +229,12 @@ def run_solve(case, outdir):
     return True, f"solve: alpha_hat={fit.alpha_hat:.4f} bracket_width={width}"
 
 
-def _read_ratio(cdir, case):
-    import json
-
-    path = _need(os.path.join(cdir, "ratio.csv"), "ratio artifact", case)
-    with open(path) as fh:
-        meta = json.loads(fh.readline()[2:])
-        fh.readline()
-        table = [tuple(float(x) for x in line.split(",")) for line in fh]
+def _read_ratio(cdir):
+    """(meta, table) of ratio.csv; table rows are (annulus_mid, max_ratio)."""
+    meta, _, table = read_csv(os.path.join(cdir, "ratio.csv"),
+                              ("alpha_hat", "c_hat", "r_squared", "window_lo",
+                               "window_hi", "model"),
+                              ("annulus_mid", "max_ratio"), numeric=True)
     return meta, table
 
 
@@ -254,7 +245,7 @@ def run_certify(case, outdir):
     c_l = case.get("c_l", float)
     op = StructureClass(n=n, c_l=c_l, label=f"class C_L={c_l:g}")
     if candidate.startswith("cone-"):
-        eig = first_eigenpair(_read_profile(cdir, case.label))
+        eig = first_eigenpair(_read_profile(cdir))
         cert = certify_supersolution(op, candidate, eigen=eig)
     else:
         cert = certify_supersolution(op, candidate, n=n)
@@ -270,7 +261,7 @@ def run_certify(case, outdir):
 
 def run_verify(case, outdir):
     cdir = _case_dir(outdir, case.label)
-    meta, table = _read_ratio(cdir, case.label)
+    meta, table = _read_ratio(cdir)
     from .analysis import RateFit
 
     fit = RateFit(
@@ -284,7 +275,7 @@ def run_verify(case, outdir):
     predicted = case.get("predicted", float, required=False)
     eigen = None
     if predicted is None:
-        eigen = first_eigenpair(_read_profile(cdir, case.label))
+        eigen = first_eigenpair(_read_profile(cdir))
     row = verify_theorem(
         case.label,
         case.get("n", int),
@@ -306,35 +297,23 @@ def run_verify(case, outdir):
 
 
 def run_report(cases, outdir):
-    rows = []
-    cert_rows = []
+    tables = {"verify.csv": [], "certificates.csv": []}
     failures = 0
     for label in sorted(cases):
         cdir = os.path.join(outdir, label)
-        vpath = os.path.join(cdir, "verify.csv")
-        if os.path.exists(vpath):
-            with open(vpath) as fh:
-                fh.readline()
-                for line in fh:
-                    parts = line.rstrip("\n").split(",")
-                    rows.append(parts)
-                    if parts[-1] != "true":
-                        failures += 1
-        cpath = os.path.join(cdir, "certificates.csv")
-        if os.path.exists(cpath):
-            with open(cpath) as fh:
-                fh.readline()
-                for line in fh:
-                    parts = line.rstrip("\n").split(",")
-                    cert_rows.append(parts)
-                    if parts[4] != "true":
-                        failures += 1
+        for name, rows in tables.items():
+            path = os.path.join(cdir, name)
+            if os.path.exists(path):
+                _, header, body = read_csv(path, columns=("passed",))
+                rows.extend(body)
+                passed = header.index("passed")
+                failures += sum(row[passed] != "true" for row in body)
         if os.path.exists(os.path.join(cdir, "ratio.csv")):
-            meta, pts = _read_ratio(cdir, label)
-            if pts:
+            meta, pts = _read_ratio(cdir)
+            if len(pts):
                 write_loglog_svg(
                     os.path.join(cdir, "ratio.svg"),
-                    [(label, [p[0] for p in pts], [p[1] for p in pts])],
+                    [(label, pts[:, 0], pts[:, 1])],
                     title=f"{label}: cone-approximation decay",
                     fitted=(float(meta["alpha_hat"]), float(meta["c_hat"])),
                 )
@@ -342,19 +321,19 @@ def run_report(cases, outdir):
         os.path.join(outdir, "report.md"),
         "Verification summary",
         ["case", "n", "predicted form", "predicted", "measured", "passed"],
-        rows,
+        tables["verify.csv"],
         preamble=(
             "One row per theorem case: the predicted decay exponent of the "
             "cone-approximation error against the measured annulus fit. "
             "Certificates follow."
         ),
     )
-    if cert_rows:
+    if tables["certificates.csv"]:
         write_markdown_table(
             os.path.join(outdir, "certificates.md"),
             "Barrier certificates",
             ["barrier", "region", "margin", "nodes", "passed", "constants"],
-            cert_rows,
+            tables["certificates.csv"],
         )
     return failures
 
@@ -437,7 +416,7 @@ def main(argv=None):
         else:
             results = [_run_stage_for_case(item) for item in todo]
     except MissingArtifactError as exc:
-        print(f"missing artifact: {exc}", file=sys.stderr)
+        print(f"artifact error: {exc}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,4 +35,5 @@ class LocalizationError(BlowlabError):
 
 
 class MissingArtifactError(BlowlabError):
-    """A pipeline stage requires an upstream artifact that does not exist."""
+    """A pipeline stage requires an upstream artifact that does not exist
+    or does not parse."""

@@ -84,6 +84,7 @@ MAX_ITER = 60
 MAX_HALVINGS = 40
 CONTRACTION = 0.25
 KAPPA = 1e-2
+GROWTH = 2.0
 
 
 def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
@@ -181,12 +182,12 @@ class Escalation:
         return iter((self.x, self.m_history, self.residual, self.stop_reason))
 
 
-def escalate(problem, schedule, *, tol, growth, interior_tol, max_levels,
+def escalate(problem, schedule, *, tol, interior_tol, max_levels,
              on_level=None):
     """Solve the truncation levels in turn.
 
     Returns an `Escalation`.  The levels of `schedule` run first and M then
-    grows by `growth`.  From the last scheduled level on, escalation stops
+    grows by GROWTH.  From the last scheduled level on, escalation stops
     once the relative change on `problem.band` drops below `interior_tol`
     (stop_reason "interior") or the resolvability cap is reached ("cap");
     it always stops after `max_levels` levels ("max_levels"), so a schedule
@@ -255,7 +256,7 @@ def escalate(problem, schedule, *, tol, growth, interior_tol, max_levels,
         if level >= max_levels:
             reason = "max_levels"
             break
-        M = schedule[level] if level < len(schedule) else M * growth
+        M = schedule[level] if level < len(schedule) else M * GROWTH
     if bound:
         # the reported level, from where it stands
         x, err, bound = newton(x, M, tol)

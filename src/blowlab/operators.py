@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .polynomials import Polynomial
+from .profiles import derivative_arrays
 
 __all__ = [
     "MetricFamily",
@@ -315,47 +316,9 @@ class TensorMesh:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _axis_d1(coords, f, axis):
-    """Second-order first derivative along one axis (one-sided at faces)."""
-    x = np.asarray(coords, dtype=float)
-    f = np.moveaxis(f, axis, 0)
-    out = np.empty_like(f)
-    h_l = (x[1:-1] - x[:-2]).reshape((-1,) + (1,) * (f.ndim - 1))
-    h_r = (x[2:] - x[1:-1]).reshape((-1,) + (1,) * (f.ndim - 1))
-    out[1:-1] = (
-        -h_r / (h_l * (h_l + h_r)) * f[:-2]
-        + (h_r - h_l) / (h_l * h_r) * f[1:-1]
-        + h_l / (h_r * (h_l + h_r)) * f[2:]
-    )
-    for idx, o1, o2 in ((0, 1, 2), (-1, -2, -3)):
-        h1 = x[o1] - x[idx]
-        h2 = x[o2] - x[idx]
-        w0 = -(h1 + h2) / (h1 * h2)
-        w1 = h2 / (h1 * (h2 - h1))
-        w2 = -h1 / (h2 * (h2 - h1))
-        out[idx] = w0 * f[idx] + w1 * f[o1] + w2 * f[o2]
-    return np.moveaxis(out, 0, axis)
-
-
-def _axis_d2(coords, f, axis):
-    """Second derivative along one axis (copied inward at faces)."""
-    x = np.asarray(coords, dtype=float)
-    f = np.moveaxis(f, axis, 0)
-    out = np.empty_like(f)
-    h_l = (x[1:-1] - x[:-2]).reshape((-1,) + (1,) * (f.ndim - 1))
-    h_r = (x[2:] - x[1:-1]).reshape((-1,) + (1,) * (f.ndim - 1))
-    out[1:-1] = 2.0 * (
-        f[:-2] / (h_l * (h_l + h_r))
-        - f[1:-1] / (h_l * h_r)
-        + f[2:] / (h_r * (h_l + h_r))
-    )
-    out[0] = out[1]
-    out[-1] = out[-2]
-    return np.moveaxis(out, 0, axis)
-
-
 def apply_operator(spec, fld, mesh):
-    """Nodewise second-order centered application of L to a grid field."""
+    """Nodewise application of L to a grid field, with the 3-point
+    derivatives of `profiles.derivative_arrays` along each axis."""
     fld = np.asarray(fld, dtype=float)
     if fld.shape != mesh.shape:
         raise ConfigError(f"field shape {fld.shape} does not match mesh {mesh.shape}")
@@ -368,12 +331,15 @@ def apply_operator(spec, fld, mesh):
     b = b.reshape(mesh.shape + (n,))
     c = c.reshape(mesh.shape)
 
-    d1 = [_axis_d1(mesh.axes[i], fld, i) for i in range(n)]
+    def along(axis, f):
+        d1, d2 = derivative_arrays(mesh.axes[axis], np.moveaxis(f, axis, 0))
+        return np.moveaxis(d1, 0, axis), np.moveaxis(d2, 0, axis)
+
     out = c * fld
     for i in range(n):
-        out += b[..., i] * d1[i]
-        out += a[..., i, i] * _axis_d2(mesh.axes[i], fld, i)
+        d1, d2 = along(i, fld)
+        out += b[..., i] * d1
+        out += a[..., i, i] * d2
         for j in range(i + 1, n):
-            mixed = _axis_d1(mesh.axes[j], d1[i], j)
-            out += 2.0 * a[..., i, j] * mixed
+            out += 2.0 * a[..., i, j] * along(j, d1)[0]
     return out

@@ -28,15 +28,14 @@ blow-up boundary and is the coefficient the spectral module consumes.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, MissingArtifactError
 from .newton import escalate
+from .reports import read_csv, write_csv
 
 __all__ = [
     "SphericalDomain1D",
@@ -44,6 +43,7 @@ __all__ = [
     "BlowupProfile",
     "graded_nodes",
     "power_law_nodes",
+    "derivative_arrays",
     "nonuniform_d1",
     "nonuniform_d2",
     "solve_profile",
@@ -193,20 +193,25 @@ def one_sided_d1(x0, x1, x2):
     return w0, w1, w2
 
 
-def _fd_derivative_arrays(theta, g):
-    """Nodewise first/second derivatives by the 3-point stencils."""
-    dg = np.empty_like(g)
-    d2g = np.empty_like(g)
-    sub1, diag1, sup1 = nonuniform_d1(theta)
-    sub2, diag2, sup2 = nonuniform_d2(theta)
-    dg[1:-1] = sub1 * g[:-2] + diag1 * g[1:-1] + sup1 * g[2:]
-    d2g[1:-1] = sub2 * g[:-2] + diag2 * g[1:-1] + sup2 * g[2:]
+def derivative_arrays(x, f):
+    """First and second derivatives of f along its first axis, on nodes x.
+
+    Interior nodes take the 3-point stencils; each end takes the one-sided
+    3-point first derivative and the second derivative of its neighbour.
+    """
+    x, f = np.asarray(x, dtype=float), np.asarray(f, dtype=float)
+    shape = (-1,) + (1,) * (f.ndim - 1)
+    sub1, diag1, sup1 = (w.reshape(shape) for w in nonuniform_d1(x))
+    sub2, diag2, sup2 = (w.reshape(shape) for w in nonuniform_d2(x))
+    d1 = np.empty_like(f)
+    d2 = np.empty_like(f)
+    d1[1:-1] = sub1 * f[:-2] + diag1 * f[1:-1] + sup1 * f[2:]
+    d2[1:-1] = sub2 * f[:-2] + diag2 * f[1:-1] + sup2 * f[2:]
     for idx, sgn in ((0, 1), (-1, -1)):
-        pts = (theta[idx], theta[idx + sgn], theta[idx + 2 * sgn])
-        w0, w1, w2 = one_sided_d1(*pts)
-        dg[idx] = w0 * g[idx] + w1 * g[idx + sgn] + w2 * g[idx + 2 * sgn]
-        d2g[idx] = d2g[idx + sgn]
-    return dg, d2g
+        w0, w1, w2 = one_sided_d1(x[idx], x[idx + sgn], x[idx + 2 * sgn])
+        d1[idx] = w0 * f[idx] + w1 * f[idx + sgn] + w2 * f[idx + 2 * sgn]
+        d2[idx] = d2[idx + sgn]
+    return d1, d2
 
 
 class _NotAKnotSpline:
@@ -283,7 +288,7 @@ class BlowupProfile:
             mask = self.interior_mask()
             self._spline = _NotAKnotSpline(self.theta[mask], self.g[mask])
         if self.dg is None or self.d2g is None:
-            self.dg, self.d2g = _fd_derivative_arrays(self.theta, self.g)
+            self.dg, self.d2g = derivative_arrays(self.theta, self.g)
 
     @property
     def exponent(self):
@@ -301,10 +306,11 @@ class BlowupProfile:
         return mask
 
     def pde_residual(self):
-        """Interior residual evaluated with spline derivatives.
+        """Nodewise residual of the profile equation from `dg` and `d2g`.
 
-        Independent of the solver stencil, so it measures consistency of
-        the converged grid function rather than Newton's own residual.
+        Both are the 3-point arrays of `derivative_arrays`: on interior
+        nodes the solver's stencils without its row scaling, at the ends
+        one-sided values that carry no boundary condition.
         """
         n = self.n
         p = (n + 2.0) / (n - 2.0)
@@ -464,7 +470,7 @@ def solve_profile(domain, n, schedule=None, grid=None, nodes=None,
         domain.wall_distance(theta), domain.theta_hi - domain.theta_lo,
         "profile")
     g, m_history, residual, stop_reason = escalate(
-        problem, schedule, tol=1e-10, growth=2.0, interior_tol=interior_tol,
+        problem, schedule, tol=1e-10, interior_tol=interior_tol,
         max_levels=max_levels)
 
     return BlowupProfile(
@@ -521,27 +527,26 @@ def profile_to_csv(profile, path):
         "truncation": profile.truncation,
         "newton_residual": profile.newton_residual,
     }
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        fh.write("theta,g,rho\n")
-        for th, g, rho in zip(profile.theta, profile.g, profile.rho):
-            fh.write(f"{th:.17g},{g:.17g},{rho:.17g}\n")
+    # 17 significant digits, so that a profile reads back to the same floats
+    rows = ([f"{v:.17g}" for v in row]
+            for row in zip(profile.theta, profile.g, profile.rho))
+    write_csv(path, ["theta", "g", "rho"], rows, meta=meta)
 
 
 def profile_from_csv(path):
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("# "):
-            raise ConfigError(f"{path}: missing metadata header")
-        meta = json.loads(header[2:])
-        body = fh.read()
-    data = np.loadtxt(io.StringIO(body), delimiter=",", skiprows=1)
-    domain = SphericalDomain1D(**meta["domain"])
-    return BlowupProfile(
-        domain=domain,
-        n=int(meta["n"]),
-        theta=data[:, 0],
-        g=data[:, 1],
-        truncation=float(meta["truncation"]),
-        newton_residual=float(meta["newton_residual"]),
-    )
+    meta, _, data = read_csv(
+        path, ("n", "domain", "truncation", "newton_residual"),
+        ("theta", "g"), numeric=True)
+    # whatever the stored values fail is a fault of the artifact, not of
+    # the config or of a solver
+    try:
+        return BlowupProfile(
+            domain=SphericalDomain1D(**meta["domain"]),
+            n=int(meta["n"]),
+            theta=data[:, 0],
+            g=data[:, 1],
+            truncation=float(meta["truncation"]),
+            newton_residual=float(meta["newton_residual"]),
+        )
+    except (TypeError, ValueError, ConfigError, DomainError) as exc:
+        raise MissingArtifactError(f"cannot read artifact {path}: {exc}") from None

@@ -1,8 +1,10 @@
-"""Deterministic CSV / Markdown / SVG artifact writers.
+"""Deterministic CSV / Markdown / SVG artifact writers, and the CSV reader.
 
 All floats are formatted through one repr so byte-identical reruns stay
 byte-identical; no timestamps or environment details enter the files.
 The SVG log-log plots are generated markup with no plotting dependency.
+A CSV artifact is an optional `# {json}` metadata line, a header line and
+comma-separated rows; `read_csv` reads every one of them back.
 """
 
 from __future__ import annotations
@@ -12,9 +14,12 @@ import os
 
 import numpy as np
 
+from .errors import MissingArtifactError
+
 __all__ = [
     "fmt",
     "write_csv",
+    "read_csv",
     "write_markdown_table",
     "write_ratio_csv",
     "write_eigen_csv",
@@ -44,21 +49,46 @@ def write_csv(path, header, rows, meta=None):
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def read_csv(path, meta_keys=(), columns=(), numeric=False):
+    """(meta, header, rows) of a CSV artifact, rows as lists of strings.
+
+    `meta` is the `# {json}` line ({} without one) and must hold every key
+    of `meta_keys`; `header` must name every one of `columns`.  With
+    `numeric` the rows come as one float array, one column per header
+    field.  A file that cannot be read this way raises MissingArtifactError
+    naming it, a missing file included.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        has_meta = bool(lines) and lines[0].startswith("# ")
+        meta = dict(json.loads(lines.pop(0)[2:])) if has_meta else {}
+        header, *rows = (line.split(",") for line in lines)
+        missing = ([key for key in meta_keys if key not in meta]
+                   + [col for col in columns if col not in header])
+        if missing or any(len(row) != len(header) for row in rows):
+            raise ValueError(f"missing fields {missing}" if missing
+                             else "a row does not match the header")
+        if numeric:
+            rows = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    except (OSError, TypeError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise MissingArtifactError(
+            f"cannot read artifact {path}: {reason}") from None
+    return meta, header, rows
+
+
 def _cell(x):
     """A Markdown table cell: a literal `|` must not end the cell."""
     return fmt(x).replace("|", r"\|")
 
 
-def write_markdown_table(path, title, header, rows, preamble="", meta=None):
+def write_markdown_table(path, title, header, rows, preamble=""):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# {title}\n\n")
         if preamble:
             fh.write(preamble.rstrip() + "\n\n")
-        if meta:
-            for k in sorted(meta):
-                fh.write(f"- {k}: {fmt(meta[k])}\n")
-            fh.write("\n")
         fh.write("| " + " | ".join(_cell(h) for h in header) + " |\n")
         fh.write("|" + "|".join("---" for _ in header) + "|\n")
         for row in rows:
@@ -78,35 +108,20 @@ def write_ratio_csv(path, fit, meta=None):
     write_csv(path, ["annulus_mid", "max_ratio"], fit.table, meta=base)
 
 
-def write_eigen_csv(path, eigen, meta=None):
-    base = dict(meta or {})
-    base.update({
-        "n": eigen.n,
-        "lambda1": eigen.lambda1,
-        "mu1": eigen.mu1,
-        "regime": eigen.regime,
-        "nu_hat": eigen.nu_hat,
-    })
-    rows = list(zip(eigen.profile.theta, eigen.phi))
-    write_csv(path, ["theta", "phi1"], rows, meta=base)
+def write_eigen_csv(path, eigen):
+    meta = {"n": eigen.n, "lambda1": eigen.lambda1, "mu1": eigen.mu1,
+            "regime": eigen.regime, "nu_hat": eigen.nu_hat}
+    write_csv(path, ["theta", "phi1"], zip(eigen.profile.theta, eigen.phi),
+              meta=meta)
 
 
-def write_field_csv(path, fld, meta=None):
-    base = dict(meta or {})
-    base.update({
-        "n": fld.n,
-        "operator": fld.operator_label,
-        "reduction": fld.domain.reduction,
-        "truncation": fld.truncation,
-        "bracket_width": fld.bracket_width,
-    })
-    rows = []
-    r = fld.radii()
-    theta = fld.theta
-    for j in range(fld.u.shape[0]):
-        for k in range(fld.u.shape[1]):
-            rows.append((r[j, k], theta[j, k], fld.u[j, k], fld.d[j, k]))
-    write_csv(path, ["r", "theta", "u", "d"], rows, meta=base)
+def write_field_csv(path, fld):
+    meta = {"n": fld.n, "operator": fld.operator_label,
+            "reduction": fld.domain.reduction, "truncation": fld.truncation,
+            "bracket_width": fld.bracket_width}
+    # one row per node, in the row-major order of u
+    rows = zip(*(x.ravel() for x in (fld.radii(), fld.theta, fld.u, fld.d)))
+    write_csv(path, ["r", "theta", "u", "d"], rows, meta=meta)
 
 
 def write_loglog_svg(path, series, title="", xlabel="r", ylabel="max ratio",

@@ -74,6 +74,7 @@ from .profiles import (
     REGULAR_POLE,
     BandedProblem,
     SphericalDomain1D,
+    derivative_arrays,
     nonuniform_d1,
     nonuniform_d2,
     one_sided_d1,
@@ -99,6 +100,9 @@ BALL = "ball"
 
 # node kinds of the 2-D mesh
 INTERIOR, CUT, WALL, POLE = 0, 1, 2, 3
+
+# truncation levels a 2-D or ball solve runs at most
+MAX_LEVELS = 60
 
 
 def exact_halfspace(n, d):
@@ -197,8 +201,6 @@ class SolveConfig:
     nt_per_octave: int = 32
     n_eta: int = 192
     eta_grading: float = 2.0
-    m_growth: float = 2.0
-    max_levels: int = 60
     keep_level_fields: bool = False
 
     def __post_init__(self):
@@ -206,7 +208,7 @@ class SolveConfig:
             raise ConfigError("truncation schedule must be strictly increasing")
         if not 0.0 < self.bracket[0] < self.bracket[1]:
             raise ConfigError("bracket must satisfy 0 < low < high")
-        for name in ("nt_per_octave", "n_eta", "max_levels"):
+        for name in ("nt_per_octave", "n_eta"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -214,10 +216,8 @@ class SolveConfig:
         for name, value, bound in (("newton_tol", self.newton_tol, 0.0),
                                    ("interior_tol", self.interior_tol, 0.0),
                                    ("bracket_tol", self.bracket_tol, 0.0),
-                                   ("m_growth", self.m_growth, 1.0),
                                    ("nt_per_octave", self.nt_per_octave, 0),
-                                   ("n_eta", self.n_eta, 4),
-                                   ("max_levels", self.max_levels, 0)):
+                                   ("n_eta", self.n_eta, 4)):
             if not value > bound:
                 raise ConfigError(f"{name} must exceed {bound}, got {value}")
         if not 1.0 <= self.eta_grading < np.inf:
@@ -344,14 +344,20 @@ def check_axisymmetry(op, domain, n, samples=24, tol=1e-9):
     # the three azimuths in one coefficient evaluation
     psi = np.repeat([0.0, 0.7, 2.1], samples)
     alphas = _alphas(op, np.tile(r, 3), np.tile(theta, 3), psi, MERIDIAN, n)
-    base, *others = zip(*(np.split(x, 3) for x in alphas))
+    _check_symmetry(list(zip(*(np.split(x, 3) for x in alphas))), tol,
+                    "axisymmetric about the meridian axis",
+                    "azimuth disagreement")
+
+
+def _check_symmetry(samples, tol, symmetry, measure):
+    """Raise ConfigError unless every coefficient tuple of `samples` is
+    within `tol` of the first, entry for entry."""
+    base, *others = samples
     for other in others:
         worst = max(np.max(np.abs(x - y)) for x, y in zip(base, other))
         if worst > tol:
             raise ConfigError(
-                f"operator is not axisymmetric about the meridian axis "
-                f"(azimuth disagreement {worst:.3e})"
-            )
+                f"operator is not {symmetry} ({measure} {worst:.3e})")
 
 
 def _wall_distance_field(domain, r, theta):
@@ -636,7 +642,7 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     check_axisymmetry(op, domain, n)
     system = _WedgeSystem(domain, op, n, config)
 
-    schedule, max_levels = config.schedule, config.max_levels
+    schedule, max_levels = config.schedule, MAX_LEVELS
     if forced_schedule:
         # a replay stops after exactly the given levels
         schedule = forced_schedule
@@ -648,7 +654,7 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     lo_fac, hi_fac = config.bracket
     system.bracket_factor = lo_fac
     low = escalate(
-        system, schedule, tol=config.newton_tol, growth=config.m_growth,
+        system, schedule, tol=config.newton_tol,
         interior_tol=config.interior_tol, max_levels=max_levels, on_level=keep)
     w_lo, m_hist, residual, stop_reason = low
     M_final = m_hist[-1]
@@ -660,32 +666,27 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     w_hi, _, _ = damped_newton(system, w_lo, M_final, config.newton_tol,
                                solve=low.solve)
 
-    u_lo = system._to_u(w_lo)
-    u_hi = system._to_u(w_hi)
     fld = SolutionField(
         domain=domain,
         n=n,
         operator_label=op.label,
         t=system.t,
         eta=system.eta,
-        u=u_lo,
+        u=system._to_u(w_lo),
         d=system.d,
         truncation=M_final,
         newton_residual=residual,
-        u_high=u_hi,
+        u_high=system._to_u(w_hi),
         m_history=m_hist,
         level_fields=snaps,
         stop_reason=stop_reason,
     )
-    window = fld.interior_window()
-    if np.any(window):
-        width = np.max((u_hi[window] - u_lo[window]) / u_lo[window])
-        fld.bracket_width = float(width)
-        if width > config.bracket_tol:
-            raise LocalizationError(
-                f"bracket width {width:.3e} exceeds tolerance "
-                f"{config.bracket_tol:g} in the core region"
-            )
+    fld.bracket_width = width = fld.bracket_width_over()
+    if width is not None and width > config.bracket_tol:
+        raise LocalizationError(
+            f"bracket width {width:.3e} exceeds tolerance "
+            f"{config.bracket_tol:g} in the core region"
+        )
     return fld
 
 
@@ -709,20 +710,12 @@ def _radial_coefficients(op, rnodes, n, direction=None):
 
 
 def check_radial_symmetry(op, n, r_max, samples=16, tol=1e-9):
+    """Sample the radial pushforward along two directions; reject anisotropy."""
     rng = np.random.default_rng(5)
     rnodes = rng.uniform(0.05 * r_max, 0.95 * r_max, samples)
-    base = None
-    for seed in (1, 2):
-        d = rng.standard_normal(n)
-        d /= np.linalg.norm(d)
-        cur = _radial_coefficients(op, rnodes, n, direction=d)
-        if base is not None:
-            worst = max(np.max(np.abs(x - y)) for x, y in zip(base, cur))
-            if worst > tol:
-                raise ConfigError(
-                    f"operator is not radially symmetric (disagreement {worst:.3e})"
-                )
-        base = cur
+    _check_symmetry([_radial_coefficients(op, rnodes, n, direction=d)
+                     for d in rng.standard_normal((2, n))], tol,
+                    "radially symmetric", "disagreement")
 
 
 def _solve_ball(domain, op, n, config):
@@ -743,9 +736,8 @@ def _solve_ball(domain, op, n, config):
     keep = ((lambda M, u: snaps.append((M, u[:, None].copy())))
             if config.keep_level_fields else None)
     u, m_hist, residual_norm, stop_reason = escalate(
-        problem, config.schedule, tol=config.newton_tol, growth=config.m_growth,
-        interior_tol=config.interior_tol, max_levels=config.max_levels,
-        on_level=keep)
+        problem, config.schedule, tol=config.newton_tol,
+        interior_tol=config.interior_tol, max_levels=MAX_LEVELS, on_level=keep)
 
     return SolutionField(
         domain=domain,
@@ -833,9 +825,6 @@ def sum_supersolution_defect(fld_a, fld_b):
     coef = 0.25 * n * (n - 2.0)
     r = fld_a.t
     u = fld_a.u[:, 0] + fld_b.u[:, 0]
-    sub1, diag1, sup1 = nonuniform_d1(r)
-    sub2, diag2, sup2 = nonuniform_d2(r)
-    lap = (sub2 * u[:-2] + diag2 * u[1:-1] + sup2 * u[2:]
-           + (n - 1.0) / r[1:-1] * (sub1 * u[:-2] + diag1 * u[1:-1] + sup1 * u[2:]))
-    defect = lap - coef * u[1:-1] ** p
-    return defect
+    du, d2u = derivative_arrays(r, u)
+    lap = d2u[1:-1] + (n - 1.0) / r[1:-1] * du[1:-1]
+    return lap - coef * u[1:-1] ** p

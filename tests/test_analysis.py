@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from blowlab.analysis import (
+    BarrierCertificate,
     RatioField,
+    _search,
     StructureClass,
     certify_supersolution,
     compare_to_cone,
@@ -71,6 +73,29 @@ def test_failed_search_returns_certificate(half_sphere_eigen):
                                  a0_grid=[1.0], k_grid=[1.0], r_grid=[0.1])
     assert not cert.passed
     assert cert.margin <= 0
+
+
+def test_search_returns_first_pass_else_best_margin():
+    def cert(margin):
+        return BarrierCertificate("trial", "B_1", margin, 8, margin > 0.0)
+
+    seen = []
+
+    def trials(certs):
+        for c in certs:
+            seen.append(c)
+            yield c
+
+    failing = [cert(-3.0), cert(-1.0), cert(-1.0), cert(-2.0)]
+    passing = [cert(-3.0), cert(2.0), cert(5.0)]
+    # the first passing trial in search order, not the best one, and the
+    # search stops there
+    assert _search(trials(passing)) is passing[1]
+    assert seen == passing[:2]
+    # none passes: the best margin, the first of equal ones
+    best = _search(trials(failing))
+    assert best is failing[1] and not best.passed
+    assert _search(iter(())) is None
 
 
 def test_t_composed_certificate(half_sphere_eigen):

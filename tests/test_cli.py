@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+RUN_STAGES = os.path.join(ROOT, "tools", "run_stages.py")
+STAGES = ("profile", "eigen", "solve", "certify", "verify", "report")
 
 CONFIG = """
 [suite]
@@ -151,14 +153,44 @@ def test_missing_artifact_exit_code(workdir):
     assert res.returncode == 3
 
 
+# a broken upstream artifact: the stage that reads it, the case, the file
+# and what is in it
+MALFORMED = {
+    "truncated-meta": ("eigen", "tiny-profile", "profile.csv", '# {"n": 3'),
+    "meta-without-domain": (
+        "eigen", "tiny-profile", "profile.csv",
+        '# {"n": 3, "newton_residual": 0.0, "truncation": 100.0}\n'
+        "theta,g,rho\n0,1,1\n0.5,1,1\n1,1,1\n"),
+    "unknown-geometry": (
+        "eigen", "tiny-profile", "profile.csv",
+        '# {"domain": {"geometry": "foo", "theta_hi": 1.0, "theta_lo": 0.0}, '
+        '"n": 3, "newton_residual": 0.0, "truncation": 100.0}\n'
+        "theta,g,rho\n0,1,1\n0.5,1,1\n1,1,1\n"),
+    "garbage-ratio-verify": ("verify", "tiny-ball", "ratio.csv", "garbage\n"),
+    "garbage-ratio-report": ("report", "tiny-ball", "ratio.csv", "garbage\n"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(MALFORMED))
+def test_malformed_artifact_exit_code(tmp_path, broken):
+    stage, case, name, text = MALFORMED[broken]
+    cfg, out = tmp_path / "cases.cfg", tmp_path / "out"
+    cfg.write_text(CONFIG.format(out=out))
+    (out / case).mkdir(parents=True)
+    (out / case / name).write_text(text)
+    res = run_cli(stage, "--config", str(cfg), "--case", case)
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and f"{case}/{name}" in lines[0]
+
+
 def test_pipeline_and_idempotence(workdir):
     base, cfg, out = workdir
-    assert run_cli("profile", "--config", str(cfg)).returncode == 0
-    assert run_cli("eigen", "--config", str(cfg)).returncode == 0
-    assert run_cli("solve", "--config", str(cfg)).returncode == 0
-    assert run_cli("certify", "--config", str(cfg)).returncode == 0
-    assert run_cli("verify", "--config", str(cfg)).returncode == 0
-    assert run_cli("report", "--config", str(cfg)).returncode == 0
+    # the six stages, one process each
+    res = run_python(RUN_STAGES, str(cfg), str(out))
+    assert res.returncode == 0
+    assert res.stdout.splitlines() == [f"{stage} exit 0" for stage in STAGES]
 
     profile_csv = (out / "tiny-profile" / "profile.csv").read_bytes()
     ratio_csv = (out / "tiny-ball" / "ratio.csv").read_bytes()
@@ -171,6 +203,16 @@ def test_pipeline_and_idempotence(workdir):
     assert (out / "tiny-profile" / "profile.csv").read_bytes() == profile_csv
     assert (out / "tiny-ball" / "ratio.csv").read_bytes() == ratio_csv
     assert (out / "report.md").read_bytes() == report_md
+
+
+def test_run_stages_exits_with_the_worst_status(tmp_path):
+    # only solve has cases, and it fails; the later stages still run
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(UNLOCALIZED.format(out=tmp_path / "out"))
+    res = run_python(RUN_STAGES, str(cfg), str(tmp_path / "out"))
+    assert res.returncode == 5
+    assert res.stdout.splitlines() == [
+        f"{stage} exit {5 if stage == 'solve' else 0}" for stage in STAGES]
 
 
 def test_case_filter_reproduces_results(workdir):

@@ -9,7 +9,8 @@ from blowlab.newton import KAPPA, damped_newton, escalate
 from blowlab.operators import euclidean_operator
 from blowlab.profiles import GridSpec, solve_profile
 from blowlab import solver
-from blowlab.solver import DomainSpec2D, SolveConfig, _WedgeSystem, solve
+from blowlab.solver import (MAX_LEVELS, DomainSpec2D, SolveConfig,
+                            _WedgeSystem, solve)
 from conftest import half_sphere
 
 
@@ -26,7 +27,7 @@ def test_replaying_own_schedule_is_bit_identical(n):
     assert replay.newton_residual == base.newton_residual
 
 
-KW = dict(tol=1e-12, growth=2.0, interior_tol=1e-8)
+KW = dict(tol=1e-12, interior_tol=1e-8)
 
 
 class _Toy:
@@ -185,8 +186,8 @@ def _low_bracket(n):
     system.bracket_factor = BENCH_CONFIG.bracket[0]
     cfg = BENCH_CONFIG
     w_lo, m_hist, _, _ = escalate(
-        system, cfg.schedule, tol=cfg.newton_tol, growth=cfg.m_growth,
-        interior_tol=cfg.interior_tol, max_levels=cfg.max_levels)
+        system, cfg.schedule, tol=cfg.newton_tol,
+        interior_tol=cfg.interior_tol, max_levels=MAX_LEVELS)
     system.bracket_factor = cfg.bracket[1]
     return system, w_lo, m_hist
 
@@ -200,7 +201,7 @@ def test_continued_high_bracket_matches_replay(n):
     assert m_hist == fld.m_history
     cfg = BENCH_CONFIG
     w_replay, _, _, _ = escalate(
-        system, m_hist, tol=cfg.newton_tol, growth=cfg.m_growth,
+        system, m_hist, tol=cfg.newton_tol,
         interior_tol=cfg.interior_tol, max_levels=len(m_hist))
     u_replay = system._to_u(w_replay)
     window = fld.interior_window()

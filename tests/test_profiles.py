@@ -13,7 +13,9 @@ from blowlab.profiles import (
     SphericalDomain1D,
     check_rho_bounds,
     cone_solution,
+    derivative_arrays,
     graded_nodes,
+    power_law_nodes,
     profile_from_csv,
     profile_to_csv,
     solve_profile,
@@ -254,6 +256,40 @@ def test_serialization_roundtrip(tmp_path, cap_pi3_n3_profile):
     assert back.n == cap_pi3_n3_profile.n
     assert np.allclose(back.g, cap_pi3_n3_profile.g, rtol=0, atol=0)
     assert back.domain.geometry == "polar-sphere"
+
+
+def test_derivative_arrays_exact_on_graded_grid():
+    # exact for quadratics on interior nodes and for linear functions at
+    # the one-sided ends, on a grid clustered toward both ends
+    x = power_law_nodes(0.0, 1.0, 41, 2.0, True, True)
+    d1, d2 = derivative_arrays(x, 3.0 + 2.0 * x - 5.0 * x**2)
+    assert np.allclose(d1[1:-1], 2.0 - 10.0 * x[1:-1], rtol=0, atol=1e-9)
+    assert np.allclose(d2[1:-1], -10.0, rtol=0, atol=1e-6)
+    d1, d2 = derivative_arrays(x, 1.5 - 4.0 * x)
+    assert np.allclose(d1[[0, -1]], -4.0, rtol=0, atol=1e-9)
+    assert np.allclose(d2[[0, -1]], 0.0, rtol=0, atol=1e-6)
+    assert d2[0] == d2[1] and d2[-1] == d2[-2]
+
+
+def test_derivative_arrays_along_a_moved_axis():
+    # axis 1 of a 3-D field, moved to the front; every column is the 1-D
+    # result bit for bit
+    x = power_law_nodes(0.0, 1.0, 41, 2.0, True, False)
+    y = np.linspace(1.0, 2.0, 5)[:, None, None]
+    z = np.linspace(-1.0, 1.0, 7)[None, None, :]
+    xx = x[None, :, None]
+    field3 = y * (1.0 + xx - 2.0 * xx**2) + z
+    d1, d2 = derivative_arrays(x, np.moveaxis(field3, 1, 0))
+    d1, d2 = np.moveaxis(d1, 0, 1), np.moveaxis(d2, 0, 1)
+    exact1 = np.broadcast_to(y * (1.0 - 4.0 * xx), field3.shape)
+    exact2 = np.broadcast_to(-4.0 * y, field3.shape)
+    assert np.allclose(d1[:, 1:-1], exact1[:, 1:-1], rtol=0, atol=1e-8)
+    assert np.allclose(d2[:, 1:-1], exact2[:, 1:-1], rtol=0, atol=1e-5)
+    for i in range(5):
+        for k in range(7):
+            col1, col2 = derivative_arrays(x, field3[i, :, k])
+            assert np.array_equal(col1, d1[i, :, k])
+            assert np.array_equal(col2, d2[i, :, k])
 
 
 def test_rho_bound_failure_detection():

@@ -1,6 +1,22 @@
 import re
+from types import SimpleNamespace
 
-from blowlab.reports import write_markdown_table
+import numpy as np
+import pytest
+
+from blowlab.analysis import RateFit
+from blowlab.errors import MissingArtifactError
+from blowlab.profiles import profile_from_csv, profile_to_csv
+from blowlab.reports import (
+    fmt,
+    read_csv,
+    write_csv,
+    write_eigen_csv,
+    write_field_csv,
+    write_markdown_table,
+    write_ratio_csv,
+)
+from blowlab.solver import DomainSpec2D, SolutionField
 
 
 def _cells(line):
@@ -18,3 +34,94 @@ def test_markdown_cells_escape_pipes(tmp_path):
     for line in table:
         assert len(_cells(line)) == len(header), line
     assert _cells(table[2])[1].strip() == r"C\|x\|^2"
+
+
+def _strings(rows):
+    return [[fmt(v) for v in row] for row in rows]
+
+
+def test_every_artifact_reads_back_through_one_reader(tmp_path,
+                                                      cap_pi3_n3_profile):
+    prof = cap_pi3_n3_profile
+    path = str(tmp_path / "profile.csv")
+    profile_to_csv(prof, path)
+    meta, header, data = read_csv(path, numeric=True)
+    assert header == ["theta", "g", "rho"]
+    assert meta == {"n": 3, "domain": prof.domain.as_dict(),
+                    "truncation": prof.truncation,
+                    "newton_residual": prof.newton_residual}
+    assert np.array_equal(data, np.column_stack([prof.theta, prof.g, prof.rho]))
+    back = profile_from_csv(path)
+    assert np.array_equal(back.g, prof.g) and back.domain == prof.domain
+
+    theta = np.linspace(0.0, 1.0, 7)
+    eigen = SimpleNamespace(n=3, lambda1=4.1, mu1=2.2, regime="power",
+                            nu_hat=2.5, profile=SimpleNamespace(theta=theta),
+                            phi=np.cos(theta))
+    path = str(tmp_path / "eigen.csv")
+    write_eigen_csv(path, eigen)
+    meta, header, rows = read_csv(path)
+    assert meta == {"n": 3, "lambda1": 4.1, "mu1": 2.2, "regime": "power",
+                    "nu_hat": 2.5}
+    assert header == ["theta", "phi1"]
+    assert rows == _strings(zip(theta, eigen.phi))
+
+    fit = RateFit(alpha_hat=1.0625, c_hat=0.5, r_squared=0.9990234375,
+                  window=(2.0**-9, 0.25), table=[(0.1, 0.02), (0.2, 0.04)],
+                  model="power-log")
+    path = str(tmp_path / "ratio.csv")
+    write_ratio_csv(path, fit, meta={"reference": "discrete-cone",
+                                     "bracket_width": 0.003})
+    meta, header, data = read_csv(path, numeric=True)
+    assert meta == {"reference": "discrete-cone", "bracket_width": 0.003,
+                    "alpha_hat": 1.0625, "c_hat": 0.5, "r_squared": 0.9990234375,
+                    "model": "power-log", "window_lo": 2.0**-9, "window_hi": 0.25}
+    assert header == ["annulus_mid", "max_ratio"]
+    assert np.array_equal(data, fit.table)
+
+    r = np.linspace(0.0, 0.9, 4)
+    fld = SolutionField(domain=DomainSpec2D("ball", aperture=np.pi, r_max=1.0),
+                        n=3, operator_label="euclidean", t=r, eta=np.zeros(1),
+                        u=(1.0 + r**2)[:, None], d=(1.0 - r)[:, None],
+                        truncation=100.0, newton_residual=1e-12)
+    path = str(tmp_path / "field.csv")
+    write_field_csv(path, fld)
+    meta, header, rows = read_csv(path)
+    assert meta == {"n": 3, "operator": "euclidean", "reduction": "ball",
+                    "truncation": 100.0, "bracket_width": None}
+    assert header == ["r", "theta", "u", "d"]
+    assert rows == _strings(zip(r, np.zeros(4), 1.0 + r**2, 1.0 - r))
+
+    # the verify and certificate rows as `blowlab verify` / `certify` write them
+    for name, header, row in (
+            ("verify.csv",
+             ["case", "n", "predicted_form", "predicted", "measured", "passed"],
+             ("cone-n3", 3, "C|x|^4.66452", 4.664523, 4.5120001, True)),
+            ("certificates.csv",
+             ["barrier", "region", "margin", "nodes", "passed", "constants"],
+             ("double-ball", "B_0.5", -0.25, 512, False, "C_L=2;R_star=0.5"))):
+        path = str(tmp_path / name)
+        write_csv(path, header, [row])
+        assert read_csv(path, columns=("passed",)) == ({}, header, _strings([row]))
+
+
+@pytest.mark.parametrize("text, problem", [
+    pytest.param(None, None, id="no-file"),
+    pytest.param('# {"n": 3', None, id="truncated-meta"),
+    pytest.param("# [1, 2]\nannulus_mid,max_ratio\n", None, id="meta-not-a-mapping"),
+    pytest.param("garbage\n",
+                 "missing fields ['alpha_hat', 'annulus_mid', 'max_ratio']",
+                 id="garbage"),
+    pytest.param('# {"alpha_hat": 1}\nannulus_mid,max_ratio\n0.1\n',
+                 "a row does not match the header", id="short-row"),
+    pytest.param('# {"alpha_hat": 1}\nannulus_mid,max_ratio\n0.1,x\n', None,
+                 id="not-a-number"),
+])
+def test_malformed_artifact_names_the_file(tmp_path, text, problem):
+    path = tmp_path / "ratio.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(MissingArtifactError, match="ratio.csv") as info:
+        read_csv(str(path), ("alpha_hat",), ("annulus_mid", "max_ratio"),
+                 numeric=True)
+    assert problem is None or problem in str(info.value)

@@ -233,6 +233,20 @@ def test_axisymmetry_guard():
         solve(dom, op, n, SolveConfig(schedule=(1e2,), bracket_tol=1.0))
 
 
+def test_radial_symmetry_guard():
+    n = 3
+
+    def skew_coefficients(pts):
+        a, b, c = euclidean_operator(n).coefficients(pts)
+        a[:, 0, 0] += 0.3 * pts[:, 1] ** 2  # the radial part depends on direction
+        return a, b, c
+
+    op = OperatorSpec(n=n, evaluate=skew_coefficients, label="skew")
+    with pytest.raises(ConfigError,
+                       match=r"not radially symmetric \(disagreement \d"):
+        solve(BALL, op, n, SolveConfig(schedule=(1e2,), bracket_tol=1.0))
+
+
 def test_axisymmetry_check_evaluates_all_azimuths_at_once():
     op = conformal_operator(conformal_quadratic_metric(6, 0.3))
     evaluate = op.evaluate
@@ -274,24 +288,20 @@ def test_domain_validation():
 
 # values SolveConfig must reject, and values on the valid side of each bound
 INVALID_SETTINGS = {
-    "m_growth": st.floats(max_value=1.0) | st.just(float("nan")),
     "n_eta": st.integers(max_value=4) | st.floats(),
     "nt_per_octave": st.integers(max_value=0) | st.floats(),
     "newton_tol": st.floats(max_value=0.0) | st.just(float("nan")),
     "interior_tol": st.floats(max_value=0.0) | st.just(float("nan")),
-    "max_levels": st.integers(max_value=0) | st.floats(),
     "bracket": st.tuples(st.floats(max_value=0.0), st.floats(allow_nan=False)),
     "bracket_tol": st.floats(max_value=0.0) | st.just(float("nan")),
     "eta_grading": (st.floats(max_value=1.0, exclude_max=True)
                     | st.sampled_from([float("nan"), float("inf")])),
 }
 VALID_SETTINGS = {
-    "m_growth": st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
     "n_eta": st.integers(min_value=5, max_value=10**6),
     "nt_per_octave": st.integers(min_value=1, max_value=10**6),
     "newton_tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     "interior_tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    "max_levels": st.integers(min_value=1, max_value=10**6),
     "bracket": st.tuples(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
                          st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),
     "bracket_tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),

@@ -168,9 +168,9 @@ def test_eigenfunction_decay_bound(half_sphere_eigen):
     assert eig.nu_hat > 0
     assert abs(eig.nu_hat - 2.5) < 1e-2
     # discrete derivative bound rho|dphi| + rho^2|d2phi| <= C rho^nu nodewise
-    from blowlab.profiles import _fd_derivative_arrays
+    from blowlab.profiles import derivative_arrays
 
-    dphi, d2phi = _fd_derivative_arrays(prof.theta, eig.phi)
+    dphi, d2phi = derivative_arrays(prof.theta, eig.phi)
     mask = (prof.rho >= 1e-3) & (prof.rho <= 1e-1)
     lhs = prof.rho[mask] * np.abs(dphi[mask]) + prof.rho[mask] ** 2 * np.abs(
         d2phi[mask])
