@@ -42,6 +42,12 @@ __all__ = [
     "jacobian_T",
 ]
 
+# foot-point Newton: gradient tolerance relative to the point's scale,
+# iterations per seed, and seeds (the point's own foot and a fan around it)
+FOOT_TOL = 1e-12
+FOOT_MAX_ITER = 60
+FOOT_SEEDS = 5
+
 
 class PolyGraph:
     """Graph function given by a polynomial coefficient table."""
@@ -180,7 +186,7 @@ def _complete_basis(rows, n):
     return vt[rows.shape[0]:]
 
 
-def signed_distance(surface, x, tol=1e-12, max_iter=60, n_seeds=5):
+def signed_distance(surface, x):
     """Signed distance from x to the surface, foot point by damped Newton.
 
     Sign follows the side of the graph: positive where x_n > f(x').
@@ -198,14 +204,14 @@ def signed_distance(surface, x, tol=1e-12, max_iter=60, n_seeds=5):
 
     scale = max(float(np.linalg.norm(y_full)), 0.05)
     seeds = [yp.copy()]
-    for i in range(n_seeds - 1):
+    for i in range(FOOT_SEEDS - 1):
         delta = np.zeros(surface.n - 1)
         delta[i % (surface.n - 1)] = 0.35 * scale * (1 if i % 2 == 0 else -1)
         seeds.append(yp + delta)
 
     best = None
     for seed in seeds:
-        foot = _project_to_graph(f, yp, yn, seed, tol, max_iter)
+        foot = _project_to_graph(f, yp, yn, seed)
         if foot is None:
             continue
         dist = float(np.sqrt(np.sum((yp - foot) ** 2) + (yn - f.value(foot)) ** 2))
@@ -213,13 +219,13 @@ def signed_distance(surface, x, tol=1e-12, max_iter=60, n_seeds=5):
             best = dist
     if best is None:
         raise FootPointError(
-            f"foot-point projection failed from all {n_seeds} seeds",
+            f"foot-point projection failed from all {FOOT_SEEDS} seeds",
             point=np.asarray(x, dtype=float),
         )
     return float(sign * best)
 
 
-def _project_to_graph(f, yp, yn, seed, tol, max_iter):
+def _project_to_graph(f, yp, yn, seed):
     """Damped Newton on y' -> 0.5(|y'-yp|^2 + (yn-f(y'))^2); None if stuck."""
     y = seed.copy()
 
@@ -228,12 +234,12 @@ def _project_to_graph(f, yp, yn, seed, tol, max_iter):
 
     val = objective(y)
     scale = 1.0 + np.linalg.norm(yp) + abs(yn)
-    for _ in range(max_iter):
+    for _ in range(FOOT_MAX_ITER):
         fz = f.value(y)
         gz = f.grad(y)
         grad = (y - yp) - (yn - fz) * gz
         gnorm = np.linalg.norm(grad)
-        if gnorm <= tol * scale:
+        if gnorm <= FOOT_TOL * scale:
             return y
         hess = np.eye(y.size) + np.outer(gz, gz) - (yn - fz) * f.hess(y)
         try:

@@ -51,6 +51,10 @@ __all__ = [
 # doubles, 432 MB for a 41,664-node mesh at once and 21 MB per chunk
 COEFFICIENT_CHUNK = 2048
 
+# radius of the ball B_2 on which a metric must be positive definite and
+# inside which `structure_constant` may sample an operator
+VALIDITY_RADIUS = 2.0
+
 
 @dataclass
 class MetricFamily:
@@ -77,18 +81,19 @@ class MetricFamily:
         self._tables = {}
         self._check_positive_definite()
 
-    def _check_positive_definite(self, radius=2.0, samples=256):
-        # uniform in the ball: a normal direction times radius U^(1/n);
-        # `_ball_samples` would import scipy.stats into every metric build
+    def _check_positive_definite(self):
+        # 256 points uniform in the ball: a normal direction times radius
+        # U^(1/n); `_ball_samples` would import scipy.stats into every
+        # metric build
         rng = np.random.default_rng(7)
-        dirs = rng.standard_normal((samples, self.n))
+        dirs = rng.standard_normal((256, self.n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = dirs * (radius * rng.uniform(size=samples) ** (1.0 / self.n))[:, None]
-        g = self.metric(pts)
+        radii = VALIDITY_RADIUS * rng.uniform(size=256) ** (1.0 / self.n)
+        g = self.metric(dirs * radii[:, None])
         eigs = np.linalg.eigvalsh(g)
         if np.min(eigs) <= 0:
             raise ConfigError(
-                f"metric not positive definite on B_{radius} "
+                f"metric not positive definite on B_{VALIDITY_RADIUS} "
                 f"(min eigenvalue {np.min(eigs):.3e})"
             )
 
@@ -218,7 +223,6 @@ class OperatorSpec:
     n: int
     evaluate: callable          # (P, n) -> (a (P, n, n), b (P, n), c (P,))
     label: str = ""
-    validity_radius: float = 2.0
 
     @cached_property
     def c_l(self):
@@ -280,9 +284,9 @@ def conformal_operator(metric):
 
 def structure_constant(spec, radius, samples=4096, seed=11, inner_exclusion=1e-4):
     """Supremum of the structure ratio on a quasi-random ball sample."""
-    if radius > spec.validity_radius:
+    if radius > VALIDITY_RADIUS:
         raise DomainError(
-            f"radius {radius} exceeds the operator validity ball {spec.validity_radius}"
+            f"radius {radius} exceeds the operator validity ball {VALIDITY_RADIUS}"
         )
     pts = _ball_samples(spec.n, radius, samples, seed=seed, exclude_inner=inner_exclusion)
     a, b, c = spec.coefficients(pts)

@@ -58,6 +58,9 @@ CIRCLE_ARC = "circle-arc"
 BLOWUP = "blowup"
 REGULAR_POLE = "regular-pole"
 
+# truncation levels a profile solve runs at most, unless told fewer
+MAX_LEVELS = 80
+
 
 @dataclass(frozen=True)
 class SphericalDomain1D:
@@ -433,16 +436,17 @@ class BandedProblem:
 
 
 def solve_profile(domain, n, schedule=None, grid=None, nodes=None,
-                  interior_tol=1e-8, max_levels=80):
+                  interior_tol=1e-8, max_levels=MAX_LEVELS):
     """Solve the separated profile by truncation escalation.
 
     `schedule` seeds the increasing truncation levels (default starts at
     1e2); after the explicit levels are exhausted, M keeps doubling until
     the interior (wall buffer excluded) stops moving at `interior_tol`
     relative, or until the mesh can no longer resolve the layer where the
-    profile reaches M (`blowlab.newton.escalate`).  `nodes` overrides the
-    graded grid with explicit theta nodes (used to match a 2-D solver's
-    angular grid exactly).
+    profile reaches M (`blowlab.newton.escalate`), and after `max_levels`
+    levels at most (`max_levels=1` solves one fixed level).  `nodes`
+    overrides the graded grid with explicit theta nodes (used to match a
+    2-D solver's angular grid exactly).
     """
     if n < 3:
         raise ConfigError("dimension must satisfy n >= 3")

@@ -422,6 +422,12 @@ class _WedgeSystem:
 
         TT, EE = np.meshgrid(self.t, self.eta, indexing="ij")
         beta = domain.theta_b(self.r)
+        outside = ~((0 < beta) & (beta < np.pi))
+        if domain.reduction == MERIDIAN and outside.any():
+            k = np.flatnonzero(outside)[0]
+            raise ConfigError(
+                f"meridian boundary angle theta_b({self.r[k]:.6g}) = "
+                f"{beta[k]:.6g} leaves (0, pi)")
         self.theta = EE * beta[:, None]
         self.rr = np.exp(TT)
 

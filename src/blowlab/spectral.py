@@ -11,6 +11,16 @@ with measure weight w = sin^(n-2)(theta) on polar-sphere geometry, zero
 values at blow-up endpoints and the natural (zero-flux) closure at a
 regular pole.  Within the wall cell the potential integral uses the
 linear extension rho ~ c d instead of the truncated boundary value.
+The mass and potential of each half cell come from one set of Gauss
+points, and A is symmetric: one off-diagonal serves both sides.
+
+The smallest eigenpair is solved directly, in the mass-scaled variable
+v = M^(1/2) phi: T = M^(-1/2) A M^(-1/2) is symmetric tridiagonal, and
+LAPACK bisection with inverse iteration (`stebz`, `stein`) returns its
+lowest eigenpair.  Bisection keeps high relative accuracy on graded
+tridiagonals like this one (Barlow & Demmel, SIAM J. Numer. Anal. 27,
+1990), so phi stays well determined at a regular pole, where the masses
+vanish like theta^(n-2).
 
 The derived index mu1 = sqrt(((n-2)/2)^2 + lambda1) drives the decay
 regime of cone-solution perturbations: quadratic for mu1 > 2, quadratic
@@ -22,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import BlowlabError, ConfigError, DomainError
 from .profiles import POLAR_SPHERE, BLOWUP, BlowupProfile
@@ -72,7 +82,7 @@ class EigenResult:
     mu1: float
     regime: str                # alpha-2 | log | alpha-mu
     nu_hat: float
-    iterations: int
+    iterations: int            # eigensolver calls: one direct solve
 
     @property
     def n(self):
@@ -80,9 +90,8 @@ class EigenResult:
 
 
 def _weight(profile):
-    if profile.domain.geometry == POLAR_SPHERE:
-        return lambda th: np.sin(th) ** (profile.n - 2)
-    return lambda th: np.ones_like(np.asarray(th, dtype=float))
+    """Measure weight sin^(n-2) of the polar sphere, the only assembled geometry."""
+    return lambda th: np.sin(th) ** (profile.n - 2)
 
 
 def _sphere_area(k):
@@ -92,19 +101,11 @@ def _sphere_area(k):
     return 2.0 * pi ** ((k + 1) / 2.0) / gamma((k + 1) / 2.0)
 
 
-def _gauss_cell(f, a, b, npts=4):
-    """Fixed-order Gauss-Legendre integral of f over [a, b]."""
-    x, wq = np.polynomial.legendre.leggauss(npts)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    pts = mid[..., None] + half[..., None] * x
-    vals = f(pts)
-    return half * np.sum(vals * wq, axis=-1)
-
-
 def _assemble(profile):
     """FV matrices (A tridiagonal, M diagonal) on the free (non-Dirichlet) nodes.
 
-    Returns (free_idx, sub, diag, sup, mass).
+    Returns (free_idx, off, diag, mass): A has `diag` on its diagonal and
+    the symmetric `off` on both off-diagonals.
     """
     if profile.domain.geometry != POLAR_SPHERE:
         raise ConfigError(
@@ -130,93 +131,64 @@ def _assemble(profile):
     mid = theta[:-1] + 0.5 * h
     flux = w(mid) / h  # interface conductances
 
-    # per-half-cell mass and potential integrals (rho linear on each cell)
-    def pot_half(a, b, ra, rb, ta, tb):
-        def integrand(t):
-            lam = (t - ta[..., None]) / (tb - ta)[..., None]
-            rr = ra[..., None] * (1 - lam) + rb[..., None] * lam
-            rr = np.maximum(rr, 1e-300)
-            return w(t) * coef / rr**2
-
-        return _gauss_cell(integrand, a, b)
-
-    mass_half_lo = _gauss_cell(w, theta[:-1], mid)        # [theta_j, mid_j]
-    mass_half_hi = _gauss_cell(w, mid, theta[1:])         # [mid_j, theta_j+1]
-    pot_half_lo = pot_half(theta[:-1], mid, rho[:-1], rho[1:], theta[:-1], theta[1:])
-    pot_half_hi = pot_half(mid, theta[1:], rho[:-1], rho[1:], theta[:-1], theta[1:])
+    # mass and potential of the half cells [theta_j, mid_j] and
+    # [mid_j, theta_j+1], rho linear on each cell, from one set of
+    # 4-point Gauss-Legendre points
+    gx, gw = np.polynomial.legendre.leggauss(4)
+    a = np.stack([theta[:-1], mid])
+    b = np.stack([mid, theta[1:]])
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    t = centre[..., None] + half[..., None] * gx
+    lam = (t - theta[:-1, None]) / h[:, None]
+    rr = np.maximum(rho[:-1, None] * (1 - lam) + rho[1:, None] * lam, 1e-300)
+    wt = w(t)
+    mass_half = half * np.sum(wt * gw, axis=-1)
+    pot_half = half * np.sum(wt * coef / rr**2 * gw, axis=-1)
 
     mass = np.zeros(N)
-    mass[:-1] += mass_half_lo
-    mass[1:] += mass_half_hi
+    mass[:-1] += mass_half[0]
+    mass[1:] += mass_half[1]
     pot = np.zeros(N)
-    pot[:-1] += pot_half_lo
-    pot[1:] += pot_half_hi
+    pot[:-1] += pot_half[0]
+    pot[1:] += pot_half[1]
 
-    dirichlet = np.zeros(N, dtype=bool)
-    if profile.domain.bc_lo == BLOWUP:
-        dirichlet[0] = True
-    if profile.domain.bc_hi == BLOWUP:
-        dirichlet[-1] = True
-    free = np.where(~dirichlet)[0]
-
-    # conductance to the left and right neighbour, zero past either end; a
-    # missing or Dirichlet neighbour gets no off-diagonal entry
-    left = np.r_[0.0, flux]
-    right = np.r_[flux, 0.0]
-    diag = (pot + left + right)[free]
-    sub = np.where(np.r_[False, ~dirichlet[:-1]], -left, 0.0)[free]
-    sup = np.where(np.r_[~dirichlet[1:], False], -right, 0.0)[free]
-    return free, sub, diag, sup, mass[free]
+    # only the end nodes can be Dirichlet, so the free nodes are contiguous;
+    # a Dirichlet neighbour still adds its conductance to the diagonal
+    free = np.arange(int(profile.domain.bc_lo == BLOWUP),
+                     N - int(profile.domain.bc_hi == BLOWUP))
+    diag = (pot + np.r_[0.0, flux] + np.r_[flux, 0.0])[free]
+    return free, -flux[free[:-1]], diag, mass[free]
 
 
-def _quadratic_form(sub, diag, sup, mass, x):
+def _quadratic_form(off, diag, mass, x):
     ax = diag * x
-    ax[:-1] += sup[:-1] * x[1:]
-    ax[1:] += sub[1:] * x[:-1]
+    ax[:-1] += off * x[1:]
+    ax[1:] += off * x[:-1]
     return float(x @ ax), float(x @ (mass * x))
 
 
-def first_eigenpair(profile, tol=1e-10, max_iter=200):
-    """Smallest eigenpair by shifted inverse iteration on the banded form."""
-    n = profile.n
-    free, sub, diag, sup, mass = _assemble(profile)
+def first_eigenpair(profile):
+    """Smallest eigenpair of A phi = lambda M phi, by one direct solve.
 
-    x = np.sqrt(mass)
-    x /= np.sqrt(x @ (mass * x))
-    num, den = _quadratic_form(sub, diag, sup, mass, x)
-    lam = num / den
-    shift = 0.0
-    trace = [lam]
-    nf = free.size
-    for it in range(max_iter):
-        ab = np.zeros((3, nf))
-        ab[0, 1:] = sup[:-1]
-        ab[1, :] = diag - shift * mass
-        ab[2, :-1] = sub[1:]
-        try:
-            y = solve_banded((1, 1), ab, mass * x)
-        except np.linalg.LinAlgError:
-            shift *= 1.0 - 1e-8
-            continue
-        y /= np.sqrt(max(y @ (mass * y), 1e-300))
-        num, den = _quadratic_form(sub, diag, sup, mass, y)
-        lam_new = num / den
-        delta = abs(lam_new - lam)
-        x, lam = y, lam_new
-        trace.append(lam)
-        if delta < tol * max(1.0, abs(lam)):
-            break
-        if it >= 2:
-            shift = lam  # Rayleigh acceleration once the iterate settles
-    else:
-        raise BlowlabError(
-            f"inverse iteration stagnated; Rayleigh trace tail {trace[-5:]}"
-        )
+    In the mass-scaled variable v = M^(1/2) phi the pencil is the symmetric
+    tridiagonal T = S A S with S = M^(-1/2).  LAPACK bisection (`stebz`, to
+    an absolute tolerance of twice the smallest normal number) and inverse
+    iteration (`stein`) give its lowest eigenpair, and phi = S v.  `iterations`
+    counts that one solve, so it is 1.
+    """
+    n = profile.n
+    free, off, diag, mass = _assemble(profile)
+    s = 1.0 / np.sqrt(mass)
+    (lam,), v = eigh_tridiagonal(diag * s**2, off * s[:-1] * s[1:], select="i",
+                                 select_range=(0, 0),
+                                 tol=2.0 * np.finfo(float).tiny)
+    lam = float(lam)
     if lam <= 0:
         raise BlowlabError(
             f"computed lambda1 = {lam:g} <= 0: potential assembly mis-signed"
         )
 
+    x = s * v[:, 0]
     if np.sum(x) < 0:
         x = -x
     if np.any(x <= 0):
@@ -228,9 +200,7 @@ def first_eigenpair(profile, tol=1e-10, max_iter=200):
     phi = np.zeros(profile.theta.size)
     phi[free] = x
     # scale so the full L^2(Sigma) norm (transverse sphere factored in) is 1
-    area = _sphere_area(n - 2) if profile.domain.geometry == POLAR_SPHERE else 1.0
-    _, den = _quadratic_form(sub, diag, sup, mass, x)
-    phi /= np.sqrt(area * den)
+    phi /= np.sqrt(_sphere_area(n - 2) * (x @ (mass * x)))
 
     mu1 = float(np.sqrt((0.5 * (n - 2.0)) ** 2 + lam))
     if abs(mu1 - 2.0) <= MU_EQUAL_TWO_TOL:
@@ -242,12 +212,12 @@ def first_eigenpair(profile, tol=1e-10, max_iter=200):
     nu_hat = _fit_decay_exponent(profile, phi)
     return EigenResult(
         profile=profile,
-        lambda1=float(lam),
+        lambda1=lam,
         phi=phi,
         mu1=mu1,
         regime=regime,
         nu_hat=nu_hat,
-        iterations=len(trace),
+        iterations=1,
     )
 
 
@@ -274,9 +244,9 @@ def rayleigh(profile, phi):
     for idx, bc in ((0, profile.domain.bc_lo), (-1, profile.domain.bc_hi)):
         if bc == BLOWUP and abs(phi[idx]) > 0:
             raise DomainError("test function must vanish at blow-up endpoints")
-    free, sub, diag, sup, mass = _assemble(profile)
+    free, off, diag, mass = _assemble(profile)
     x = phi[free]
-    num, den = _quadratic_form(sub, diag, sup, mass, x)
+    num, den = _quadratic_form(off, diag, mass, x)
     if den <= 0:
         raise DomainError("zero-norm test function")
     return num / den

@@ -104,6 +104,47 @@ def test_invalid_value_exit_code(tmp_path, setting):
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+CURVED_MERIDIAN = """
+[suite]
+output = {out}
+
+[case:curved]
+stages = solve
+reduction = meridian
+aperture = 1.0
+curve = {curve}
+r_min = 0.0078125
+r_max = 1.0
+n = 3
+operator = euclidean
+nt_per_octave = 4
+n_eta = 32
+eta_grading = 2.0
+schedule = 1e2
+newton_tol = 1e-10
+interior_tol = 1e-8
+bracket_low = 0.5
+bracket_high = 2.0
+bracket_tol = 1.0
+fit_lo = 0.0078125
+fit_hi = 0.25
+"""
+
+
+@pytest.mark.parametrize("curve", ["-2.0", "5.0"])
+def test_meridian_angle_outside_zero_pi_exit_code(tmp_path, curve):
+    # theta_b(1) = 1 + curve is -1 or 6: no solve, no artifact
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(CURVED_MERIDIAN.format(out=tmp_path / "out", curve=curve))
+    res = run_cli("solve", "--config", str(cfg))
+    assert res.returncode == 4
+    assert "Traceback" not in res.stderr
+    err = res.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "theta_b" in err[0]
+    assert not (tmp_path / "out" / "curved" / "field.csv").exists()
+
+
 UNKNOWN_CONE_BARRIER = """
 [suite]
 output = {out}
@@ -305,11 +346,14 @@ import sys
 import numpy as np
 import blowlab, blowlab.cli
 from blowlab import (DomainSpec2D, GridSpec, SolveConfig, SphericalDomain1D,
-                     cone_solution, euclidean_operator, solve, solve_profile)
+                     cone_solution, euclidean_operator, first_eigenpair, solve,
+                     solve_profile)
 solve(DomainSpec2D("meridian", aperture=np.pi / 3), euclidean_operator(3), 3,
       SolveConfig(nt_per_octave=4, n_eta=32))
 cap = SphericalDomain1D("polar-sphere", 0.0, np.pi / 3, bc_lo="regular-pole")
-cone_solution(solve_profile(cap, 3, grid=GridSpec(200, 2.0)), 0.5, 0.3)
+prof = solve_profile(cap, 3, grid=GridSpec(200, 2.0))
+cone_solution(prof, 0.5, 0.3)
+first_eigenpair(prof)
 print(" ".join(m for m in ("scipy.interpolate", "scipy.special",
                            "scipy.optimize") if m in sys.modules))
 """

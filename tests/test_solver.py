@@ -286,6 +286,15 @@ def test_domain_validation():
         SolveConfig(bracket=(2.0, 0.5))
 
 
+@pytest.mark.parametrize("curve", [-2.0, 5.0])
+def test_meridian_boundary_angle_outside_zero_pi_rejected(curve):
+    # theta_b(1) = 1 + curve is -1 or 6 though the aperture lies in (0, pi)
+    dom = DomainSpec2D("meridian", aperture=1.0, curve=(curve,))
+    with pytest.raises(ConfigError, match=r"theta_b\(.+\) = .+ leaves \(0, pi\)"):
+        solve(dom, euclidean_operator(3), 3, SolveConfig(nt_per_octave=4,
+                                                         n_eta=32))
+
+
 # values SolveConfig must reject, and values on the valid side of each bound
 INVALID_SETTINGS = {
     "n_eta": st.integers(max_value=4) | st.floats(),
