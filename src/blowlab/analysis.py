@@ -35,8 +35,6 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .profiles import solve_profile
-from .solver import BALL, SolutionField
 
 __all__ = [
     "StructureClass",
@@ -377,6 +375,8 @@ def _matched_profile(fld):
     sees: wall data M r^m varies across columns, and matching the
     mid-window state keeps the comparison bias at the slow-drift level.
     """
+    from .profiles import solve_profile
+
     dom = fld.domain
     r_geo = np.sqrt(4.0 * dom.r_min * dom.r_max / 4.0)
     tau = fld.truncation * r_geo ** (0.5 * (fld.n - 2.0))
@@ -399,6 +399,9 @@ def compare_to_cone(fld, baseline=None):
       * otherwise the vertex-cone profile, solved here on the field's eta
         nodes up to the field's truncation state.
     """
+    # a field exists only once `blowlab.solver` is loaded
+    from .solver import BALL
+
     m = 0.5 * (fld.n - 2.0)
     if baseline is not None:
         if baseline.u.shape != fld.u.shape:
@@ -494,13 +497,6 @@ class TheoremRow:
     measured: float
     passed: bool
     sharp_check: bool = None
-
-    def as_markdown(self):
-        verdict = "PASS" if self.passed else "FAIL"
-        sharp = "" if self.sharp_check is None else (
-            " sharp-ok" if self.sharp_check else " sharp-FAIL")
-        return (f"| {self.case} | {self.n} | {self.predicted_form} | "
-                f"{self.predicted:.3g} | {self.measured:.3g} | {verdict}{sharp} |")
 
 
 def verify_theorem(case, n, rate_fit, predicted=None, eigen=None,

@@ -4,7 +4,13 @@ Subcommands stage the pipeline (profile -> eigen -> solve -> certify ->
 verify -> report) over the cases of a plain-text key-value config; every
 numeric choice (grids, schedules, tolerances, fit windows) must appear in
 the config, and artifacts are deterministic: rerunning a stage with the
-same inputs rewrites byte-identical files.
+same inputs rewrites byte-identical files.  A cone case without a
+`predicted` key takes verify's prediction from mu1 and regime in the
+metadata of its eigen.csv, the eigen stage's artifact.
+
+Each stage imports only the modules it runs, inside its runner and the
+`Case` builders, so `report` and `verify` start without SciPy and only
+`solve` loads `scipy.sparse`.
 
 Exit codes: 0 ok, 1 failed certificate or theorem row, 2 unknown case
 label, 3 missing or malformed upstream artifact, 4 malformed config, 5
@@ -17,32 +23,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
-import numpy as np
-
-from .analysis import (
-    StructureClass,
-    certify_supersolution,
-    compare_to_cone,
-    fit_rate,
-    verify_theorem,
-)
 from .errors import BlowlabError, ConfigError, MissingArtifactError
-from .operators import (
-    conformal_operator,
-    conformal_quadratic_metric,
-    euclidean_operator,
-)
-from .profiles import (
-    GridSpec,
-    SphericalDomain1D,
-    profile_from_csv,
-    profile_to_csv,
-    solve_profile,
-)
 from .reports import (
     fmt,
     read_csv,
@@ -53,8 +39,6 @@ from .reports import (
     write_markdown_table,
     write_ratio_csv,
 )
-from .solver import DomainSpec2D, SolveConfig, solve
-from .spectral import first_eigenpair
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -96,7 +80,11 @@ class Case:
             raise ConfigError(f"case {self.label}: bad value for {key}: {exc}")
 
     # -- domain / operator builders ---------------------------------------
+    # each builder imports the module it builds from, so that a stage
+    # loads only what it runs
     def spherical_domain(self):
+        from .profiles import SphericalDomain1D
+
         return SphericalDomain1D(
             geometry=self.get("geometry"),
             theta_lo=self.get("theta_lo", float),
@@ -107,13 +95,17 @@ class Case:
         )
 
     def grid_spec(self):
+        from .profiles import GridSpec
+
         return GridSpec(count=self.get("nodes", int),
                         grading=self.get("grading", float))
 
     def domain2d(self):
+        from .solver import DomainSpec2D
+
         return DomainSpec2D(
             reduction=self.get("reduction"),
-            aperture=self.get("aperture", float, default=float(np.pi)),
+            aperture=self.get("aperture", float, default=math.pi),
             r_min=self.get("r_min", float, default=2.0**-8),
             r_max=self.get("r_max", float),
             curve=_parse_floats(self.get("curve", default="") or ""),
@@ -121,6 +113,12 @@ class Case:
         )
 
     def operator(self):
+        from .operators import (
+            conformal_operator,
+            conformal_quadratic_metric,
+            euclidean_operator,
+        )
+
         name = self.get("operator")
         n = self.get("n", int)
         if name == "euclidean":
@@ -131,6 +129,8 @@ class Case:
         raise ConfigError(f"case {self.label}: unknown operator {name!r}")
 
     def solve_config(self):
+        from .solver import SolveConfig
+
         # a mesh key the case leaves out takes SolveConfig's default
         mesh = {key: self.get(key, int) for key in ("nt_per_octave", "n_eta")
                 if key in self.opt}
@@ -178,10 +178,14 @@ def _case_dir(outdir, label):
 
 
 def _read_profile(cdir):
+    from .profiles import profile_from_csv
+
     return profile_from_csv(os.path.join(cdir, "profile.csv"))
 
 
 def run_profile(case, outdir):
+    from .profiles import profile_to_csv, solve_profile
+
     dom = case.spherical_domain()
     n = case.get("n", int)
     schedule = _parse_floats(case.get("schedule", default="1e2"))
@@ -192,11 +196,11 @@ def run_profile(case, outdir):
 
 
 def run_eigen(case, outdir):
+    from .spectral import first_eigenpair, regime_exponent
+
     cdir = _case_dir(outdir, case.label)
     eig = first_eigenpair(_read_profile(cdir))
     write_eigen_csv(os.path.join(cdir, "eigen.csv"), eig)
-    from .spectral import regime_exponent
-
     form = regime_exponent(eig)
     write_csv(
         os.path.join(cdir, "regime.csv"),
@@ -207,6 +211,10 @@ def run_eigen(case, outdir):
 
 
 def run_solve(case, outdir):
+    from .analysis import compare_to_cone, fit_rate
+    from .operators import euclidean_operator
+    from .solver import solve
+
     cdir = _case_dir(outdir, case.label)
     dom = case.domain2d()
     n = case.get("n", int)
@@ -239,12 +247,16 @@ def _read_ratio(cdir):
 
 
 def run_certify(case, outdir):
+    from .analysis import StructureClass, certify_supersolution
+
     cdir = _case_dir(outdir, case.label)
     n = case.get("n", int)
     candidate = case.get("barrier")
     c_l = case.get("c_l", float)
     op = StructureClass(n=n, c_l=c_l, label=f"class C_L={c_l:g}")
     if candidate.startswith("cone-"):
+        from .spectral import first_eigenpair
+
         eig = first_eigenpair(_read_profile(cdir))
         cert = certify_supersolution(op, candidate, eigen=eig)
     else:
@@ -259,11 +271,27 @@ def run_certify(case, outdir):
     return cert.passed, f"certify: {status} margin={cert.margin:.3e}"
 
 
+def _read_regime(cdir):
+    """mu1 and regime of the eigen stage, from the metadata of eigen.csv.
+
+    All that `verify_theorem` reads of an eigenpair; the JSON line keeps
+    mu1 to the last bit, so the eigenpair is not solved again.
+    """
+    path = os.path.join(cdir, "eigen.csv")
+    meta, _, _ = read_csv(path, ("mu1", "regime"))
+    try:
+        return SimpleNamespace(mu1=float(meta["mu1"]),
+                               regime=str(meta["regime"]))
+    except (TypeError, ValueError) as exc:
+        raise MissingArtifactError(
+            f"cannot read artifact {path}: {exc}") from None
+
+
 def run_verify(case, outdir):
+    from .analysis import RateFit, verify_theorem
+
     cdir = _case_dir(outdir, case.label)
     meta, table = _read_ratio(cdir)
-    from .analysis import RateFit
-
     fit = RateFit(
         alpha_hat=float(meta["alpha_hat"]),
         c_hat=float(meta["c_hat"]),
@@ -273,15 +301,12 @@ def run_verify(case, outdir):
         model=meta["model"],
     )
     predicted = case.get("predicted", float, required=False)
-    eigen = None
-    if predicted is None:
-        eigen = first_eigenpair(_read_profile(cdir))
     row = verify_theorem(
         case.label,
         case.get("n", int),
         fit,
         predicted=predicted,
-        eigen=eigen,
+        eigen=_read_regime(cdir) if predicted is None else None,
         slack=case.get("slack", float),
         sharp_at=case.get("sharp_at", float, required=False),
     )
@@ -411,6 +436,8 @@ def main(argv=None):
 
     try:
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_run_stage_for_case, todo))
         else:

@@ -355,19 +355,6 @@ class TangentConeSpec:
                    aperture=opening, section=section)
 
     @classmethod
-    def cap_cone(cls, axis, aperture):
-        axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        if not 0 < aperture < np.pi:
-            raise ConfigError("cap-cone aperture must lie in (0, pi)")
-        section = SphericalDomain1D(
-            "polar-sphere", 0.0, aperture,
-            bc_lo="regular-pole", bc_hi="blowup", label="cap-section",
-        )
-        return cls(tag="cap-cone", n=axis.size, axis=axis, aperture=aperture,
-                   section=section)
-
-    @classmethod
     def fan_intersection(cls, normals):
         normals = np.atleast_2d(np.asarray(normals, dtype=float))
         return cls(tag="fan", n=normals.shape[1], normals=normals, section=None)

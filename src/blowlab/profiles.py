@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ConfigError, DomainError, MissingArtifactError
 from .newton import escalate
@@ -234,6 +233,8 @@ class _NotAKnotSpline:
         if x.size < 4 or not np.all(dx > 0.0):
             raise DomainError("a not-a-knot spline needs at least 4 "
                               "strictly increasing nodes")
+        from scipy.linalg import solve_banded
+
         slope = np.diff(y) / dx
         # node slopes s from the tridiagonal system, in banded storage
         ab = np.zeros((3, x.size))
@@ -409,6 +410,8 @@ class BandedProblem:
         return r
 
     def factor(self, g):
+        from scipy.linalg import solve_banded
+
         interior = self.interior
         jac_diag = self.b.copy()
         jac_diag[interior] -= (self.row_scale[interior] * self.coef * self.p

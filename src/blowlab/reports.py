@@ -39,14 +39,19 @@ def fmt(x):
     return str(x)
 
 
-def write_csv(path, header, rows, meta=None):
+def _write_lines(path, header, lines, meta):
+    """A CSV artifact: the meta line, the header and the given row lines."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         if meta is not None:
             fh.write("# " + json.dumps(meta, sort_keys=True, default=fmt) + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
+
+
+def write_csv(path, header, rows, meta=None):
+    _write_lines(path, header,
+                 (",".join(fmt(v) for v in row) + "\n" for row in rows), meta)
 
 
 def read_csv(path, meta_keys=(), columns=(), numeric=False):
@@ -119,9 +124,13 @@ def write_field_csv(path, fld):
     meta = {"n": fld.n, "operator": fld.operator_label,
             "reduction": fld.domain.reduction, "truncation": fld.truncation,
             "bracket_width": fld.bracket_width}
-    # one row per node, in the row-major order of u
-    rows = zip(*(x.ravel() for x in (fld.radii(), fld.theta, fld.u, fld.d)))
-    write_csv(path, ["r", "theta", "u", "d"], rows, meta=meta)
+    # one row per node, in the row-major order of u; for a Python float
+    # "%.12g" gives the bytes of `fmt`, one format per row instead of four
+    rows = np.column_stack(
+        [x.ravel() for x in (fld.radii(), fld.theta, fld.u, fld.d)]).tolist()
+    row = "%.12g,%.12g,%.12g,%.12g\n"
+    _write_lines(path, ["r", "theta", "u", "d"],
+                 (row % tuple(values) for values in rows), meta)
 
 
 def write_loglog_svg(path, series, title="", xlabel="r", ylabel="max ratio",

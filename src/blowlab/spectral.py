@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import BlowlabError, ConfigError, DomainError
 from .profiles import POLAR_SPHERE, BLOWUP, BlowupProfile
@@ -176,6 +175,8 @@ def first_eigenpair(profile):
     iteration (`stein`) give its lowest eigenpair, and phi = S v.  `iterations`
     counts that one solve, so it is 1.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     n = profile.n
     free, off, diag, mass = _assemble(profile)
     s = 1.0 / np.sqrt(mass)

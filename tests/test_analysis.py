@@ -185,7 +185,7 @@ def test_verify_rows(half_sphere_eigen, ball_field):
                           slack=0.2)
     assert row2.predicted == 2.0
     assert not row2.passed  # measured ~1 against predicted 2
-    assert "PASS" not in row2.as_markdown().split("|")[-2]
+    assert row2.sharp_check is None  # no sharp_at, so no sharpness check
 
 
 def test_verify_requires_inputs(ball_field):

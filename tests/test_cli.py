@@ -6,6 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from blowlab.analysis import RateFit
+from blowlab.reports import write_ratio_csv
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 RUN_STAGES = os.path.join(ROOT, "tools", "run_stages.py")
@@ -232,6 +235,11 @@ def test_pipeline_and_idempotence(workdir):
     res = run_python(RUN_STAGES, str(cfg), str(out))
     assert res.returncode == 0
     assert res.stdout.splitlines() == [f"{stage} exit 0" for stage in STAGES]
+    # and each stage's wall time on its own stderr line
+    took = [line.split() for line in res.stderr.splitlines()
+            if line.split()[1:2] == ["took"]]
+    assert [words[0] for words in took] == list(STAGES)
+    assert all(float(words[2]) > 0 and words[3] == "s" for words in took)
 
     profile_csv = (out / "tiny-profile" / "profile.csv").read_bytes()
     ratio_csv = (out / "tiny-ball" / "ratio.csv").read_bytes()
@@ -364,3 +372,159 @@ def test_solves_do_not_import_heavy_scipy_modules():
     proc = run_python("-c", IMPORT_GUARD)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# a cone case whose verify row takes its prediction from the eigenpair (no
+# `predicted` key), a ball case with a fixed one, and a cone barrier; the
+# ratio.csv of both verify cases is written by hand
+LIGHT_STAGES = """
+[suite]
+output = {out}
+
+[case:tiny-cone]
+stages = profile eigen certify verify
+geometry = polar-sphere
+theta_lo = 0.0
+theta_hi = 1.0471975511965976
+bc_lo = regular-pole
+bc_hi = blowup
+n = 3
+nodes = 400
+grading = 2.0
+schedule = 1e2
+interior_tol = 1e-8
+barrier = cone-quadratic
+c_l = 0.0
+slack = 0.3
+
+[case:tiny-ball]
+stages = verify
+n = 3
+predicted = 1.0
+slack = 0.15
+"""
+
+SCIPY_OF_STAGE = """
+import sys
+from blowlab import cli
+status = cli.main(sys.argv[1:])
+print(status, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def scipy_of_stage(*args):
+    """Exit status of one stage run in a fresh process, and the SciPy
+    modules that process loaded."""
+    proc = run_python("-c", SCIPY_OF_STAGE, *args)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    status, *modules = proc.stdout.split()
+    return int(status), modules
+
+
+# the rate fit of both verify cases: it meets the predicted exponent 2
+# of the n = 3 cap and the fixed 1 of the ball
+LIGHT_FIT = RateFit(alpha_hat=2.1, c_hat=1.0, r_squared=1.0,
+                    window=(2.0**-7, 0.25),
+                    table=[(2.0**-k, 2.0**(-2 * k)) for k in range(7, 2, -1)])
+
+
+@pytest.fixture
+def light_stages(tmp_path):
+    cfg, out = tmp_path / "cases.cfg", tmp_path / "out"
+    cfg.write_text(LIGHT_STAGES.format(out=out))
+    for case in ("tiny-cone", "tiny-ball"):
+        write_ratio_csv(str(out / case / "ratio.csv"), LIGHT_FIT)
+    assert run_cli("profile", "--config", str(cfg)).returncode == 0
+    return cfg, out
+
+
+def test_import_blowlab_loads_no_scipy():
+    proc = run_python("-c", "import sys, blowlab; print(*(m for m in "
+                            "sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_public_names_resolve_lazily():
+    # every name the package exported when it imported its modules eagerly
+    names = (
+        "BarrierCertificate RateFit RatioField StructureClass "
+        "certify_supersolution compare_to_cone fit_rate verify_theorem "
+        "DiffeoT GraphSurface HyperplaneFan TangentConeSpec apply_T build_T "
+        "jacobian_T paraboloid_surface plane_surface signed_distance "
+        "sphere_surface tangent_cone MetricFamily OperatorSpec TensorMesh "
+        "apply_operator conformal_operator conformal_quadratic_metric "
+        "euclidean_operator scalar_curvature structure_constant "
+        "BlowupProfile GridSpec SphericalDomain1D check_rho_bounds "
+        "cone_solution graded_nodes profile_from_csv profile_to_csv "
+        "solve_profile DomainSpec2D SolutionField SolveConfig exact_ball "
+        "exact_halfspace growth_check monotone_check solve "
+        "sum_supersolution_defect EigenResult RateForm first_eigenpair "
+        "half_sphere_lambda1 rayleigh regime_exponent").split()
+    code = f"""
+import sys
+import blowlab
+names = {names!r}
+# all of them are listed before any module of the package is loaded
+assert sorted(blowlab.__all__) == sorted(names), blowlab.__all__
+assert set(names) <= set(dir(blowlab))
+assert [m for m in sys.modules if m.startswith("blowlab.")] == []
+for name in names:
+    exec(f"from blowlab import {{name}} as value")
+    assert value.__module__.startswith("blowlab."), name
+print("ok")
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
+def test_report_and_verify_load_no_scipy(light_stages):
+    cfg, out = light_stages
+    assert run_cli("eigen", "--config", str(cfg)).returncode == 0
+    for case in ("tiny-ball", "tiny-cone"):
+        status, modules = scipy_of_stage("verify", "--config", str(cfg),
+                                         "--case", case)
+        assert status == 0 and modules == [], case
+    status, modules = scipy_of_stage("report", "--config", str(cfg))
+    assert status == 0 and modules == []
+
+
+def test_solver_stages_load_no_scipy_sparse(light_stages):
+    # each of them needs scipy.linalg for one banded or tridiagonal solve
+    cfg, _ = light_stages
+    for stage in ("profile", "eigen", "certify"):
+        status, modules = scipy_of_stage(stage, "--config", str(cfg))
+        assert status == 0, stage
+        assert "scipy.linalg" in modules, stage
+        assert not any(m.startswith("scipy.sparse") for m in modules), stage
+
+
+def test_verify_reads_the_regime_from_eigen_csv(light_stages):
+    from blowlab import first_eigenpair, profile_from_csv, verify_theorem
+    from blowlab.reports import fmt, read_csv
+
+    cfg, out = light_stages
+    cdir = out / "tiny-cone"
+    # without eigen.csv there is nothing to predict from: the profile is
+    # not solved for its eigenpair again
+    res = run_cli("verify", "--config", str(cfg), "--case", "tiny-cone")
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("artifact error:")
+    assert "tiny-cone/eigen.csv" in lines[0]
+    assert not (cdir / "verify.csv").exists()
+
+    # with it, the row is the one the eigenpair of profile.csv predicts
+    assert run_cli("eigen", "--config", str(cfg)).returncode == 0
+    assert run_cli("verify", "--config", str(cfg),
+                   "--case", "tiny-cone").returncode == 0
+    eigen = first_eigenpair(profile_from_csv(str(cdir / "profile.csv")))
+    row = verify_theorem("tiny-cone", 3, LIGHT_FIT, eigen=eigen, slack=0.3)
+    _, header, rows = read_csv(str(cdir / "verify.csv"))
+    assert header == ["case", "n", "predicted_form", "predicted", "measured",
+                      "passed"]
+    assert rows == [[fmt(v) for v in (row.case, row.n, row.predicted_form,
+                                      row.predicted, row.measured,
+                                      row.passed)]]

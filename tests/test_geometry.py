@@ -14,6 +14,7 @@ from blowlab.geometry import (
     sphere_surface,
     tangent_cone,
 )
+from blowlab.profiles import SphericalDomain1D
 
 # dense-sampling oracle (1e-4 grid + 1e-7 local refinement) for the
 # paraboloid foot point from x = (0.1, 0, 0.05)
@@ -72,7 +73,10 @@ def test_tangent_cones():
 
 
 def test_tangent_cone_dilation_invariance():
-    tc = TangentConeSpec.cap_cone([0, 0, 1], np.pi / 3)
+    section = SphericalDomain1D("polar-sphere", 0.0, np.pi / 3,
+                                bc_lo="regular-pole", bc_hi="blowup")
+    tc = TangentConeSpec(tag="cap-cone", n=3, axis=np.array([0.0, 0.0, 1.0]),
+                         aperture=np.pi / 3, section=section)
     x = np.array([0.1, 0.05, 0.3])
     assert tc.contains(x)
     for t in (0.1, 2.0, 17.0):

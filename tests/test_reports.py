@@ -105,6 +105,31 @@ def test_every_artifact_reads_back_through_one_reader(tmp_path,
         assert read_csv(path, columns=("passed",)) == ({}, header, _strings([row]))
 
 
+def test_field_writer_gives_the_bytes_of_write_csv(tmp_path):
+    # one format per row must format each value as `fmt` does, the
+    # values at the edges of "%.12g" included
+    rng = np.random.default_rng(5)
+    shape = (17, 24)
+    u, d = (rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+            for _ in range(2))
+    u.flat[:9] = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, 5e-324,
+                  1.0 / 3.0, 123456789012.5]
+    d.flat[:4] = [1e16, 1e-5, 0.1 + 0.2, -2.0**-1074]
+    t = np.log(np.geomspace(2.0**-8, 1.0, shape[0]))
+    fld = SolutionField(
+        domain=DomainSpec2D("meridian", aperture=np.pi / 3, r_min=2.0**-8),
+        n=3, operator_label="euclidean", t=t, eta=np.linspace(0, 1, shape[1]),
+        u=u, d=d, truncation=100.0, newton_residual=1e-12, bracket_width=0.01)
+    write_field_csv(str(tmp_path / "field.csv"), fld)
+    meta = {"n": 3, "operator": "euclidean", "reduction": "meridian",
+            "truncation": 100.0, "bracket_width": 0.01}
+    rows = zip(*(x.ravel() for x in (fld.radii(), fld.theta, u, d)))
+    write_csv(str(tmp_path / "expected.csv"), ["r", "theta", "u", "d"], rows,
+              meta=meta)
+    assert ((tmp_path / "field.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
+
+
 @pytest.mark.parametrize("text, problem", [
     pytest.param(None, None, id="no-file"),
     pytest.param('# {"n": 3', None, id="truncated-meta"),
