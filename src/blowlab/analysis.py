@@ -18,6 +18,13 @@ Cone-corrected barriers use the exact angular identities
 with V = n(n+2)/(4 rho^2), so no numerical differentiation enters the
 certificates.
 
+One search serves every barrier.  It tests a trial one block of its grid
+at a time (a radius row of a cone grid, smallest radius first, or the
+whole 1-D array), drops it at its first block that is not positive, and
+gives the full margin only to a trial positive on every block.  If none
+passes, it runs again over every full margin, so each certificate is the
+exhaustive search's to the last bit.
+
 Ratio fields |u/u_V - 1| are measured inside the localization window and
 their decay fitted over dyadic annuli; a solve with the Euclidean
 operator on the identical mesh serves as the discrete cone reference for
@@ -118,11 +125,35 @@ def _trial(label, region, margin, constants):
                               constants=constants)
 
 
-def _search(trials):
-    """The first passing certificate of `trials`, in search order; if none
-    passes, the first one with the best margin."""
+def _positive(margin):
+    """Whether a block's margin exists and is > 0 everywhere (NaN is not)."""
+    return margin is not None and bool(np.min(margin) > 0.0)
+
+
+def _search(trials, blocks=(slice(None),)):
+    """The first passing certificate of `trials()`, in search order; if
+    none passes, the first one with the best margin.
+
+    `trials()` yields (label, region, constants, margin), where
+    `margin(rows)` is the trial's nodewise margin on `rows` of the leading
+    axis, or None where its barrier w is not positive.  A trial is dropped
+    at its first block of `blocks`, in order, whose margin is not
+    positive; only a trial positive on every block gets its full margin
+    and certificate.  If none passes, every full margin is evaluated in a
+    second run of `trials()`, so a FAIL is the exhaustive search's best.
+    """
+    whole = slice(None)
+    for label, region, constants, margin in trials():
+        if all(_positive(margin(rows)) for rows in blocks):
+            cert = _trial(label, region, margin(whole), constants)
+            if cert.passed:
+                return cert
     best = None
-    for cert in trials:
+    for label, region, constants, margin in trials():
+        full = margin(whole)
+        if full is None:
+            continue
+        cert = _trial(label, region, full, constants)
         if cert.passed:
             return cert
         if best is None or cert.margin > best.margin:
@@ -145,10 +176,10 @@ def _certify_double_ball(op, n, radii=None, samples=512):
             w = 2.0 * u
             margin = (coef * w**p - 2.0 * lap
                       - _radial_class_term(cls.c_l, r, w, 2.0 * du, 2.0 * d2u))
-            yield _trial("double-ball", f"B_{R:g}", margin,
-                         {"R_star": R, "C_L": cls.c_l})
+            yield ("double-ball", f"B_{R:g}", {"R_star": R, "C_L": cls.c_l},
+                   margin.__getitem__)
 
-    return _search(trials())
+    return _search(trials)
 
 
 def _certify_graded_sum(op, n, R=1.0, samples=512,
@@ -184,11 +215,11 @@ def _certify_graded_sum(op, n, R=1.0, samples=512,
                 d2w = d2u + A * d2ub + B * d2ur2
                 margin = (coef * w**p - lap_w
                           - _radial_class_term(cls.c_l, r, w, dw, d2w))
-                yield _trial("graded-sum", f"B_{r0:g} (ball R={R:g})", margin,
-                             {"A": A, "B": B, "beta": beta, "r0": r0,
-                              "C_L": cls.c_l})
+                yield ("graded-sum", f"B_{r0:g} (ball R={R:g})",
+                       {"A": A, "B": B, "beta": beta, "r0": r0,
+                        "C_L": cls.c_l}, margin.__getitem__)
 
-    return _search(trials())
+    return _search(trials)
 
 
 def _cone_barrier_ingredients(eigen, r, case):
@@ -256,31 +287,42 @@ def _certify_cone_corrected(op, eigen, case, samples=48,
     A_meas = _profile_derivative_constant(eigen.profile)
     label = label or f"cone-{case}"
 
+    def margin_of(grid, A0, A1, A2):
+        """The nodewise margin of one trial on rows of the (r, theta) grid."""
+        (u_v, lap_uv, t0, l0, t1, l1, t2, l2), r, rho_w = grid
+
+        def margin(rows):
+            w = u_v[rows] + A0 * t0[rows] + A1 * t1[rows] + A2 * t2[rows]
+            if np.any(w <= 0):
+                return None
+            lap_w = lap_uv[rows] + A0 * l0[rows] + A1 * l1[rows] + A2 * l2[rows]
+            out = coef * w**p - lap_w
+            if cls.c_l > 0:
+                # A inflated for the correction terms
+                out = out - cls.c_l * 4.0 * A_meas * np.abs(w) * rho_w
+            if c_t is not None:
+                out = out - c_t * 2.0 * A_meas * np.abs(w) * rho_w / r[rows]
+            return out
+
+        return margin
+
     def trials():
         for r0 in r_grid:
             r = np.geomspace(r0 * 2.0**-6, r0, samples)
-            (u_v, lap_uv, t0, l0, t1, l1, t2, l2, rho) = (
-                _cone_barrier_ingredients(eigen, r, case))
-            RR = np.broadcast_to(r[:, None], u_v.shape)
+            *terms, rho = _cone_barrier_ingredients(eigen, r, case)
             rho_w = rho**-2 + 1.0      # per angular node, broadcast over r
+            grid = (terms, r[:, None], rho_w)
             for A0, k1, k2 in product(a0_grid, k_grid, k_grid):
                 A1, A2 = k1 * A0, k2 * A0
-                w = u_v + A0 * t0 + A1 * t1 + A2 * t2
-                if np.any(w <= 0):
-                    continue
-                lap_w = lap_uv + A0 * l0 + A1 * l1 + A2 * l2
-                margin = coef * w**p - lap_w
-                if cls.c_l > 0:
-                    # A inflated for the correction terms
-                    margin = margin - cls.c_l * 4.0 * A_meas * np.abs(w) * rho_w
                 constants = {"A0": A0, "A1": A1, "A2": A2, "r0": r0,
                              "C_L": cls.c_l}
                 if c_t is not None:
-                    margin = margin - c_t * 2.0 * A_meas * np.abs(w) * rho_w / RR
                     constants["C_T"] = c_t
-                yield _trial(label, f"V cap B_{r0:g}", margin, constants)
+                yield (label, f"V cap B_{r0:g}", constants,
+                       margin_of(grid, A0, A1, A2))
 
-    return _search(trials())
+    # one block per radius row, the smallest radius first
+    return _search(trials, [slice(i, i + 1) for i in range(samples)])
 
 
 def _profile_derivative_constant(profile):

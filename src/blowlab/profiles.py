@@ -535,9 +535,9 @@ def profile_to_csv(profile, path):
         "newton_residual": profile.newton_residual,
     }
     # 17 significant digits, so that a profile reads back to the same floats
-    rows = ([f"{v:.17g}" for v in row]
-            for row in zip(profile.theta, profile.g, profile.rho))
-    write_csv(path, ["theta", "g", "rho"], rows, meta=meta)
+    rows = np.column_stack([profile.theta, profile.g, profile.rho]).tolist()
+    write_csv(path, ["theta", "g", "rho"], rows, meta=meta,
+              row_format="%.17g,%.17g,%.17g\n")
 
 
 def profile_from_csv(path):

@@ -49,9 +49,16 @@ def _write_lines(path, header, lines, meta):
         fh.writelines(lines)
 
 
-def write_csv(path, header, rows, meta=None):
-    _write_lines(path, header,
-                 (",".join(fmt(v) for v in row) + "\n" for row in rows), meta)
+def write_csv(path, header, rows, meta=None, row_format=None):
+    """A CSV artifact of `rows`, each value through `fmt`; or, with
+    `row_format`, each row through that one `%` format of a whole line.
+    For a Python float "%.12g" gives the bytes of `fmt`, so a float row
+    from `tolist()` needs one format instead of one per value."""
+    if row_format is None:
+        lines = (",".join(fmt(v) for v in row) + "\n" for row in rows)
+    else:
+        lines = (row_format % tuple(row) for row in rows)
+    _write_lines(path, header, lines, meta)
 
 
 def read_csv(path, meta_keys=(), columns=(), numeric=False):
@@ -116,21 +123,20 @@ def write_ratio_csv(path, fit, meta=None):
 def write_eigen_csv(path, eigen):
     meta = {"n": eigen.n, "lambda1": eigen.lambda1, "mu1": eigen.mu1,
             "regime": eigen.regime, "nu_hat": eigen.nu_hat}
-    write_csv(path, ["theta", "phi1"], zip(eigen.profile.theta, eigen.phi),
-              meta=meta)
+    rows = np.column_stack([eigen.profile.theta, eigen.phi]).tolist()
+    write_csv(path, ["theta", "phi1"], rows, meta=meta,
+              row_format="%.12g,%.12g\n")
 
 
 def write_field_csv(path, fld):
     meta = {"n": fld.n, "operator": fld.operator_label,
             "reduction": fld.domain.reduction, "truncation": fld.truncation,
             "bracket_width": fld.bracket_width}
-    # one row per node, in the row-major order of u; for a Python float
-    # "%.12g" gives the bytes of `fmt`, one format per row instead of four
+    # one row per node, in the row-major order of u
     rows = np.column_stack(
         [x.ravel() for x in (fld.radii(), fld.theta, fld.u, fld.d)]).tolist()
-    row = "%.12g,%.12g,%.12g,%.12g\n"
-    _write_lines(path, ["r", "theta", "u", "d"],
-                 (row % tuple(values) for values in rows), meta)
+    write_csv(path, ["r", "theta", "u", "d"], rows, meta=meta,
+              row_format="%.12g,%.12g,%.12g,%.12g\n")
 
 
 def write_loglog_svg(path, series, title="", xlabel="r", ylabel="max ratio",

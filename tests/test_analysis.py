@@ -5,6 +5,7 @@ from blowlab.analysis import (
     BarrierCertificate,
     RatioField,
     _search,
+    _trial,
     StructureClass,
     certify_supersolution,
     compare_to_cone,
@@ -75,27 +76,186 @@ def test_failed_search_returns_certificate(half_sphere_eigen):
     assert cert.margin <= 0
 
 
+def _rows_trials(specs, asked):
+    """trials() over fixed nodewise margins, one block per row.
+
+    Each spec is (margin, w_bad_rows): the trial's margin array, and the
+    rows where its barrier w is not positive.  `asked` records each
+    (trial, rows) a margin is asked for, and each trial as it is yielded.
+    """
+    def trials():
+        for k, (values, w_bad) in enumerate(specs):
+            def margin(rows, k=k, values=values, w_bad=w_bad):
+                asked.append((k, rows))
+                if any(i in w_bad for i in range(len(values))[rows]):
+                    return None
+                return values[rows]
+            asked.append(k)
+            yield f"trial-{k}", "B_1", {"k": k}, margin
+
+    blocks = [slice(i, i + 1) for i in range(len(specs[0][0]))]
+    return trials, blocks
+
+
+def _margins(*rows):
+    return np.array(rows, dtype=float)
+
+
+WHOLE = slice(None)
+
+
 def test_search_returns_first_pass_else_best_margin():
-    def cert(margin):
-        return BarrierCertificate("trial", "B_1", margin, 8, margin > 0.0)
+    def spec(margin):
+        return _margins([margin, 1.0], [2.0, 3.0]), ()
 
-    seen = []
-
-    def trials(certs):
-        for c in certs:
-            seen.append(c)
-            yield c
-
-    failing = [cert(-3.0), cert(-1.0), cert(-1.0), cert(-2.0)]
-    passing = [cert(-3.0), cert(2.0), cert(5.0)]
+    asked = []
+    passing = [spec(-3.0), spec(2.0), spec(5.0)]
     # the first passing trial in search order, not the best one, and the
     # search stops there
-    assert _search(trials(passing)) is passing[1]
-    assert seen == passing[:2]
+    cert = _search(*_rows_trials(passing, asked))
+    assert cert.constants == {"k": 1} and cert.passed
+    assert [a for a in asked if isinstance(a, int)] == [0, 1]
     # none passes: the best margin, the first of equal ones
-    best = _search(trials(failing))
-    assert best is failing[1] and not best.passed
-    assert _search(iter(())) is None
+    failing = [spec(-3.0), spec(-1.0), spec(-1.0), spec(-2.0)]
+    best = _search(*_rows_trials(failing, []))
+    assert best.constants == {"k": 1} and best.margin == -1.0
+    assert not best.passed
+    assert _search(lambda: iter(())) is None
+
+
+def test_search_without_a_pass_returns_the_exhaustive_best():
+    # trial 0 fails in row 0 but is best over the whole grid; trial 1 is
+    # positive in row 0 and fails worse in row 2
+    specs = [(_margins([-1.0, 5.0], [2.0, 2.0], [3.0, 3.0]), ()),
+             (_margins([4.0, 4.0], [4.0, 4.0], [-9.0, 1.0]), ()),
+             (_margins([-2.0, 1.0], [-0.5, 1.0], [1.0, 1.0]), ())]
+    asked = []
+    cert = _search(*_rows_trials(specs, asked))
+    assert cert == BarrierCertificate("trial-0", "B_1", -1.0, 6, False,
+                                      {"k": 0})
+    # the row-wise pass, then every full margin
+    assert asked == [0, (0, slice(0, 1)),
+                     1, (1, slice(0, 1)), (1, slice(1, 2)), (1, slice(2, 3)),
+                     2, (2, slice(0, 1)),
+                     0, (0, WHOLE), 1, (1, WHOLE), 2, (2, WHOLE)]
+
+
+def test_search_rejects_a_trial_at_its_first_nonpositive_row():
+    # trial 0 is non-positive only at one node of its last row, trial 1
+    # only at an exact zero in its first row; trial 2 passes
+    specs = [(_margins([1.0, 2.0], [3.0, 4.0], [5.0, -1e-300]), ()),
+             (_margins([0.0, 2.0], [3.0, 4.0], [5.0, 6.0]), ()),
+             (_margins([1.0, 2.0], [3.0, 4.0], [5.0, 0.5]), ())]
+    asked = []
+    cert = _search(*_rows_trials(specs, asked))
+    assert cert == BarrierCertificate("trial-2", "B_1", 0.5, 6, True, {"k": 2})
+    # no full margin for a rejected trial, and a zero row ends its trial
+    assert asked == [0, (0, slice(0, 1)), (0, slice(1, 2)), (0, slice(2, 3)),
+                     1, (1, slice(0, 1)),
+                     2, (2, slice(0, 1)), (2, slice(1, 2)), (2, slice(2, 3)),
+                     (2, WHOLE)]
+
+
+def test_search_skips_a_trial_whose_barrier_fails_in_a_later_row():
+    # trial 0 has the best margin everywhere, but its w is not positive in
+    # row 2: it is never a certificate, in the row-wise pass or the full one
+    w_bad = (_margins([9.0, 9.0], [9.0, 9.0], [9.0, 9.0]), {2})
+    asked = []
+    cert = _search(*_rows_trials([w_bad, (_margins([1.0], [2.0], [3.0]), ())],
+                                 asked))
+    assert cert.constants == {"k": 1} and cert.passed
+    assert (0, WHOLE) not in asked
+    failing = (_margins([-1.0, 1.0], [1.0, 1.0], [1.0, 1.0]), ())
+    cert = _search(*_rows_trials([w_bad, failing], []))
+    assert cert == BarrierCertificate("trial-1", "B_1", -1.0, 6, False,
+                                      {"k": 1})
+    assert _search(*_rows_trials([w_bad], [])) is None
+
+
+def test_search_never_passes_a_nan_margin():
+    nan_rows = [(_margins([1.0, 1.0], [np.nan, 1.0]), ()),
+                (_margins([np.nan, 1.0], [1.0, 1.0]), ())]
+    for specs in (nan_rows, nan_rows[::-1]):
+        asked = []
+        cert = _search(*_rows_trials(specs, asked))
+        assert not cert.passed and np.isnan(cert.margin)
+        # no trial got a full margin before the exhaustive pass
+        assert asked.index((0, WHOLE)) > asked.index((1, slice(0, 1)))
+    # a NaN block ends its trial, and the next trial can still pass
+    asked = []
+    cert = _search(*_rows_trials(
+        [nan_rows[0], (_margins([1.0, 1.0], [2.0, 2.0]), ())], asked))
+    assert cert.constants == {"k": 1} and cert.passed
+    assert (0, WHOLE) not in asked
+
+
+def _exhaustive_search(trials, blocks=None):
+    """The search as one full margin per trial, in search order."""
+    best = None
+    for label, region, constants, margin in trials():
+        full = margin(slice(None))
+        if full is None:
+            continue
+        cert = _trial(label, region, full, constants)
+        if cert.passed:
+            return cert
+        if best is None or cert.margin > best.margin:
+            best = cert
+    return best
+
+
+def _same_as_exhaustive(monkeypatch, *args, **kw):
+    from blowlab import analysis
+
+    cert = certify_supersolution(*args, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_search", _exhaustive_search)
+        full = certify_supersolution(*args, **kw)
+    assert cert == full
+    return cert
+
+
+@pytest.mark.parametrize("c_l", [0.25, 1.0, 2.0])
+def test_double_ball_search_is_the_exhaustive_one(monkeypatch, c_l):
+    _same_as_exhaustive(monkeypatch, StructureClass(3, c_l), "double-ball",
+                        n=3)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_graded_sum_search_is_the_exhaustive_one(monkeypatch, n):
+    _same_as_exhaustive(monkeypatch, StructureClass(n, 1.0), "graded-sum",
+                        n=n)
+
+
+@pytest.mark.parametrize("c_l", [0.0, 2.0])
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("case", ["quadratic", "log", "slow"])
+def test_cone_search_is_the_exhaustive_one(half_sphere_eigen, monkeypatch,
+                                           case, n, c_l):
+    cert = _same_as_exhaustive(monkeypatch, StructureClass(n, c_l),
+                               f"cone-{case}", eigen=half_sphere_eigen[n])
+    assert cert.passed
+
+
+@pytest.mark.parametrize("c_l", [0.0, 2.0])
+def test_t_composed_search_is_the_exhaustive_one(half_sphere_eigen,
+                                                 monkeypatch, c_l):
+    from blowlab.geometry import build_T, sphere_surface
+
+    tmap = build_T([sphere_surface(3, 1.0)])
+    cert = _same_as_exhaustive(monkeypatch, StructureClass(3, c_l),
+                               "t-composed", eigen=half_sphere_eigen[3],
+                               tmap=tmap)
+    assert cert.passed
+
+
+def test_failed_cone_search_is_the_exhaustive_one(half_sphere_eigen,
+                                                  monkeypatch):
+    cert = _same_as_exhaustive(
+        monkeypatch, StructureClass(3, 1e9), "cone-quadratic",
+        eigen=half_sphere_eigen[3], a0_grid=[1.0, 4.0], k_grid=[1.0, 2.0],
+        r_grid=[0.1, 0.05])
+    assert not cert.passed
 
 
 def test_t_composed_certificate(half_sphere_eigen):

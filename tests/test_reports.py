@@ -6,7 +6,11 @@ import pytest
 
 from blowlab.analysis import RateFit
 from blowlab.errors import MissingArtifactError
-from blowlab.profiles import profile_from_csv, profile_to_csv
+from blowlab.profiles import (
+    SphericalDomain1D,
+    profile_from_csv,
+    profile_to_csv,
+)
 from blowlab.reports import (
     fmt,
     read_csv,
@@ -128,6 +132,40 @@ def test_field_writer_gives_the_bytes_of_write_csv(tmp_path):
               meta=meta)
     assert ((tmp_path / "field.csv").read_bytes()
             == (tmp_path / "expected.csv").read_bytes())
+
+
+def test_profile_and_eigen_writers_give_the_bytes_of_per_value_formats(
+        tmp_path):
+    # one format per row must give the bytes of a format per value: `fmt`
+    # for eigen.csv and 17 digits for profile.csv, edge values included
+    rng = np.random.default_rng(7)
+    theta, g, phi = (rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+                     for _ in range(3))
+    theta[:9] = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, 5e-324,
+                 1.0 / 3.0, 123456789012.5]
+    g[:5] = [1e300, -0.0, np.nan, -np.inf, 0.1 + 0.2]
+    phi[:5] = [np.nan, 1e300, -np.inf, np.inf, -0.0]
+    domain = SphericalDomain1D("polar-sphere", 0.0, 1.0)
+    prof = SimpleNamespace(n=3, domain=domain, truncation=100.0,
+                           newton_residual=1e-12, theta=theta, g=g, rho=-g)
+    profile_to_csv(prof, str(tmp_path / "profile.csv"))
+    meta = {"n": 3, "domain": domain.as_dict(), "truncation": 100.0,
+            "newton_residual": 1e-12}
+    write_csv(str(tmp_path / "profile-expected.csv"), ["theta", "g", "rho"],
+              ([f"{v:.17g}" for v in row] for row in zip(theta, g, -g)),
+              meta=meta)
+    eigen = SimpleNamespace(n=3, lambda1=4.1, mu1=2.2, regime="power",
+                            nu_hat=2.5, profile=prof, phi=phi)
+    write_eigen_csv(str(tmp_path / "eigen.csv"), eigen)
+    meta = {"n": 3, "lambda1": 4.1, "mu1": 2.2, "regime": "power",
+            "nu_hat": 2.5}
+    write_csv(str(tmp_path / "eigen-expected.csv"), ["theta", "phi1"],
+              zip(theta, phi), meta=meta)
+    for name in ("profile", "eigen"):
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}-expected.csv").read_bytes())
+    eigen_csv = (tmp_path / "eigen.csv").read_bytes()
+    assert b"\n-0,nan\n0,1e+300\ninf,-inf\n" in eigen_csv
 
 
 @pytest.mark.parametrize("text, problem", [
