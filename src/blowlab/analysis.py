@@ -62,9 +62,10 @@ class StructureClass:
 
     n: int
     c_l: float
-    label: str = ""
 
     def __post_init__(self):
+        if self.n < 3:
+            raise ConfigError("dimension must satisfy n >= 3")
         if self.c_l < 0:
             raise ConfigError("structure constant must be nonnegative")
 
@@ -110,7 +111,7 @@ def _radial_class_term(c_l, r, w, dw, d2w):
 def _class_of(op, n):
     if isinstance(op, StructureClass):
         return op
-    return StructureClass(n=n, c_l=op.c_l, label=op.label)
+    return StructureClass(n=n, c_l=op.c_l)
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +183,20 @@ def _certify_double_ball(op, n, radii=None, samples=512):
     return _search(trials)
 
 
-def _certify_graded_sum(op, n, R=1.0, samples=512,
-                        a_grid=None, b_grid=None, r_grid=None):
-    """w = u* + A u*^beta + B u* r^2 on the ball fixture (u* = u_R exactly)."""
+def _certify_graded_sum(op, n):
+    """w = u* + A u*^beta + B u* r^2 on the unit ball (u* = u_1 exactly)."""
     cls = _class_of(op, n)
     p = (n + 2.0) / (n - 2.0)
     coef = 0.25 * n * (n - 2.0)
     beta = (n - 6.0) / (n - 2.0) if n >= 6 else 0.0
-    a_grid = a_grid if a_grid is not None else np.geomspace(0.25, 64.0, 9)
-    b_grid = b_grid if b_grid is not None else np.geomspace(0.25, 256.0, 11)
-    r_grid = r_grid if r_grid is not None else np.geomspace(0.5, 2.0**-6, 15)
+    a_grid = np.geomspace(0.25, 64.0, 9)
+    b_grid = np.geomspace(0.25, 256.0, 11)
+    r_grid = np.geomspace(0.5, 2.0**-6, 15)
 
     def trials():
         for r0 in r_grid:
-            r = np.linspace(0.0, min(r0, R * (1 - 1e-6)), samples)
-            u, du, d2u, lap_u = _ball_profile(n, R, r)
+            r = np.linspace(0.0, min(r0, 1 - 1e-6), 512)
+            u, du, d2u, lap_u = _ball_profile(n, 1.0, r)
             # calculus of the three graded terms, all radial
             ub = u**beta
             dub = beta * u ** (beta - 1.0) * du
@@ -215,7 +215,7 @@ def _certify_graded_sum(op, n, R=1.0, samples=512,
                 d2w = d2u + A * d2ub + B * d2ur2
                 margin = (coef * w**p - lap_w
                           - _radial_class_term(cls.c_l, r, w, dw, d2w))
-                yield ("graded-sum", f"B_{r0:g} (ball R={R:g})",
+                yield ("graded-sum", f"B_{r0:g} (ball R=1)",
                        {"A": A, "B": B, "beta": beta, "r0": r0,
                         "C_L": cls.c_l}, margin.__getitem__)
 
@@ -337,8 +337,8 @@ def _profile_derivative_constant(profile):
     return float(np.max(ratio))
 
 
-def _certify_t_composed(op, eigen, tmap, case="quadratic", samples=24):
-    """Cone barrier composed with the straightening map.
+def _certify_t_composed(op, eigen, tmap):
+    """Quadratic cone barrier composed with the straightening map.
 
     The straightening error costs C_T (|grad w| + |x||hess w|), which the
     profile's derivative constant turns into C_T A w (rho^-2 + 1) / r per
@@ -349,7 +349,7 @@ def _certify_t_composed(op, eigen, tmap, case="quadratic", samples=24):
 
     rng = np.random.default_rng(17)
     worst_ct = 0.0
-    for _ in range(samples):
+    for _ in range(24):
         v = rng.standard_normal(tmap.n)
         v /= np.linalg.norm(v)
         for s in (0.1, 0.3, 0.6):
@@ -357,8 +357,8 @@ def _certify_t_composed(op, eigen, tmap, case="quadratic", samples=24):
             dev = np.linalg.norm(apply_T(tmap, x) - x)
             worst_ct = max(worst_ct, dev / np.linalg.norm(x) ** 2)
     r_grid = np.geomspace(0.5 * tmap.r_T, 2.0**-8, 10)
-    return _certify_cone_corrected(op, eigen, case, c_t=worst_ct,
-                                   r_grid=r_grid, label=f"t-composed-{case}")
+    return _certify_cone_corrected(op, eigen, "quadratic", c_t=worst_ct,
+                                   r_grid=r_grid, label="t-composed-quadratic")
 
 
 def certify_supersolution(op, candidate, n=None, eigen=None, tmap=None, **kw):
@@ -474,7 +474,7 @@ class RateFit:
     table: list                  # (r_mid, max_ratio) per annulus
     model: str = "power"
     residual: float = 0.0
-    log_model_residual: float = None
+    log_model_residual: float = field(default=None, init=False)
 
     def __str__(self):
         return (f"alpha_hat={self.alpha_hat:.4f} C={self.c_hat:.3g} "

@@ -108,7 +108,7 @@ class Case:
             aperture=self.get("aperture", float, default=math.pi),
             r_min=self.get("r_min", float, default=2.0**-8),
             r_max=self.get("r_max", float),
-            curve=_parse_floats(self.get("curve", default="") or ""),
+            curve=self.get("curve", _parse_floats, default=()),
             label=self.label,
         )
 
@@ -135,7 +135,7 @@ class Case:
         mesh = {key: self.get(key, int) for key in ("nt_per_octave", "n_eta")
                 if key in self.opt}
         return SolveConfig(
-            schedule=_parse_floats(self.get("schedule")),
+            schedule=self.get("schedule", _parse_floats),
             newton_tol=self.get("newton_tol", float),
             interior_tol=self.get("interior_tol", float),
             bracket=(self.get("bracket_low", float),
@@ -188,7 +188,7 @@ def run_profile(case, outdir):
 
     dom = case.spherical_domain()
     n = case.get("n", int)
-    schedule = _parse_floats(case.get("schedule", default="1e2"))
+    schedule = case.get("schedule", _parse_floats, default=(1e2,))
     prof = solve_profile(dom, n, schedule=schedule, grid=case.grid_spec(),
                          interior_tol=case.get("interior_tol", float))
     profile_to_csv(prof, os.path.join(_case_dir(outdir, case.label), "profile.csv"))
@@ -253,7 +253,7 @@ def run_certify(case, outdir):
     n = case.get("n", int)
     candidate = case.get("barrier")
     c_l = case.get("c_l", float)
-    op = StructureClass(n=n, c_l=c_l, label=f"class C_L={c_l:g}")
+    op = StructureClass(n=n, c_l=c_l)
     if candidate.startswith("cone-"):
         from .spectral import first_eigenpair
 
@@ -337,9 +337,8 @@ def run_report(cases, outdir):
             meta, pts = _read_ratio(cdir)
             if len(pts):
                 write_loglog_svg(
-                    os.path.join(cdir, "ratio.svg"),
-                    [(label, pts[:, 0], pts[:, 1])],
-                    title=f"{label}: cone-approximation decay",
+                    os.path.join(cdir, "ratio.svg"), label, pts[:, 0],
+                    pts[:, 1], title=f"{label}: cone-approximation decay",
                     fitted=(float(meta["alpha_hat"]), float(meta["c_hat"])),
                 )
     write_markdown_table(

@@ -122,7 +122,6 @@ class GraphSurface:
     graph: object
     chart_radius: float = 1.0
     rotation: np.ndarray = None
-    label: str = ""
 
     def __post_init__(self):
         if self.n < 3:
@@ -153,25 +152,25 @@ class GraphSurface:
         return self.rotation.T @ self._nu_graph
 
 
-def plane_surface(n, normal, label="plane"):
+def plane_surface(n, normal):
     """Hyperplane through 0 with the given (not necessarily unit) normal."""
     nu = np.asarray(normal, dtype=float)
     nu = nu / np.linalg.norm(nu)
     rot = _rotation_aligning(nu, n)
     return GraphSurface(n=n, graph=PolyGraph(Polynomial.zero(n - 1)),
-                        rotation=rot, label=label)
+                        rotation=rot)
 
 
-def paraboloid_surface(n, coeff=1.0, label="paraboloid"):
+def paraboloid_surface(n, coeff=1.0):
     """f(x') = coeff |x'|^2 in the standard frame."""
     poly = coeff * Polynomial.radius_squared(n - 1)
-    return GraphSurface(n=n, graph=PolyGraph(poly), label=label)
+    return GraphSurface(n=n, graph=PolyGraph(poly))
 
 
-def sphere_surface(n, radius=1.0, label="sphere"):
+def sphere_surface(n, radius=1.0):
     """Sphere of given radius through 0 with inward normal e_n at 0."""
     return GraphSurface(n=n, graph=SphereCapGraph(radius),
-                        chart_radius=0.8 * radius, label=label)
+                        chart_radius=0.8 * radius)
 
 
 def _rotation_aligning(nu, n):
@@ -387,27 +386,25 @@ class DiffeoT:
 
     surfaces: list
     fan: HyperplaneFan
-    r_T: float = None
-    _frame_inv: np.ndarray = field(default=None, repr=False)
+    r_T: float = field(init=False)
+    _frame_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.r_T is None:
-            # self-consistent radius: r <= 0.25 / C2-seminorm measured on
-            # the ball of radius r itself, which keeps every point well
-            # inside the tubular neighbourhood (unique feet need
-            # |x| < 1/(2 |D^2 f|)); a few fixed-point sweeps settle it
-            r = 0.25
-            for _ in range(12):
-                worst = max((s.c2_bound_on(1.2 * r) for s in self.surfaces),
-                            default=0.0)
-                r_new = min(0.25, 0.25 / worst) if worst > 0 else 0.25
-                if abs(r_new - r) < 1e-6:
-                    r = r_new
-                    break
-                r = 0.5 * (r + r_new)
-            self.r_T = r
-        frame = self.fan.matrix()
-        self._frame_inv = np.linalg.inv(frame)
+        # self-consistent radius: r <= 0.25 / C2-seminorm measured on the
+        # ball of radius r itself, which keeps every point well inside the
+        # tubular neighbourhood (unique feet need |x| < 1/(2 |D^2 f|)); a
+        # few fixed-point sweeps settle it
+        r = 0.25
+        for _ in range(12):
+            worst = max((s.c2_bound_on(1.2 * r) for s in self.surfaces),
+                        default=0.0)
+            r_new = min(0.25, 0.25 / worst) if worst > 0 else 0.25
+            if abs(r_new - r) < 1e-6:
+                r = r_new
+                break
+            r = 0.5 * (r + r_new)
+        self.r_T = r
+        self._frame_inv = np.linalg.inv(self.fan.matrix())
 
     @property
     def n(self):

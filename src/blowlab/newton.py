@@ -76,9 +76,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonError
+from .errors import ConfigError, NewtonError
 
-__all__ = ["Escalation", "damped_newton", "escalate"]
+__all__ = ["Escalation", "check_schedule", "damped_newton", "escalate"]
 
 MAX_ITER = 60
 MAX_HALVINGS = 40
@@ -87,8 +87,19 @@ KAPPA = 1e-2
 GROWTH = 2.0
 
 
-def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
-    """Damped Newton at truncation level M.
+def check_schedule(schedule):
+    """Raise ConfigError unless `schedule` has a truncation level, every
+    level is finite and > 0, and the levels strictly increase."""
+    levels = np.asarray(schedule, dtype=float)
+    # negated tests, so that NaN fails them
+    if not (levels.size and np.all(np.diff(levels) > 0) and levels[0] > 0
+            and np.isfinite(levels[-1])):
+        raise ConfigError(f"truncation schedule must hold finite levels > 0 "
+                          f"that strictly increase, got {list(schedule)}")
+
+
+def damped_newton(problem, x0, M, tol, solve=None):
+    """Damped Newton at truncation level M, in at most MAX_ITER steps.
 
     Returns (x, predicted correction, solve), where the predicted
     correction is the relative update the stop judged (at most `tol`) and
@@ -106,7 +117,7 @@ def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
     res = problem.residual(x, data)
     norm = np.linalg.norm(res)
     trace = [norm]
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         fresh = True
         if solve is not None:
             step = solve(-res)
@@ -156,7 +167,7 @@ def damped_newton(problem, x0, M, tol, max_iter=MAX_ITER, solve=None):
         if predicted <= tol:
             return x, predicted, solve
     raise NewtonError(
-        f"{problem.name} Newton did not converge in {max_iter} iterations "
+        f"{problem.name} Newton did not converge in {MAX_ITER} iterations "
         f"at M={M:g}",
         trace=trace,
     )

@@ -90,11 +90,12 @@ class MetricFamily:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = VALIDITY_RADIUS * rng.uniform(size=256) ** (1.0 / self.n)
         g = self.metric(dirs * radii[:, None])
-        eigs = np.linalg.eigvalsh(g)
-        if np.min(eigs) <= 0:
+        # eigvalsh cannot take a non-finite sample: NaN stands in and fails
+        low = np.min(np.linalg.eigvalsh(g)) if np.isfinite(g).all() else np.nan
+        if not low > 0:
             raise ConfigError(
                 f"metric not positive definite on B_{VALIDITY_RADIUS} "
-                f"(min eigenvalue {np.min(eigs):.3e})"
+                f"(min eigenvalue {low:.3e})"
             )
 
     def _table(self, order):
@@ -167,6 +168,8 @@ def conformal_quadratic_metric(n, q):
     The conformal exponent 4/(n-2) must be an integer (n in {3, 4, 6});
     other dimensions would not have polynomial entries.
     """
+    if n < 3:
+        raise ConfigError("dimension must satisfy n >= 3")
     k, rem = divmod(4, n - 2)
     if rem:
         raise ConfigError(
@@ -282,13 +285,13 @@ def conformal_operator(metric):
     return OperatorSpec(n=n, evaluate=evaluate, label=label)
 
 
-def structure_constant(spec, radius, samples=4096, seed=11, inner_exclusion=1e-4):
+def structure_constant(spec, radius, samples=4096, seed=11):
     """Supremum of the structure ratio on a quasi-random ball sample."""
     if radius > VALIDITY_RADIUS:
         raise DomainError(
             f"radius {radius} exceeds the operator validity ball {VALIDITY_RADIUS}"
         )
-    pts = _ball_samples(spec.n, radius, samples, seed=seed, exclude_inner=inner_exclusion)
+    pts = _ball_samples(spec.n, radius, samples, seed=seed, exclude_inner=1e-4)
     a, b, c = spec.coefficients(pts)
     r = np.linalg.norm(pts, axis=1)
     delta = np.eye(spec.n)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, MissingArtifactError
-from .newton import escalate
+from .newton import check_schedule, escalate
 from .reports import read_csv, write_csv
 
 __all__ = [
@@ -275,24 +275,21 @@ class BlowupProfile:
     newton_residual: float
     m_history: list = field(default_factory=list)
     stop_reason: str = None        # why escalation stopped; not written out
-    rho: np.ndarray = None
-    dg: np.ndarray = None
-    d2g: np.ndarray = None
-    _spline: _NotAKnotSpline = None
+    rho: np.ndarray = field(init=False)
+    dg: np.ndarray = field(init=False)
+    d2g: np.ndarray = field(init=False)
+    _spline: _NotAKnotSpline = field(init=False)
 
     def __post_init__(self):
         if np.any(self.g <= 0.0):
             raise DomainError("profile values must stay positive")
-        if self.rho is None:
-            self.rho = self.g ** (-2.0 / (self.n - 2))
-        if self._spline is None:
-            # spline over interior nodes only: the Dirichlet value M at a
-            # blow-up endpoint is a truncation artifact and would ring
-            # through a global cubic fit
-            mask = self.interior_mask()
-            self._spline = _NotAKnotSpline(self.theta[mask], self.g[mask])
-        if self.dg is None or self.d2g is None:
-            self.dg, self.d2g = derivative_arrays(self.theta, self.g)
+        self.rho = self.g ** (-2.0 / (self.n - 2))
+        # spline over interior nodes only: the Dirichlet value M at a
+        # blow-up endpoint is a truncation artifact and would ring through
+        # a global cubic fit
+        mask = self.interior_mask()
+        self._spline = _NotAKnotSpline(self.theta[mask], self.g[mask])
+        self.dg, self.d2g = derivative_arrays(self.theta, self.g)
 
     @property
     def exponent(self):
@@ -438,18 +435,18 @@ class BandedProblem:
         return bool(self.probes) and M >= 2.0 * max(g[k] for k in self.probes)
 
 
-def solve_profile(domain, n, schedule=None, grid=None, nodes=None,
+def solve_profile(domain, n, schedule=(1e2,), grid=None, nodes=None,
                   interior_tol=1e-8, max_levels=MAX_LEVELS):
     """Solve the separated profile by truncation escalation.
 
-    `schedule` seeds the increasing truncation levels (default starts at
-    1e2); after the explicit levels are exhausted, M keeps doubling until
-    the interior (wall buffer excluded) stops moving at `interior_tol`
-    relative, or until the mesh can no longer resolve the layer where the
-    profile reaches M (`blowlab.newton.escalate`), and after `max_levels`
-    levels at most (`max_levels=1` solves one fixed level).  `nodes`
-    overrides the graded grid with explicit theta nodes (used to match a
-    2-D solver's angular grid exactly).
+    `schedule` seeds the truncation levels (finite, > 0 and strictly
+    increasing); after the explicit levels are exhausted, M keeps doubling
+    until the interior (wall buffer excluded) stops moving at
+    `interior_tol` relative, or until the mesh can no longer resolve the
+    layer where the profile reaches M (`blowlab.newton.escalate`), and
+    after `max_levels` levels at most (`max_levels=1` solves one fixed
+    level).  `nodes` overrides the graded grid with explicit theta nodes
+    (used to match a 2-D solver's angular grid exactly).
     """
     if n < 3:
         raise ConfigError("dimension must satisfy n >= 3")
@@ -460,11 +457,7 @@ def solve_profile(domain, n, schedule=None, grid=None, nodes=None,
         theta = np.asarray(nodes, dtype=float)
         if theta.size < 3 or np.any(np.diff(theta) <= 0):
             raise ConfigError("explicit nodes must be strictly increasing")
-    if schedule is None:
-        schedule = [1e2]
-    schedule = [float(M) for M in schedule]
-    if any(m2 <= m1 for m1, m2 in zip(schedule, schedule[1:])):
-        raise ConfigError("truncation schedule must be strictly increasing")
+    check_schedule(schedule)
 
     if domain.geometry == POLAR_SPHERE:
         drift = (n - 2.0) * (np.cos(theta[1:-1]) / np.sin(theta[1:-1]))
@@ -510,10 +503,10 @@ def cone_solution(profile, r, theta):
     return float(vals) if np.isscalar(theta) and vals.ndim == 0 else vals
 
 
-def check_rho_bounds(profile, wall_band=0.2):
-    """Min/max of rho over arc-distance on nodes near the blow-up boundary."""
+def check_rho_bounds(profile):
+    """Min/max of rho over arc-distance d on nodes with 0 < d <= 0.2."""
     d = profile.wall_distance()
-    mask = profile.interior_mask() & (d <= wall_band) & (d > 0)
+    mask = profile.interior_mask() & (d <= 0.2) & (d > 0)
     if not np.any(mask):
         raise DomainError("no interior nodes within the wall band")
     ratio = profile.rho[mask] / d[mask]

@@ -139,20 +139,18 @@ def write_field_csv(path, fld):
               row_format="%.12g,%.12g,%.12g,%.12g\n")
 
 
-def write_loglog_svg(path, series, title="", xlabel="r", ylabel="max ratio",
-                     width=640, height=480, fitted=None):
-    """Minimal hand-emitted log-log scatter + optional fitted line.
+def write_loglog_svg(path, label, xs, ys, title="", fitted=None):
+    """Minimal hand-emitted log-log scatter of max ratio against r, one
+    series named `label`, and an optional fitted line.
 
-    series: list of (label, xs, ys); fitted: (alpha, c) power law drawn
-    across the x-range.
+    fitted: (alpha, c) power law drawn across the x-range.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    pts_all = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
-               if x > 0 and y > 0]
-    if not pts_all:
+    pts = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
+    if not pts:
         raise ValueError("nothing to plot")
-    lx = [np.log10(p[0]) for p in pts_all]
-    ly = [np.log10(p[1]) for p in pts_all]
+    lx = [np.log10(p[0]) for p in pts]
+    ly = [np.log10(p[1]) for p in pts]
     x0, x1 = min(lx), max(lx)
     y0, y1 = min(ly), max(ly)
     if x1 - x0 < 1e-9:
@@ -162,6 +160,7 @@ def write_loglog_svg(path, series, title="", xlabel="r", ylabel="max ratio",
     pad = 0.06
     x0, x1 = x0 - pad * (x1 - x0), x1 + pad * (x1 - x0)
     y0, y1 = y0 - pad * (y1 - y0), y1 + pad * (y1 - y0)
+    width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 40, 50
 
     def sx(v):
@@ -170,7 +169,7 @@ def write_loglog_svg(path, series, title="", xlabel="r", ylabel="max ratio",
     def sy(v):
         return height - mb - (np.log10(v) - y0) / (y1 - y0) * (height - mt - mb)
 
-    colors = ["#1f6fb2", "#b2451f", "#3a9e3a", "#7a3ab2", "#b29a1f"]
+    color = "#1f6fb2"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -196,31 +195,28 @@ def write_loglog_svg(path, series, title="", xlabel="r", ylabel="max ratio",
     parts.append(f'<rect x="{ml}" y="{mt}" width="{width-ml-mr}" '
                  f'height="{height-mt-mb}" fill="none" stroke="#333333"/>')
     parts.append(f'<text x="{width/2:.1f}" y="{height-10}" text-anchor="middle" '
-                 f'font-family="monospace" font-size="12">{xlabel}</text>')
+                 f'font-family="monospace" font-size="12">r</text>')
     parts.append(f'<text x="16" y="{height/2:.1f}" text-anchor="middle" '
                  f'font-family="monospace" font-size="12" '
-                 f'transform="rotate(-90 16 {height/2:.1f})">{ylabel}</text>')
+                 f'transform="rotate(-90 16 {height/2:.1f})">max ratio</text>')
 
     if fitted is not None:
         alpha, c = fitted
-        xs = np.logspace(x0 + 0.02, x1 - 0.02, 32)
+        fit_xs = np.logspace(x0 + 0.02, x1 - 0.02, 32)
         path_d = " ".join(
             ("M" if i == 0 else "L") + f"{sx(x):.1f},{sy(c * x**alpha):.1f}"
-            for i, x in enumerate(xs)
+            for i, x in enumerate(fit_xs)
         )
         parts.append(f'<path d="{path_d}" fill="none" stroke="#888888" '
                      f'stroke-dasharray="5,4"/>')
         parts.append(f'<text x="{width-mr-8}" y="{mt+16}" text-anchor="end" '
                      f'font-family="monospace" font-size="11">slope {alpha:.3f}</text>')
 
-    for i, (label, xs, ys) in enumerate(series):
-        col = colors[i % len(colors)]
-        for x, y in zip(xs, ys):
-            if x > 0 and y > 0:
-                parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3.5" '
-                             f'fill="{col}"/>')
-        parts.append(f'<text x="{ml+10}" y="{mt+16+14*i}" font-family="monospace" '
-                     f'font-size="11" fill="{col}">{label}</text>')
+    for x, y in pts:
+        parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3.5" '
+                     f'fill="{color}"/>')
+    parts.append(f'<text x="{ml+10}" y="{mt+16}" font-family="monospace" '
+                 f'font-size="11" fill="{color}">{label}</text>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -68,7 +68,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, DomainError, LocalizationError
-from .newton import damped_newton, escalate
+from .newton import check_schedule, damped_newton, escalate
 from .profiles import (
     BLOWUP,
     REGULAR_POLE,
@@ -204,8 +204,7 @@ class SolveConfig:
     keep_level_fields: bool = False
 
     def __post_init__(self):
-        if any(m2 <= m1 for m1, m2 in zip(self.schedule, self.schedule[1:])):
-            raise ConfigError("truncation schedule must be strictly increasing")
+        check_schedule(self.schedule)
         if not 0.0 < self.bracket[0] < self.bracket[1]:
             raise ConfigError("bracket must satisfy 0 < low < high")
         for name in ("nt_per_octave", "n_eta"):
@@ -258,7 +257,7 @@ class SolutionField:
         """Nodewise radius array matching u's shape."""
         return np.broadcast_to(self.r[:, None], self.u.shape)
 
-    def interior_window(self, wall_margin=0.05, r_hi=None):
+    def interior_window(self, r_hi=None):
         """Mask of the localization-trustworthy region of the mesh."""
         r = self.radii()
         dom = self.domain
@@ -268,7 +267,7 @@ class SolutionField:
         # can round to either side of it
         lo, hi = 4.0 * dom.r_min, r_hi or dom.r_max / 4.0
         mask = (r >= lo * (1.0 - 1e-12)) & (r <= hi * (1.0 + 1e-12))
-        return mask & (_wall_gap(dom, self.eta)[None, :] >= wall_margin)
+        return mask & (_wall_gap(dom, self.eta)[None, :] >= 0.05)
 
     def bracket_width_over(self, r_hi=None):
         """Relative low/high disagreement over an explicit radius cap.
@@ -334,28 +333,28 @@ def _alphas(op, r, theta, psi, reduction, n):
     return alpha_tt, alpha_tth, alpha_thth, alpha_t, alpha_th, c
 
 
-def check_axisymmetry(op, domain, n, samples=24, tol=1e-9):
-    """Sample the pushforward at several azimuths; reject anisotropy."""
+def check_axisymmetry(op, domain, n):
+    """Sample the pushforward at 24 points, 3 azimuths; reject anisotropy."""
     if domain.reduction != MERIDIAN:
         return
     rng = np.random.default_rng(3)
-    r = np.exp(rng.uniform(np.log(domain.r_min), np.log(domain.r_max), samples))
-    theta = rng.uniform(0.05, 0.95, samples) * domain.theta_b(r)
+    r = np.exp(rng.uniform(np.log(domain.r_min), np.log(domain.r_max), 24))
+    theta = rng.uniform(0.05, 0.95, 24) * domain.theta_b(r)
     # the three azimuths in one coefficient evaluation
-    psi = np.repeat([0.0, 0.7, 2.1], samples)
+    psi = np.repeat([0.0, 0.7, 2.1], 24)
     alphas = _alphas(op, np.tile(r, 3), np.tile(theta, 3), psi, MERIDIAN, n)
-    _check_symmetry(list(zip(*(np.split(x, 3) for x in alphas))), tol,
+    _check_symmetry(list(zip(*(np.split(x, 3) for x in alphas))),
                     "axisymmetric about the meridian axis",
                     "azimuth disagreement")
 
 
-def _check_symmetry(samples, tol, symmetry, measure):
+def _check_symmetry(samples, symmetry, measure):
     """Raise ConfigError unless every coefficient tuple of `samples` is
-    within `tol` of the first, entry for entry."""
+    within 1e-9 of the first, entry for entry."""
     base, *others = samples
     for other in others:
         worst = max(np.max(np.abs(x - y)) for x, y in zip(base, other))
-        if worst > tol:
+        if worst > 1e-9:
             raise ConfigError(
                 f"operator is not {symmetry} ({measure} {worst:.3e})")
 
@@ -642,6 +641,8 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     at the final level from the low field and its kept factorization.
     With `keep_level_fields` every level is converged to `newton_tol`.
     """
+    if n < 3:
+        raise ConfigError("dimension must satisfy n >= 3")
     config = config or SolveConfig()
     if domain.reduction == BALL:
         return _solve_ball(domain, op, n, config)
@@ -715,12 +716,12 @@ def _radial_coefficients(op, rnodes, n, direction=None):
     return arr, trans, brad, c
 
 
-def check_radial_symmetry(op, n, r_max, samples=16, tol=1e-9):
+def check_radial_symmetry(op, n, r_max):
     """Sample the radial pushforward along two directions; reject anisotropy."""
     rng = np.random.default_rng(5)
-    rnodes = rng.uniform(0.05 * r_max, 0.95 * r_max, samples)
+    rnodes = rng.uniform(0.05 * r_max, 0.95 * r_max, 16)
     _check_symmetry([_radial_coefficients(op, rnodes, n, direction=d)
-                     for d in rng.standard_normal((2, n))], tol,
+                     for d in rng.standard_normal((2, n))],
                     "radially symmetric", "disagreement")
 
 
@@ -765,13 +766,13 @@ def _solve_ball(domain, op, n, config):
 # checks
 
 
-def monotone_check(fields, slack=1e-10, interior=None):
+def monotone_check(fields):
     """Nodewise monotone nondecrease along the truncation schedule.
 
     `fields` are the `(M, u)` snapshots of `SolutionField.level_fields`.
-    Monotonicity is asserted on every node; the reported Cauchy increments
-    are restricted to `interior` (default: the boundary ring stripped),
-    since Dirichlet nodes jump by the escalation factor by construction.
+    Monotonicity is asserted on every node, up to a decrease of 1e-10; the
+    reported Cauchy increments skip the boundary ring, since Dirichlet
+    nodes jump by the escalation factor by construction.
     """
     if len(fields) < 2:
         raise ConfigError("need at least two truncation levels")
@@ -779,12 +780,11 @@ def monotone_check(fields, slack=1e-10, interior=None):
     arrays = [np.asarray(u) for _, u in fields]
     if any(m2 <= m1 for m1, m2 in zip(levels, levels[1:])):
         raise ConfigError("fields must come in increasing truncation order")
-    if interior is None:
-        interior = np.zeros(arrays[0].shape, dtype=bool)
-        if arrays[0].shape[1] == 1:
-            interior[1:-1, :] = True
-        else:
-            interior[1:-1, 1:-1] = True
+    interior = np.zeros(arrays[0].shape, dtype=bool)
+    if arrays[0].shape[1] == 1:
+        interior[1:-1, :] = True
+    else:
+        interior[1:-1, 1:-1] = True
     increments = []
     worst = (0.0, None)
     for (m1, u1), (m2, u2) in zip(zip(levels, arrays), zip(levels[1:], arrays[1:])):
@@ -792,7 +792,7 @@ def monotone_check(fields, slack=1e-10, interior=None):
         if viol > worst[0]:
             worst = (viol, (m1, m2))
         increments.append(float(np.max(np.abs(u2 - u1)[interior] / u1[interior])))
-    ok = worst[0] <= slack
+    ok = worst[0] <= 1e-10
     return {
         "monotone": bool(ok),
         "worst_violation": float(worst[0]),
@@ -801,11 +801,11 @@ def monotone_check(fields, slack=1e-10, interior=None):
     }
 
 
-def growth_check(fld, wall_band=0.1):
-    """Min/max of d^((n-2)/2) u near the blow-up boundary."""
+def growth_check(fld):
+    """Min/max of d^((n-2)/2) u near the blow-up boundary, 0 < d <= 0.1."""
     m = 0.5 * (fld.n - 2.0)
     r = fld.radii()
-    mask = (fld.d <= wall_band) & (fld.d > 0)
+    mask = (fld.d <= 0.1) & (fld.d > 0)
     if fld.domain.reduction != BALL:
         mask &= (r <= fld.domain.r_max / 4.0) & (r >= 4.0 * fld.domain.r_min)
     vals = fld.d[mask] ** m * fld.u[mask]

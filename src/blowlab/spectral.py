@@ -222,10 +222,10 @@ def first_eigenpair(profile):
     )
 
 
-def _fit_decay_exponent(profile, phi, window=(1e-3, 1e-1)):
-    """Least-squares slope of log phi against log rho in the wall window."""
+def _fit_decay_exponent(profile, phi):
+    """Least-squares slope of log phi against log rho, 1e-3 <= rho <= 0.1."""
     rho = profile.rho
-    mask = (rho >= window[0]) & (rho <= window[1]) & (phi > 0)
+    mask = (rho >= 1e-3) & (rho <= 1e-1) & (phi > 0)
     if np.count_nonzero(mask) < 4:
         return float("nan")
     coeffs = np.polyfit(np.log(rho[mask]), np.log(phi[mask]), 1)

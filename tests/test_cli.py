@@ -91,19 +91,82 @@ def test_bad_config_exit_code(tmp_path):
     assert res.returncode == 4
 
 
+# an empty, non-numeric, non-finite or non-positive truncation schedule
+BAD_SCHEDULES = ["schedule =", "schedule = abc", "schedule = nan",
+                 "schedule = inf", "schedule = 0", "schedule = -100"]
+
+
+def _with_setting(config, case, setting):
+    """`config` with the line of `setting`'s key in `[case:CASE]` replaced."""
+    key = setting.split("=")[0].strip()
+    lines, section = [], None
+    for line in config.splitlines():
+        if line.startswith("["):
+            section = line
+        if section == f"[case:{case}]" and line.startswith(key + " = "):
+            line = setting
+        lines.append(line)
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("setting", ["grading = nan", "grading = inf",
-                                     "nodes = 800.5"])
+                                     "nodes = 800.5", *BAD_SCHEDULES])
 def test_invalid_value_exit_code(tmp_path, setting):
-    key = setting.split(" = ")[0]
     profile_case = CONFIG.split("[case:tiny-ball]")[0]
-    lines = [setting if line.startswith(key + " = ") else line
-             for line in profile_case.splitlines()]
     cfg = tmp_path / "cases.cfg"
-    cfg.write_text("\n".join(lines).format(out=tmp_path / "out"))
+    cfg.write_text(_with_setting(profile_case, "tiny-profile", setting)
+                   .format(out=tmp_path / "out"))
     res = run_cli("profile", "--config", str(cfg))
     assert res.returncode == 4
     assert "Traceback" not in res.stderr
     err = res.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+TINY_CONE = """
+[case:tiny-cone]
+stages = solve
+reduction = meridian
+aperture = 1.0
+curve = 0.1
+r_min = 0.0009765625
+r_max = 1.0
+n = 3
+operator = conformal-quadratic
+q = 0.3
+nt_per_octave = 4
+n_eta = 32
+eta_grading = 2.0
+schedule = 1e2
+newton_tol = 1e-10
+interior_tol = 1e-8
+bracket_low = 0.5
+bracket_high = 2.0
+bracket_tol = 1.0
+fit_lo = 0.00390625
+fit_hi = 0.25
+"""
+
+
+@pytest.mark.parametrize("case, setting", [
+    *(("tiny-ball", s) for s in BAD_SCHEDULES),
+    ("tiny-ball", "n = 2"), ("tiny-ball", "n = 1"), ("tiny-ball", "n = 0"),
+    ("tiny-cone", "n = 2"), ("tiny-cone", "n = 1"), ("tiny-cone", "n = 0"),
+    ("tiny-cone", "q = nan"), ("tiny-cone", "q = inf"),
+    ("tiny-cone", "curve = abc"), ("tiny-barrier", "n = 2"),
+])
+def test_invalid_solve_or_certify_value_exit_code(tmp_path, capsys, case,
+                                                  setting):
+    # in this process, through the console script's entry point: every
+    # value is rejected before a solve, so an exception would end the test
+    from blowlab.cli import main
+
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(_with_setting(CONFIG + TINY_CONE, case, setting)
+                   .format(out=tmp_path / "out"))
+    stage = "certify" if case == "tiny-barrier" else "solve"
+    assert main([stage, "--config", str(cfg), "--case", case]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
 
 

@@ -138,6 +138,14 @@ def test_rho_bounds_wedge_two_resolutions():
         assert 0 < c1 <= c2 < 1e6
 
 
+@pytest.mark.parametrize("schedule", [[], [float("nan")], [float("inf")],
+                                      [0.0], [-100.0], [1e2, float("nan")]])
+def test_solve_profile_rejects_bad_schedules(schedule):
+    # empty, a level not finite or not > 0: rejected before any solve
+    with pytest.raises(ConfigError, match="truncation schedule"):
+        solve_profile(cap(1.0), 3, schedule=schedule, grid=MEDIUM)
+
+
 def test_bad_configurations():
     with pytest.raises(ConfigError):
         SphericalDomain1D("polar-sphere", 0.5, 0.2)

@@ -305,6 +305,12 @@ INVALID_SETTINGS = {
     "bracket_tol": st.floats(max_value=0.0) | st.just(float("nan")),
     "eta_grading": (st.floats(max_value=1.0, exclude_max=True)
                     | st.sampled_from([float("nan"), float("inf")])),
+    # empty, a level not finite or not > 0, or not strictly increasing
+    "schedule": (st.just(())
+                 | st.tuples(st.floats(max_value=0.0)
+                             | st.sampled_from([float("nan"), float("inf")]))
+                 | st.floats(min_value=1.0, max_value=1e6).map(
+                     lambda M: (M, M))),
 }
 VALID_SETTINGS = {
     "n_eta": st.integers(min_value=5, max_value=10**6),
@@ -315,6 +321,10 @@ VALID_SETTINGS = {
                          st.floats(min_value=1.0, max_value=1e6, exclude_min=True)),
     "bracket_tol": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     "eta_grading": st.floats(min_value=1.0, allow_infinity=False),
+    "schedule": st.lists(st.floats(min_value=0.0, exclude_min=True,
+                                   allow_infinity=False),
+                         min_size=1, max_size=4, unique=True).map(
+                             lambda levels: tuple(sorted(levels))),
 }
 
 
