@@ -348,14 +348,15 @@ def _certify_t_composed(op, eigen, tmap):
     from .geometry import apply_T
 
     rng = np.random.default_rng(17)
-    worst_ct = 0.0
+    points = []
     for _ in range(24):
         v = rng.standard_normal(tmap.n)
         v /= np.linalg.norm(v)
-        for s in (0.1, 0.3, 0.6):
-            x = s * 0.5 * tmap.r_T * v
-            dev = np.linalg.norm(apply_T(tmap, x) - x)
-            worst_ct = max(worst_ct, dev / np.linalg.norm(x) ** 2)
+        points += [s * 0.5 * tmap.r_T * v for s in (0.1, 0.3, 0.6)]
+    points = np.array(points)
+    worst_ct = 0.0
+    for x, xb in zip(points, apply_T(tmap, points)):
+        worst_ct = max(worst_ct, np.linalg.norm(xb - x) / np.linalg.norm(x) ** 2)
     r_grid = np.geomspace(0.5 * tmap.r_T, 2.0**-8, 10)
     return _certify_cone_corrected(op, eigen, "quadratic", c_t=worst_ct,
                                    r_grid=r_grid, label="t-composed-quadratic")
@@ -482,8 +483,17 @@ class RateFit:
                 f"window=[{self.window[0]:.4g}, {self.window[1]:.4g}]")
 
 
+def check_fit_window(r_lo, r_hi):
+    """Raise ConfigError unless 0 < r_lo < r_hi < inf."""
+    # one chained test, so that NaN fails it
+    if not 0.0 < r_lo < r_hi < np.inf:
+        raise ConfigError(f"rate-fit window must satisfy 0 < fit_lo < fit_hi "
+                          f"< inf, got [{r_lo}, {r_hi}]")
+
+
 def fit_rate(ratio, r_lo, r_hi, compare_log_model=False):
     """LSQ fit of log(max over dyadic annulus) against log radius."""
+    check_fit_window(r_lo, r_hi)
     edges = []
     e = r_lo
     while e < r_hi * (1.0 + 1e-12):

@@ -211,7 +211,7 @@ def run_eigen(case, outdir):
 
 
 def run_solve(case, outdir):
-    from .analysis import compare_to_cone, fit_rate
+    from .analysis import check_fit_window, compare_to_cone, fit_rate
     from .operators import euclidean_operator
     from .solver import solve
 
@@ -220,6 +220,8 @@ def run_solve(case, outdir):
     n = case.get("n", int)
     cfg = case.solve_config()
     op = case.operator()
+    fit_lo, fit_hi = case.get("fit_lo", float), case.get("fit_hi", float)
+    check_fit_window(fit_lo, fit_hi)
     if dom.reduction != "ball" and not op.is_euclidean:
         base = solve(dom, euclidean_operator(n), n, cfg)
         fld = solve(dom, op, n, cfg, forced_schedule=base.m_history)
@@ -228,7 +230,7 @@ def run_solve(case, outdir):
         fld = solve(dom, op, n, cfg)
         ratio = compare_to_cone(fld)
     write_field_csv(os.path.join(cdir, "field.csv"), fld)
-    fit = fit_rate(ratio, case.get("fit_lo", float), case.get("fit_hi", float),
+    fit = fit_rate(ratio, fit_lo, fit_hi,
                    compare_log_model=case.get("log_model", bool, default=False))
     write_ratio_csv(os.path.join(cdir, "ratio.csv"), fit,
                     meta={"reference": ratio.reference,
@@ -380,8 +382,14 @@ def _run_stage_for_case(args):
     stage, case, outdir = args
     try:
         passed, message = STAGE_RUNNERS[stage](case, outdir)
-    except (MissingArtifactError, ConfigError):
+    except MissingArtifactError:
         raise
+    except ConfigError as exc:
+        # a library check does not know the case; name it as Case.get does
+        prefix = f"case {case.label}: "
+        if str(exc).startswith(prefix):
+            raise
+        raise ConfigError(prefix + str(exc)) from exc
     except BlowlabError as exc:     # the remaining library errors come from solvers
         return case.label, EXIT_SOLVER_FAILED, (
             f"solver failure: {type(exc).__name__}: case {case.label}: {exc}")

@@ -14,7 +14,14 @@ O(|x|^2), which is what transfers cone asymptotics onto curved corners.
 
 Foot points for d_S are found by damped Newton on the graph
 parameterization with a fan of perturbed seeds, keeping the closest
-converged candidate.
+converged candidate.  `signed_distance`, `apply_T` and `jacobian_T` take
+one point (n,) or a batch (P, n): one Newton runs over all P x FOOT_SEEDS
+rows at once, each row with its own convergence test and backtracking
+step.  Every reduction is taken per row (one BLAS dot or matrix-vector
+product, an ordered sum), and a power of a per-row value goes through
+np.float_power, libm's pow as in a NumPy scalar's `**` (an array's `**`
+rounds differently), so a point's value is the same float alone or
+inside any batch.
 """
 
 from __future__ import annotations
@@ -49,8 +56,27 @@ FOOT_MAX_ITER = 60
 FOOT_SEEDS = 5
 
 
+def _dot(a, b):
+    """Row-wise dot product over the last axis, one BLAS dot per row."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _norm(a):
+    """Row-wise Euclidean norm, the float np.linalg.norm gives one row."""
+    return np.sqrt(_dot(a, a))
+
+
+def _matvec(a, x):
+    """a @ x for each row of x, one matrix-vector product per row."""
+    return np.matmul(a, x[..., None])[..., 0]
+
+
 class PolyGraph:
-    """Graph function given by a polynomial coefficient table."""
+    """Graph function given by a polynomial coefficient table.
+
+    `value`, `grad` and `hess` take a point (d,) or a batch (B, d); a
+    `Polynomial` value does not depend on the batch it is evaluated in.
+    """
 
     def __init__(self, poly):
         self.poly = poly
@@ -61,11 +87,11 @@ class PolyGraph:
         return self.poly(y)
 
     def grad(self, y):
-        return np.array([g(y) for g in self._grad])
+        return np.stack([g(y) for g in self._grad], axis=-1)
 
     def hess(self, y):
-        d = self.poly.dim
-        return np.array([[self._hess[i][j](y) for j in range(d)] for i in range(d)])
+        return np.stack([np.stack([h(y) for h in row], axis=-1)
+                         for row in self._hess], axis=-2)
 
     def c2_seminorm(self, radius):
         # crude but safe on the fixture scale: sample the Hessian norm
@@ -73,36 +99,38 @@ class PolyGraph:
                for j in range(self.poly.dim)):
             return 0.0
         grid = np.linspace(-radius, radius, 9)
-        worst = 0.0
         mesh = np.meshgrid(*([grid] * self.poly.dim), indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        for y in pts:
-            if np.linalg.norm(y) <= radius:
-                worst = max(worst, np.linalg.norm(self.hess(y), 2))
-        return worst
+        pts = pts[_norm(pts) <= radius]
+        return float(np.max(np.linalg.norm(self.hess(pts), 2, axis=(-2, -1))))
 
 
 class SphereCapGraph:
-    """Lower cap of the sphere |y - R0 e_n| = R0 as a graph over y'."""
+    """Lower cap of the sphere |y - R0 e_n| = R0 as a graph over y'.
+
+    `value`, `grad` and `hess` take a point (d,) or a batch (B, d).
+    """
 
     def __init__(self, radius):
         self.radius = float(radius)
 
+    def _root(self, y):
+        # sqrt(R0^2 - |y|^2), kept as a trailing axis of length 1
+        return np.sqrt(self.radius**2 - np.sum(y**2, axis=-1, keepdims=True))
+
     def value(self, y):
         y = np.asarray(y, dtype=float)
-        s = np.sqrt(self.radius**2 - np.sum(y**2, axis=-1))
-        return self.radius - s
+        return self.radius - self._root(y)[..., 0]
 
     def grad(self, y):
         y = np.asarray(y, dtype=float)
-        s = np.sqrt(self.radius**2 - np.sum(y**2))
-        return y / s
+        return y / self._root(y)
 
     def hess(self, y):
         y = np.asarray(y, dtype=float)
-        s = np.sqrt(self.radius**2 - np.sum(y**2))
-        d = y.size
-        return np.eye(d) / s + np.outer(y, y) / s**3
+        s = self._root(y)[..., None]
+        return (np.eye(y.shape[-1]) / s
+                + y[..., :, None] * y[..., None, :] / np.float_power(s, 3))
 
     def c2_seminorm(self, radius):
         rim = min(radius, 0.9 * self.radius)
@@ -141,7 +169,7 @@ class GraphSurface:
         self._nu_graph = nu_graph
 
     def to_graph(self, x):
-        return self.rotation @ np.asarray(x, dtype=float)
+        return _matvec(self.rotation, np.asarray(x, dtype=float))
 
     def c2_bound_on(self, radius):
         """C^2 seminorm of the graph over a ball of the given radius."""
@@ -185,80 +213,132 @@ def _complete_basis(rows, n):
     return vt[rows.shape[0]:]
 
 
+def _batch(x):
+    """(points as a C-ordered (P, n) array, whether x was one point)."""
+    x = np.asarray(x, dtype=float)
+    return np.ascontiguousarray(np.atleast_2d(x)), x.ndim == 1
+
+
 def signed_distance(surface, x):
     """Signed distance from x to the surface, foot point by damped Newton.
 
+    x is one point (n,), giving a float, or a batch (P, n), giving (P,).
     Sign follows the side of the graph: positive where x_n > f(x').
     Multi-start from perturbed seeds; the closest converged foot wins.
     """
-    y_full = surface.to_graph(x)
-    if np.linalg.norm(y_full) >= surface.chart_radius:
+    pts, single = _batch(x)
+    y_full = surface.to_graph(pts)
+    radius = _norm(y_full)
+    outside = radius >= surface.chart_radius
+    if outside.any():
         raise DomainError(
-            f"point at |x| = {np.linalg.norm(y_full):.3g} outside chart radius "
-            f"{surface.chart_radius:.3g}"
+            f"point at |x| = {radius[outside.argmax()]:.3g} outside chart "
+            f"radius {surface.chart_radius:.3g}"
         )
-    yp, yn = y_full[:-1], y_full[-1]
+    yp, yn = y_full[:, :-1], y_full[:, -1]
     f = surface.graph
-    sign = np.sign(yn - f.value(yp)) or 0.0
+    sign = np.sign(yn - f.value(yp))
 
-    scale = max(float(np.linalg.norm(y_full)), 0.05)
-    seeds = [yp.copy()]
+    # seeds: the point's own foot and a fan around it, rows (point, seed)
+    count, dim = yp.shape
+    scale = np.maximum(radius, 0.05)
+    seeds = np.repeat(yp[:, None, :], FOOT_SEEDS, axis=1)
     for i in range(FOOT_SEEDS - 1):
-        delta = np.zeros(surface.n - 1)
-        delta[i % (surface.n - 1)] = 0.35 * scale * (1 if i % 2 == 0 else -1)
-        seeds.append(yp + delta)
+        delta = np.zeros((count, dim))
+        delta[:, i % dim] = 0.35 * scale * (1 if i % 2 == 0 else -1)
+        seeds[:, i + 1] = yp + delta
+    yp_rows = np.repeat(yp, FOOT_SEEDS, axis=0)
+    yn_rows = np.repeat(yn, FOOT_SEEDS)
+    feet, ok = _project_to_graph(f, yp_rows, yn_rows, seeds.reshape(-1, dim))
 
-    best = None
-    for seed in seeds:
-        foot = _project_to_graph(f, yp, yn, seed)
-        if foot is None:
-            continue
-        dist = float(np.sqrt(np.sum((yp - foot) ** 2) + (yn - f.value(foot)) ** 2))
-        if best is None or dist < best:
-            best = dist
-    if best is None:
+    dist = np.full(count * FOOT_SEEDS, np.inf)
+    dist[ok] = np.sqrt(np.sum((yp_rows[ok] - feet[ok]) ** 2, axis=-1)
+                       + np.float_power(yn_rows[ok] - f.value(feet[ok]), 2))
+    failed = ~ok.reshape(count, FOOT_SEEDS).any(axis=1)
+    if failed.any():
+        point = pts[failed.argmax()]
         raise FootPointError(
-            f"foot-point projection failed from all {FOOT_SEEDS} seeds",
-            point=np.asarray(x, dtype=float),
+            f"foot-point projection failed from all {FOOT_SEEDS} seeds "
+            f"at x = {point}",
+            point=point,
         )
-    return float(sign * best)
+    out = sign * dist.reshape(count, FOOT_SEEDS).min(axis=1)
+    return float(out[0]) if single else out
 
 
-def _project_to_graph(f, yp, yn, seed):
-    """Damped Newton on y' -> 0.5(|y'-yp|^2 + (yn-f(y'))^2); None if stuck."""
-    y = seed.copy()
+def _project_to_graph(f, yp, yn, seeds):
+    """Damped Newton on y' -> 0.5(|y'-yp|^2 + (yn-f(y'))^2), one row per seed.
 
-    def objective(z):
-        return 0.5 * (np.sum((z - yp) ** 2) + (yn - f.value(z)) ** 2)
+    Every row has its own convergence test, backtracking step and floor
+    test.  Returns the last iterates and the mask of rows that converged.
+    """
+    y = seeds.copy()
+    ok = np.zeros(len(y), dtype=bool)
 
-    val = objective(y)
-    scale = 1.0 + np.linalg.norm(yp) + abs(yn)
+    def objective(z, rows):
+        return 0.5 * (np.sum((z - yp[rows]) ** 2, axis=-1)
+                      + np.float_power(yn[rows] - f.value(z), 2))
+
+    live = np.arange(len(y))
+    val = objective(y, live)
+    scale = 1.0 + _norm(yp) + np.abs(yn)
+    dim = y.shape[1]
+    eye = np.eye(dim)
     for _ in range(FOOT_MAX_ITER):
-        fz = f.value(y)
-        gz = f.grad(y)
-        grad = (y - yp) - (yn - fz) * gz
-        gnorm = np.linalg.norm(grad)
-        if gnorm <= FOOT_TOL * scale:
-            return y
-        hess = np.eye(y.size) + np.outer(gz, gz) - (yn - fz) * f.hess(y)
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        if step @ grad > 0:
-            step = -grad
-        t = 1.0
-        for _ in range(30):
-            cand = y + t * step
-            cand_val = objective(cand)
-            if cand_val < val:
-                break
-            t *= 0.5
-        else:
-            # objective at the rounding floor: accept if first-order small
-            return y if gnorm <= 1e-9 * scale else None
-        y, val = cand, cand_val
-    return None
+        z, lim = y[live], scale[live]
+        fz = f.value(z)
+        gz = f.grad(z)
+        res = yn[live] - fz
+        grad = (z - yp[live]) - res[:, None] * gz
+        gnorm = _norm(grad)
+        done = gnorm <= FOOT_TOL * lim
+        ok[live[done]] = True
+        go = ~done
+        live, z, lim, gz, res, grad, gnorm = (
+            a[go] for a in (live, z, lim, gz, res, grad, gnorm))
+        if not live.size:
+            break
+        hess = (eye + gz[:, :, None] * gz[:, None, :]
+                - res[:, None, None] * f.hess(z))
+        step = _newton_steps(hess, grad)
+        uphill = _dot(step, grad) > 0
+        step[uphill] = -grad[uphill]
+
+        # backtracking: the full step first; a row whose full step does not
+        # lower its objective tries its halvings t = 2^-1 .. 2^-29 at once
+        # and takes the longest that does
+        cand = z + step
+        cand_val = objective(cand, live)
+        rows = np.flatnonzero(~(cand_val < val[live]))
+        t = np.ldexp(1.0, -np.arange(1, 30))[:, None]
+        trial = z[rows, None] + t * step[rows, None]
+        trial_val = objective(trial.reshape(-1, dim),
+                              np.repeat(live[rows], len(t)))
+        trial_val = trial_val.reshape(trial.shape[:2])
+        down = trial_val < val[live[rows], None]
+        found, first = down.any(axis=1), down.argmax(axis=1)
+        cand[rows[found]] = trial[found, first[found]]
+        cand_val[rows[found]] = trial_val[found, first[found]]
+        # objective at the rounding floor: accept if first-order small
+        floor = rows[~found]
+        ok[live[floor]] = gnorm[floor] <= 1e-9 * lim[floor]
+        moved = np.ones(len(live), dtype=bool)
+        moved[floor] = False
+        y[live[moved]] = cand[moved]
+        val[live[moved]] = cand_val[moved]
+        live = live[moved]
+    return y, ok
+
+
+def _newton_steps(hess, grad):
+    """Newton step of each row; steepest descent where a Hessian is singular."""
+    try:
+        return np.linalg.solve(hess, -grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(grad) == 1:
+            return -grad
+        return np.concatenate([_newton_steps(hess[i:i + 1], grad[i:i + 1])
+                               for i in range(len(grad))])
 
 
 @dataclass
@@ -413,10 +493,10 @@ class DiffeoT:
     def distance_vector(self, x):
         x = np.asarray(x, dtype=float)
         k = self.fan.k
-        d = np.empty(self.n)
+        d = np.empty(x.shape[:-1] + (self.n,))
         for i, s in enumerate(self.surfaces[:k]):
-            d[i] = signed_distance(s, x)
-        d[k:] = self.fan.completion @ x
+            d[..., i] = signed_distance(s, x)
+        d[..., k:] = _matvec(self.fan.completion, x)
         return d
 
     def __call__(self, x):
@@ -429,24 +509,30 @@ def build_T(surfaces):
 
 
 def apply_T(tmap, x):
-    """x-bar with d_{S_i}(x) = d_{P_i}(x-bar), completion distances kept."""
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) >= tmap.r_T:
+    """x-bar with d_{S_i}(x) = d_{P_i}(x-bar), completion distances kept.
+
+    x is one point (n,) or a batch (P, n); the result has its shape.
+    """
+    pts, single = _batch(x)
+    radius = _norm(pts)
+    outside = radius >= tmap.r_T
+    if outside.any():
         raise DomainError(
-            f"|x| = {np.linalg.norm(x):.3g} outside the straightening radius "
-            f"{tmap.r_T:.3g}"
+            f"|x| = {radius[outside.argmax()]:.3g} outside the straightening "
+            f"radius {tmap.r_T:.3g}"
         )
-    return tmap._frame_inv @ tmap.distance_vector(x)
+    out = _matvec(tmap._frame_inv, tmap.distance_vector(pts))
+    return out[0] if single else out
 
 
 def jacobian_T(tmap, x):
-    """Central finite-difference Jacobian, step 1e-5 max(|x|, 1e-3)."""
+    """Central finite-difference Jacobian, step 1e-5 max(|x|, 1e-3).
+
+    The 2n stencil points x + h e_j, x - h e_j go through T as one batch.
+    """
     x = np.asarray(x, dtype=float)
     h = 1e-5 * max(np.linalg.norm(x), 1e-3)
-    n = x.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        jac[:, j] = (apply_T(tmap, x + e) - apply_T(tmap, x - e)) / (2.0 * h)
-    return jac
+    steps = h * np.eye(x.size)
+    stencil = np.stack([x + steps, x - steps], axis=1).reshape(-1, x.size)
+    image = apply_T(tmap, stencil)
+    return np.ascontiguousarray(((image[0::2] - image[1::2]) / (2.0 * h)).T)

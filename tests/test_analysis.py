@@ -315,6 +315,18 @@ def test_fit_rate_window_errors():
         fit_rate(RatioField(r2**2, r2, "syn", "x"), 2.0**-7, 2.0**-2)
 
 
+@pytest.mark.parametrize("r_lo, r_hi", [
+    (0.0, 0.25), (-0.01, 0.25), (np.nan, 0.25), (0.01, np.nan),
+    (0.01, np.inf), (0.25, 0.25), (0.3, 0.25),
+])
+def test_fit_rate_rejects_a_window_outside_zero_inf(r_lo, r_hi):
+    # r_lo = 0 used to double the edge 0 forever and grow the edge list
+    # until memory ran out
+    r = np.geomspace(2.0**-7, 2.0**-1, 400)
+    with pytest.raises(ConfigError, match="0 < fit_lo < fit_hi < inf"):
+        fit_rate(RatioField(r**2, r, "syn", "x"), r_lo, r_hi)
+
+
 def test_fit_window_stability(ball_field):
     ratio = compare_to_cone(ball_field)
     full = fit_rate(ratio, 2.0**-9, 2.0**-2)

@@ -170,6 +170,40 @@ def test_invalid_solve_or_certify_value_exit_code(tmp_path, capsys, case,
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+@pytest.mark.parametrize("setting", [
+    "fit_lo = 0", "fit_lo = -0.01", "fit_lo = nan", "fit_lo = 0.5",
+    "fit_hi = inf",
+])
+def test_bad_fit_window_exit_code_before_the_solve(tmp_path, capsys, setting):
+    from blowlab.cli import main
+
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(_with_setting(CONFIG, "tiny-ball", setting)
+                   .format(out=tmp_path / "out"))
+    assert main(["solve", "--config", str(cfg), "--case", "tiny-ball"]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: case tiny-ball: rate-fit window")
+    # rejected before the 2-D solve, which writes field.csv
+    assert not (tmp_path / "out" / "tiny-ball" / "field.csv").exists()
+
+
+def test_library_config_error_names_its_case(tmp_path):
+    # a check inside the library names the case as a cast error does,
+    # and a cast error is not named twice
+    cfg = tmp_path / "cases.cfg"
+    for setting, reason in (("schedule = nan", "truncation schedule must"),
+                            ("schedule = abc", "bad value for schedule")):
+        cfg.write_text(_with_setting(CONFIG, "tiny-ball", setting)
+                       .format(out=tmp_path / "out"))
+        res = run_cli("solve", "--config", str(cfg))
+        assert res.returncode == 4
+        err = res.stderr.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: case tiny-ball: {reason}")
+        assert err[0].count("tiny-ball") == 1
+
+
 CURVED_MERIDIAN = """
 [suite]
 output = {out}

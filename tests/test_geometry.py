@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from blowlab.errors import ConfigError, DomainError
+from blowlab.errors import ConfigError, DomainError, FootPointError
 from blowlab.geometry import (
+    GraphSurface,
     HyperplaneFan,
     TangentConeSpec,
     apply_T,
@@ -221,3 +222,178 @@ def test_building_a_surface_scans_no_hessians(monkeypatch):
     assert radii == []
     assert surf.c2_bound_on(0.3) == scan(surf.graph, 0.3)
     assert radii == [0.3]
+
+
+def _same(a, b):
+    """Bit-for-bit equality of two arrays, shape and sign of zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_row_reductions_are_the_per_row_floats():
+    # a row's norm, dot product and matrix-vector product are the floats
+    # that np.linalg.norm and @ give that row alone (one BLAS call per
+    # row); a reduction over the whole batch would round some differently
+    from blowlab.geometry import _dot, _matvec, _norm
+
+    rng = np.random.default_rng(29)
+    for d in range(2, 7):
+        a, b = rng.standard_normal((2, 300, d))
+        m = rng.standard_normal((d, d))
+        assert _same(_norm(a), [np.linalg.norm(r) for r in a])
+        assert _same(_dot(a, b), [r @ q for r, q in zip(a, b)])
+        assert _same(_matvec(m, a), [m @ r for r in a])
+        assert _same(_norm(a[0]), np.linalg.norm(a[0]))
+
+
+BATCH_MAPS = {
+    "sphere-n3": lambda: build_T([sphere_surface(3, 1.0)]),
+    "sphere-n4-r2": lambda: build_T([sphere_surface(4, 2.0)]),
+    "paraboloid-n3": lambda: build_T([paraboloid_surface(3)]),
+    "paraboloid-n4": lambda: build_T([paraboloid_surface(4, -0.5)]),
+    "two-plane-fan": lambda: build_T([plane_surface(3, [0, 0.2, 1]),
+                                      plane_surface(3, [1, 0, 0.3])]),
+}
+
+
+def _reference_signed_distance(surface, x):
+    """The per-point foot-point search, one seed and one point at a time:
+    the oracle that the batched Newton must reproduce bit for bit."""
+    from blowlab.geometry import FOOT_MAX_ITER, FOOT_SEEDS, FOOT_TOL
+
+    f = surface.graph
+    y_full = surface.rotation @ np.asarray(x, dtype=float)
+    yp, yn = y_full[:-1], y_full[-1]
+
+    def project(y):
+        def objective(z):
+            return 0.5 * (np.sum((z - yp) ** 2) + (yn - f.value(z)) ** 2)
+
+        val = objective(y)
+        scale = 1.0 + np.linalg.norm(yp) + abs(yn)
+        for _ in range(FOOT_MAX_ITER):
+            fz, gz = f.value(y), f.grad(y)
+            grad = (y - yp) - (yn - fz) * gz
+            gnorm = np.linalg.norm(grad)
+            if gnorm <= FOOT_TOL * scale:
+                return y
+            hess = np.eye(y.size) + np.outer(gz, gz) - (yn - fz) * f.hess(y)
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                step = -grad
+            if step @ grad > 0:
+                step = -grad
+            t = 1.0
+            for _ in range(30):
+                cand = y + t * step
+                cand_val = objective(cand)
+                if cand_val < val:
+                    break
+                t *= 0.5
+            else:
+                return y if gnorm <= 1e-9 * scale else None
+            y, val = cand, cand_val
+        return None
+
+    scale = max(float(np.linalg.norm(y_full)), 0.05)
+    seeds = [yp.copy()]
+    for i in range(FOOT_SEEDS - 1):
+        delta = np.zeros(yp.size)
+        delta[i % yp.size] = 0.35 * scale * (1 if i % 2 == 0 else -1)
+        seeds.append(yp + delta)
+    feet = [foot for foot in map(project, seeds) if foot is not None]
+    best = min(float(np.sqrt(np.sum((yp - foot) ** 2)
+                             + (yn - f.value(foot)) ** 2)) for foot in feet)
+    return float((np.sign(yn - f.value(yp)) or 0.0) * best)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_MAPS))
+def test_batched_map_equals_per_point_calls(name):
+    # one Newton over all points and seeds gives each point the floats
+    # that a call with that point alone gives
+    T = BATCH_MAPS[name]()
+    rng = np.random.default_rng(23)
+    v = rng.standard_normal((40, T.n))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    X = v * rng.uniform(0.0, 0.95 * T.r_T, 40)[:, None]
+    for surf in T.surfaces:
+        alone = [signed_distance(surf, x) for x in X]
+        assert all(isinstance(d, float) for d in alone)
+        assert _same(signed_distance(surf, X), alone)
+        assert _same(alone, [_reference_signed_distance(surf, x) for x in X])
+        y = X[:, 1:]
+        for part in ("value", "grad", "hess"):
+            got = getattr(surf.graph, part)(y)
+            assert _same(got, [getattr(surf.graph, part)(p) for p in y])
+    assert _same(apply_T(T, X), [apply_T(T, x) for x in X])
+    assert _same(apply_T(T, X[:1]), [apply_T(T, X[0])])
+    for x in X[:8]:
+        # the central differences of per-point images, as one batch
+        h = 1e-5 * max(np.linalg.norm(x), 1e-3)
+        cols = []
+        for j in range(T.n):
+            e = np.zeros(T.n)
+            e[j] = h
+            cols.append((apply_T(T, x + e) - apply_T(T, x - e)) / (2.0 * h))
+        assert _same(jacobian_T(T, x), np.stack(cols, axis=1))
+
+
+def test_batch_with_a_point_outside_the_radii_raises():
+    sp = sphere_surface(3, 1.0)
+    T = build_T([sp])
+    X = np.full((5, 3), 0.1 * T.r_T)
+    X[3] = [0.0, 0.0, 1.01 * T.r_T]
+    with pytest.raises(DomainError, match="straightening radius"):
+        apply_T(T, X)
+    X[3] = [0.9, 0.0, 0.0]
+    with pytest.raises(DomainError, match="chart radius"):
+        signed_distance(sp, X)
+
+
+class _PoisonedPlane:
+    """The plane x_n = 0 with a NaN slope where y_0 > 0.1, so that the
+    foot-point Newton fails from every seed of a point there."""
+
+    def value(self, y):
+        return np.zeros(np.shape(y)[:-1])
+
+    def grad(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y[..., :1] > 0.1, np.nan, 0.0) * np.ones_like(y)
+
+    def hess(self, y):
+        return self.grad(y)[..., None] * np.eye(np.shape(y)[-1])
+
+
+def test_batch_names_the_point_whose_seeds_all_fail():
+    surf = GraphSurface(n=3, graph=_PoisonedPlane())
+    X = np.array([[-0.2, 0.0, 0.05], [-0.1, 0.1, -0.05], [0.2, 0.0, 0.05],
+                  [0.0, -0.1, 0.02]])
+    assert signed_distance(surf, X[0]) == 0.05
+    with pytest.raises(FootPointError, match="all 5 seeds") as info:
+        signed_distance(surf, X)
+    assert _same(info.value.point, X[2])
+
+
+class _FlatWithCurvature:
+    """The plane x_n = 0 carrying a Hessian 2 I, so that the Newton matrix
+    I - 2 yn I of a point at height yn = 0.5 is singular."""
+
+    def value(self, y):
+        return np.zeros(np.shape(y)[:-1])
+
+    def grad(self, y):
+        return np.zeros(np.shape(y))
+
+    def hess(self, y):
+        return 2.0 * np.ones(np.shape(y)[:-1] + (1, 1)) * np.eye(np.shape(y)[-1])
+
+
+def test_singular_newton_matrix_takes_a_descent_step_in_its_row_only():
+    surf = GraphSurface(n=3, graph=_FlatWithCurvature())
+    X = np.array([[0.05, -0.1, 0.1], [0.1, 0.0, 0.5], [0.2, 0.1, -0.3]])
+    got = signed_distance(surf, X)
+    assert _same(got, [signed_distance(surf, x) for x in X])
+    assert _same(got, [_reference_signed_distance(surf, x) for x in X])
+    assert np.allclose(got, X[:, 2], rtol=0.0, atol=1e-12)

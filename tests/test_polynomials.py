@@ -72,3 +72,18 @@ def test_derivatives_are_cached():
     p = (1.0 + 0.3 * Polynomial.radius_squared(3)) ** 3
     assert p.derivative(1) is p.derivative(1)
     assert p.derivative(1).derivative(2) is p.derivative(1).derivative(2)
+
+
+def test_value_does_not_depend_on_the_batch():
+    # each point alone gives the float it gives inside a batch of 257, sign
+    # of zero included; the batched foot-point Newton relies on this.  It
+    # must go through __call__: a Python-scalar x ** e rounds differently
+    # from the array ** in a few percent of points once e >= 3.
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        dim = int(rng.integers(1, 4))
+        poly = Polynomial(dim, {tuple(rng.integers(0, 9, dim)): rng.normal()
+                                for _ in range(6)})
+        pts = rng.uniform(-1.5, 1.5, (257, dim))
+        alone = np.array([poly(p) for p in pts])
+        assert alone.tobytes() == poly(pts).tobytes()
