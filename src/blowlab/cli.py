@@ -28,7 +28,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import BlowlabError, ConfigError, MissingArtifactError
+from .errors import (BlowlabError, ConfigError, DomainError,
+                     MissingArtifactError)
 from .reports import (
     fmt,
     read_csv,
@@ -335,14 +336,20 @@ def run_report(cases, outdir):
                 rows.extend(body)
                 passed = header.index("passed")
                 failures += sum(row[passed] != "true" for row in body)
-        if os.path.exists(os.path.join(cdir, "ratio.csv")):
+        ratio_path = os.path.join(cdir, "ratio.csv")
+        if os.path.exists(ratio_path):
             meta, pts = _read_ratio(cdir)
             if len(pts):
-                write_loglog_svg(
-                    os.path.join(cdir, "ratio.svg"), label, pts[:, 0],
-                    pts[:, 1], title=f"{label}: cone-approximation decay",
-                    fitted=(float(meta["alpha_hat"]), float(meta["c_hat"])),
-                )
+                try:
+                    write_loglog_svg(
+                        os.path.join(cdir, "ratio.svg"), label, pts[:, 0],
+                        pts[:, 1], title=f"{label}: cone-approximation decay",
+                        fitted=(float(meta["alpha_hat"]),
+                                float(meta["c_hat"])),
+                    )
+                except DomainError as exc:
+                    raise MissingArtifactError(
+                        f"cannot plot artifact {ratio_path}: {exc}") from None
     write_markdown_table(
         os.path.join(outdir, "report.md"),
         "Verification summary",

@@ -52,9 +52,11 @@ could flip the cap probe, the field is converged to `tol`.  The test is
 then taken on the tightened fields.  Levels 0 and 1 both go to KAPPA, so
 the first comparison is often in doubt; solving them tighter up front
 costs more solves than this two-step settling.  The tests run at every
-level, so a replay of the levels makes the very same Newton solves.  With
-an `on_level` hook, which sees every level, each level is converged to
-`tol`.
+level, so a replay of the levels makes the very same Newton solves.  An
+`on_level` hook only observes: it sees each level converged to `tol`, in a
+copy that Newton converges apart from the solve, from a factorization of
+its own.  The iterates, the kept factorizations and the stop decisions are
+thus the same floats with or without the hook.
 
 With `reuse_factor`, Newton is the simplified (chord) method of the same
 section.  A factorization is kept while a full step from it stays positive
@@ -204,10 +206,12 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels,
     it always stops after `max_levels` levels ("max_levels"), so a schedule
     replayed with `max_levels=len(schedule)` runs exactly its levels and
     the same Newton solves.  Levels before the stop are solved loosely and
-    the reported one to `tol` (module docstring); `on_level(M, x)` sees
-    every level, each converged to `tol`.  `residual` is the reported
-    level's predicted Newton correction.  A factorization Newton keeps at
-    the end of a level is offered to the next one.
+    the reported one to `tol` (module docstring), with or without
+    `on_level(M, x)`, which observes each level in turn: x is a copy of the
+    level converged to `tol` apart from the solve, the last one the reported
+    level itself.  `residual` is the reported level's predicted Newton
+    correction.  A factorization Newton keeps at the end of a level is
+    offered to the next one.
     """
     schedule = [float(M) for M in schedule]
     band = problem.band
@@ -221,6 +225,12 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels,
     def band_change(x_new, x):
         return np.max(np.abs(x_new[band] - x[band]) / x_new[band])
 
+    def observe(x, M, bound):
+        # a copy converged apart, so that the solve never sees the hook
+        if on_level is not None:
+            on_level(M, damped_newton(problem, x, M, tol)[0] if bound
+                     else x.copy())
+
     x = None
     solve = None
     m_history = []
@@ -228,12 +238,9 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels,
     level = 0
     M = schedule[0]
     while True:
-        level_tol = tol if on_level is not None else max(tol, KAPPA * change)
         x_new, err_new, bound_new = newton(problem.warm_start(x, M), M,
-                                           level_tol)
+                                           max(tol, KAPPA * change))
         m_history.append(M)
-        if on_level is not None:
-            on_level(M, x_new)
         # the stop tests run at every level, so that a replay of the levels
         # makes the same Newton solves, but stop only past the schedule
         reason = None
@@ -267,8 +274,10 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels,
         if level >= max_levels:
             reason = "max_levels"
             break
+        observe(x, M, bound)
         M = schedule[level] if level < len(schedule) else M * GROWTH
     if bound:
         # the reported level, from where it stands
         x, err, bound = newton(x, M, tol)
+    observe(x, M, bound)
     return Escalation(x, m_history, err, reason, solve)

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import MissingArtifactError
+from .errors import DomainError, MissingArtifactError
 
 __all__ = [
     "fmt",
@@ -146,9 +146,11 @@ def write_loglog_svg(path, label, xs, ys, title="", fitted=None):
     fitted: (alpha, c) power law drawn across the x-range.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    pts = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
+    # finite positive points only: NaN fails both comparisons
+    pts = [(x, y) for x, y in zip(xs, ys)
+           if 0 < x < np.inf and 0 < y < np.inf]
     if not pts:
-        raise ValueError("nothing to plot")
+        raise DomainError(f"{label}: no finite positive point to plot")
     lx = [np.log10(p[0]) for p in pts]
     ly = [np.log10(p[1]) for p in pts]
     x0, x1 = min(lx), max(lx)

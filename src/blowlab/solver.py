@@ -240,7 +240,7 @@ class SolutionField:
     bracket_width: float = None
     u_high: np.ndarray = None
     m_history: list = field(default_factory=list)
-    level_fields: list = field(default_factory=list)   # (M, u) snapshots
+    level_fields: list = field(default_factory=list)   # (M, u) per level
     stop_reason: str = None        # why escalation stopped; not written out
 
     @property
@@ -360,9 +360,7 @@ def _check_symmetry(samples, symmetry, measure):
 
 
 def _wall_distance_field(domain, r, theta):
-    """Euclidean distance to the real (blow-up) boundary."""
-    if domain.reduction == BALL:
-        return domain.r_max - r
+    """Euclidean distance to the real (blow-up) boundary of a wedge."""
     if domain.reduction == CROSS_SECTION:
         gap = np.minimum(theta, domain.aperture - theta)
         return r * np.sin(np.minimum(gap, 0.5 * np.pi))
@@ -639,7 +637,10 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     field and its discrete cone reference end in matching truncation
     states.  Only the low bracket escalates; the high bracket is Newton
     at the final level from the low field and its kept factorization.
-    With `keep_level_fields` every level is converged to `newton_tol`.
+    `keep_level_fields` records `level_fields`, one snapshot per level
+    converged to `newton_tol` apart from the solve; it selects what is
+    recorded, not how the solve runs, so the field is the same float with
+    or without it (`blowlab.newton.escalate`).
     """
     if n < 3:
         raise ConfigError("dimension must satisfy n >= 3")

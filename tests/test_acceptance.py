@@ -354,7 +354,8 @@ def test_criterion_12_localization(cone_cases):
            f"r = {r_peak:.3g} r_min); n=3 decay slopes {outer:+.3f} on "
            f"[r_max/32, r_max/4] and {inner:+.3f} on [4 r_min, 32 r_min] vs "
            f"+-mu1 = {mu1:.4f} (tol {RATE_TOL:.0%}): {rates}; doubling r_max "
-           f"shrinks ({w_small:.2e} -> {w_big:.2e} on r <= 1/8): {shrinks}; "
+           f"shrinks ({w_small:.2e} -> {w_big:.2e} on r <= 1/8, margin "
+           f"{w_small - w_big:.1e}): {shrinks}; "
            f"width ratio r_max 1/2 : 1 on [16 r_min, 1/8] {doubling:.2f} vs "
            f"2^mu1 = {2.0**mu1:.2f} (tol {DOUBLING_TOL:.0%}): {doubling_ok}")
     assert shrinks

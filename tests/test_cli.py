@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blowlab.analysis import RateFit
-from blowlab.reports import write_ratio_csv
+from blowlab.reports import read_csv, write_ratio_csv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -294,6 +294,9 @@ def test_missing_artifact_exit_code(workdir):
     assert res.returncode == 3
 
 
+RATIO_META = ('# {"alpha_hat": 1.0, "c_hat": 1.0, "model": "power", '
+              '"r_squared": 1.0, "window_hi": 0.25, "window_lo": 0.001953125}\n')
+
 # a broken upstream artifact: the stage that reads it, the case, the file
 # and what is in it
 MALFORMED = {
@@ -309,6 +312,13 @@ MALFORMED = {
         "theta,g,rho\n0,1,1\n0.5,1,1\n1,1,1\n"),
     "garbage-ratio-verify": ("verify", "tiny-ball", "ratio.csv", "garbage\n"),
     "garbage-ratio-report": ("report", "tiny-ball", "ratio.csv", "garbage\n"),
+    # well-formed, but no point the log-log plot can place
+    "nonpositive-ratio-report": (
+        "report", "tiny-ball", "ratio.csv",
+        RATIO_META + "annulus_mid,max_ratio\n0.01,0\n0.02,-1\n"),
+    "nonfinite-ratio-report": (
+        "report", "tiny-ball", "ratio.csv",
+        RATIO_META + "annulus_mid,max_ratio\n0.01,nan\ninf,0.5\n0.03,inf\n"),
 }
 
 
@@ -349,6 +359,55 @@ def test_pipeline_and_idempotence(workdir):
     assert (out / "tiny-profile" / "profile.csv").read_bytes() == profile_csv
     assert (out / "tiny-ball" / "ratio.csv").read_bytes() == ratio_csv
     assert (out / "report.md").read_bytes() == report_md
+
+
+# a conformal-quadratic meridian: solve takes the Euclidean field on the
+# same mesh as the discrete cone reference of the perturbed one
+PAIR = """
+[suite]
+output = {out}
+
+[case:tiny-pair]
+stages = solve verify
+reduction = meridian
+aperture = 1.0471975511965976
+n = 3
+operator = conformal-quadratic
+q = 0.3
+r_min = 0.001953125
+r_max = 1.0
+nt_per_octave = 4
+n_eta = 32
+eta_grading = 2.0
+schedule = 1e2
+newton_tol = 1e-10
+interior_tol = 1e-8
+bracket_low = 0.5
+bracket_high = 2.0
+bracket_tol = 1.0
+fit_lo = 0.0078125
+fit_hi = 0.25
+predicted = 2.0
+slack = 0.3
+"""
+
+
+def test_perturbed_pair_solve_and_verify(tmp_path):
+    cfg, out = tmp_path / "cases.cfg", tmp_path / "out"
+    cfg.write_text(PAIR.format(out=out))
+    for stage in ("solve", "verify"):
+        assert run_cli(stage, "--config", str(cfg)).returncode == 0
+    ratio = out / "tiny-pair" / "ratio.csv"
+    meta, _, _ = read_csv(ratio, ("reference", "alpha_hat", "bracket_width"))
+    assert meta["reference"] == "discrete-cone"
+    assert meta["alpha_hat"] == pytest.approx(2.042102997732212, rel=1e-9)
+    assert meta["bracket_width"] == pytest.approx(0.004756189835238099,
+                                                  rel=1e-9)
+    _, _, rows = read_csv(out / "tiny-pair" / "verify.csv", columns=("passed",))
+    assert rows[0][-1] == "true"
+    before = ratio.read_bytes()
+    assert run_cli("solve", "--config", str(cfg)).returncode == 0
+    assert ratio.read_bytes() == before
 
 
 def test_run_stages_exits_with_the_worst_status(tmp_path):

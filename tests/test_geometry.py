@@ -73,6 +73,25 @@ def test_tangent_cones():
     assert tc.tag == "halfspace" and np.allclose(tc.axis, [0, 0, 1])
 
 
+def test_tangent_cone_of_three_planes_is_their_fan():
+    planes = [plane_surface(3, e) for e in np.eye(3)]
+    fan = tangent_cone(planes)
+    assert fan.tag == "fan" and fan.n == 3 and fan.section is None
+    assert np.array_equal(fan.normals, np.eye(3))
+    assert fan.contains((0.1, 0.2, 0.3))
+    assert not fan.contains((-0.1, 0.2, 0.3))
+    assert not fan.contains((0.0, 0.2, 0.3))     # on a plane: not inside
+    # fewer planes give the wedge and the half-space, which let the points
+    # across the planes they drop in
+    wedge, halfspace = tangent_cone(planes[:2]), tangent_cone(planes[:1])
+    assert wedge.tag == "wedge" and halfspace.tag == "halfspace"
+    for cone, outside in ((wedge, (0.1, -0.2, 0.3)),
+                          (halfspace, (-0.1, 0.2, 0.3))):
+        assert cone.contains((0.1, 0.2, 0.3))
+        assert cone.contains((0.1, 0.2, -0.3))
+        assert not cone.contains(outside)
+
+
 def test_tangent_cone_dilation_invariance():
     section = SphericalDomain1D("polar-sphere", 0.0, np.pi / 3,
                                 bc_lo="regular-pole", bc_hi="blowup")

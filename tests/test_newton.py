@@ -6,7 +6,8 @@ import pytest
 from blowlab.errors import NewtonError
 from blowlab import newton
 from blowlab.newton import KAPPA, damped_newton, escalate
-from blowlab.operators import euclidean_operator
+from blowlab.operators import (conformal_operator, conformal_quadratic_metric,
+                               euclidean_operator)
 from blowlab.profiles import GridSpec, solve_profile
 from blowlab import solver
 from blowlab.solver import (MAX_LEVELS, DomainSpec2D, SolveConfig,
@@ -181,14 +182,19 @@ BENCH_CONFIG = SolveConfig(schedule=(1e2,), nt_per_octave=4, n_eta=32,
                            bracket_tol=1.0)
 
 
+def _escalate_low(system):
+    """The low bracket's escalation, as `solve` runs it on `system`."""
+    cfg = BENCH_CONFIG
+    system.bracket_factor = cfg.bracket[0]
+    low = escalate(system, cfg.schedule, tol=cfg.newton_tol,
+                   interior_tol=cfg.interior_tol, max_levels=MAX_LEVELS)
+    system.bracket_factor = cfg.bracket[1]
+    return low
+
+
 def _low_bracket(n):
     system = _WedgeSystem(BENCH_DOMAIN, euclidean_operator(n), n, BENCH_CONFIG)
-    system.bracket_factor = BENCH_CONFIG.bracket[0]
-    cfg = BENCH_CONFIG
-    w_lo, m_hist, _, _ = escalate(
-        system, cfg.schedule, tol=cfg.newton_tol,
-        interior_tol=cfg.interior_tol, max_levels=MAX_LEVELS)
-    system.bracket_factor = cfg.bracket[1]
+    w_lo, m_hist, _, _ = _escalate_low(system)
     return system, w_lo, m_hist
 
 
@@ -271,13 +277,15 @@ def test_damping_at_the_residual_floor_judges_the_correction():
     assert toy.factored <= 5
 
 
-def test_interior_that_settles_in_one_level_stops_as_when_converged():
+def test_interior_that_settles_in_one_level_stops_as_when_converged(
+        monkeypatch):
     # the interior converges within the first level: the loose fields
     # cannot tell, so the doubt rule decides on converged ones and stops
     # at the same level as an escalation that converges every level
     for schedule, levels in (([1.0], [1.0, 2.0]), ([1.0, 3.0], [1.0, 3.0])):
-        ref = escalate(_Toy(), schedule, **KW, max_levels=10,
-                       on_level=lambda M, x: None)
+        with monkeypatch.context() as patch:
+            patch.setattr(newton, "KAPPA", 0.0)      # every level to tol
+            ref = escalate(_Toy(), schedule, **KW, max_levels=10)
         loose = escalate(_Toy(), schedule, **KW, max_levels=10)
         assert loose.m_history == ref.m_history == levels
         assert loose.stop_reason == ref.stop_reason == "interior"
@@ -291,11 +299,12 @@ class _Probe(_Toy):
         return x[1] <= 2.0 * (1.0 + 1e-9)
 
 
-def test_cap_in_doubt_is_decided_on_the_converged_field():
+def test_cap_in_doubt_is_decided_on_the_converged_field(monkeypatch):
     # the loose first level stands above the root by far more than the
     # cap's 1e-9 margin; converged, it lies within it
-    ref = escalate(_Probe(), [1.0], **KW, max_levels=10,
-                   on_level=lambda M, x: None)
+    with monkeypatch.context() as patch:
+        patch.setattr(newton, "KAPPA", 0.0)          # every level to tol
+        ref = escalate(_Probe(), [1.0], **KW, max_levels=10)
     loose = escalate(_Probe(), [1.0], **KW, max_levels=10)
     assert ref.m_history == loose.m_history == [1.0]
     assert ref.stop_reason == loose.stop_reason == "cap"
@@ -322,13 +331,26 @@ def test_levels_before_the_stop_are_solved_loosely(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 6])
-def test_loose_levels_match_levels_converged_to_tol(n):
-    # keep_level_fields converges every level to newton_tol: the reference
+def test_loose_levels_match_levels_converged_to_tol(n, monkeypatch):
+    # the reference converges every level to newton_tol: with KAPPA = 0
+    # every Newton solve, the high bracket's included, runs at newton_tol
     dom = DomainSpec2D("meridian", aperture=np.pi / 3)
     cfg = SolveConfig(nt_per_octave=4, n_eta=32)
     op = euclidean_operator(n)
     loose = solve(dom, op, n, cfg)
-    ref = solve(dom, op, n, replace(cfg, keep_level_fields=True))
+    tols = []
+
+    def recording(problem, x0, M, tol, **kw):
+        tols.append(tol)
+        return damped_newton(problem, x0, M, tol, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(newton, "KAPPA", 0.0)
+        patch.setattr(newton, "damped_newton", recording)
+        patch.setattr(solver, "damped_newton", recording)
+        ref = solve(dom, op, n, cfg)
+    assert len(tols) > len(ref.m_history)
+    assert set(tols) == {cfg.newton_tol}
     assert loose.m_history == ref.m_history
     assert loose.stop_reason == ref.stop_reason
     window = ref.interior_window()
@@ -358,3 +380,101 @@ def test_first_comparison_in_doubt_is_settled_short_of_tol(monkeypatch):
     assert [M for M, _ in tols[:4]] == [1e2, 2e2, 1e2, 2e2]   # the doubt
     assert [M for M, tol in tols if tol == 1e-10] == [prof.m_history[-1]]
     assert np.max(np.abs(prof.g - ref.g) / ref.g) <= 1e-9
+
+
+def _operator(n, q):
+    if q is None:
+        return euclidean_operator(n)
+    return conformal_operator(conformal_quadratic_metric(n, q))
+
+
+# the bench mesh at n = 3 and 6, Euclidean and conformal-quadratic q = 0.3
+BENCH_CASES = [(3, None), (3, 0.3), (6, None), (6, 0.3)]
+SNAPSHOT_CASES = [
+    *((BENCH_DOMAIN, n, q, BENCH_CONFIG) for n, q in BENCH_CASES),
+    (DomainSpec2D("cross-section", aperture=np.pi / 2, r_min=2.0**-9), 4,
+     None, BENCH_CONFIG),
+    # criterion 10's ball
+    (DomainSpec2D("ball", aperture=np.pi, r_max=1.0), 3, None,
+     SolveConfig(schedule=(1e2, 1e3, 1e4), bracket_tol=1.0, n_eta=200,
+                 eta_grading=2.0)),
+]
+
+
+@pytest.mark.parametrize("domain,n,q,cfg", SNAPSHOT_CASES, ids=[
+    "meridian-n3", "meridian-n3-q0.3", "meridian-n6", "meridian-n6-q0.3",
+    "cross-section-n4", "ball-n3"])
+def test_observing_the_levels_does_not_change_the_solve(domain, n, q, cfg):
+    # keep_level_fields selects what is recorded, not how the levels are
+    # solved: the result is the same float with and without the snapshots
+    op = _operator(n, q)
+    plain = solve(domain, op, n, cfg)
+    observed = solve(domain, op, n, replace(cfg, keep_level_fields=True))
+    assert plain.level_fields == []
+    assert [M for M, _ in observed.level_fields] == observed.m_history
+    assert observed.m_history == plain.m_history
+    assert observed.u.tobytes() == plain.u.tobytes()
+    if plain.u_high is not None:
+        assert observed.u_high.tobytes() == plain.u_high.tobytes()
+    for name in ("newton_residual", "stop_reason", "bracket_width"):
+        assert getattr(observed, name) == getattr(plain, name)
+    # the last snapshot is the reported level itself
+    assert observed.level_fields[-1][1].tobytes() == plain.u.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_level_snapshots_are_the_levels_converged_to_tol(n, monkeypatch):
+    # the reference solves every level to newton_tol, so its snapshots are
+    # the levels themselves
+    op = euclidean_operator(n)
+    cfg = replace(BENCH_CONFIG, keep_level_fields=True)
+    observed = solve(BENCH_DOMAIN, op, n, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(newton, "KAPPA", 0.0)
+        ref = solve(BENCH_DOMAIN, op, n, cfg)
+    assert len(observed.level_fields) == len(ref.level_fields)
+    window = ref.interior_window()
+    for (M, u), (M_ref, u_ref) in zip(observed.level_fields, ref.level_fields):
+        assert M == M_ref
+        assert np.max(np.abs(u - u_ref)[window] / u_ref[window]) <= 1e-9
+
+
+def _same_problem(ref, u, u_high, m_history):
+    assert m_history[-1] == ref.m_history[-1]
+    window = ref.interior_window()
+    for a, b in ((u, ref.u), (u_high, ref.u_high)):
+        assert np.max(np.abs(a - b)[window] / b[window]) <= 1e-9
+
+
+@pytest.mark.parametrize("n,q", BENCH_CASES)
+def test_field_does_not_depend_on_the_path(n, q, monkeypatch):
+    op = _operator(n, q)
+    ref = solve(BENCH_DOMAIN, op, n, BENCH_CONFIG)
+
+    def pair(system):
+        # the low bracket's escalation and the high bracket's continuation
+        # step, as solve() takes them
+        low = _escalate_low(system)
+        w_hi, _, _ = damped_newton(system, low.x, low.m_history[-1],
+                                   BENCH_CONFIG.newton_tol, solve=low.solve)
+        return system._to_u(low.x), system._to_u(w_hi), low.m_history
+
+    # solve()'s own path, through the pieces varied below
+    u, u_high, m_hist = pair(_WedgeSystem(BENCH_DOMAIN, op, n, BENCH_CONFIG))
+    assert u.tobytes() == ref.u.tobytes() and m_hist == ref.m_history
+    assert u_high.tobytes() == ref.u_high.tobytes()
+
+    # M growing by 4 in the 2-D escalation alone: the system, and with it
+    # the cut-data profile, is built at the default growth
+    system = _WedgeSystem(BENCH_DOMAIN, op, n, BENCH_CONFIG)
+    with monkeypatch.context() as patch:
+        patch.setattr(newton, "GROWTH", 4.0)
+        u, u_high, m_hist = pair(system)
+    assert len(m_hist) < len(ref.m_history)
+    _same_problem(ref, u, u_high, m_hist)
+
+    # a fresh Jacobian at every Newton step
+    with monkeypatch.context() as patch:
+        patch.setattr(_WedgeSystem, "reuse_factor", False)
+        fresh = solve(BENCH_DOMAIN, op, n, BENCH_CONFIG)
+    _same_problem(ref, fresh.u, fresh.u_high, fresh.m_history)
