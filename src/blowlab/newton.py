@@ -1,17 +1,21 @@
-"""Damped Newton and truncation escalation shared by the blow-up solves.
+"""Damped Newton and the truncation search shared by the blow-up solves.
 
 The 1-D profile, the 2-D meridian/wedge reductions and the radial ball all
 approximate the boundary value u = +infinity by Dirichlet truncation u = M
-on the blow-up wall, solve each level by damped Newton from a warm start,
-and raise M geometrically until the interior stops moving or the mesh can
-no longer resolve the layer where u reaches M.  This module owns that
+on the blow-up wall.  The levels form a ladder: the given schedule, then M
+times GROWTH, at most `max_levels` levels.  The reported level is the
+lowest one, from the last scheduled level on, where the stop test holds,
+taken in this order: the mesh can no longer resolve the layer where u
+reaches M (stop_reason "cap"), or the relative change on the interior band
+from the level below is under `interior_tol` ("interior").  When no level
+the ladder allows stops, the last one is reported ("max_levels").  This module owns that
 method; a problem supplies only its discrete pieces:
 
     fixed               mask of the Dirichlet nodes (wall, and cuts in 2-D)
-    band                interior nodes whose relative change ends escalation
+    band                interior nodes whose relative change stops the search
     dirichlet(M)        data vector holding the level's values on `fixed`
-    warm_start(x, M)    start of level M from the previous level's x (None
-                        on the first level)
+    warm_start(x, M)    start of level M from a solved neighbouring level's
+                        x, or from the supersolution when x is None
     residual(x, data)   row-scaled residual
     factor(x)           factorization of the Jacobian J at x, as a function
                         rhs -> J^-1 rhs
@@ -37,32 +41,34 @@ J^-1 F(x + t dx) from the factorization in hand is at most (1 - t/4) times
 dx in the stop's measure (natural monotonicity, Deuflhard's NLEQ-ERR); a
 trial costs one solve with the factorization in hand.
 
-Only the level escalation stops at is reported, so the levels before it
-are continuation steps (Allgower & Georg, *Introduction to Numerical
-Continuation Methods*): level k is solved to max(tol, KAPPA c), with c the
-relative change level k - 1 made on the band (1 before that exists), and
-only the reported level is then converged to `tol`, from where it stands
-and with the factorization it kept.  The stop tests must decide as they
-would on levels converged to `tol`.  A loose field is taken to lie within
-twice its predicted correction of the converged one.  When that error
-could carry the band change c across `interior_tol`, the fields the test
-compares are solved on to KAPPA c, which settles a change well above
-`interior_tol`, and, if the test is still in doubt, to `tol`; when it
-could flip the cap probe, the field is converged to `tol`.  The test is
-then taken on the tightened fields.  Levels 0 and 1 both go to KAPPA, so
-the first comparison is often in doubt; solving them tighter up front
-costs more solves than this two-step settling.  The tests run at every
-level, so a replay of the levels makes the very same Newton solves.  An
-`on_level` hook only observes: it sees each level converged to `tol`, in a
-copy that Newton converges apart from the solve, from a factorization of
-its own.  The iterates, the kept factorizations and the stop decisions are
-thus the same floats with or without the hook.
+`escalate` reaches the reported level from above.  The truncated
+solutions increase with M and lie below the supersolution start
+warm_start(None, M): for the Euclidean operator (2/d)^m, m = (n-2)/2, is
+the blow-up solution at the centre of the ball of radius d inscribed at a
+point d away from the blow-up wall, and it lies above the solution on any
+domain containing that ball (comparison principle; Loewner & Nirenberg,
+1974).  The cap probe grows with the field, so a level whose start reaches
+the cap reaches it once solved.  The search solves the first such level at
+or past the last scheduled one (else the last level `max_levels` allows)
+from that start, then steps down a level at a time (Allgower & Georg,
+*Introduction to Numerical Continuation Methods*), each level from the
+one above, warm_start(x_above, M), and the factorization Newton kept last,
+while the level below still stops; its interior test is taken on one more
+level down.  Should the starting level not stop (a bound that fails), the
+search steps up instead, each level from the one below.  Every level it
+visits is solved to `tol`.  It assumes that the stop test, once met, holds
+at every higher level (the probe grows more slowly than M, and the band
+change falls with M), and so reports the level at which a climb through
+every level stops; a test against such a climb guards this.  `m_history`
+is the ladder up to the reported M.  An `on_level` hook only observes: it
+sees the ladder's levels below the reported one, solved bottom-up to `tol`
+apart from the search, and then the reported field itself.
 
 With `reuse_factor`, Newton is the simplified (chord) method of the same
 section.  A factorization is kept while a full step from it stays positive
 off the Dirichlet nodes and cuts the residual norm to CONTRACTION = 1/4 of
-its value or less, and escalation carries it into the next level, where
-the same test decides whether it still serves.  A kept step that fails
+its value or less, and the search hands it to the next level it visits,
+where the same test decides whether it still serves.  A kept step that fails
 the test is discarded; the Jacobian is then factorized afresh at the
 current iterate and the damped step is taken from it.  A fresh
 factorization is kept only after a full step (t = 1) that made the same
@@ -80,12 +86,12 @@ import numpy as np
 
 from .errors import ConfigError, NewtonError
 
-__all__ = ["Escalation", "check_schedule", "damped_newton", "escalate"]
+__all__ = ["Escalation", "check_schedule", "check_tolerance", "damped_newton",
+           "escalate"]
 
 MAX_ITER = 60
 MAX_HALVINGS = 40
 CONTRACTION = 0.25
-KAPPA = 1e-2
 GROWTH = 2.0
 
 
@@ -98,6 +104,12 @@ def check_schedule(schedule):
             and np.isfinite(levels[-1])):
         raise ConfigError(f"truncation schedule must hold finite levels > 0 "
                           f"that strictly increase, got {list(schedule)}")
+
+
+def check_tolerance(name, value):
+    """Raise ConfigError unless the tolerance `value` is finite and > 0."""
+    if not 0.0 < value < np.inf:       # NaN fails it too
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 def damped_newton(problem, x0, M, tol, solve=None):
@@ -179,10 +191,11 @@ def damped_newton(problem, x0, M, tol, solve=None):
 class Escalation:
     """Result of `escalate`; unpacks as (x, m_history, residual, stop_reason).
 
-    `solve` is the factorization Newton kept at the end of the reported
-    level (None if there is none); its Jacobian depends only on x off the
-    Dirichlet nodes, so a solve at the same level with other Dirichlet data
-    may start from it.
+    `solve` is the factorization Newton kept at the last level the search
+    solved, the reported one or a level next to it (None if there is
+    none); its Jacobian depends only on x off the Dirichlet nodes, so a
+    solve at the reported level with other Dirichlet data may start from
+    it, and Newton replaces it once it stops contracting.
     """
 
     x: np.ndarray
@@ -197,87 +210,66 @@ class Escalation:
 
 def escalate(problem, schedule, *, tol, interior_tol, max_levels,
              on_level=None):
-    """Solve the truncation levels in turn.
+    """Search the truncation ladder for the reported level.
 
-    Returns an `Escalation`.  The levels of `schedule` run first and M then
-    grows by GROWTH.  From the last scheduled level on, escalation stops
-    once the relative change on `problem.band` drops below `interior_tol`
-    (stop_reason "interior") or the resolvability cap is reached ("cap");
-    it always stops after `max_levels` levels ("max_levels"), so a schedule
-    replayed with `max_levels=len(schedule)` runs exactly its levels and
-    the same Newton solves.  Levels before the stop are solved loosely and
-    the reported one to `tol` (module docstring), with or without
-    `on_level(M, x)`, which observes each level in turn: x is a copy of the
-    level converged to `tol` apart from the solve, the last one the reported
-    level itself.  `residual` is the reported level's predicted Newton
-    correction.  A factorization Newton keeps at the end of a level is
-    offered to the next one.
+    Returns an `Escalation`.  The ladder is `schedule`, then M times
+    GROWTH, at most `max_levels` levels; the reported level is the lowest
+    one, from the last scheduled level on, where the cap is reached or the
+    band moved by less than `interior_tol` from the level below, and the
+    last one ("max_levels") when none does, so a schedule given with
+    `max_levels=len(schedule)` ends at its last level, solved directly.
+    The search and `on_level(M, x)`, which sees the ladder's levels in
+    turn, each converged to `tol`, are set out in the module docstring.
+    `residual` is the reported level's predicted Newton correction.
     """
-    schedule = [float(M) for M in schedule]
+    first = len(schedule) - 1      # the stop tests count from here on
+    ladder = [float(M) for M in schedule][:max_levels]
+    while len(ladder) < max_levels and not problem.cap_reached(
+            problem.warm_start(None, ladder[-1]), ladder[-1]):
+        ladder.append(ladder[-1] * GROWTH)
     band = problem.band
+    solved = {}    # level -> (x, predicted correction)
+    kept = None    # the factorization Newton kept at the level solved last
 
-    def newton(x, M, level_tol):
-        nonlocal solve
-        x, err, solve = damped_newton(problem, x, M, level_tol, solve=solve)
-        # a field's error bound; a field within tol counts as converged
-        return x, err, 2.0 * err if err > tol else 0.0
+    def field(k, near):
+        # level k, from the solved level `near`, or the supersolution
+        nonlocal kept
+        if k not in solved:
+            x = None if near is None else solved[near][0]
+            x, err, kept = damped_newton(problem, problem.warm_start(
+                x, ladder[k]), ladder[k], tol, solve=kept)
+            solved[k] = x, err
+        return solved[k][0]
 
-    def band_change(x_new, x):
-        return np.max(np.abs(x_new[band] - x[band]) / x_new[band])
+    def stop(k, near):
+        x = field(k, near)
+        if k < first:
+            return None
+        if problem.cap_reached(x, ladder[k]):
+            return "cap"
+        if k > 0:
+            below = field(k - 1, k)
+            if np.max(np.abs(x[band] - below[band]) / x[band]) < interior_tol:
+                return "interior"
+        return None
 
-    def observe(x, M, bound):
-        # a copy converged apart, so that the solve never sees the hook
-        if on_level is not None:
-            on_level(M, damped_newton(problem, x, M, tol)[0] if bound
-                     else x.copy())
-
-    x = None
-    solve = None
-    m_history = []
-    change = 1.0
-    level = 0
-    M = schedule[0]
-    while True:
-        x_new, err_new, bound_new = newton(problem.warm_start(x, M), M,
-                                           max(tol, KAPPA * change))
-        m_history.append(M)
-        # the stop tests run at every level, so that a replay of the levels
-        # makes the same Newton solves, but stop only past the schedule
-        reason = None
-        if x is not None:
-            change = band_change(x_new, x)
-            for target in (max(tol, KAPPA * change), tol):
-                if not ((bound or bound_new) and abs(change - interior_tol)
-                        <= (bound + bound_new) * (1.0 + change)):
-                    break
-                # too close to call: tighten the fields the test compares,
-                # first as far as a change of this size needs, then to tol
-                if bound > 2.0 * target:
-                    x, _, bound = newton(x, m_history[-2], target)
-                if bound_new > 2.0 * target:
-                    x_new, err_new, bound_new = newton(x_new, M, target)
-                change = band_change(x_new, x)
-            if change < interior_tol:
-                reason = "interior"
-        if reason is None:
-            reached = problem.cap_reached(x_new, M)
-            if (bound_new and problem.cap_reached(x_new * (1.0 - bound_new), M)
-                    != problem.cap_reached(x_new * (1.0 + bound_new), M)):
-                x_new, err_new, bound_new = newton(x_new, M, tol)
-                reached = problem.cap_reached(x_new, M)
-            if reached:
-                reason = "cap"
-        x, err, bound = x_new, err_new, bound_new
-        if reason is not None and level + 1 >= len(schedule):
-            break
-        level += 1
-        if level >= max_levels:
-            reason = "max_levels"
-            break
-        observe(x, M, bound)
-        M = schedule[level] if level < len(schedule) else M * GROWTH
-    if bound:
-        # the reported level, from where it stands
-        x, err, bound = newton(x, M, tol)
-    observe(x, M, bound)
-    return Escalation(x, m_history, err, reason, solve)
+    k = len(ladder) - 1
+    reason = stop(k, None)
+    if reason is not None:
+        while k > first and (lower := stop(k - 1, k)) is not None:
+            k, reason = k - 1, lower
+    while reason is None and k + 1 < max_levels:
+        ladder.append(ladder[-1] * GROWTH)
+        k += 1
+        reason = stop(k, k - 1)
+    x, err = solved[k]
+    m_history = ladder[:k + 1]
+    if on_level is not None:
+        below, below_kept = None, None
+        for M in m_history[:-1]:
+            below, _, below_kept = damped_newton(
+                problem, problem.warm_start(below, M), M, tol,
+                solve=below_kept)
+            on_level(M, below)
+        on_level(m_history[-1], x.copy())
+    return Escalation(x, m_history, err, reason or "max_levels", kept)

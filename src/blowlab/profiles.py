@@ -15,12 +15,12 @@ flips the sign of the zeroth-order term (the radial part contributes
 m(m+2-k) g with k = 2 instead of k = n).
 
 The infinite boundary value is approximated by Dirichlet truncation
-g = M with M escalated geometrically until the interior stops moving;
-by the comparison principle the truncated profiles increase monotonically
-in M, and Newton from a supersolution start descends monotonically.  The
-damped Newton and the escalation are the shared core of `blowlab.newton`;
-this module supplies the pentadiagonal truncated problem (`BandedProblem`),
-which the radial ball solve of `blowlab.solver` reuses.
+g = M; by the comparison principle the truncated profiles increase
+monotonically in M below the supersolution start, from which Newton
+descends monotonically.  The damped Newton and the search for the level
+to report are the shared core of `blowlab.newton`; this module supplies
+the pentadiagonal truncated problem (`BandedProblem`), which the radial
+ball solve of `blowlab.solver` reuses.
 
 The weight rho = g^(-2/(n-2)) is comparable to the arc distance to the
 blow-up boundary and is the coefficient the spectral module consumes.
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, MissingArtifactError
-from .newton import check_schedule, escalate
+from .newton import check_schedule, check_tolerance, escalate
 from .reports import read_csv, write_csv
 
 __all__ = [
@@ -437,16 +437,16 @@ class BandedProblem:
 
 def solve_profile(domain, n, schedule=(1e2,), grid=None, nodes=None,
                   interior_tol=1e-8, max_levels=MAX_LEVELS):
-    """Solve the separated profile by truncation escalation.
+    """Solve the separated profile at the reported truncation level.
 
     `schedule` seeds the truncation levels (finite, > 0 and strictly
-    increasing); after the explicit levels are exhausted, M keeps doubling
-    until the interior (wall buffer excluded) stops moving at
-    `interior_tol` relative, or until the mesh can no longer resolve the
-    layer where the profile reaches M (`blowlab.newton.escalate`), and
-    after `max_levels` levels at most (`max_levels=1` solves one fixed
-    level).  `nodes` overrides the graded grid with explicit theta nodes
-    (used to match a 2-D solver's angular grid exactly).
+    increasing), and M then doubles; the reported level is where the mesh
+    can no longer resolve the layer where the profile reaches M, or the
+    interior (wall buffer excluded) stops moving at `interior_tol` (finite,
+    > 0) relative, within `max_levels` levels (`blowlab.newton.escalate`;
+    `max_levels=1` solves one fixed level).  `nodes` overrides the graded
+    grid with explicit theta nodes (used to match a 2-D solver's angular
+    grid exactly).
     """
     if n < 3:
         raise ConfigError("dimension must satisfy n >= 3")
@@ -458,6 +458,7 @@ def solve_profile(domain, n, schedule=(1e2,), grid=None, nodes=None,
         if theta.size < 3 or np.any(np.diff(theta) <= 0):
             raise ConfigError("explicit nodes must be strictly increasing")
     check_schedule(schedule)
+    check_tolerance("interior_tol", interior_tol)
 
     if domain.geometry == POLAR_SPHERE:
         drift = (n - 2.0) * (np.cos(theta[1:-1]) / np.sin(theta[1:-1]))

@@ -22,22 +22,21 @@ matrix is bit-identical to that loop's; exact-zero coefficients (the
 mixed terms of a straight Euclidean wedge) stay explicit entries until
 the row-scaling product `diags(row_scale) @ L`, which drops them.
 
-The infinite boundary value is imposed as u = M on the lateral wall with
-a geometric escalation of M, capped when the truncation layer recedes
-into the last mesh cells; the damped Newton and the escalation are the
-core of `blowlab.newton`, shared with the 1-D profile solver.  The sparse
-Jacobian L - diag(d) is factorized with `splu` under SuperLU's
-minimum-degree ordering of A^T + A (`MMD_AT_PLUS_A`; George & Liu, 1981),
-which suits the nearly symmetric 9-point pattern better than the default
-COLAMD: at n = 6 it cuts the fill by about a third.  Panels are single
+The infinite boundary value is imposed as u = M on the lateral wall, at
+the lowest level of a geometric ladder where the truncation layer has
+receded into the last mesh cells; the damped Newton and the search for
+that level are the core of `blowlab.newton`, shared with the 1-D profile
+solver.  The sparse Jacobian L - diag(d) is factorized with `splu` under
+SuperLU's minimum-degree ordering of A^T + A (`MMD_AT_PLUS_A`; George &
+Liu, 1981), which suits the nearly symmetric 9-point pattern better than
+the default COLAMD: at n = 6 it cuts the fill by about a third.  Panels are single
 columns, which factor these meshes faster than SuperLU's default panels.
 L is kept once in CSC with the position of each row's diagonal, so a
 Jacobian is a copy of L's values with only the diagonal rewritten.
 Newton keeps a factorization over steps and truncation levels for as
 long as full steps from it cut the residual by 4x or more
-(`reuse_factor`).  Levels before the one escalation stops at are solved
-only as accurately as the escalation needs, and the reported level to
-`newton_tol` (`blowlab.newton`).
+(`reuse_factor`).  The search reaches the reported level from above, in a
+few levels each solved to `newton_tol` (`blowlab.newton`).
 
 The artificial radial cuts carry bracket data {1/2, 2} x cone reference,
 the vertex-cone profile splined onto the cut rows once per system;
@@ -45,13 +44,13 @@ solving once with each and recording the interior disagreement turns the
 ill-posed cut into a quantified localization error.  A field carries no
 cone profile: `blowlab.analysis.compare_to_cone` solves the one matched
 to the field's truncation state where it compares.  The low bracket runs
-the escalation; the high one differs only in the cut data, so it is solved
+the search; the high one differs only in the cut data, so it is solved
 by one continuation step (Allgower & Georg, *Introduction to Numerical
 Continuation Methods*): Newton at the final truncation level, started from
-the low field and from the factorization the low bracket kept (the
+the low field and from the factorization the search kept last (the
 Jacobian does not read the cut data).  Newton's update-based stop makes
-that step take real Newton steps, so it lands where a replay of every
-level would.
+that step take real Newton steps, so it lands where a search with the
+high cut data would.
 
 A degenerate radial path handles balls (blow-up on the outer sphere,
 regular center), including non-Euclidean radially symmetric operators,
@@ -68,7 +67,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, DomainError, LocalizationError
-from .newton import check_schedule, damped_newton, escalate
+from .newton import check_schedule, check_tolerance, damped_newton, escalate
 from .profiles import (
     BLOWUP,
     REGULAR_POLE,
@@ -211,10 +210,10 @@ class SolveConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_tolerance("newton_tol", self.newton_tol)
+        check_tolerance("interior_tol", self.interior_tol)
         # written as `not (x > bound)` so that NaN is rejected too
-        for name, value, bound in (("newton_tol", self.newton_tol, 0.0),
-                                   ("interior_tol", self.interior_tol, 0.0),
-                                   ("bracket_tol", self.bracket_tol, 0.0),
+        for name, value, bound in (("bracket_tol", self.bracket_tol, 0.0),
                                    ("nt_per_octave", self.nt_per_octave, 0),
                                    ("n_eta", self.n_eta, 4)):
             if not value > bound:
@@ -392,7 +391,7 @@ def _wall_gap(domain, eta):
 class _WedgeSystem:
     """Assembled linear stencil and metadata for one (domain, op) pair.
 
-    It is the truncated problem that `blowlab.newton.escalate` solves; the
+    It is the truncated problem that `blowlab.newton.escalate` searches; the
     cut rows carry `bracket_factor` times the cone data.
     """
 
@@ -632,15 +631,15 @@ class _WedgeSystem:
 def solve(domain, op, n, config=None, forced_schedule=None):
     """Truncation + damped Newton blow-up solve with localization bracket.
 
-    `forced_schedule` replays an exact escalation sequence (e.g. from a
-    companion Euclidean solve on the same mesh) so a perturbed-metric
-    field and its discrete cone reference end in matching truncation
-    states.  Only the low bracket escalates; the high bracket is Newton
-    at the final level from the low field and its kept factorization.
-    `keep_level_fields` records `level_fields`, one snapshot per level
-    converged to `newton_tol` apart from the solve; it selects what is
-    recorded, not how the solve runs, so the field is the same float with
-    or without it (`blowlab.newton.escalate`).
+    `forced_schedule` (e.g. a companion Euclidean solve's `m_history` on
+    the same mesh) ends the solve at its last level, solved directly, so a
+    perturbed-metric field and its discrete cone reference end in matching
+    truncation states.  Only the low bracket searches; the high bracket is
+    Newton at the final level from the low field and the search's kept
+    factorization.  `keep_level_fields` records `level_fields`, one
+    snapshot per ladder level converged to `newton_tol` apart from the
+    solve; it selects what is recorded, not how the solve runs, so the
+    field is the same float with or without it (`blowlab.newton.escalate`).
     """
     if n < 3:
         raise ConfigError("dimension must satisfy n >= 3")
@@ -652,9 +651,7 @@ def solve(domain, op, n, config=None, forced_schedule=None):
 
     schedule, max_levels = config.schedule, MAX_LEVELS
     if forced_schedule:
-        # a replay stops after exactly the given levels
-        schedule = forced_schedule
-        max_levels = min(max_levels, len(forced_schedule))
+        schedule, max_levels = forced_schedule, len(forced_schedule)
     snaps = []
     keep = ((lambda M, w: snaps.append((M, system._to_u(w))))
             if config.keep_level_fields else None)
@@ -668,8 +665,9 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     M_final = m_hist[-1]
     # the high bracket by one continuation step: only the cut data change,
     # so Newton from the low field at the final level lands on the field a
-    # replay of every level would reach; the Jacobian is the low bracket's,
-    # so the factorization it kept serves from the start
+    # search with the high cut data would reach; the Jacobian does not read
+    # the cut data, so the factorization the search kept serves from the
+    # start
     system.bracket_factor = hi_fac
     w_hi, _, _ = damped_newton(system, w_lo, M_final, config.newton_tol,
                                solve=low.solve)

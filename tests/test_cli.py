@@ -188,6 +188,29 @@ def test_bad_fit_window_exit_code_before_the_solve(tmp_path, capsys, setting):
     assert not (tmp_path / "out" / "tiny-ball" / "field.csv").exists()
 
 
+@pytest.mark.parametrize("case, setting", [
+    *((case, f"{key} = {v}") for case, key in (
+        ("tiny-profile", "interior_tol"), ("tiny-ball", "newton_tol"),
+        ("tiny-ball", "interior_tol")) for v in ("inf", "nan", "-1", "0")),
+])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, case,
+                                               setting):
+    # an infinite interior_tol stopped a profile at its first level, and
+    # nan or -1 turned the interior test off; an infinite newton_tol ended
+    # each level after one Newton step
+    from blowlab.cli import main
+
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(_with_setting(CONFIG, case, setting)
+                   .format(out=tmp_path / "out"))
+    stage = "profile" if case == "tiny-profile" else "solve"
+    assert main([stage, "--config", str(cfg), "--case", case]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    key = setting.split(" = ")[0]
+    assert err == [f"config error: case {case}: {key} must be finite and > 0, "
+                   f"got {float(setting.split(' = ')[1])}"]
+
+
 def test_library_config_error_names_its_case(tmp_path):
     # a check inside the library names the case as a cast error does,
     # and a cast error is not named twice

@@ -146,6 +146,25 @@ def test_solve_profile_rejects_bad_schedules(schedule):
         solve_profile(cap(1.0), 3, schedule=schedule, grid=MEDIUM)
 
 
+def test_search_cost_on_a_profile(monkeypatch):
+    # the n = 6 half-sphere of configs/cases.cfg stops at the cap after 39
+    # ladder levels; the search visits few of them: 40 banded solves (107
+    # when every level was climbed)
+    import scipy.linalg
+
+    calls = []
+    solve_banded = scipy.linalg.solve_banded
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", counting)
+    prof = solve_profile(half_sphere(), 6, grid=GridSpec(3200, 2.5))
+    assert len(prof.m_history) == 39 and prof.stop_reason == "cap"
+    assert len(calls) <= 40
+
+
 def test_bad_configurations():
     with pytest.raises(ConfigError):
         SphericalDomain1D("polar-sphere", 0.5, 0.2)
