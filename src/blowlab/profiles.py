@@ -19,7 +19,8 @@ g = M; by the comparison principle the truncated profiles increase
 monotonically in M below the supersolution start, from which Newton
 descends monotonically.  The damped Newton and the search for the level
 to report are the shared core of `blowlab.newton`; this module supplies
-the pentadiagonal truncated problem (`BandedProblem`), which the radial
+the truncated problem (`BandedProblem`), tridiagonal apart from one entry
+in a regular-pole row and factored by a tridiagonal LU, which the radial
 ball solve of `blowlab.solver` reuses.
 
 The weight rho = g^(-2/(n-2)) is comparable to the arc distance to the
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MissingArtifactError
+from .errors import ConfigError, DomainError, MissingArtifactError, NewtonError
 from .newton import check_schedule, check_tolerance, escalate
 from .reports import read_csv, write_csv
 
@@ -340,12 +341,16 @@ class BandedProblem:
     The separated profile (nodes theta) and the radial ball solve (nodes
     r) share it; `d` is the distance to the blow-up ends and `span` the
     length of the interval.  Interior rows carry the 3-point stencils; a
-    regular pole contributes a one-sided 3-point derivative row, which is
-    why two off-diagonals are kept on each side.  Blow-up ends get plain
+    regular pole contributes a one-sided 3-point derivative row, which
+    reaches one node past the tridiagonal band.  Blow-up ends get plain
     Dirichlet rows.  Rows are rescaled to O(1): the clustered cells near a
     blow-up end carry 1/h^2 ~ 1e17 stencil weights, whose rounding noise
     would otherwise swamp the damping's residual-decrease test.
-    `solve_banded` factorizes on every call, so a kept Jacobian saves
+
+    `factor` subtracts a multiple of the neighbouring row from the pole
+    row, which leaves the Jacobian tridiagonal, factors it once with
+    LAPACK `dgttrf` and solves from the factors with `dgttrs`.  A fresh
+    factorization costs about as much as a solve, so a kept Jacobian saves
     nothing and Newton takes a fresh one at every step.
     """
 
@@ -355,10 +360,10 @@ class BandedProblem:
         N = x.size
         self.name = name
         self.p = (n + 2.0) / (n - 2.0)
-        self.coef = 0.25 * n * (n - 2.0)
         sub2, diag2, sup2 = nonuniform_d2(x)
         sub1, diag1, sup1 = nonuniform_d1(x)
-        # lo/hi: second sub/superdiagonal, a/c: first, b: diagonal
+        # lo/hi: second sub/superdiagonal, nonzero only in a pole row;
+        # a/c: first; b: diagonal
         lo, a, b, c, hi = (np.zeros(N) for _ in range(5))
         a[1:-1] = a2 * sub2 + a1 * sub1
         b[1:-1] = a2 * diag2 + a1 * diag1 + a0
@@ -373,15 +378,21 @@ class BandedProblem:
             b[-1], a[-1], lo[-1] = one_sided_d1(x[-1], x[-2], x[-3])
         self.row_scale = 1.0 / (1.0 + np.abs(lo) + np.abs(a) + np.abs(b)
                                 + np.abs(c) + np.abs(hi))
-        self.lo, self.a, self.b, self.c, self.hi = (
-            v * self.row_scale for v in (lo, a, b, c, hi))
+        self.a, self.b, self.c = (v * self.row_scale for v in (a, b, c))
+        self.reach_lo = hi[0] * self.row_scale[0]
+        self.reach_hi = lo[-1] * self.row_scale[-1]
+        # the nonlinear term's factor on each interior row
+        self.nl = self.row_scale[1:-1] * (0.25 * n * (n - 2.0))
+        # the multiples of rows 1 and N-2 that clear the pole rows' reach
+        # (0 without a pole)
+        self.elim_lo = self.reach_lo / self.c[1] if hi[0] else 0.0
+        self.elim_hi = self.reach_hi / self.a[-2] if lo[-1] else 0.0
 
         self.fixed = np.zeros(N, dtype=bool)
         self.fixed[0] = bc_lo == BLOWUP
         self.fixed[-1] = bc_hi == BLOWUP
-        self.interior = np.ones(N, dtype=bool)
-        self.interior[0] = self.interior[-1] = False
-        self.band = self.interior & (d >= 0.02 * span)
+        self.band = d >= 0.02 * span
+        self.band[[0, -1]] = False
         # probes of the resolvability cap, a few cells inside each wall
         self.probes = [k for k, end in ((4, 0), (-5, -1))
                        if self.fixed[end] and N > 4]
@@ -396,30 +407,40 @@ class BandedProblem:
         return np.maximum(np.minimum(self.start if g is None else g, M), 1e-10)
 
     def residual(self, g, data):
-        interior, fixed = self.interior, self.fixed
+        fixed = self.fixed
         r = self.b * g
         r[1:] += self.a[1:] * g[:-1]
         r[:-1] += self.c[:-1] * g[1:]
-        r[2:] += self.lo[2:] * g[:-2]
-        r[:-2] += self.hi[:-2] * g[2:]
-        r[interior] -= self.row_scale[interior] * self.coef * g[interior] ** self.p
+        r[0] += self.reach_lo * g[2]
+        r[-1] += self.reach_hi * g[-3]
+        r[1:-1] -= self.nl * g[1:-1] ** self.p
         r[fixed] = self.row_scale[fixed] * (g[fixed] - data[fixed])
         return r
 
     def factor(self, g):
-        from scipy.linalg import solve_banded
+        from scipy.linalg.lapack import dgttrf, dgttrs
 
-        interior = self.interior
-        jac_diag = self.b.copy()
-        jac_diag[interior] -= (self.row_scale[interior] * self.coef * self.p
-                               * g[interior] ** (self.p - 1.0))
-        ab = np.zeros((5, g.size))
-        ab[0, 2:] = self.hi[:-2]
-        ab[1, 1:] = self.c[:-1]
-        ab[2, :] = jac_diag
-        ab[3, :-1] = self.a[1:]
-        ab[4, :-2] = self.lo[2:]
-        return lambda rhs: solve_banded((2, 2), ab, rhs)
+        diag = self.b.copy()
+        diag[1:-1] -= self.nl * self.p * g[1:-1] ** (self.p - 1.0)
+        sub, sup = self.a[1:].copy(), self.c[:-1].copy()
+        elim_lo, elim_hi = self.elim_lo, self.elim_hi
+        diag[0] -= elim_lo * sub[0]
+        sup[0] -= elim_lo * diag[1]
+        diag[-1] -= elim_hi * sup[-1]
+        sub[-1] -= elim_hi * diag[-2]
+        *lu, info = dgttrf(sub, diag, sup, overwrite_dl=1, overwrite_d=1,
+                           overwrite_du=1)
+        if info != 0 or not np.isfinite(np.concatenate(lu[:4])).all():
+            raise NewtonError(f"{self.name} Jacobian is singular or not "
+                              f"finite (dgttrf info {info})")
+
+        def solve(rhs):
+            rhs = rhs.copy()
+            rhs[0] -= elim_lo * rhs[1]
+            rhs[-1] -= elim_hi * rhs[-2]
+            return dgttrs(*lu, rhs, overwrite_b=1)[0]
+
+        return solve
 
     def cap_reached(self, g, M):
         """True when the truncation layer has receded into the last few cells.

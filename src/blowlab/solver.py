@@ -47,14 +47,14 @@ to the field's truncation state where it compares.  The low bracket runs
 the search; the high one differs only in the cut data, so it is solved
 by one continuation step (Allgower & Georg, *Introduction to Numerical
 Continuation Methods*): Newton at the final truncation level, started from
-the low field and from the factorization the search kept last (the
+the low field and from the factorization kept at that level (the
 Jacobian does not read the cut data).  Newton's update-based stop makes
 that step take real Newton steps, so it lands where a search with the
 high cut data would.
 
 A degenerate radial path handles balls (blow-up on the outer sphere,
 regular center), including non-Euclidean radially symmetric operators,
-with the pentadiagonal rows of the profile solver.
+with the truncated problem of the profile solver.
 """
 
 from __future__ import annotations
@@ -635,8 +635,8 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     the same mesh) ends the solve at its last level, solved directly, so a
     perturbed-metric field and its discrete cone reference end in matching
     truncation states.  Only the low bracket searches; the high bracket is
-    Newton at the final level from the low field and the search's kept
-    factorization.  `keep_level_fields` records `level_fields`, one
+    Newton at the final level from the low field and the factorization
+    kept there.  `keep_level_fields` records `level_fields`, one
     snapshot per ladder level converged to `newton_tol` apart from the
     solve; it selects what is recorded, not how the solve runs, so the
     field is the same float with or without it (`blowlab.newton.escalate`).
@@ -666,8 +666,8 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     # the high bracket by one continuation step: only the cut data change,
     # so Newton from the low field at the final level lands on the field a
     # search with the high cut data would reach; the Jacobian does not read
-    # the cut data, so the factorization the search kept serves from the
-    # start
+    # the cut data, so the factorization kept at the final level serves
+    # from the start
     system.bracket_factor = hi_fac
     w_hi, _, _ = damped_newton(system, w_lo, M_final, config.newton_tol,
                                solve=low.solve)

@@ -211,6 +211,28 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, case,
                    f"got {float(setting.split(' = ')[1])}"]
 
 
+@pytest.mark.parametrize("case, setting", [
+    ("tiny-profile", "grading = 1e308"), ("tiny-profile", "theta_hi = 1e-300"),
+    ("tiny-profile", "schedule = 1e308"), ("tiny-ball", "r_max = 1e-300"),
+    ("tiny-ball", "eta_grading = 1e308"), ("tiny-ball", "schedule = 1e308")])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_collapsed_mesh_is_a_solver_failure(tmp_path, capsys, case, setting):
+    # each collapses the mesh or overflows the truncated problem (NumPy
+    # warns of it on the way); the config accepts them, so the LU's pivot
+    # and finiteness checks must end them as a Newton failure of their
+    # own case, not as a traceback
+    from blowlab.cli import main
+
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(_with_setting(CONFIG, case, setting)
+                   .format(out=tmp_path / "out"))
+    stage = "profile" if case == "tiny-profile" else "solve"
+    assert main([stage, "--config", str(cfg), "--case", case]) == 5
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert err[0].startswith(f"solver failure: NewtonError: case {case}: ")
+
+
 def test_library_config_error_names_its_case(tmp_path):
     # a check inside the library names the case as a cast error does,
     # and a cast error is not named twice
@@ -431,6 +453,21 @@ def test_perturbed_pair_solve_and_verify(tmp_path):
     before = ratio.read_bytes()
     assert run_cli("solve", "--config", str(cfg)).returncode == 0
     assert ratio.read_bytes() == before
+
+
+def test_run_stages_reports_cpu_time(tmp_path):
+    # each stage's CPU time is its own process's, not a running total
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(CONFIG.split("[case:tiny-ball]")[0]
+                   .format(out=tmp_path / "out"))
+    res = run_python(RUN_STAGES, str(cfg), str(tmp_path / "out"))
+    assert res.returncode == 0
+    took = [line.split() for line in res.stderr.splitlines()
+            if line.split()[1:2] == ["took"]]
+    assert [words[0] for words in took] == list(STAGES)
+    for _, _, wall, unit, cpu_word, cpu, cpu_unit in took:
+        assert (unit, cpu_word, cpu_unit) == ("s", "cpu", "s")
+        assert 0 < float(cpu) <= float(wall) * os.cpu_count() + 0.01
 
 
 def test_run_stages_exits_with_the_worst_status(tmp_path):

@@ -227,20 +227,42 @@ def _low_bracket(n):
 
 
 @pytest.mark.parametrize("n", [3, 6])
-def test_continued_high_bracket_matches_replay(n):
+def test_continued_high_bracket_matches_a_direct_solve(n):
     # solve() takes the high bracket by one continuation step from the low
-    # field; replaying every level with the high cut data lands on it too
+    # field; solving the last level directly with the high cut data, from
+    # the supersolution start (a schedule that ends there), lands on it too
     fld = solve(BENCH_DOMAIN, euclidean_operator(n), n, BENCH_CONFIG)
     system, _, m_hist = _low_bracket(n)
     assert m_hist == fld.m_history
     cfg = BENCH_CONFIG
-    w_replay, _, _, _ = escalate(
+    w_direct, _, _, _ = escalate(
         system, m_hist, tol=cfg.newton_tol,
         interior_tol=cfg.interior_tol, max_levels=len(m_hist))
-    u_replay = system._to_u(w_replay)
+    u_direct = system._to_u(w_direct)
     window = fld.interior_window()
-    rel = np.abs(fld.u_high - u_replay)[window] / u_replay[window]
+    rel = np.abs(fld.u_high - u_direct)[window] / u_direct[window]
     assert np.max(rel) <= 1e-9
+
+
+def test_search_hands_back_the_reported_levels_factor(monkeypatch):
+    # the high bracket starts from the factorization Newton kept at the
+    # reported level, not from the one kept at the last level the search
+    # solved, below it
+    returned = []
+    newton_step = newton.damped_newton
+
+    def recording(problem, x0, M, tol, solve=None):
+        result = newton_step(problem, x0, M, tol, solve=solve)
+        returned.append((M, result[2]))
+        return result
+
+    monkeypatch.setattr(newton, "damped_newton", recording)
+    system = _WedgeSystem(BENCH_DOMAIN, euclidean_operator(6), 6, BENCH_CONFIG)
+    low = _escalate_low(system)
+    M = low.m_history[-1]
+    assert returned[-1][0] < M      # the search solved levels below it last
+    own = [kept for level, kept in returned if level == M]
+    assert len(own) == 1 and own[0] is not None and low.solve is own[0]
 
 
 def test_high_bracket_from_low_field_is_newton_converged(monkeypatch):

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blowlab.errors import BoundFailureError, ConfigError, DomainError
+from blowlab.errors import (BoundFailureError, ConfigError, DomainError,
+                            NewtonError)
 from blowlab.profiles import (
     BLOWUP,
     CIRCLE_ARC,
     POLAR_SPHERE,
     REGULAR_POLE,
+    BandedProblem,
     GridSpec,
     SphericalDomain1D,
     check_rho_bounds,
@@ -21,6 +23,7 @@ from blowlab.profiles import (
     solve_profile,
     _NotAKnotSpline,
 )
+from blowlab.spectral import first_eigenpair
 from conftest import FINE, MEDIUM, band, cap, cap_complement, half_sphere
 
 # Richardson extrapolation of g(0) on the pi/3 cap (node counts 800/1600/3200,
@@ -148,21 +151,112 @@ def test_solve_profile_rejects_bad_schedules(schedule):
 
 def test_search_cost_on_a_profile(monkeypatch):
     # the n = 6 half-sphere of configs/cases.cfg stops at the cap after 39
-    # ladder levels; the search visits few of them: 40 banded solves (107
-    # when every level was climbed)
-    import scipy.linalg
-
+    # ladder levels; the search visits few of them: 39 factorizations, one
+    # per Newton step (107 banded solves when every level was climbed)
     calls = []
-    solve_banded = scipy.linalg.solve_banded
+    factor = BandedProblem.factor
 
-    def counting(*args, **kwargs):
+    def counting(self, g):
         calls.append(1)
-        return solve_banded(*args, **kwargs)
+        return factor(self, g)
 
-    monkeypatch.setattr(scipy.linalg, "solve_banded", counting)
+    monkeypatch.setattr(BandedProblem, "factor", counting)
     prof = solve_profile(half_sphere(), 6, grid=GridSpec(3200, 2.5))
     assert len(prof.m_history) == 39 and prof.stop_reason == "cap"
     assert len(calls) <= 40
+
+
+def _profile_problem(domain, n, theta):
+    """The truncated problem `solve_profile` solves on `theta`."""
+    drift = (n - 2.0) * (np.cos(theta[1:-1]) / np.sin(theta[1:-1]))
+    return BandedProblem(theta, 1.0, drift, -0.25 * (n - 2.0) ** 2,
+                         domain.bc_lo, domain.bc_hi, n,
+                         domain.wall_distance(theta),
+                         domain.theta_hi - domain.theta_lo, "profile")
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("domain", [cap(1.0), cap_complement(0.4),
+                                    band(0.5, 1.4)], ids=lambda d: d.label)
+def test_tridiagonal_solve_matches_the_dense_pentadiagonal_jacobian(domain, n):
+    # a regular pole at the low end, at the high end and at neither: the
+    # pole row's reach two nodes in is eliminated before the tridiagonal
+    # LU, so the solve must still be that of the full Jacobian, here built
+    # column by column by complex-step differentiation of the residual
+    theta = graded_nodes(domain, 400, 2.0)
+    problem = _profile_problem(domain, n, theta)
+    M = 1e4
+    data = problem.dirichlet(M)
+    g = problem.warm_start(None, M)
+    jac = np.empty((g.size, g.size))
+    for j in range(g.size):
+        dg = np.zeros(g.size, dtype=complex)
+        dg[j] = 1e-30j
+        jac[:, j] = problem.residual(g + dg, data).imag / 1e-30
+    outside = np.triu(jac, 3) + np.tril(jac, -3)
+    assert not np.any(outside)
+    reach = np.triu(jac, 2) + np.tril(jac, -2)
+    assert np.count_nonzero(reach) == (domain.bc_lo == REGULAR_POLE) + (
+        domain.bc_hi == REGULAR_POLE)
+    # the first Newton step of the level
+    rhs = -problem.residual(g, data)
+    step = problem.factor(g)(rhs)
+    dense = np.linalg.solve(jac, rhs)
+    assert np.max(np.abs(step - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_singular_or_nonfinite_jacobian_raises_newton_error():
+    theta = graded_nodes(cap(1.0), 400, 2.0)
+    problem = _profile_problem(cap(1.0), 3, theta)
+    g = problem.warm_start(None, 1e4)
+    with pytest.raises(NewtonError, match="not finite"):
+        problem.factor(np.where(np.arange(g.size) == 7, np.inf, g))
+    # a zero Dirichlet row: the LU meets a zero pivot
+    problem.b[-1] = 0.0
+    with pytest.raises(NewtonError, match="singular"):
+        problem.factor(g)
+
+
+# (truncation M, stop reason, lambda_1, g on nodes PINNED_NODES) of the
+# MEDIUM-grid profiles, solved with SciPy's pentadiagonal `solve_banded`,
+# a factorization of the same Jacobian independent of the tridiagonal LU
+PINNED_NODES = (0, 1, 400, 800, 1200, 1598, 1599)
+PINNED = {
+    (cap(1.0), 3): (800.0, "cap", 23.72549252019962, [
+        1.2950781662864108, 1.2950793608466076, 1.4653791026657854,
+        2.05976265299918, 4.0296285719340545, 709.4196375800631, 800.0]),
+    (cap(1.0), 6): (6710886400.0, "cap", 94.00627704890213, [
+        3.1053796894752486, 3.105390677949135, 4.9959290300258425,
+        18.795011735179003, 266.7280494115706, 6290855727.992891,
+        6710886400.0]),
+    (cap_complement(0.4), 3): (800.0, "cap", 1.8116838968489901, [
+        800.0, 601.2912113916292, 2.3248620315011763, 1.1102513613924532,
+        0.7474966201476619, 0.6450129254521314, 0.6450122057014261]),
+    (cap_complement(0.4), 6): (838860800.0, "cap", 3.5897853161004596, [
+        838860800.0, 787927313.3856579, 25.79678148876791,
+        1.0109615034926014, 0.16212355998860928, 0.08096707491349676,
+        0.08096664809107314]),
+    (band(0.5, 1.4), 3): (800.0, "cap", 63.884413957421216, [
+        800.0, 717.4132877490804, 3.2800954545672183, 1.7478128233772667,
+        3.352854838485238, 717.4134285802049, 800.0]),
+    (band(0.5, 1.4), 6): (6710886400.0, "cap", 126.19209366786528, [
+        6710886400.0, 6331413980.313925, 108.95327895996668,
+        6.776733139251957, 126.45597489723667, 6331421575.714247,
+        6710886400.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED),
+                         ids=lambda c: f"{c[0].label}-n{c[1]}")
+def test_profile_and_eigenvalue_are_pinned(case):
+    # how the Jacobian is factored moves nothing beyond rounding: the
+    # same level, and values within 1e-10 relative
+    M, reason, lambda1, g = PINNED[case]
+    prof = solve_profile(*case, grid=MEDIUM)
+    assert (prof.truncation, prof.stop_reason) == (M, reason)
+    assert prof.g[list(PINNED_NODES)] == pytest.approx(g, rel=1e-10, abs=0)
+    assert first_eigenpair(prof).lambda1 == pytest.approx(lambda1, rel=1e-10,
+                                                          abs=0)
 
 
 def test_bad_configurations():

@@ -6,9 +6,9 @@ Each stage (profile, eigen, solve, certify, verify, report) runs as its
 own `python -m blowlab.cli STAGE --config CONFIG --out OUT`, in pipeline
 order, with this checkout's `src/` first on PYTHONPATH.  Every stage runs
 even when an earlier one fails.  The script prints one `STAGE exit CODE`
-line per stage on stdout, and the stage's wall time, start-up included,
-as one `STAGE took SECONDS s` line on stderr; it exits with the worst
-(largest) status.  Together with
+line per stage on stdout, and the stage's wall time and CPU time (user +
+sys), start-up included, as one `STAGE took SECONDS s cpu SECONDS s` line
+on stderr; it exits with the worst (largest) status.  Together with
 `tools/diff_artifacts.py` it compares two checkouts' artifacts:
 
     python tools/run_stages.py configs/cases.cfg /tmp/new
@@ -18,6 +18,7 @@ Uses the standard library only.
 """
 
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -34,13 +35,18 @@ def run_stages(config, out):
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     codes = []
     for stage in STAGES:
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
         t0 = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "blowlab.cli", stage, "--config", config,
              "--out", out], env=env)
         wall = time.perf_counter() - t0
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = (after.ru_utime - before.ru_utime
+               + after.ru_stime - before.ru_stime)
         print(f"{stage} exit {proc.returncode}", flush=True)
-        print(f"{stage} took {wall:.3f} s", file=sys.stderr, flush=True)
+        print(f"{stage} took {wall:.3f} s cpu {cpu:.3f} s", file=sys.stderr,
+              flush=True)
         codes.append(proc.returncode)
     return codes
 
