@@ -18,14 +18,16 @@ from blowlab import (
     exact_ball,
     fit_rate,
     growth_check,
+    level_fields,
     monotone_check,
     solve,
 )
 
 dom = DomainSpec2D("ball", aperture=np.pi, r_max=1.0, label="unit-ball")
 cfg = SolveConfig(schedule=(1e2, 1e3, 1e4), bracket_tol=1.0, n_eta=200,
-                  eta_grading=2.0, keep_level_fields=True)
-fld = solve(dom, euclidean_operator(3), 3, cfg)
+                  eta_grading=2.0)
+op = euclidean_operator(3)
+fld = solve(dom, op, 3, cfg)
 
 r = fld.t
 exact = (2.0 / (1.0 - r**2)) ** 0.5
@@ -38,7 +40,7 @@ lo, hi = growth_check(fld)
 print(f"growth bounds near the wall: {lo:.4f} <= d^(1/2) u <= {hi:.4f} "
       f"(upper cap 2^(1/2)*1.05 = {2**0.5*1.05:.4f})")
 
-rep = monotone_check(fld.level_fields)
+rep = monotone_check(level_fields(fld, op, cfg))
 print(f"truncation monotone: {rep['monotone']}; interior increments "
       f"{['%.2e' % x for x in rep['increments']]}")
 

@@ -27,8 +27,8 @@ _EXPORTS = {
                  "check_rho_bounds", "cone_solution", "graded_nodes",
                  "profile_from_csv", "profile_to_csv", "solve_profile"),
     "solver": ("DomainSpec2D", "SolutionField", "SolveConfig", "exact_ball",
-               "exact_halfspace", "growth_check", "monotone_check", "solve",
-               "sum_supersolution_defect"),
+               "exact_halfspace", "growth_check", "level_fields",
+               "monotone_check", "solve", "sum_supersolution_defect"),
     "spectral": ("EigenResult", "RateForm", "first_eigenpair",
                  "half_sphere_lambda1", "rayleigh", "regime_exponent"),
 }

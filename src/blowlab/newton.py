@@ -63,9 +63,9 @@ it.  The search assumes that the stop test, once met, holds at every
 higher level (the probe grows more slowly than M, and the band change
 falls with M), and so reports the level at which a climb through every
 level stops; a test against such a climb guards this.  `m_history`
-is the ladder up to the reported M.  An `on_level` hook only observes: it
-sees the ladder's levels below the reported one, solved bottom-up to `tol`
-apart from the search, and then the reported field itself.
+is the ladder up to the reported M.  The search only searches: it hands
+back no field of the levels below the reported one, and
+`blowlab.solver.level_fields` solves them for a caller that wants them.
 
 With `reuse_factor`, Newton is the simplified (chord) method of the same
 section.  A factorization is kept while a full step from it stays positive
@@ -212,8 +212,7 @@ class Escalation:
         return iter((self.x, self.m_history, self.residual, self.stop_reason))
 
 
-def escalate(problem, schedule, *, tol, interior_tol, max_levels,
-             on_level=None):
+def escalate(problem, schedule, *, tol, interior_tol, max_levels):
     """Search the truncation ladder for the reported level.
 
     Returns an `Escalation`.  The ladder is `schedule`, then M times
@@ -222,8 +221,8 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels,
     band moved by less than `interior_tol` from the level below, and the
     last one ("max_levels") when none does, so a schedule given with
     `max_levels=len(schedule)` ends at its last level, solved directly.
-    The search and `on_level(M, x)`, which sees the ladder's levels in
-    turn, each converged to `tol`, are set out in the module docstring.
+    The search, which solves every level it visits to `tol`, is set out in
+    the module docstring.
     `residual` is the reported level's predicted Newton correction.
     """
     first = len(schedule) - 1      # the stop tests count from here on
@@ -274,13 +273,4 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels,
     x, err = solved[k]
     kept = own.pop(k)
     own.clear()
-    m_history = ladder[:k + 1]
-    if on_level is not None:
-        below, below_kept = None, None
-        for M in m_history[:-1]:
-            below, _, below_kept = damped_newton(
-                problem, problem.warm_start(below, M), M, tol,
-                solve=below_kept)
-            on_level(M, below)
-        on_level(m_history[-1], x.copy())
-    return Escalation(x, m_history, err, reason or "max_levels", kept)
+    return Escalation(x, ladder[:k + 1], err, reason or "max_levels", kept)

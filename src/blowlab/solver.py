@@ -88,6 +88,7 @@ __all__ = [
     "exact_halfspace",
     "exact_ball",
     "solve",
+    "level_fields",
     "monotone_check",
     "growth_check",
     "sum_supersolution_defect",
@@ -200,7 +201,6 @@ class SolveConfig:
     nt_per_octave: int = 32
     n_eta: int = 192
     eta_grading: float = 2.0
-    keep_level_fields: bool = False
 
     def __post_init__(self):
         check_schedule(self.schedule)
@@ -239,7 +239,6 @@ class SolutionField:
     bracket_width: float = None
     u_high: np.ndarray = None
     m_history: list = field(default_factory=list)
-    level_fields: list = field(default_factory=list)   # (M, u) per level
     stop_reason: str = None        # why escalation stopped; not written out
 
     @property
@@ -392,7 +391,8 @@ class _WedgeSystem:
     """Assembled linear stencil and metadata for one (domain, op) pair.
 
     It is the truncated problem that `blowlab.newton.escalate` searches; the
-    cut rows carry `bracket_factor` times the cone data.
+    cut rows carry `bracket_factor` times the cone data, the low bracket's
+    `config.bracket[0]` until a caller sets another.
     """
 
     name = "2-D"
@@ -403,6 +403,7 @@ class _WedgeSystem:
         self.op = op
         self.n = n
         self.config = config
+        self.bracket_factor = config.bracket[0]
         self.m = 0.5 * (n - 2.0)
         self.p = (n + 2.0) / (n - 2.0)
         self.coef = 0.25 * n * (n - 2.0)
@@ -628,76 +629,8 @@ class _WedgeSystem:
         return w.reshape(self.nt, self.ne) / self.rr**self.m
 
 
-def solve(domain, op, n, config=None, forced_schedule=None):
-    """Truncation + damped Newton blow-up solve with localization bracket.
-
-    `forced_schedule` (e.g. a companion Euclidean solve's `m_history` on
-    the same mesh) ends the solve at its last level, solved directly, so a
-    perturbed-metric field and its discrete cone reference end in matching
-    truncation states.  Only the low bracket searches; the high bracket is
-    Newton at the final level from the low field and the factorization
-    kept there.  `keep_level_fields` records `level_fields`, one
-    snapshot per ladder level converged to `newton_tol` apart from the
-    solve; it selects what is recorded, not how the solve runs, so the
-    field is the same float with or without it (`blowlab.newton.escalate`).
-    """
-    if n < 3:
-        raise ConfigError("dimension must satisfy n >= 3")
-    config = config or SolveConfig()
-    if domain.reduction == BALL:
-        return _solve_ball(domain, op, n, config)
-    check_axisymmetry(op, domain, n)
-    system = _WedgeSystem(domain, op, n, config)
-
-    schedule, max_levels = config.schedule, MAX_LEVELS
-    if forced_schedule:
-        schedule, max_levels = forced_schedule, len(forced_schedule)
-    snaps = []
-    keep = ((lambda M, w: snaps.append((M, system._to_u(w))))
-            if config.keep_level_fields else None)
-
-    lo_fac, hi_fac = config.bracket
-    system.bracket_factor = lo_fac
-    low = escalate(
-        system, schedule, tol=config.newton_tol,
-        interior_tol=config.interior_tol, max_levels=max_levels, on_level=keep)
-    w_lo, m_hist, residual, stop_reason = low
-    M_final = m_hist[-1]
-    # the high bracket by one continuation step: only the cut data change,
-    # so Newton from the low field at the final level lands on the field a
-    # search with the high cut data would reach; the Jacobian does not read
-    # the cut data, so the factorization kept at the final level serves
-    # from the start
-    system.bracket_factor = hi_fac
-    w_hi, _, _ = damped_newton(system, w_lo, M_final, config.newton_tol,
-                               solve=low.solve)
-
-    fld = SolutionField(
-        domain=domain,
-        n=n,
-        operator_label=op.label,
-        t=system.t,
-        eta=system.eta,
-        u=system._to_u(w_lo),
-        d=system.d,
-        truncation=M_final,
-        newton_residual=residual,
-        u_high=system._to_u(w_hi),
-        m_history=m_hist,
-        level_fields=snaps,
-        stop_reason=stop_reason,
-    )
-    fld.bracket_width = width = fld.bracket_width_over()
-    if width is not None and width > config.bracket_tol:
-        raise LocalizationError(
-            f"bracket width {width:.3e} exceeds tolerance "
-            f"{config.bracket_tol:g} in the core region"
-        )
-    return fld
-
-
 # ---------------------------------------------------------------------------
-# radial (ball) solve
+# radial (ball) coefficients
 
 
 def _radial_coefficients(op, rnodes, n, direction=None):
@@ -724,13 +657,26 @@ def check_radial_symmetry(op, n, r_max):
                     "radially symmetric", "disagreement")
 
 
-def _solve_ball(domain, op, n, config):
+# ---------------------------------------------------------------------------
+# the solve
+
+
+def _truncated_problem(domain, op, n, config):
+    """The truncated problem `solve` searches on `domain`, with the low
+    bracket's cut data in 2-D.
+
+    Returns (problem, t, eta, d, to_u): the mesh and the distance field as
+    `SolutionField` holds them, and the map from the problem's unknown to u
+    on that mesh.  Rejects an operator without the reduction's symmetry.
+    """
+    if domain.reduction != BALL:
+        check_axisymmetry(op, domain, n)
+        system = _WedgeSystem(domain, op, n, config)
+        return system, system.t, system.eta, system.d, system._to_u
     R = domain.r_max
     check_radial_symmetry(op, n, R)
-
     r = power_law_nodes(0.0, R, max(config.n_eta * 10, 2000),
                         config.eta_grading, lo_blow=False, hi_blow=True)
-
     arr, trans, brad, cval = _radial_coefficients(op, r, n)
     with np.errstate(divide="ignore"):
         drift = trans[1:-1] / r[1:-1] + brad[1:-1]
@@ -738,40 +684,100 @@ def _solve_ball(domain, op, n, config):
     # regular center: u'(0) = 0 by the one-sided pole row
     problem = BandedProblem(r, arr[1:-1], drift, cval[1:-1], REGULAR_POLE,
                             BLOWUP, n, d, R, "radial")
-    snaps = []
-    keep = ((lambda M, u: snaps.append((M, u[:, None].copy())))
-            if config.keep_level_fields else None)
-    u, m_hist, residual_norm, stop_reason = escalate(
-        problem, config.schedule, tol=config.newton_tol,
-        interior_tol=config.interior_tol, max_levels=MAX_LEVELS, on_level=keep)
+    return problem, r, np.zeros(1), d[:, None], lambda u: u[:, None]
 
-    return SolutionField(
+
+def solve(domain, op, n, config=None, forced_schedule=None):
+    """Truncation + damped Newton blow-up solve with localization bracket.
+
+    `forced_schedule` (e.g. a companion Euclidean solve's `m_history` on
+    the same mesh) ends the solve at its last level, solved directly, so a
+    perturbed-metric field and its discrete cone reference end in matching
+    truncation states; a ball solve takes it too.  Only the low bracket
+    searches; the high bracket is Newton at the final level from the low
+    field and the factorization kept there (a ball has no cuts, so no
+    bracket).  The search keeps no field of the levels below the final
+    one: `level_fields` solves them.
+    """
+    if n < 3:
+        raise ConfigError("dimension must satisfy n >= 3")
+    config = config or SolveConfig()
+    schedule, max_levels = config.schedule, MAX_LEVELS
+    if forced_schedule:
+        schedule, max_levels = forced_schedule, len(forced_schedule)
+    problem, t, eta, d, to_u = _truncated_problem(domain, op, n, config)
+    low = escalate(problem, schedule, tol=config.newton_tol,
+                   interior_tol=config.interior_tol, max_levels=max_levels)
+    M_final = low.m_history[-1]
+    u_high = None
+    if domain.reduction != BALL:
+        # the high bracket by one continuation step: only the cut data
+        # change, so Newton from the low field at the final level lands on
+        # the field a search with the high cut data would reach; the
+        # Jacobian does not read the cut data, so the factorization kept at
+        # the final level serves from the start
+        problem.bracket_factor = config.bracket[1]
+        w_hi, _, _ = damped_newton(problem, low.x, M_final,
+                                   config.newton_tol, solve=low.solve)
+        u_high = to_u(w_hi)
+
+    fld = SolutionField(
         domain=domain,
         n=n,
         operator_label=op.label,
-        t=r,
-        eta=np.zeros(1),
-        u=u[:, None],
-        d=d[:, None],
-        truncation=m_hist[-1],
-        newton_residual=residual_norm,
-        m_history=m_hist,
-        level_fields=snaps,
-        stop_reason=stop_reason,
+        t=t,
+        eta=eta,
+        u=to_u(low.x),
+        d=d,
+        truncation=M_final,
+        newton_residual=low.residual,
+        u_high=u_high,
+        m_history=low.m_history,
+        stop_reason=low.stop_reason,
     )
+    fld.bracket_width = width = fld.bracket_width_over()
+    if width is not None and width > config.bracket_tol:
+        raise LocalizationError(
+            f"bracket width {width:.3e} exceeds tolerance "
+            f"{config.bracket_tol:g} in the core region"
+        )
+    return fld
 
 
 # ---------------------------------------------------------------------------
 # checks
 
 
+def level_fields(fld, op, config):
+    """The `(M, u)` snapshot of each level of `fld.m_history`, lowest first.
+
+    The truncated problem `solve` searched is rebuilt from `op` and
+    `config`, and the levels below the reported one are solved bottom-up by
+    damped Newton to `newton_tol`, each from the level below and the
+    factorization Newton kept there; the last snapshot is
+    `(fld.truncation, fld.u)` itself.  Raises ConfigError when `config`
+    builds a mesh other than the field's.
+    """
+    problem, t, eta, _, to_u = _truncated_problem(fld.domain, op, fld.n,
+                                                  config)
+    if not (np.array_equal(t, fld.t) and np.array_equal(eta, fld.eta)):
+        raise ConfigError(f"config does not rebuild the field's "
+                          f"{fld.u.shape[0]} x {fld.u.shape[1]} mesh")
+    snaps, x, kept = [], None, None
+    for M in fld.m_history[:-1]:
+        x, _, kept = damped_newton(problem, problem.warm_start(x, M), M,
+                                   config.newton_tol, solve=kept)
+        snaps.append((M, to_u(x)))
+    return snaps + [(fld.truncation, fld.u)]
+
+
 def monotone_check(fields):
     """Nodewise monotone nondecrease along the truncation schedule.
 
-    `fields` are the `(M, u)` snapshots of `SolutionField.level_fields`.
-    Monotonicity is asserted on every node, up to a decrease of 1e-10; the
-    reported Cauchy increments skip the boundary ring, since Dirichlet
-    nodes jump by the escalation factor by construction.
+    `fields` are `(M, u)` snapshots in increasing M, as `level_fields`
+    returns them.  Monotonicity is asserted on every node, up to a decrease
+    of 1e-10; the reported Cauchy increments skip the boundary ring, since
+    Dirichlet nodes jump by the escalation factor by construction.
     """
     if len(fields) < 2:
         raise ConfigError("need at least two truncation levels")

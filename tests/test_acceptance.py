@@ -51,7 +51,8 @@ from blowlab.operators import (
     scalar_curvature,
 )
 from blowlab.profiles import GridSpec, solve_profile
-from blowlab.solver import DomainSpec2D, SolveConfig, monotone_check, solve
+from blowlab.solver import (DomainSpec2D, SolveConfig, level_fields,
+                            monotone_check, solve)
 from blowlab.spectral import first_eigenpair, half_sphere_lambda1
 from conftest import band, cap, cap_complement, half_sphere
 
@@ -245,9 +246,10 @@ def test_criterion_09_barrier_certificates():
 def test_criterion_10_monotone_scheme_and_curvature_bound():
     dom = DomainSpec2D("ball", aperture=np.pi, r_max=1.0)
     cfg = SolveConfig(schedule=(1e2, 1e3, 1e4), bracket_tol=1.0, n_eta=200,
-                      eta_grading=2.0, keep_level_fields=True)
-    fld = solve(dom, euclidean_operator(3), 3, cfg)
-    rep = monotone_check(fld.level_fields)
+                      eta_grading=2.0)
+    op = euclidean_operator(3)
+    fld = solve(dom, op, 3, cfg)
+    rep = monotone_check(level_fields(fld, op, cfg))
     inc = rep["increments"]
     geometric = all(b < 0.5 * a for a, b in zip(inc, inc[1:]))
 

@@ -456,7 +456,8 @@ def test_perturbed_pair_solve_and_verify(tmp_path):
 
 
 def test_run_stages_reports_cpu_time(tmp_path):
-    # each stage's CPU time is its own process's, not a running total
+    # each stage's CPU time and peak RSS are its own process's, not a
+    # running total or the largest of any stage so far
     cfg = tmp_path / "cases.cfg"
     cfg.write_text(CONFIG.split("[case:tiny-ball]")[0]
                    .format(out=tmp_path / "out"))
@@ -465,9 +466,16 @@ def test_run_stages_reports_cpu_time(tmp_path):
     took = [line.split() for line in res.stderr.splitlines()
             if line.split()[1:2] == ["took"]]
     assert [words[0] for words in took] == list(STAGES)
-    for _, _, wall, unit, cpu_word, cpu, cpu_unit in took:
+    rss = {}
+    for stage, _, wall, unit, cpu_word, cpu, cpu_unit, *peak in took:
         assert (unit, cpu_word, cpu_unit) == ("s", "cpu", "s")
         assert 0 < float(cpu) <= float(wall) * os.cpu_count() + 0.01
+        assert peak[:2] == ["peak", "RSS"] and peak[3] == "MB"
+        rss[stage] = float(peak[2])
+        assert rss[stage] > 0
+    # report loads no SciPy and eigen does: a running maximum would put
+    # report at or above eigen
+    assert rss["report"] < rss["eigen"]
 
 
 def test_run_stages_exits_with_the_worst_status(tmp_path):
@@ -662,7 +670,8 @@ def test_import_blowlab_loads_no_scipy():
 
 
 def test_public_names_resolve_lazily():
-    # every name the package exported when it imported its modules eagerly
+    # every name the package exported when it imported its modules eagerly,
+    # and level_fields
     names = (
         "BarrierCertificate RateFit RatioField StructureClass "
         "certify_supersolution compare_to_cone fit_rate verify_theorem "
@@ -674,7 +683,7 @@ def test_public_names_resolve_lazily():
         "BlowupProfile GridSpec SphericalDomain1D check_rho_bounds "
         "cone_solution graded_nodes profile_from_csv profile_to_csv "
         "solve_profile DomainSpec2D SolutionField SolveConfig exact_ball "
-        "exact_halfspace growth_check monotone_check solve "
+        "exact_halfspace growth_check level_fields monotone_check solve "
         "sum_supersolution_defect EigenResult RateForm first_eigenpair "
         "half_sphere_lambda1 rayleigh regime_exponent").split()
     code = f"""

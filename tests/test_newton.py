@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from blowlab import profiles
 from blowlab.profiles import GridSpec, solve_profile
 from blowlab import solver
 from blowlab.solver import (MAX_LEVELS, DomainSpec2D, SolveConfig,
-                            _WedgeSystem, solve)
+                            _WedgeSystem, level_fields, solve)
 from conftest import cap
 
 
@@ -213,7 +211,6 @@ BENCH_CONFIG = SolveConfig(schedule=(1e2,), nt_per_octave=4, n_eta=32,
 def _escalate_low(system):
     """The low bracket's escalation, as `solve` runs it on `system`."""
     cfg = BENCH_CONFIG
-    system.bracket_factor = cfg.bracket[0]
     low = escalate(system, cfg.schedule, tol=cfg.newton_tol,
                    interior_tol=cfg.interior_tol, max_levels=MAX_LEVELS)
     system.bracket_factor = cfg.bracket[1]
@@ -372,43 +369,23 @@ SNAPSHOT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("domain,n,q,cfg", SNAPSHOT_CASES, ids=[
-    "meridian-n3", "meridian-n3-q0.3", "meridian-n6", "meridian-n6-q0.3",
-    "cross-section-n4", "ball-n3"])
-def test_observing_the_levels_does_not_change_the_solve(domain, n, q, cfg):
-    # keep_level_fields selects what is recorded, not how the levels are
-    # solved: the result is the same float with and without the snapshots
-    op = _operator(n, q)
-    plain = solve(domain, op, n, cfg)
-    observed = solve(domain, op, n, replace(cfg, keep_level_fields=True))
-    assert plain.level_fields == []
-    assert [M for M, _ in observed.level_fields] == observed.m_history
-    assert observed.m_history == plain.m_history
-    assert observed.u.tobytes() == plain.u.tobytes()
-    if plain.u_high is not None:
-        assert observed.u_high.tobytes() == plain.u_high.tobytes()
-    for name in ("newton_residual", "stop_reason", "bracket_width"):
-        assert getattr(observed, name) == getattr(plain, name)
-    # the last snapshot is the reported level itself
-    assert observed.level_fields[-1][1].tobytes() == plain.u.tobytes()
-
-
-@pytest.mark.parametrize("n", [3, 6])
-def test_level_snapshots_are_the_levels_converged_to_tol(n):
+@pytest.mark.parametrize("domain,n,q,cfg",
+                         [SNAPSHOT_CASES[k] for k in (0, 2, 5)],
+                         ids=["3", "6", "ball-3"])
+def test_level_snapshots_are_the_levels_converged_to_tol(domain, n, q, cfg):
     # the reference climb solves every level to newton_tol, so its levels
-    # are what the snapshots must be
-    op = euclidean_operator(n)
-    cfg = BENCH_CONFIG
-    observed = solve(BENCH_DOMAIN, op, n, replace(cfg, keep_level_fields=True))
-    system = _WedgeSystem(BENCH_DOMAIN, op, n, cfg)
-    system.bracket_factor = cfg.bracket[0]
-    levels, _ = _climb(system, cfg.schedule, tol=cfg.newton_tol,
+    # are what the snapshots must be; the last snapshot is the field itself
+    op = _operator(n, q)
+    fld = solve(domain, op, n, cfg)
+    snaps = level_fields(fld, op, cfg)
+    problem, *_, to_u = solver._truncated_problem(domain, op, n, cfg)
+    levels, _ = _climb(problem, cfg.schedule, tol=cfg.newton_tol,
                        interior_tol=cfg.interior_tol, max_levels=MAX_LEVELS)
-    assert len(observed.level_fields) == len(levels)
-    window = observed.interior_window()
-    for (M, u), (M_ref, w_ref) in zip(observed.level_fields, levels):
-        assert M == M_ref
-        u_ref = system._to_u(w_ref)
+    assert [M for M, _ in snaps] == [M for M, _ in levels] == fld.m_history
+    assert snaps[-1][1] is fld.u
+    window = fld.interior_window()
+    for (_, u), (_, x_ref) in zip(snaps, levels):
+        u_ref = to_u(x_ref)
         assert np.max(np.abs(u - u_ref)[window] / u_ref[window]) <= 1e-9
 
 
@@ -427,7 +404,6 @@ def test_search_reports_the_level_a_climb_stops_at(case, monkeypatch):
 
     def against_climb(problem, schedule, **kw):
         result = escalate(problem, schedule, **kw)
-        kw.pop("on_level", None)
         levels, reason = _climb(problem, schedule, **kw)
         assert result.m_history == [M for M, _ in levels]
         assert result.stop_reason == reason

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -29,6 +31,7 @@ from blowlab.solver import (
     exact_ball,
     exact_halfspace,
     growth_check,
+    level_fields,
     monotone_check,
     solve,
     sum_supersolution_defect,
@@ -36,12 +39,17 @@ from blowlab.solver import (
 
 BALL = DomainSpec2D("ball", aperture=np.pi, r_max=1.0, label="unit-ball")
 BALL_CFG = SolveConfig(schedule=(1e2, 1e3, 1e4), bracket_tol=1.0,
-                       keep_level_fields=True, n_eta=200, eta_grading=2.0)
+                       n_eta=200, eta_grading=2.0)
 
 
 @pytest.fixture(scope="module")
 def ball_field():
     return solve(BALL, euclidean_operator(3), 3, BALL_CFG)
+
+
+@pytest.fixture(scope="module")
+def ball_levels(ball_field):
+    return level_fields(ball_field, euclidean_operator(3), BALL_CFG)
 
 
 @pytest.fixture(scope="module")
@@ -104,22 +112,42 @@ def test_fast_cone_matches_reference_everywhere():
     assert np.max(ratio.values) <= 1e-3
 
 
-def test_monotone_schedule(ball_field):
-    rep = monotone_check(ball_field.level_fields)
+def test_monotone_schedule(ball_levels):
+    rep = monotone_check(ball_levels)
     assert rep["monotone"]
     inc = rep["increments"]
     assert all(b < 0.5 * a for a, b in zip(inc, inc[1:]))
 
 
-def test_monotone_identical_levels(ball_field):
-    M, u = ball_field.level_fields[-1]
+def test_monotone_identical_levels(ball_levels):
+    M, u = ball_levels[-1]
     rep = monotone_check([(M, u), (2 * M, u.copy())])
     assert rep["monotone"] and rep["increments"][0] == 0.0
 
 
-def test_monotone_bad_order(ball_field):
+def test_monotone_bad_order(ball_levels):
     with pytest.raises(ConfigError):
-        monotone_check(list(reversed(ball_field.level_fields)))
+        monotone_check(list(reversed(ball_levels)))
+
+
+@pytest.mark.parametrize("change", [{"n_eta": 300}, {"eta_grading": 1.5}])
+def test_level_fields_reject_another_mesh(ball_field, change):
+    # more nodes, or as many nodes placed elsewhere
+    with pytest.raises(ConfigError, match="does not rebuild the field's "
+                                          "2000 x 1 mesh"):
+        level_fields(ball_field, euclidean_operator(3),
+                     replace(BALL_CFG, **change))
+
+
+def test_ball_solve_ends_at_a_forced_schedule(ball_field):
+    # a replay of the ball's own levels, or of their first two, ends at the
+    # schedule's last level; the search alone goes past the second
+    assert ball_field.m_history == [1e2, 1e3, 1e4]
+    op = euclidean_operator(3)
+    for levels in (ball_field.m_history, ball_field.m_history[:2]):
+        replay = solve(BALL, op, 3, BALL_CFG, forced_schedule=levels)
+        assert replay.m_history == levels
+        assert replay.truncation == levels[-1]
 
 
 def test_sum_supersolution(ball_field):
@@ -469,7 +497,6 @@ def test_symmetric_wedge_gets_symmetric_cut_data():
     dom = DomainSpec2D("cross-section", aperture=np.pi / 2)
     system = _WedgeSystem(dom, euclidean_operator(3), 3,
                           SolveConfig(nt_per_octave=4, n_eta=32))
-    system.bracket_factor = 0.5
     data = system.dirichlet(1e4).reshape(system.nt, system.ne)
     for row in (data[0], data[-1]):
         assert np.max(np.abs(row - row[::-1]) / row) <= 1e-13
@@ -662,7 +689,6 @@ def _jacobian_by_diags(system, w):
 @_stencil_cases
 def test_jacobian_matches_sparse_difference(n, domain, conformal):
     system = _stencil_system(n, domain, conformal)
-    system.bracket_factor = 0.5
     warm = system.warm_start(None, 1e2)
     converged, _, _ = damped_newton(system, warm, 1e2, 1e-10)
     data = system.dirichlet(1e2)
