@@ -23,7 +23,7 @@ from blowlab import (
     solve,
 )
 
-dom = DomainSpec2D("ball", aperture=np.pi, r_max=1.0, label="unit-ball")
+dom = DomainSpec2D("ball", aperture=np.pi, r_max=1.0)
 cfg = SolveConfig(schedule=(1e2, 1e3, 1e4), bracket_tol=1.0, n_eta=200,
                   eta_grading=2.0)
 op = euclidean_operator(3)

@@ -110,7 +110,6 @@ class Case:
             r_min=self.get("r_min", float, default=2.0**-8),
             r_max=self.get("r_max", float),
             curve=self.get("curve", _parse_floats, default=()),
-            label=self.label,
         )
 
     def operator(self):

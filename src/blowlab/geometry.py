@@ -160,11 +160,12 @@ class GraphSurface:
         if not np.allclose(self.rotation @ self.rotation.T, np.eye(self.n), atol=1e-12):
             raise ConfigError("rotation must be orthonormal")
         origin = np.zeros(self.n - 1)
-        if abs(self.graph.value(origin)) > 1e-12:
+        # negated tests, so that a NaN value or gradient fails them
+        if not abs(self.graph.value(origin)) <= 1e-12:
             raise ConfigError("surface must pass through the origin: f(0') = 0")
         grad0 = self.graph.grad(origin)
         nu_graph = np.append(-grad0, 1.0) / np.sqrt(1.0 + grad0 @ grad0)
-        if nu_graph[-1] <= 0:
+        if not nu_graph[-1] > 0:
             raise ConfigError("normal must satisfy <nu, e_n> > 0 in the graph frame")
         self._nu_graph = nu_graph
 
@@ -379,14 +380,9 @@ class HyperplaneFan:
 
 
 def _most_dependent_pair(normals):
-    k = normals.shape[0]
-    best, pair = -1.0, (0, 1)
-    for i in range(k):
-        for j in range(i + 1, k):
-            c = abs(normals[i] @ normals[j])
-            if c > best:
-                best, pair = c, (i, j)
-    return pair
+    """The first pair i < j of the largest |<nu_i, nu_j>|."""
+    cos = np.triu(np.abs(normals @ normals.T), 1)
+    return np.unravel_index(np.argmax(cos), cos.shape)
 
 
 @dataclass
@@ -415,23 +411,16 @@ class TangentConeSpec:
     def halfspace(cls, axis):
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
-        section = SphericalDomain1D(
-            "polar-sphere", 0.0, np.pi / 2,
-            bc_lo="regular-pole", bc_hi="blowup", label="halfspace-section",
-        )
         return cls(tag="halfspace", n=axis.size, axis=axis, aperture=np.pi / 2,
-                   section=section)
+                   section=SphericalDomain1D.polar_cap(np.pi / 2))
 
     @classmethod
     def wedge(cls, nu1, nu2, n):
         nu1 = np.asarray(nu1, dtype=float) / np.linalg.norm(nu1)
         nu2 = np.asarray(nu2, dtype=float) / np.linalg.norm(nu2)
         opening = np.pi - np.arccos(np.clip(nu1 @ nu2, -1.0, 1.0))
-        section = SphericalDomain1D(
-            "circle-arc", 0.0, opening, label="wedge-section",
-        )
         return cls(tag="wedge", n=n, normals=np.vstack([nu1, nu2]),
-                   aperture=opening, section=section)
+                   aperture=opening, section=SphericalDomain1D.arc(opening))
 
     @classmethod
     def fan_intersection(cls, normals):
@@ -439,24 +428,21 @@ class TangentConeSpec:
         return cls(tag="fan", n=normals.shape[1], normals=normals, section=None)
 
 
-def tangent_cone(surfaces):
-    """Intersection of tangent half-spaces of the surfaces at 0."""
+def _tangent_fan(surfaces):
+    """The fan of the surfaces' unit normals at 0, which checks them."""
     if not surfaces:
         raise ConfigError("need at least one surface")
-    n = surfaces[0].n
-    normals = np.vstack([s.normal_at_origin() for s in surfaces])
-    gram = normals @ normals.T
-    if abs(np.linalg.det(gram)) < 1e-12:
-        i, j = _most_dependent_pair(normals)
-        raise ConfigError(
-            f"tangent-plane normals are linearly dependent "
-            f"(offending pair: surface {i} and surface {j})"
-        )
-    k = len(surfaces)
-    if k == 1:
+    return HyperplaneFan(np.vstack([s.normal_at_origin() for s in surfaces]))
+
+
+def tangent_cone(surfaces):
+    """Intersection of tangent half-spaces of the surfaces at 0."""
+    fan = _tangent_fan(surfaces)
+    normals = fan.normals
+    if fan.k == 1:
         return TangentConeSpec.halfspace(normals[0])
-    if k == 2:
-        return TangentConeSpec.wedge(normals[0], normals[1], n)
+    if fan.k == 2:
+        return TangentConeSpec.wedge(normals[0], normals[1], fan.n)
     return TangentConeSpec.fan_intersection(normals)
 
 
@@ -504,8 +490,7 @@ class DiffeoT:
 
 
 def build_T(surfaces):
-    normals = np.vstack([s.normal_at_origin() for s in surfaces])
-    return DiffeoT(surfaces=list(surfaces), fan=HyperplaneFan(normals))
+    return DiffeoT(surfaces=list(surfaces), fan=_tangent_fan(surfaces))
 
 
 def apply_T(tmap, x):

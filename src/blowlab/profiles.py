@@ -29,11 +29,12 @@ blow-up boundary and is the coefficient the spectral module consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MissingArtifactError, NewtonError
+from .errors import (BoundFailureError, ConfigError, DomainError,
+                     MissingArtifactError, NewtonError)
 from .newton import check_schedule, check_tolerance, escalate
 from .reports import read_csv, write_csv
 
@@ -73,6 +74,17 @@ class SphericalDomain1D:
     bc_hi: str = BLOWUP
     label: str = ""
 
+    @classmethod
+    def polar_cap(cls, aperture):
+        """The cap 0 <= theta <= aperture: a regular pole, a blow-up rim."""
+        return cls(POLAR_SPHERE, 0.0, aperture, bc_lo=REGULAR_POLE,
+                   bc_hi=BLOWUP)
+
+    @classmethod
+    def arc(cls, opening):
+        """The arc 0 <= theta <= opening, blowing up at both ends."""
+        return cls(CIRCLE_ARC, 0.0, opening)
+
     def __post_init__(self):
         if self.geometry not in (POLAR_SPHERE, CIRCLE_ARC):
             raise ConfigError(f"unknown geometry tag {self.geometry!r}")
@@ -97,12 +109,8 @@ class SphericalDomain1D:
 
     @property
     def blowup_ends(self):
-        ends = []
-        if self.bc_lo == BLOWUP:
-            ends.append(self.theta_lo)
-        if self.bc_hi == BLOWUP:
-            ends.append(self.theta_hi)
-        return ends
+        return [end for bc, end in ((self.bc_lo, self.theta_lo),
+                                    (self.bc_hi, self.theta_hi)) if bc == BLOWUP]
 
     def wall_distance(self, theta):
         """Arc distance to the blow-up part of the boundary."""
@@ -111,14 +119,7 @@ class SphericalDomain1D:
         return dists[0] if len(dists) == 1 else np.minimum(*dists)
 
     def as_dict(self):
-        return {
-            "geometry": self.geometry,
-            "theta_lo": self.theta_lo,
-            "theta_hi": self.theta_hi,
-            "bc_lo": self.bc_lo,
-            "bc_hi": self.bc_hi,
-            "label": self.label,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -145,18 +146,27 @@ def power_law_nodes(lo, hi, count, grading, lo_blow, hi_blow):
     distance of node j to the nearest blow-up endpoint behaves like
     s^grading; an end that does not blow up gets no clustering.  The
     profile grids, the 2-D solver's eta nodes and its ball radii all
-    come from here.
+    come from here.  Raises DomainError on a collapsed mesh, before any
+    solver forms a stencil weight: the nodes must strictly increase and
+    give finite 3-point weights.
     """
     s = np.linspace(0.0, 1.0, count)
     b = float(grading)
-    if lo_blow and hi_blow:
-        frac = s**b / (s**b + (1.0 - s) ** b)
-    elif hi_blow:
-        frac = 1.0 - (1.0 - s) ** b
-    else:
-        frac = s**b
-    x = lo + (hi - lo) * frac
-    x[0], x[-1] = lo, hi
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if lo_blow and hi_blow:
+            frac = s**b / (s**b + (1.0 - s) ** b)
+        elif hi_blow:
+            frac = 1.0 - (1.0 - s) ** b
+        else:
+            frac = s**b
+        x = lo + (hi - lo) * frac
+        x[0], x[-1] = lo, hi
+        ok = np.all(np.diff(x) > 0) and all(
+            np.isfinite(w).all() for w in nonuniform_d1(x) + nonuniform_d2(x))
+    if not ok:
+        raise DomainError(f"the mesh on [{lo:g}, {hi:g}] has collapsed: nodes "
+                          f"must strictly increase and give finite 3-point "
+                          f"weights")
     return x
 
 
@@ -184,6 +194,23 @@ def nonuniform_d2(theta):
     sup = 2.0 / (h_r * (h_l + h_r))
     diag = -(sub + sup)
     return sub, diag, sup
+
+
+def supersolution_start(d, n):
+    """The supersolution start (2/d)^m, m = (n-2)/2, at distance d from the
+    blow-up boundary, and 0 where d = 0; the truncation search starts its
+    first level from it (`blowlab.newton`)."""
+    m = 0.5 * (n - 2.0)
+    with np.errstate(divide="ignore"):
+        return 2.0**m * np.where(d > 0, d, np.inf) ** (-m)
+
+
+def guarded_cot(theta):
+    """cot(theta), and 0 where |sin(theta)| <= 1e-300: a regular pole, whose
+    row the one-sided derivative replaces."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(np.sin(theta)) > 1e-300,
+                        np.cos(theta) / np.sin(theta), 0.0)
 
 
 def one_sided_d1(x0, x1, x2):
@@ -300,11 +327,9 @@ class BlowupProfile:
         return self.domain.wall_distance(self.theta)
 
     def interior_mask(self):
+        """Mask of the nodes that are not blow-up ends."""
         mask = np.ones(self.theta.size, dtype=bool)
-        if self.domain.bc_lo == BLOWUP:
-            mask[0] = False
-        if self.domain.bc_hi == BLOWUP:
-            mask[-1] = False
+        mask[[0, -1]] = self.domain.bc_lo != BLOWUP, self.domain.bc_hi != BLOWUP
         return mask
 
     def pde_residual(self):
@@ -319,10 +344,7 @@ class BlowupProfile:
         lin = -0.25 * (n - 2.0) ** 2
         res = self.d2g + lin * self.g - 0.25 * n * (n - 2.0) * self.g**p
         if self.domain.geometry == POLAR_SPHERE:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cot = np.where(np.abs(np.sin(self.theta)) > 1e-300,
-                               np.cos(self.theta) / np.sin(self.theta), 0.0)
-            res = res + (n - 2.0) * cot * self.dg
+            res = res + (n - 2.0) * guarded_cot(self.theta) * self.dg
         else:
             res = res + 0.5 * (n - 2.0) ** 2 * self.g  # flip sign: +m^2 g
         return res
@@ -389,16 +411,13 @@ class BandedProblem:
         self.elim_hi = self.reach_hi / self.a[-2] if lo[-1] else 0.0
 
         self.fixed = np.zeros(N, dtype=bool)
-        self.fixed[0] = bc_lo == BLOWUP
-        self.fixed[-1] = bc_hi == BLOWUP
+        self.fixed[[0, -1]] = bc_lo == BLOWUP, bc_hi == BLOWUP
         self.band = d >= 0.02 * span
         self.band[[0, -1]] = False
         # probes of the resolvability cap, a few cells inside each wall
         self.probes = [k for k, end in ((4, 0), (-5, -1))
                        if self.fixed[end] and N > 4]
-        m = 0.5 * (n - 2.0)
-        with np.errstate(divide="ignore"):
-            self.start = 2.0**m * np.where(d > 0, d, np.inf) ** (-m)
+        self.start = supersolution_start(d, n)
 
     def dirichlet(self, M):
         return np.where(self.fixed, M, 0.0)
@@ -482,7 +501,7 @@ def solve_profile(domain, n, schedule=(1e2,), grid=None, nodes=None,
     check_tolerance("interior_tol", interior_tol)
 
     if domain.geometry == POLAR_SPHERE:
-        drift = (n - 2.0) * (np.cos(theta[1:-1]) / np.sin(theta[1:-1]))
+        drift = (n - 2.0) * guarded_cot(theta[1:-1])
         zero_order = -0.25 * (n - 2.0) ** 2
     else:
         drift = np.zeros(theta.size - 2)
@@ -513,10 +532,7 @@ def cone_solution(profile, r, theta):
     theta_arr = np.asarray(theta, dtype=float)
     if np.any(r <= 0):
         raise DomainError("radius must be positive")
-    dom = profile.domain
-    th = profile.theta
-    lo_guard = th[1] if dom.bc_lo == BLOWUP else th[0]
-    hi_guard = th[-2] if dom.bc_hi == BLOWUP else th[-1]
+    lo_guard, hi_guard = profile.theta[profile.interior_mask()][[0, -1]]
     if np.any(theta_arr < lo_guard - 1e-14) or np.any(theta_arr > hi_guard + 1e-14):
         raise DomainError(
             "theta within one cell of a blow-up endpoint; spline unreliable there"
@@ -533,8 +549,6 @@ def check_rho_bounds(profile):
         raise DomainError("no interior nodes within the wall band")
     ratio = profile.rho[mask] / d[mask]
     c1, c2 = float(np.min(ratio)), float(np.max(ratio))
-    from .errors import BoundFailureError
-
     if not (1e-6 < c1 and c2 < 1e6):
         raise BoundFailureError(
             f"rho/d ratio out of certified range: [{c1:.3e}, {c2:.3e}]"

@@ -74,11 +74,13 @@ from .profiles import (
     BandedProblem,
     SphericalDomain1D,
     derivative_arrays,
+    guarded_cot,
     nonuniform_d1,
     nonuniform_d2,
     one_sided_d1,
     power_law_nodes,
     solve_profile,
+    supersolution_start,
 )
 
 __all__ = [
@@ -141,7 +143,6 @@ class DomainSpec2D:
     r_min: float = 2.0**-8
     r_max: float = 1.0
     curve: tuple = ()
-    label: str = ""
 
     def __post_init__(self):
         if self.reduction not in (MERIDIAN, CROSS_SECTION, BALL):
@@ -176,17 +177,19 @@ class DomainSpec2D:
     def section(self):
         """Spherical section of the tangent cone at the vertex."""
         if self.reduction == MERIDIAN:
-            return SphericalDomain1D(
-                "polar-sphere", 0.0, self.aperture,
-                bc_lo="regular-pole", bc_hi="blowup",
-                label=self.label or "meridian-section",
-            )
+            return SphericalDomain1D.polar_cap(self.aperture)
         if self.reduction == CROSS_SECTION:
-            return SphericalDomain1D(
-                "circle-arc", 0.0, self.aperture,
-                label=self.label or "wedge-section",
-            )
+            return SphericalDomain1D.arc(self.aperture)
         raise ConfigError("balls have no vertex section")
+
+    def reporting_rows(self, r, r_hi=None):
+        """Mask of the radii 4 r_min <= r <= r_hi (r_max / 4 unless given).
+
+        A relative slack of 1e-12 keeps a row nominally on an edge (r = 1/8
+        as exp(t)), which can round to either side of it.
+        """
+        lo, hi = 4.0 * self.r_min, r_hi or self.r_max / 4.0
+        return (r >= lo * (1.0 - 1e-12)) & (r <= hi * (1.0 + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -261,11 +264,8 @@ class SolutionField:
         dom = self.domain
         if dom.reduction == BALL:
             return (r < dom.r_max) & (self.d > 0)
-        # relative slack: a row nominally on an edge (r = 1/8 as exp(t))
-        # can round to either side of it
-        lo, hi = 4.0 * dom.r_min, r_hi or dom.r_max / 4.0
-        mask = (r >= lo * (1.0 - 1e-12)) & (r <= hi * (1.0 + 1e-12))
-        return mask & (_wall_gap(dom, self.eta)[None, :] >= 0.05)
+        return (dom.reporting_rows(r, r_hi)
+                & (_wall_gap(dom, self.eta)[None, :] >= 0.05))
 
     def bracket_width_over(self, r_hi=None):
         """Relative low/high disagreement over an explicit radius cap.
@@ -319,15 +319,13 @@ def _alphas(op, r, theta, psi, reduction, n):
              else 0.0)
     bs = np.einsum("pi,pi->p", b, e_sigma)
     bz = np.einsum("pi,pi->p", b, e_z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cot = np.where(np.abs(st) > 1e-300, ct / st, 0.0)
     alpha_tt = a11 * st**2 + ann * ct**2 + 2.0 * a1n * st * ct
     alpha_tth = 2.0 * (a11 - ann) * st * ct + 2.0 * a1n * (ct**2 - st**2)
     alpha_thth = a11 * ct**2 + ann * st**2 - 2.0 * a1n * st * ct
     alpha_t = ((a11 - ann) * (ct**2 - st**2) - 4.0 * a1n * st * ct
                + trans + r * (bs * st + bz * ct))
     alpha_th = (-2.0 * (a11 - ann) * st * ct + 2.0 * a1n * (st**2 - ct**2)
-                + trans * cot + r * (bs * ct - bz * st))
+                + trans * guarded_cot(theta) + r * (bs * ct - bz * st))
     return alpha_tt, alpha_tth, alpha_thth, alpha_t, alpha_th, c
 
 
@@ -425,6 +423,12 @@ class _WedgeSystem:
             raise ConfigError(
                 f"meridian boundary angle theta_b({self.r[k]:.6g}) = "
                 f"{beta[k]:.6g} leaves (0, pi)")
+        # the eta mesh is checked where it is made; the straightening
+        # divides by theta_b^2
+        with np.errstate(over="ignore", divide="ignore"):
+            if not np.isfinite(1.0 / beta**2).all():
+                raise DomainError(f"the mesh has collapsed: 1/theta_b^2 "
+                                  f"overflows at aperture {domain.aperture:g}")
         self.theta = EE * beta[:, None]
         self.rr = np.exp(TT)
 
@@ -432,11 +436,8 @@ class _WedgeSystem:
         self.cut_cone = self._cut_cone(solve_profile(
             domain.section(), n, nodes=self.eta * domain.aperture))
         self.d = _wall_distance_field(domain, self.rr, self.theta)
-        m = self.m
-        with np.errstate(divide="ignore"):
-            sup_init = 2.0**m * np.where(self.d > 0, self.d, np.inf) ** (-m)
-        self.sup_w = (self.rr**m * sup_init).ravel()
-        self.wrad = self.rr.ravel() ** m
+        self.sup_w = (self.rr**self.m * supersolution_start(self.d, n)).ravel()
+        self.wrad = self.rr.ravel() ** self.m
 
         # interior band for the escalation stop: clear of the wall layer
         band2d = np.zeros((self.nt, self.ne), dtype=bool)
@@ -470,10 +471,8 @@ class _WedgeSystem:
         r = self.rr
         theta = self.theta
         base_t = (n - 2.0) if dom.reduction == MERIDIAN else 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cot = np.where(np.abs(np.sin(theta)) > 1e-300,
-                           np.cos(theta) / np.sin(theta), 0.0)
-        base_th = (n - 2.0) * cot if dom.reduction == MERIDIAN else np.zeros_like(theta)
+        base_th = ((n - 2.0) * guarded_cot(theta) if dom.reduction == MERIDIAN
+                   else np.zeros_like(theta))
 
         if self.op.is_euclidean:
             att = atth = athth = at = ath = cc = np.zeros_like(r)
@@ -812,7 +811,7 @@ def growth_check(fld):
     r = fld.radii()
     mask = (fld.d <= 0.1) & (fld.d > 0)
     if fld.domain.reduction != BALL:
-        mask &= (r <= fld.domain.r_max / 4.0) & (r >= 4.0 * fld.domain.r_min)
+        mask &= fld.domain.reporting_rows(r)
     vals = fld.d[mask] ** m * fld.u[mask]
     lo, hi = float(np.min(vals)), float(np.max(vals))
     if not np.isfinite(lo) or lo <= 0:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowlabError, ConfigError, DomainError
-from .profiles import POLAR_SPHERE, BLOWUP, BlowupProfile
+from .profiles import POLAR_SPHERE, BlowupProfile
 
 __all__ = [
     "EigenResult",
@@ -117,12 +117,13 @@ def _assemble(profile):
     N = theta.size
     w = _weight(profile)
     coef = 0.25 * n * (n + 2.0)
+    interior = profile.interior_mask()
 
     # linear wall extension of rho: overwrite the truncated boundary value
-    if profile.domain.bc_lo == BLOWUP:
+    if not interior[0]:
         slope = (rho[2] - rho[1]) / (theta[2] - theta[1])
         rho[0] = max(rho[1] - slope * (theta[1] - theta[0]), 0.0)
-    if profile.domain.bc_hi == BLOWUP:
+    if not interior[-1]:
         slope = (rho[-3] - rho[-2]) / (theta[-3] - theta[-2])
         rho[-1] = max(rho[-2] - slope * (theta[-1] - theta[-2]), 0.0)
 
@@ -153,8 +154,7 @@ def _assemble(profile):
 
     # only the end nodes can be Dirichlet, so the free nodes are contiguous;
     # a Dirichlet neighbour still adds its conductance to the diagonal
-    free = np.arange(int(profile.domain.bc_lo == BLOWUP),
-                     N - int(profile.domain.bc_hi == BLOWUP))
+    free = np.flatnonzero(interior)
     diag = (pot + np.r_[0.0, flux] + np.r_[flux, 0.0])[free]
     return free, -flux[free[:-1]], diag, mass[free]
 
@@ -242,9 +242,8 @@ def rayleigh(profile, phi):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != profile.theta.shape:
         raise ConfigError("test function must live on the profile nodes")
-    for idx, bc in ((0, profile.domain.bc_lo), (-1, profile.domain.bc_hi)):
-        if bc == BLOWUP and abs(phi[idx]) > 0:
-            raise DomainError("test function must vanish at blow-up endpoints")
+    if np.any(np.abs(phi[~profile.interior_mask()]) > 0):
+        raise DomainError("test function must vanish at blow-up endpoints")
     free, off, diag, mass = _assemble(profile)
     x = phi[free]
     num, den = _quadratic_form(off, diag, mass, x)

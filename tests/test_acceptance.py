@@ -72,7 +72,7 @@ def cone_cases():
     out = {}
     for n, q, r_min in ((6, 0.3, 2.0**-9), (3, 0.3, 2.0**-12)):
         dom = DomainSpec2D("meridian", aperture=np.pi / 3, r_min=r_min,
-                           r_max=1.0, label=f"cone-n{n}")
+                           r_max=1.0)
         cfg = SolveConfig(schedule=(1e2,), nt_per_octave=20, n_eta=160,
                           eta_grading=2.0, bracket_tol=1.0)
         base = solve(dom, euclidean_operator(n), n, cfg)

@@ -211,26 +211,63 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, case,
                    f"got {float(setting.split(' = ')[1])}"]
 
 
+# a meridian case to append to CONFIG
+TINY_MERIDIAN = """
+[case:tiny-meridian]
+stages = solve
+reduction = meridian
+aperture = 1.0
+r_min = 0.0078125
+r_max = 1.0
+n = 3
+operator = euclidean
+nt_per_octave = 4
+n_eta = 32
+eta_grading = 2.0
+schedule = 1e2
+newton_tol = 1e-10
+interior_tol = 1e-8
+bracket_low = 0.5
+bracket_high = 2.0
+bracket_tol = 1.0
+fit_lo = 0.0078125
+fit_hi = 0.25
+"""
+
+
 @pytest.mark.parametrize("case, setting", [
     ("tiny-profile", "grading = 1e308"), ("tiny-profile", "theta_hi = 1e-300"),
     ("tiny-profile", "schedule = 1e308"), ("tiny-ball", "r_max = 1e-300"),
-    ("tiny-ball", "eta_grading = 1e308"), ("tiny-ball", "schedule = 1e308")])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    ("tiny-ball", "eta_grading = 1e308"), ("tiny-ball", "schedule = 1e308"),
+    ("tiny-meridian", "aperture = 1e-300"),
+    ("tiny-meridian", "eta_grading = 1e308")])
 def test_collapsed_mesh_is_a_solver_failure(tmp_path, capsys, case, setting):
-    # each collapses the mesh or overflows the truncated problem (NumPy
-    # warns of it on the way); the config accepts them, so the LU's pivot
-    # and finiteness checks must end them as a Newton failure of their
-    # own case, not as a traceback
+    # the config accepts these values.  A collapsed mesh is caught before
+    # any stencil weight is formed, so in a CLI process its case ends as one
+    # DomainError line, with no NumPy warning before it.  A schedule of
+    # 1e308 overflows the truncated problem instead: the LU's finiteness
+    # check ends it as a Newton failure of its own case (NumPy warns on
+    # the way)
     from blowlab.cli import main
 
     cfg = tmp_path / "cases.cfg"
-    cfg.write_text(_with_setting(CONFIG, case, setting)
+    cfg.write_text(_with_setting(CONFIG + TINY_MERIDIAN, case, setting)
                    .format(out=tmp_path / "out"))
     stage = "profile" if case == "tiny-profile" else "solve"
-    assert main([stage, "--config", str(cfg), "--case", case]) == 5
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "Traceback" not in err[0]
-    assert err[0].startswith(f"solver failure: NewtonError: case {case}: ")
+    args = [stage, "--config", str(cfg), "--case", case]
+    if setting.startswith("schedule"):
+        error = "NewtonError"
+        assert main(args) == 5
+        err = capsys.readouterr().err
+    else:
+        error = "DomainError"
+        res = run_cli(*args)
+        assert res.returncode == 5
+        err = res.stderr
+    assert "Traceback" not in err
+    err = err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"solver failure: {error}: case {case}: ")
 
 
 def test_library_config_error_names_its_case(tmp_path):

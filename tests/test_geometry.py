@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from blowlab.errors import ConfigError, DomainError, FootPointError
 from blowlab.geometry import (
     GraphSurface,
     HyperplaneFan,
+    PolyGraph,
     TangentConeSpec,
     apply_T,
     build_T,
@@ -15,6 +18,7 @@ from blowlab.geometry import (
     sphere_surface,
     tangent_cone,
 )
+from blowlab.polynomials import Polynomial
 from blowlab.profiles import SphericalDomain1D
 
 # dense-sampling oracle (1e-4 grid + 1e-7 local refinement) for the
@@ -109,6 +113,28 @@ def test_dependent_normals_error():
     pl2 = plane_surface(3, [0, 0, 1])
     with pytest.raises(ConfigError, match="pair"):
         tangent_cone([pl1, pl2])
+
+
+def test_tangent_cone_rejects_a_nan_normal():
+    # the cone and the map T take their normals through one check
+    stub = SimpleNamespace(n=3,
+                           normal_at_origin=lambda: np.array([np.nan, 0.0, 1.0]))
+    for build in (tangent_cone, build_T):
+        with pytest.raises(ConfigError, match="unit vectors"):
+            build([stub])
+
+
+@pytest.mark.parametrize("graph, reason", [
+    (PolyGraph(Polynomial(2, {(1, 0): np.nan})), "origin"),
+    (PolyGraph(np.nan * Polynomial.radius_squared(2)), "origin"),
+    (SimpleNamespace(value=lambda y: 0.0,
+                     grad=lambda y: np.array([np.nan, 0.0])), "normal"),
+], ids=["nan-slope", "nan-curvature", "nan-gradient"])
+def test_graph_surface_rejects_a_graph_not_finite_at_the_origin(graph,
+                                                                reason):
+    # a NaN coefficient makes f(0') NaN; a NaN gradient makes the normal NaN
+    with pytest.raises(ConfigError, match=reason):
+        GraphSurface(n=3, graph=graph)
 
 
 def test_fan_validation():

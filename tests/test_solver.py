@@ -37,7 +37,7 @@ from blowlab.solver import (
     sum_supersolution_defect,
 )
 
-BALL = DomainSpec2D("ball", aperture=np.pi, r_max=1.0, label="unit-ball")
+BALL = DomainSpec2D("ball", aperture=np.pi, r_max=1.0)
 BALL_CFG = SolveConfig(schedule=(1e2, 1e3, 1e4), bracket_tol=1.0,
                        n_eta=200, eta_grading=2.0)
 
@@ -169,6 +169,25 @@ def test_growth_check_halfspace(halfspace_cone_field):
     # reaches toward the Lemma-type bound 2^((n-2)/2) without crossing it
     lo, hi = growth_check(halfspace_cone_field)
     assert 0.8 <= lo <= hi <= 2.0**0.5 * 1.05
+
+
+def test_growth_check_keeps_the_rows_of_the_interior_window():
+    # r_min = 2^-10 with 12 rows per octave puts a row at r = 1/4 that
+    # exp(t) rounds to 0.25000000000000017; growth_check reads the rows
+    # interior_window keeps, this one included
+    dom = DomainSpec2D("meridian", aperture=np.pi / 3, r_min=2.0**-10)
+    t = np.linspace(np.log(dom.r_min), 0.0, 10 * 12 + 1)
+    eta = np.linspace(0.0, 1.0, 9)
+    edge = int(np.argmin(np.abs(np.exp(t) - 0.25)))
+    assert np.exp(t[edge]) > 0.25
+    d = np.full((t.size, eta.size), 0.04)
+    u = d**-0.5                 # d^((n-2)/2) u = 1 at n = 3
+    u[edge] *= 2.0
+    fld = SolutionField(domain=dom, n=3, operator_label="hand-built", t=t,
+                        eta=eta, u=u, d=d, truncation=1e2,
+                        newton_residual=0.0)
+    assert np.any(fld.interior_window()[edge])
+    assert growth_check(fld) == (1.0, 2.0)
 
 
 def test_localization_bracket_shrinks_with_r_max():
