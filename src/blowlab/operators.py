@@ -15,13 +15,16 @@ conformal Laplacian of such a metric expands to divergence form with
 
 where every metric derivative is exact (polynomial calculus on h) and
 the scalar curvature is contracted in closed form from g^-1, dg and the
-second-derivative table d2g; no finite difference is taken.
+nonzero entries of the second-derivative table; no finite difference is
+taken, and no dense (P, n^4) second-derivative array is formed.
 
 A metric keeps, per derivative order, the distinct nonzero derivative
 polynomials of h and the entries each one fills, built on first use; a
 call evaluates each polynomial once.  An operator has one coefficient
-evaluator (P, n) -> (a, b, c): the conformal one forms g^-1, dg, d2g and
-Gamma once per call and shares them between a, b and S_g.
+evaluator (P, n) -> (a, b, c): the conformal one forms g^-1, dg, Gamma
+and the second-derivative values once per call and shares them between
+a, b and S_g.  `OperatorSpec.coefficients` calls it on chunks of points
+sized by a byte budget.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ __all__ = [
     "scalar_curvature",
 ]
 
-# points per evaluator call: at n = 6 the d2g array of a call holds P * 6^4
-# doubles, 432 MB for a 41,664-node mesh at once and 21 MB per chunk
-COEFFICIENT_CHUNK = 2048
+# bytes per evaluator call of one n^3-double temporary (Gamma, its bracket,
+# the A_i, or the second-derivative weights of a diagonal h): a call takes
+# COEFFICIENT_BYTES / (8 n^3) points, 2048 at n = 3 and 256 at n = 6
+COEFFICIENT_BYTES = 2048 * 3**3 * 8
 
 # radius of the ball B_2 on which a metric must be positive definite and
 # inside which `structure_constant` may sample an operator
@@ -99,9 +103,11 @@ class MetricFamily:
             )
 
     def _table(self, order):
-        """The distinct nonzero polynomials d_k..d_l h_ij of one order, and
-        for each index [k, .., l, i, j] its polynomial's column (the last
-        column, len(polys), holds zeros).  Built once per metric and order."""
+        """The distinct nonzero polynomials d_k..d_l h_ij of one order; for
+        each index [k, .., l, i, j] its polynomial's column (the last
+        column, len(polys), holds zeros); and the nonzero entries, as
+        order + 2 index arrays k, .., l, i, j and their columns.  Built
+        once per metric and order."""
         if order not in self._tables:
             polys, column = [], {}
             index = np.full((self.n,) * (order + 2), -1, dtype=np.intp)
@@ -114,19 +120,25 @@ class MetricFamily:
                         column[id(poly)] = len(polys)
                         polys.append(poly)
                     index[idx] = column[id(poly)]
+            nonzero = np.nonzero(index >= 0)
             index[index < 0] = len(polys)
-            self._tables[order] = (polys, index)
+            self._tables[order] = (polys, index, nonzero + (index[nonzero],))
         return self._tables[order]
+
+    def _values(self, order, pts):
+        """The polynomials of `_table(order)` at (P, n) points, shape
+        (P, len(polys) + 1), the last column zero."""
+        polys = self._table(order)[0]
+        values = np.zeros((pts.shape[0], len(polys) + 1))
+        for col, poly in enumerate(polys):
+            values[:, col] = poly(pts)
+        return values
 
     def derivatives(self, order, points):
         """Exact d_k..d_l h_ij (= d_k..d_l g_ij for order >= 1), shape
         (P,) + (n,) * (order + 2), index [p, k, .., l, i, j]."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        polys, index = self._table(order)
-        values = np.zeros((pts.shape[0], len(polys) + 1))
-        for col, poly in enumerate(polys):
-            values[:, col] = poly(pts)
-        return np.take(values, index, axis=1)
+        return np.take(self._values(order, pts), self._table(order)[1], axis=1)
 
     def metric(self, points):
         return np.eye(self.n) + self.derivatives(0, points)
@@ -197,24 +209,28 @@ def _metric_terms(metric, pts):
       g^ij d_m G^m_ij = g^ml g^ij (d_m d_i g_jl - d_m d_l g_ij / 2)
                         - g^ma d_m g_ak g^ij G^k_ij,
       g^ij d_i G^m_mj = g^ij g^ml d_i d_j g_ml / 2 - g^ij tr(A_i A_j) / 2,
-    so no derivative of G is formed; the only (P, n^4) array is d2g.  The
-    two d2g contractions read it in place: g^ij d_m d_i g_jl is a batched
-    matmul on views, and `optimize=True` would copy d2g.
+    so no derivative of G is formed.  Their second-derivative parts add up
+    to a sum over the nonzero entries d_k d_l g_ij of the metric's table,
+      g^ml g^ij d_m d_i g_jl - g^ij g^ml d_i d_j g_ml
+        = sum d_k d_l g_ij (g^kj g^li - g^kl g^ij),
+    so the largest arrays are (P, entries) and (P, n^3), never (P, n^4).
     """
     ginv = np.linalg.inv(metric.metric(pts))
     dg = metric.derivatives(1, pts)
-    d2g = metric.derivatives(2, pts)
     gam = _christoffel(ginv, dg)
     P, n = ginv.shape[:2]
-    gd2g = (ginv.reshape(P, 1, 1, n * n)
-            @ d2g.reshape(P, n, n * n, n)).reshape(P, n, n)
-    mixed = np.einsum("pml,pml->p", ginv, gd2g)
-    laplace = np.einsum("pij,pij->p", ginv, np.einsum("pml,pijml->pij", ginv, d2g))
+    k, l, i, j, col = metric._table(2)[2]
+    g = ginv.reshape(P, n * n).T
+    terms = metric._values(2, pts).T[col] * (g[k * n + j] * g[l * n + i]
+                                             - g[k * n + l] * g[i * n + j])
+    second = np.zeros(P)
+    for term in terms:      # in order; a reduction's order depends on P
+        second += term
     a = ginv[:, None] @ dg                          # [p,i,a,b] = (A_i)_ab
     trace_aa = np.einsum("pij,piab,pjba->p", ginv, a, a, optimize=True)
     drift = np.einsum("pma,pmak->pk", ginv, dg) - np.einsum("pmmk->pk", gam)
     quad = np.einsum("pij,pmil,plmj->p", ginv, gam, gam, optimize=True)
-    s = (mixed - laplace + 0.5 * trace_aa - quad
+    s = (second + 0.5 * trace_aa - quad
          - np.einsum("pk,pij,pkij->p", drift, ginv, gam, optimize=True))
     return ginv, gam, s
 
@@ -237,10 +253,12 @@ class OperatorSpec:
         return structure_constant(self, 1.0)
 
     def coefficients(self, points):
-        """(a, b, c) at points, evaluated COEFFICIENT_CHUNK points at a time."""
+        """(a, b, c) at points, evaluated COEFFICIENT_BYTES / (8 n^3) points
+        at a time."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        parts = [self.evaluate(pts[k:k + COEFFICIENT_CHUNK])
-                 for k in range(0, max(len(pts), 1), COEFFICIENT_CHUNK)]
+        step = max(1, COEFFICIENT_BYTES // (8 * self.n**3))
+        parts = [self.evaluate(pts[k:k + step])
+                 for k in range(0, max(len(pts), 1), step)]
         return tuple(np.concatenate(part) for part in zip(*parts))
 
     @property
@@ -266,9 +284,9 @@ def conformal_operator(metric):
 
     a = g^ij exactly; b = -g^jk Gamma^i_jk from exact first derivatives;
     c = -(n-2)/(4(n-1)) S_g with S_g in closed form from exact first and
-    second derivatives.  One pass per call forms g^-1, dg, d2g and Gamma
-    for all three.  The structure constant `c_l` is measured when first
-    read.
+    second derivatives.  One pass per call forms g^-1, dg, Gamma and the
+    second-derivative values for all three.  The structure constant `c_l`
+    is measured when first read.
     """
     n = metric.n
     cn = (n - 2.0) / (4.0 * (n - 1.0))

@@ -125,7 +125,7 @@ def _assemble(profile):
         rho[0] = max(rho[1] - slope * (theta[1] - theta[0]), 0.0)
     if not interior[-1]:
         slope = (rho[-3] - rho[-2]) / (theta[-3] - theta[-2])
-        rho[-1] = max(rho[-2] - slope * (theta[-1] - theta[-2]), 0.0)
+        rho[-1] = max(rho[-2] + slope * (theta[-1] - theta[-2]), 0.0)
 
     h = np.diff(theta)
     mid = theta[:-1] + 0.5 * h

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blowlab import operators
 from blowlab.errors import ConfigError, DomainError
 from blowlab.operators import (
-    COEFFICIENT_CHUNK,
     MetricFamily,
     OperatorSpec,
     TensorMesh,
@@ -197,8 +197,8 @@ def test_one_pass_coefficients_match_three_closures(build):
 
 
 def _curvature_by_einsum(met, pts):
-    """S_g with g^ij d_m d_i g_jl contracted by einsum, the reference for
-    the batched matmul on views."""
+    """S_g with both second-derivative terms contracted by einsum over the
+    dense d2g table, the reference for the sum over its nonzero entries."""
     ginv = np.linalg.inv(met.metric(pts))
     dg = met.derivatives(1, pts)
     d2g = met.derivatives(2, pts)
@@ -215,22 +215,21 @@ def _curvature_by_einsum(met, pts):
 
 @METRICS
 def test_d2g_matmul_matches_einsum(build):
-    # equal bits where g^-1 is diagonal; off the diagonal the matmul sums
-    # in another order, within 1e-14 of the largest |S_g| (S_g changes
-    # sign inside the ball)
+    # the sum over the nonzero d2g entries adds in another order than the
+    # dense einsum: within 1e-14 of the largest |S_g| (S_g changes sign
+    # inside the ball for the off-diagonal metric)
     met = build()
     pts = _ball_samples(met.n, 1.0, 1184, seed=5)
     got = scalar_curvature(met, pts)
     want = _curvature_by_einsum(met, pts)
-    if met.label == "conformal-quadratic":
-        assert np.array_equal(got, want)
-    else:
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_one_pass_memory_and_evaluations(monkeypatch):
-    # bench-mesh size at n = 6: d2g alone is 1184 * 6^4 doubles = 11.7 MiB;
-    # an `optimize=True` contraction of d2g copies it (28 MiB peak)
+    # bench-mesh size at n = 6: a dense d2g would be 1184 * 6^4 doubles =
+    # 11.7 MiB (20.6 MiB peak with its fill).  Without it the peak is the
+    # (a, b, c) of all points, twice while they are joined (0.8 MiB), and
+    # a few (256, 6^3)-double temporaries of one chunk: 2.2 MiB measured
     met = conformal_quadratic_metric(6, 0.3)
     op = conformal_operator(met)
     pts = _ball_samples(6, 1.0, 1184, seed=5)
@@ -241,7 +240,7 @@ def test_one_pass_memory_and_evaluations(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 4 * 2**20
 
     distinct = {}
     for order in range(3):
@@ -259,7 +258,7 @@ def test_one_pass_memory_and_evaluations(monkeypatch):
         return evaluate(self, points)
 
     monkeypatch.setattr(Polynomial, "__call__", counting)
-    op.coefficients(pts)
+    op.evaluate(pts)                # one evaluator call
     assert calls == distinct
 
 
@@ -267,7 +266,9 @@ def test_coefficients_are_evaluated_in_bounded_chunks():
     # a mesh of three chunks and a tail: the values of one call over all
     # points, at the memory of one chunk
     op = conformal_operator(conformal_quadratic_metric(6, 0.3))
-    pts = _ball_samples(6, 1.0, 3 * COEFFICIENT_CHUNK + 5, seed=5)
+    chunk = operators.COEFFICIENT_BYTES // (8 * 6**3)
+    assert chunk == 256
+    pts = _ball_samples(6, 1.0, 3 * chunk + 5, seed=5)
     whole = op.evaluate(pts)
     sizes = []
     evaluate = op.evaluate
@@ -283,10 +284,38 @@ def test_coefficients_are_evaluated_in_bounded_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sizes == [COEFFICIENT_CHUNK] * 3 + [5]
+    assert sizes == [chunk] * 3 + [5]
     for got, want in zip(chunked, whole):
         assert np.array_equal(got, want)
     assert peak < 48 * 2**20
+    # n = 3 keeps the 2048-point chunks, so its chunk count does not grow
+    assert operators.COEFFICIENT_BYTES // (8 * 3**3) == 2048
+
+
+@METRICS
+def test_coefficients_do_not_depend_on_the_chunk_size(build, monkeypatch):
+    # byte-identical artifacts rely on every point getting the same bits
+    # in any batch: from `Polynomial.__call__` and from each contraction
+    met = build()
+    op = conformal_operator(met)
+    pts = _ball_samples(met.n, 1.0, 600, seed=17)
+    sizes = []
+    evaluate = op.evaluate
+
+    def recording(chunk):
+        sizes.append(len(chunk))
+        return evaluate(chunk)
+
+    op.evaluate = recording
+    runs = []
+    for size in (1, 7, 256, 2048):
+        monkeypatch.setattr(operators, "COEFFICIENT_BYTES", size * 8 * met.n**3)
+        sizes.clear()
+        runs.append(op.coefficients(pts))
+        assert max(sizes) == min(size, len(pts))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
 
 
 def test_metric_validation():

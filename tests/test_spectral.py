@@ -258,7 +258,7 @@ def _assemble_by_loops(profile):
         rho[0] = max(rho[1] - slope * (theta[1] - theta[0]), 0.0)
     if profile.domain.bc_hi == "blowup":
         slope = (rho[-3] - rho[-2]) / (theta[-3] - theta[-2])
-        rho[-1] = max(rho[-2] - slope * (theta[-1] - theta[-2]), 0.0)
+        rho[-1] = max(rho[-2] + slope * (theta[-1] - theta[-2]), 0.0)
 
     h = np.diff(theta)
     mid = theta[:-1] + 0.5 * h
@@ -323,3 +323,12 @@ def test_assembly_matches_node_loop(n, domain):
                       (diag, diag_ref), (mass, mass_ref)):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+def test_wall_extension_is_mirror_symmetric():
+    # on a band symmetric about the equator the two blow-up walls mirror
+    # each other, so the linear extensions of rho into the wall cells, and
+    # the assembled diagonals at the ends, must agree
+    prof = solve_profile(band(0.5, np.pi - 0.5), 3, grid=GridSpec(800, 2.0))
+    _, _, diag, _ = _assemble(prof)
+    assert abs(diag[0] / diag[-1] - 1.0) < 1e-10
