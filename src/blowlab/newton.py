@@ -7,9 +7,10 @@ times GROWTH, at most `max_levels` levels.  The reported level is the
 lowest one, from the last scheduled level on, where the stop test holds,
 taken in this order: the mesh can no longer resolve the layer where u
 reaches M (stop_reason "cap"), or the relative change on the interior band
-from the level below is under `interior_tol` ("interior").  When no level
-the ladder allows stops, the last one is reported ("max_levels").  This module owns that
-method; a problem supplies only its discrete pieces:
+between the level and a neighbouring solved level is under `interior_tol`
+("interior"; which neighbour is set out below).  When no level the ladder
+allows stops, the last one is reported ("max_levels").  This module owns
+that method; a problem supplies only its discrete pieces:
 
     fixed               mask of the Dirichlet nodes (wall, and cuts in 2-D)
     band                interior nodes whose relative change stops the search
@@ -50,19 +51,28 @@ domain containing that ball (comparison principle; Loewner & Nirenberg,
 1974).  The cap probe grows with the field, so a level whose start reaches
 the cap reaches it once solved.  The search solves the first such level at
 or past the last scheduled one (else the last level `max_levels` allows)
-from that start, then steps down a level at a time (Allgower & Georg,
-*Introduction to Numerical Continuation Methods*), each level from the
-one above, warm_start(x_above, M), and the factorization Newton kept last,
-while the level below still stops; its interior test is taken on one more
-level down.  Should the starting level not stop (a bound that fails), the
-search steps up instead, each level from the one below.  Every level it
+from that start: the top.  Each level below the top holds a smaller field,
+so every level whose cap the top's field reaches, with Newton's tolerance
+on both fields as slack, reaches it too; the search jumps to the lowest of
+these from the last scheduled level on, solves it from the top's field,
+and then steps down a level at a time (Allgower & Georg, *Introduction to
+Numerical Continuation Methods*), each level from the one above,
+warm_start(x_above, M), and the factorization Newton kept last, while the
+level below still stops.  On the way down the interior test of a level is
+taken against the level above, which the search holds; at the top it is
+taken against the level below, the next one solved.  Should the top or the
+jump's target not stop (a bound that fails), the search steps up instead,
+each level from the one below and tested against it.  Every level it
 visits is solved to `tol`.  The factorization Newton kept at a level is
 held while that level may still be reported, and the reported level's is
 handed back, so that a solve there with other Dirichlet data starts from
 it.  The search assumes that the stop test, once met, holds at every
 higher level (the probe grows more slowly than M, and the band change
 falls with M), and so reports the level at which a climb through every
-level stops; a test against such a climb guards this.  `m_history`
+level stops, where the cap decides; a test against such a climb guards
+this.  Where the interior test decides, a descent reports the lower level
+of the first pair within `interior_tol` and a climb the upper one.  No
+solve of the pipeline, the bench or the demos stops on it.  `m_history`
 is the ladder up to the reported M.  The search only searches: it hands
 back no field of the levels below the reported one, and
 `blowlab.solver.level_fields` solves them for a caller that wants them.
@@ -117,6 +127,7 @@ def check_tolerance(name, value):
         raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def damped_newton(problem, x0, M, tol, solve=None):
     """Damped Newton at truncation level M, in at most MAX_ITER steps.
 
@@ -127,6 +138,9 @@ def damped_newton(problem, x0, M, tol, solve=None):
     earlier level.  A fresh step is halved until the iterate stays
     positive off the Dirichlet nodes and either the residual norm
     decreases or the simplified correction shrinks (natural monotonicity).
+    Overflow warns nowhere in here: a residual norm at the start, or a
+    fresh correction, that is not finite raises NewtonError at once, and a
+    trial step whose residual overflows is halved.
     """
     data = problem.dirichlet(M)
     fixed = problem.fixed
@@ -136,6 +150,9 @@ def damped_newton(problem, x0, M, tol, solve=None):
     res = problem.residual(x, data)
     norm = np.linalg.norm(res)
     trace = [norm]
+    if not np.isfinite(norm):
+        raise NewtonError(f"{problem.name} residual norm is not finite at "
+                          f"M={M:g}", trace=trace)
     for _ in range(MAX_ITER):
         fresh = True
         if solve is not None:
@@ -149,6 +166,9 @@ def damped_newton(problem, x0, M, tol, solve=None):
             solve = None    # free the stale factorization before the new one
             solve = problem.factor(x)
             step = solve(-res)
+            if not np.all(np.isfinite(step)):
+                raise NewtonError(f"{problem.name} Newton correction is not "
+                                  f"finite at M={M:g}", trace=trace)
         # relative size of the undamped correction on the free nodes
         rel = np.max(np.abs(step[free]) / np.abs(x[free]))
         if fresh:
@@ -218,11 +238,12 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels):
     Returns an `Escalation`.  The ladder is `schedule`, then M times
     GROWTH, at most `max_levels` levels; the reported level is the lowest
     one, from the last scheduled level on, where the cap is reached or the
-    band moved by less than `interior_tol` from the level below, and the
-    last one ("max_levels") when none does, so a schedule given with
+    band moved by less than `interior_tol` from a neighbouring level, and
+    the last one ("max_levels") when none does, so a schedule given with
     `max_levels=len(schedule)` ends at its last level, solved directly.
-    The search, which solves every level it visits to `tol`, is set out in
-    the module docstring.
+    The search, which solves every level it visits to `tol` and skips the
+    levels its top level proves to reach the cap, is set out in the module
+    docstring.
     `residual` is the reported level's predicted Newton correction.
     """
     first = len(schedule) - 1      # the stop tests count from here on
@@ -247,29 +268,44 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels):
             own[k] = kept
         return solved[k][0]
 
-    def stop(k, near):
+    def stop(k, near, other=None):
+        # level k, solved from `near`; its interior test compares it with
+        # level `other`, solved from k unless the search holds it
         x = field(k, near)
         if k < first:
             return None
         if problem.cap_reached(x, ladder[k]):
             return "cap"
-        if k > 0:
-            below = field(k - 1, k)
-            if np.max(np.abs(x[band] - below[band]) / x[band]) < interior_tol:
+        if other is not None and other >= 0:
+            y = field(other, k)
+            hi, lo = (x, y) if other < k else (y, x)
+            if np.max(np.abs(hi[band] - lo[band]) / hi[band]) < interior_tol:
                 return "interior"
         return None
 
     k = len(ladder) - 1
-    reason = stop(k, None)
+    reason = stop(k, None, k - 1)
+    if reason == "cap":
+        # every level below holds a smaller field, so each level whose cap
+        # the top's field reaches, up to Newton's tolerance on both, stops
+        bound = solved[k][0] * ((1.0 + tol) / (1.0 - tol))
+        jump = next((j for j in range(first, k)
+                     if problem.cap_reached(bound, ladder[j])), k)
+        if jump < k:
+            top, k = k, jump
+            reason = stop(k, top)
+            if reason is not None:
+                del own[top]
     if reason is not None:
-        while k > first and (lower := stop(k - 1, k)) is not None:
+        while k > first and (lower := stop(k - 1, k, k)) is not None:
             del own[k]
             k, reason = k - 1, lower
     while reason is None and k + 1 < max_levels:
-        ladder.append(ladder[-1] * GROWTH)
+        if k + 1 == len(ladder):
+            ladder.append(ladder[-1] * GROWTH)
         del own[k]
         k += 1
-        reason = stop(k, k - 1)
+        reason = stop(k, k - 1, k - 1)
     x, err = solved[k]
     kept = own.pop(k)
     own.clear()

@@ -55,6 +55,12 @@ __all__ = [
 # COEFFICIENT_BYTES / (8 n^3) points, 2048 at n = 3 and 256 at n = 6
 COEFFICIENT_BYTES = 2048 * 3**3 * 8
 
+# contraction order of the three-operand einsums in `_metric_terms`: the
+# second operand with the third, then the first with that.  einsum's own
+# search picks this order at every n and batch size; fixed here, no call
+# searches it again
+PAIRWISE = ["einsum_path", (1, 2), (0, 1)]
+
 # radius of the ball B_2 on which a metric must be positive definite and
 # inside which `structure_constant` may sample an operator
 VALIDITY_RADIUS = 2.0
@@ -227,11 +233,11 @@ def _metric_terms(metric, pts):
     for term in terms:      # in order; a reduction's order depends on P
         second += term
     a = ginv[:, None] @ dg                          # [p,i,a,b] = (A_i)_ab
-    trace_aa = np.einsum("pij,piab,pjba->p", ginv, a, a, optimize=True)
+    trace_aa = np.einsum("pij,piab,pjba->p", ginv, a, a, optimize=PAIRWISE)
     drift = np.einsum("pma,pmak->pk", ginv, dg) - np.einsum("pmmk->pk", gam)
-    quad = np.einsum("pij,pmil,plmj->p", ginv, gam, gam, optimize=True)
+    quad = np.einsum("pij,pmil,plmj->p", ginv, gam, gam, optimize=PAIRWISE)
     s = (second + 0.5 * trace_aa - quad
-         - np.einsum("pk,pij,pkij->p", drift, ginv, gam, optimize=True))
+         - np.einsum("pk,pij,pkij->p", drift, ginv, gam, optimize=PAIRWISE))
     return ginv, gam, s
 
 

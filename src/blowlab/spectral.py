@@ -14,13 +14,16 @@ linear extension rho ~ c d instead of the truncated boundary value.
 The mass and potential of each half cell come from one set of Gauss
 points, and A is symmetric: one off-diagonal serves both sides.
 
-The smallest eigenpair is solved directly, in the mass-scaled variable
-v = M^(1/2) phi: T = M^(-1/2) A M^(-1/2) is symmetric tridiagonal, and
-LAPACK bisection with inverse iteration (`stebz`, `stein`) returns its
-lowest eigenpair.  Bisection keeps high relative accuracy on graded
-tridiagonals like this one (Barlow & Demmel, SIAM J. Numer. Anal. 27,
-1990), so phi stays well determined at a regular pole, where the masses
-vanish like theta^(n-2).
+The smallest eigenpair is solved in the mass-scaled variable
+v = M^(1/2) phi, where T = M^(-1/2) A M^(-1/2) is symmetric tridiagonal:
+a few inverse iterations at shift 0, then Rayleigh-quotient iteration,
+each step one tridiagonal LU solve (`first_eigenpair`).  The quotient is
+summed as the form's energy, a sum of terms >= 0, so lambda1 carries no
+cancellation from the 1/h^2 entries of A and stays within a few units of
+rounding of the discrete form's; the tridiagonal itself loses ~1e-11
+of it to cancellation.  The masses vanish like theta^(n-2) at a regular
+pole, which grades T; phi is taken from the solve at the converged
+shift, so it is converged there too.
 
 The derived index mu1 = sqrt(((n-2)/2)^2 + lambda1) drives the decay
 regime of cone-solution perturbations: quadratic for mu1 > 2, quadratic
@@ -46,6 +49,9 @@ __all__ = [
 ]
 
 MU_EQUAL_TWO_TOL = 1e-6
+INVERSE_STEPS = 3         # shift-0 inverse iterations before the Rayleigh steps
+MAX_RAYLEIGH_STEPS = 8
+STAGNATION = 1e-12        # relative move of the quotient that ends the steps
 
 
 def half_sphere_lambda1(n):
@@ -81,7 +87,7 @@ class EigenResult:
     mu1: float
     regime: str                # alpha-2 | log | alpha-mu
     nu_hat: float
-    iterations: int            # eigensolver calls: one direct solve
+    iterations: int            # tridiagonal solves of the eigensolve
 
     @property
     def n(self):
@@ -100,11 +106,12 @@ def _sphere_area(k):
     return 2.0 * pi ** ((k + 1) / 2.0) / gamma((k + 1) / 2.0)
 
 
-def _assemble(profile):
-    """FV matrices (A tridiagonal, M diagonal) on the free (non-Dirichlet) nodes.
+def _form(profile):
+    """The FV form's pieces on all nodes: (free, flux, pot, mass).
 
-    Returns (free_idx, off, diag, mass): A has `diag` on its diagonal and
-    the symmetric `off` on both off-diagonals.
+    `free` indexes the non-Dirichlet nodes, `flux` holds the interface
+    conductances of the cells, and `pot` and `mass` the potential and mass
+    integrals of each node's cell.
     """
     if profile.domain.geometry != POLAR_SPHERE:
         raise ConfigError(
@@ -151,45 +158,93 @@ def _assemble(profile):
     pot = np.zeros(N)
     pot[:-1] += pot_half[0]
     pot[1:] += pot_half[1]
+    return np.flatnonzero(interior), flux, pot, mass
 
+
+def _tridiagonal(free, flux, pot, mass):
+    """(off, diag, mass) of A and M on the free nodes: A has `diag` on its
+    diagonal and the symmetric `off` on both off-diagonals."""
     # only the end nodes can be Dirichlet, so the free nodes are contiguous;
     # a Dirichlet neighbour still adds its conductance to the diagonal
-    free = np.flatnonzero(interior)
     diag = (pot + np.r_[0.0, flux] + np.r_[flux, 0.0])[free]
-    return free, -flux[free[:-1]], diag, mass[free]
+    return -flux[free[:-1]], diag, mass[free]
 
 
-def _quadratic_form(off, diag, mass, x):
-    ax = diag * x
-    ax[:-1] += off * x[1:]
-    ax[1:] += off * x[:-1]
-    return float(x @ ax), float(x @ (mass * x))
+def _assemble(profile):
+    """FV matrices (A tridiagonal, M diagonal) on the free (non-Dirichlet) nodes.
+
+    Returns (free_idx, off, diag, mass), as `_tridiagonal` sets them out.
+    """
+    free, *pieces = _form(profile)
+    return (free, *_tridiagonal(free, *pieces))
+
+
+def _quotient(flux, pot, mass, x):
+    """x.A x / x.M x for x on all nodes, zero on the Dirichlet ones.
+
+    The numerator is summed as the form's energy, flux times the squared
+    jump over each cell plus the potential, whose terms are all >= 0; the
+    same number from `diag` and `off` cancels terms up to ~N^2 times
+    larger, which costs ~1e-11 of it in rounding.
+    """
+    return float((flux @ np.diff(x) ** 2 + pot @ x**2) / (mass @ x**2))
 
 
 def first_eigenpair(profile):
-    """Smallest eigenpair of A phi = lambda M phi, by one direct solve.
+    """Smallest eigenpair of A phi = lambda M phi, by Rayleigh-quotient iteration.
 
     In the mass-scaled variable v = M^(1/2) phi the pencil is the symmetric
-    tridiagonal T = S A S with S = M^(-1/2).  LAPACK bisection (`stebz`, to
-    an absolute tolerance of twice the smallest normal number) and inverse
-    iteration (`stein`) give its lowest eigenpair, and phi = S v.  `iterations`
-    counts that one solve, so it is 1.
+    tridiagonal T = S A S with S = M^(-1/2).  Its Cholesky-type factors
+    (LAPACK `dpttrf`) exist exactly when T is positive definite, i.e.
+    lambda1 > 0.  INVERSE_STEPS inverse iterations at shift 0 from a
+    positive vector come first; Rayleigh-quotient iteration (Parlett, *The
+    Symmetric Eigenvalue Problem*, sec. 4.6) then solves (T - sigma) w = v
+    at the quotient sigma of v, by a pivoted tridiagonal LU (`dgttrf`,
+    `dgttrs`), and converges cubically.  It stops once the quotient moves by
+    at most STAGNATION relative; phi is the vector of the solve at that
+    converged shift, not the one the quotient was last taken of, since the
+    quotient converges faster than the vector.  The off-diagonals of T are
+    negative, so its ground state is the one eigenvector of one sign
+    (Perron-Frobenius), and the sign check below proves the pair the first.
+    `iterations` counts the tridiagonal solves.
     """
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
     n = profile.n
-    free, off, diag, mass = _assemble(profile)
+    free, flux, pot, full_mass = _form(profile)
+    off, diag, mass = _tridiagonal(free, flux, pot, full_mass)
     s = 1.0 / np.sqrt(mass)
-    (lam,), v = eigh_tridiagonal(diag * s**2, off * s[:-1] * s[1:], select="i",
-                                 select_range=(0, 0),
-                                 tol=2.0 * np.finfo(float).tiny)
-    lam = float(lam)
-    if lam <= 0:
+    d, e = diag * s**2, off * s[:-1] * s[1:]
+    ldl_d, ldl_e, info = dpttrf(d, e)
+    if info != 0:
         raise BlowlabError(
-            f"computed lambda1 = {lam:g} <= 0: potential assembly mis-signed"
+            "computed lambda1 <= 0 (T = S A S is not positive definite): "
+            "potential assembly mis-signed"
         )
+    phi = np.zeros(profile.theta.size)
 
-    x = s * v[:, 0]
+    def quotient(v):
+        phi[free] = s * v
+        return _quotient(flux, pot, full_mass, phi)
+
+    v = np.ones(d.size)
+    for _ in range(INVERSE_STEPS):
+        v = dpttrs(ldl_d, ldl_e, v)[0]
+        v /= np.linalg.norm(v)
+    lam, solves = quotient(v), INVERSE_STEPS
+    for _ in range(MAX_RAYLEIGH_STEPS):
+        *lu, _ = dgttrf(e, d - lam, e)
+        v = dgttrs(*lu, v)[0]
+        v /= np.linalg.norm(v)
+        shift, lam = lam, quotient(v)
+        solves += 1
+        if abs(lam - shift) <= STAGNATION * shift:
+            break
+    else:
+        raise BlowlabError(f"Rayleigh-quotient iteration did not settle in "
+                           f"{MAX_RAYLEIGH_STEPS} steps (lambda1 ~ {lam:g})")
+
+    x = s * v
     if np.sum(x) < 0:
         x = -x
     if np.any(x <= 0):
@@ -198,7 +253,6 @@ def first_eigenpair(profile):
             raise BlowlabError("first eigenfunction changed sign in the interior")
         x = np.maximum(x, 0.0)
 
-    phi = np.zeros(profile.theta.size)
     phi[free] = x
     # scale so the full L^2(Sigma) norm (transverse sphere factored in) is 1
     phi /= np.sqrt(_sphere_area(n - 2) * (x @ (mass * x)))
@@ -218,7 +272,7 @@ def first_eigenpair(profile):
         mu1=mu1,
         regime=regime,
         nu_hat=nu_hat,
-        iterations=1,
+        iterations=solves,
     )
 
 
@@ -244,12 +298,10 @@ def rayleigh(profile, phi):
         raise ConfigError("test function must live on the profile nodes")
     if np.any(np.abs(phi[~profile.interior_mask()]) > 0):
         raise DomainError("test function must vanish at blow-up endpoints")
-    free, off, diag, mass = _assemble(profile)
-    x = phi[free]
-    num, den = _quadratic_form(off, diag, mass, x)
-    if den <= 0:
+    _, flux, pot, mass = _form(profile)
+    if not mass @ phi**2 > 0:
         raise DomainError("zero-norm test function")
-    return num / den
+    return _quotient(flux, pot, mass, phi)
 
 
 def regime_exponent(result):

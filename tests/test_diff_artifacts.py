@@ -57,3 +57,32 @@ def test_unpaired_numbers_and_binary_files_differ(tmp_path):
     status, verdicts, _ = run_diff(tmp_path / "a", tmp_path / "b")
     assert status == 1
     assert verdicts == {"blob.bin": "differs", "rows.csv": "differs"}
+
+
+def test_meta_line_is_judged_apart_from_the_data(tmp_path):
+    # a Newton residual in the meta line moves by 1e-4 while the profile
+    # values move by 2e-13: the data's own change must still show
+    meta = '# {{"n": 3, "newton_residual": {}, "truncation": 1600.0}}\n'
+    rows = "theta,g\n0,{}\n1,2.5\n"
+    write_tree(tmp_path / "a", {
+        "moved.csv": meta.format(5.0e-16) + rows.format("1.0000000000000"),
+        "meta.csv": meta.format(5.0e-16) + rows.format("1.0"),
+        "data.csv": meta.format(5.0e-16) + rows.format("1.0"),
+        "keys.csv": meta.format(5.0e-16) + rows.format("1.0")})
+    write_tree(tmp_path / "b", {
+        "moved.csv": meta.format(5.0005e-16) + rows.format("1.0000000000002"),
+        "meta.csv": meta.format(5.0005e-16) + rows.format("1.0"),
+        "data.csv": meta.format(5.0e-16) + rows.format("1.0000000000002"),
+        "keys.csv": '# {"n": 3}\n' + rows.format("1.0")})
+    status, verdicts, summary = run_diff(tmp_path / "a", tmp_path / "b")
+    assert status == 1 and summary == "0 of 4 files same"
+    data = f"{(1.0000000000002 - 1.0) / 1.0000000000002:.3e}"
+    residual = f"{(5.0005e-16 - 5.0e-16) / 5.0005e-16:.3e}"
+    assert verdicts["moved.csv"] == (f"differs, data max relative change "
+                                     f"{data}, meta max relative change "
+                                     f"{residual}")
+    assert verdicts["meta.csv"] == (f"differs, data same, meta max relative "
+                                    f"change {residual}")
+    assert verdicts["data.csv"] == (f"differs, data max relative change "
+                                    f"{data}, meta same")
+    assert verdicts["keys.csv"] == "differs, data same, meta differs"

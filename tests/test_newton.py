@@ -464,3 +464,192 @@ def test_field_does_not_depend_on_the_path(n, q, monkeypatch):
         patch.setattr(_WedgeSystem, "reuse_factor", False)
         fresh = solve(BENCH_DOMAIN, op, n, BENCH_CONFIG)
     _same_problem(ref, fresh.u, fresh.u_high, fresh.m_history)
+
+
+def _record_levels(monkeypatch):
+    """The M of every level Newton solves from here on, in order."""
+    levels = []
+    newton_step = newton.damped_newton
+
+    def recording(problem, x0, M, tol, solve=None):
+        levels.append(M)
+        return newton_step(problem, x0, M, tol, solve=solve)
+
+    monkeypatch.setattr(newton, "damped_newton", recording)
+    return levels
+
+
+class _Settling(_Toy):
+    """x1 = x2 = sqrt(4 + 1/M): the band change from M to 2M is about
+    1/(16 M) relative, under 1e-3 from the pair (64, 128) on."""
+
+    def residual(self, x, data):
+        return np.where(self.fixed, x - data, x**2 - 4.0 - 1.0 / x[0])
+
+
+def test_descent_tests_the_interior_against_the_level_above(monkeypatch):
+    # no cap: the search starts at the top, 512, takes its interior test
+    # against 256, and each level below against the one above it, which it
+    # holds.  The first pair that settles is (64, 128), so the descent
+    # reports its lower level, one below where a climb stops
+    levels = _record_levels(monkeypatch)
+    kw = dict(tol=1e-12, interior_tol=1e-3, max_levels=10)
+    result = escalate(_Settling(), [1.0], **kw)
+    assert levels == [512.0, 256.0, 128.0, 64.0, 32.0]
+    assert result.m_history[-1] == 64.0 and result.stop_reason == "interior"
+    climbed, reason = _climb(_Settling(), [1.0], **kw)
+    assert climbed[-1][0] == 128.0 and reason == "interior"
+
+
+class _Capped(_Toy):
+    """The toy under a cap read from the field, as the profile's: M at
+    least 3 x1.  The start 100 bounds x1 = sqrt(4 + coupling * M) until M
+    reaches about 1e4."""
+
+    def warm_start(self, x, M):
+        return np.full(3, 100.0) if x is None else x
+
+    def cap_reached(self, x, M):
+        return M >= 3.0 * np.max(x[1:])
+
+
+def test_search_jumps_to_the_levels_the_top_certifies(monkeypatch):
+    # the start reaches the cap at M = 512, where x1 = sqrt(516) = 22.7, so
+    # every level from 3 x1 = 68.1 up reaches it too: the search skips 256,
+    # solves 128 from 512 and steps down to 8, the first level off the cap
+    levels = _record_levels(monkeypatch)
+    toy = _Capped(coupling=1.0)
+    result = escalate(toy, [1.0], **KW, max_levels=20)
+    assert levels == [512.0, 128.0, 64.0, 32.0, 16.0, 8.0]
+    climbed, reason = _climb(toy, [1.0], **KW, max_levels=20)
+    assert result.m_history == [M for M, _ in climbed] == [1.0, 2.0, 4.0,
+                                                           8.0, 16.0]
+    assert result.stop_reason == reason == "cap"
+    assert np.allclose(result.x, climbed[-1][1], rtol=1e-12)
+
+
+def test_search_steps_up_from_a_jump_that_does_not_stop(monkeypatch):
+    # a field that falls with M, x1 = sqrt(4 - M / 200), breaks the bound
+    # the jump rests on: the top, 512, certifies M = 4 by x1 = 1.2, but
+    # there x1 = 2.0 and the cap needs M >= 6.0.  The search steps up from
+    # 4 to where a climb stops
+    levels = _record_levels(monkeypatch)
+    toy = _Capped(coupling=-1.0 / 200.0)
+    result = escalate(toy, [1.0], **KW, max_levels=20)
+    assert levels == [512.0, 4.0, 8.0]
+    climbed, reason = _climb(toy, [1.0], **KW, max_levels=20)
+    assert result.m_history == [M for M, _ in climbed] == [1.0, 2.0, 4.0, 8.0]
+    assert result.stop_reason == reason == "cap"
+    assert np.allclose(result.x, climbed[-1][1], rtol=1e-12)
+
+
+def test_overflow_is_a_newton_error_without_warnings():
+    # at M = 1e308 the residual holds 1e308 - 4, whose square overflows the
+    # norm; a factorization that is not finite gives a non-finite correction
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonError, match="residual norm is not finite"):
+            damped_newton(_Toy(coupling=1.0), np.full(3, 3.0), 1e308,
+                          tol=1e-12)
+        broken = _Toy()
+        broken.factor = lambda x: lambda rhs: rhs * np.inf
+        with pytest.raises(NewtonError, match="correction is not finite"):
+            damped_newton(broken, np.full(3, 3.0), 5.0, tol=1e-12)
+
+
+# the sweep-1d cap of aperture 1.1 at n = 6, on the bench's 1,600 nodes
+SWEEP_CAP = (cap(1.1), 6)
+
+
+@pytest.mark.parametrize("case, solved", [
+    (CLIMB_PROFILES[0], [1600.0, 800.0, 400.0]),
+    (CLIMB_PROFILES[1], [819200.0, 409600.0, 204800.0, 102400.0]),
+    (CLIMB_PROFILES[2], [100.0 * 2.0**k for k in (31, 29, 28, 27, 26, 25)]),
+    (SWEEP_CAP, [100.0 * 2.0**k for k in (31, 28, 27, 26, 25)])],
+    ids=["cap-n3", "cap-n4", "cap-n6", "sweep-cap-n6"])
+def test_profile_search_solves_the_levels_that_decide_its_stop(
+        case, solved, monkeypatch):
+    # the top level, the jump's target and each level down to the first
+    # that does not stop: at n = 6 the cap-n6 top certifies all but the one
+    # level below it, the sweep cap's all but two
+    levels = _record_levels(monkeypatch)
+    domain, n = case
+    prof = solve_profile(domain, n, grid=GridSpec(1600, 2.0))
+    assert levels == solved
+    assert prof.m_history[-1] == solved[-2] and prof.stop_reason == "cap"
+
+
+def test_bench_pair_factorizations(monkeypatch):
+    # the Euclidean solve of the bench pair at n = 6: its cut-data profile
+    # jumps from 51200 to 6400, and the 2-D search solves the top, the
+    # reported level and the one below, whose interior test is against the
+    # reported level; 9 LU, and 15 with the perturbed solve
+    levels = _record_levels(monkeypatch)
+    calls = []
+    splu = solver.splu
+
+    def counting_splu(J, **kwargs):
+        calls.append(J.shape)
+        return splu(J, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", counting_splu)
+    base = solve(BENCH_DOMAIN, euclidean_operator(6), 6, BENCH_CONFIG)
+    M = base.m_history[-1]
+    assert levels == [51200.0, 6400.0, 3200.0, 1600.0, 800.0, 400.0,
+                      2.0 * M, M, M / 2.0]
+    assert len(calls) == 9
+    solve(BENCH_DOMAIN, _operator(6, 0.3), 6, BENCH_CONFIG,
+          forced_schedule=base.m_history)
+    assert len(calls) == 15
+
+
+def _linear_descent(problem, schedule, M_reported, tol):
+    """Reference for the jump: the top of the ladder as `escalate` builds
+    it, solved from the supersolution start, then every level below it from
+    the one above, down to M_reported.  Returns that level's field."""
+    M = float(schedule[-1])
+    while not problem.cap_reached(problem.warm_start(None, M), M):
+        M *= newton.GROWTH
+    x, solve_kept = None, None
+    while True:
+        x, _, solve_kept = damped_newton(problem, problem.warm_start(x, M), M,
+                                         tol, solve=solve_kept)
+        if M <= M_reported:
+            return x
+        M /= newton.GROWTH
+
+
+@pytest.mark.parametrize("case", [*CLIMB_PROFILES, SWEEP_CAP,
+                                  SNAPSHOT_CASES[2]],
+                         ids=["cap-n3", "cap-n4", "cap-n6", "sweep-cap-n6",
+                              "meridian-n6"])
+def test_search_field_matches_a_linear_descent(case, monkeypatch):
+    # the jump solves the reported level from a field several levels above
+    # it; a descent one level at a time lands on the same field within
+    # 1e-9 on the window the verified numbers are read from.  Every
+    # escalation is checked, the 2-D cut-data profile's included
+    checked = []
+
+    def against_descent(problem, schedule, **kw):
+        result = escalate(problem, schedule, **kw)
+        x_ref = _linear_descent(problem, schedule, result.m_history[-1],
+                                kw["tol"])
+        checked.append((problem, np.abs(result.x - x_ref) / x_ref))
+        return result
+
+    monkeypatch.setattr(solver, "escalate", against_descent)
+    monkeypatch.setattr(profiles, "escalate", against_descent)
+    if len(case) == 2:
+        domain, n = case
+        prof = solve_profile(domain, n, grid=GridSpec(1600, 2.0))
+        windows = [prof.interior_mask()]
+    else:
+        domain, n, q, cfg = case
+        fld = solve(domain, _operator(n, q), n, cfg)
+        cut = checked[0][0]
+        windows = [cut.band, fld.interior_window().ravel()]
+    assert len(checked) == len(windows)
+    for (_, rel), window in zip(checked, windows):
+        assert np.max(rel[window]) <= 1e-9

@@ -318,6 +318,21 @@ def test_coefficients_do_not_depend_on_the_chunk_size(build, monkeypatch):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_fixed_contraction_order_is_einsums_own(n):
+    # `_metric_terms` passes PAIRWISE instead of searching each call; the
+    # search picks that order at every chunk size, so the bits are those
+    # of optimize=True
+    g, gam, v = np.ones((2048, n, n)), np.ones((2048, n, n, n)), np.ones((2048, n))
+    for P in (1, 7, 256, 2048):
+        for expr, ops in (("pij,piab,pjba->p", (g, gam, gam)),
+                          ("pij,pmil,plmj->p", (g, gam, gam)),
+                          ("pk,pij,pkij->p", (v, g, gam))):
+            path, _ = np.einsum_path(expr, *(op[:P] for op in ops),
+                                     optimize=True)
+            assert path == operators.PAIRWISE
+
+
 def test_metric_validation():
     n = 3
     zero = Polynomial.zero(n)

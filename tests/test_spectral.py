@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from blowlab.errors import ConfigError, DomainError
+from blowlab import spectral
+from blowlab.errors import BlowlabError, ConfigError, DomainError
 from blowlab.profiles import (BlowupProfile, GridSpec, SphericalDomain1D,
                               solve_profile)
 from blowlab.spectral import (
     _assemble,
+    _sphere_area,
     _weight,
     first_eigenpair,
     half_sphere_lambda1,
@@ -332,3 +334,50 @@ def test_wall_extension_is_mirror_symmetric():
     prof = solve_profile(band(0.5, np.pi - 0.5), 3, grid=GridSpec(800, 2.0))
     _, _, diag, _ = _assemble(prof)
     assert abs(diag[0] / diag[-1] - 1.0) < 1e-10
+
+
+def _eigenpair_by_bisection(profile):
+    """(lambda1, phi1) from LAPACK bisection and inverse iteration (`stebz`,
+    `stein`) to an absolute tolerance of twice the smallest normal number,
+    scaled as `first_eigenpair` scales phi1."""
+    from scipy.linalg import eigh_tridiagonal
+
+    free, off, diag, mass = _assemble(profile)
+    s = 1.0 / np.sqrt(mass)
+    (lam,), v = eigh_tridiagonal(diag * s**2, off * s[:-1] * s[1:],
+                                 select="i", select_range=(0, 0),
+                                 tol=2.0 * np.finfo(float).tiny)
+    x = s * v[:, 0]
+    x *= np.sign(np.sum(x))
+    phi = np.zeros(profile.theta.size)
+    phi[free] = x / np.sqrt(_sphere_area(profile.n - 2) * (x @ (mass * x)))
+    return lam, phi
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_eigenpair_matches_bisection(n, half_sphere_eigen):
+    # bisection keeps high relative accuracy on graded tridiagonals (Barlow
+    # & Demmel, SIAM J. Numer. Anal. 27, 1990).  Measured on 3200 nodes:
+    # lambda1 within 3.0e-12, 5.0e-12 and 1.1e-12, phi1 within 3.8e-12,
+    # 1.1e-12 and 2.1e-12 of max phi1 (n = 3, 4, 6)
+    eig = half_sphere_eigen[n]
+    lam, phi = _eigenpair_by_bisection(eig.profile)
+    assert abs(eig.lambda1 / lam - 1.0) <= 1e-11
+    assert np.max(np.abs(eig.phi - phi)) <= 1e-9 * np.max(phi)
+    # three inverse iterations at shift 0, then a few Rayleigh steps
+    assert spectral.INVERSE_STEPS < eig.iterations <= spectral.INVERSE_STEPS + 4
+
+
+def test_nonpositive_lambda1_is_an_error(half_sphere_eigen, monkeypatch):
+    # a potential of the wrong sign makes T indefinite, and its Cholesky-type
+    # factorization fails before any iteration
+    prof = half_sphere_eigen[3].profile
+    form = spectral._form
+
+    def mis_signed(profile):
+        free, flux, pot, mass = form(profile)
+        return free, flux, -pot, mass
+
+    monkeypatch.setattr(spectral, "_form", mis_signed)
+    with pytest.raises(BlowlabError, match="lambda1 <= 0"):
+        first_eigenpair(prof)

@@ -7,8 +7,12 @@ line: `same` when the sha256 values agree, `missing in A` or `missing in
 B` when the file exists on one side only, and otherwise the largest
 relative change |a - b| / max(|a|, |b|) over the numbers of the file,
 paired in reading order.  A file whose numbers do not pair up (different
-counts, or bytes that are not UTF-8 text) is reported as `differs`.  The
-exit status is 0 when every file is the same and 1 otherwise.
+counts, or bytes that are not UTF-8 text) is reported as `differs`.  A
+file that opens with a `# {json}` meta line, as the CSV artifacts do, is
+judged in two parts, `data ...` and `meta ...`, each `same`, its largest
+relative change or `differs`: a solver record in the meta line, such as
+a Newton residual, may move far more than the data do.  The exit status
+is 0 when every file is the same and 1 otherwise.
 
 Uses the standard library only.
 """
@@ -41,14 +45,17 @@ def sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def numbers(path):
-    """Numbers of a text file in reading order, or None for binary files."""
+def split_text(path):
+    """(meta line or None, rest) of a UTF-8 file, or None for binary files."""
     with open(path, "rb") as fh:
         try:
             text = fh.read().decode("utf-8")
         except UnicodeDecodeError:
             return None
-    return [float(tok) for tok in NUMBER.findall(text)]
+    if text.startswith("# {"):
+        meta, _, rest = text.partition("\n")
+        return meta, rest
+    return None, text
 
 
 def relative_change(a, b):
@@ -59,15 +66,30 @@ def relative_change(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def change(text_a, text_b):
+    """`same`, the largest relative change of the numbers, or `differs`."""
+    if text_a == text_b:
+        return "same"
+    xs = [float(tok) for tok in NUMBER.findall(text_a or "")]
+    ys = [float(tok) for tok in NUMBER.findall(text_b or "")]
+    if len(xs) != len(ys):
+        return "differs"
+    worst = max((relative_change(x, y) for x, y in zip(xs, ys)), default=0.0)
+    return f"max relative change {worst:.3e}"
+
+
 def compare(path_a, path_b):
     """One-line verdict for a file present in both trees."""
     if sha256(path_a) == sha256(path_b):
         return "same"
-    xs, ys = numbers(path_a), numbers(path_b)
-    if xs is None or ys is None or len(xs) != len(ys):
+    parts_a, parts_b = split_text(path_a), split_text(path_b)
+    if parts_a is None or parts_b is None:
         return "differs"
-    worst = max((relative_change(x, y) for x, y in zip(xs, ys)), default=0.0)
-    return f"differs, max relative change {worst:.3e}"
+    (meta_a, data_a), (meta_b, data_b) = parts_a, parts_b
+    data = change(data_a, data_b)
+    if meta_a is None and meta_b is None:
+        return "differs" if data == "differs" else f"differs, {data}"
+    return f"differs, data {data}, meta {change(meta_a, meta_b)}"
 
 
 def diff_trees(root_a, root_b):
