@@ -19,8 +19,7 @@ _EXPORTS = {
                  "apply_T", "build_T", "jacobian_T", "paraboloid_surface",
                  "plane_surface", "signed_distance", "sphere_surface",
                  "tangent_cone"),
-    "operators": ("MetricFamily", "OperatorSpec", "TensorMesh",
-                  "apply_operator", "conformal_operator",
+    "operators": ("MetricFamily", "OperatorSpec", "conformal_operator",
                   "conformal_quadratic_metric", "euclidean_operator",
                   "scalar_curvature", "structure_constant"),
     "profiles": ("BlowupProfile", "GridSpec", "SphericalDomain1D",

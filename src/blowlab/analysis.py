@@ -66,8 +66,9 @@ class StructureClass:
     def __post_init__(self):
         if self.n < 3:
             raise ConfigError("dimension must satisfy n >= 3")
-        if self.c_l < 0:
-            raise ConfigError("structure constant must be nonnegative")
+        if not 0.0 <= self.c_l < np.inf:     # NaN fails it too
+            raise ConfigError(f"structure constant must be finite and "
+                              f"nonnegative, got {self.c_l}")
 
 
 @dataclass
@@ -105,7 +106,8 @@ def _radial_class_term(c_l, r, w, dw, d2w):
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(r > 0, np.abs(dw) / r, np.abs(d2w))
     hess_max = np.maximum(np.abs(d2w), slope)
-    return c_l * (r**2 * hess_max + r * np.abs(dw) + np.abs(w))
+    with np.errstate(over="ignore"):    # inf: the trial's margin fails
+        return c_l * (r**2 * hess_max + r * np.abs(dw) + np.abs(w))
 
 
 def _class_of(op, n):
@@ -403,7 +405,6 @@ class RatioField:
 
     values: np.ndarray
     radii: np.ndarray
-    label: str
     reference: str
 
     def __post_init__(self):
@@ -451,19 +452,16 @@ def compare_to_cone(fld, baseline=None):
             raise ConfigError("baseline must share the mesh")
         window = fld.interior_window()
         vals = np.abs(fld.u / baseline.u - 1.0)
-        return RatioField(vals[window], fld.radii()[window],
-                          label=fld.operator_label, reference="discrete-cone")
+        return RatioField(vals[window], fld.radii()[window], "discrete-cone")
     if fld.domain.reduction == BALL:
         window = (fld.d > 0) & (fld.d <= fld.domain.r_max)
         window &= fld.d >= (fld.d.max() * 1e-4)
         vals = np.abs(fld.d**m * fld.u - 1.0)
-        return RatioField(vals[window], fld.d[window],
-                          label=fld.operator_label, reference="halfspace-distance")
+        return RatioField(vals[window], fld.d[window], "halfspace-distance")
     window = fld.interior_window()
     ref = np.exp(fld.t)[:, None] ** (-m) * _matched_profile(fld)[None, :]
     vals = np.abs(fld.u / ref - 1.0)
-    return RatioField(vals[window], fld.radii()[window],
-                      label=fld.operator_label, reference="matched-profile")
+    return RatioField(vals[window], fld.radii()[window], "matched-profile")
 
 
 @dataclass

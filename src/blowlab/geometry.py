@@ -11,6 +11,10 @@ distances to the surfaces with signed distances to their tangent planes:
 where T_P is the linear map assembled from the plane normals, inverted
 once.  T fixes the origin, has Jacobian I there, and moves points by
 O(|x|^2), which is what transfers cone asymptotics onto curved corners.
+The tangent cone is described once, by the fan of the normals nu_i
+(`HyperplaneFan`): `build_T` straightens onto it, and `tangent_cone`
+returns it as those normals, the test <nu_i, x> > 0 for every i, and its
+spherical section.
 
 Foot points for d_S are found by damped Newton on the graph
 parameterization with a fan of perturbed seeds, keeping the closest
@@ -387,45 +391,14 @@ def _most_dependent_pair(normals):
 
 @dataclass
 class TangentConeSpec:
-    """Dilation-invariant cone at the origin with its spherical section."""
+    """Dilation-invariant cone {x : <nu_i, x> > 0 for every i} at the
+    origin, with its spherical section (None for k >= 3 normals)."""
 
-    tag: str                       # halfspace | wedge | cap-cone | fan
-    n: int
-    axis: np.ndarray = None        # halfspace and cap-cone
-    aperture: float = None         # cap-cone
-    normals: np.ndarray = None     # wedge and fan
+    normals: np.ndarray                    # (k, n) unit normals of the fan
     section: SphericalDomain1D = None
 
     def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.tag in ("halfspace",):
-            return bool(self.axis @ x > 0)
-        if self.tag == "cap-cone":
-            r = np.linalg.norm(x)
-            if r == 0:
-                return False
-            return bool(np.arccos(np.clip(self.axis @ x / r, -1, 1)) < self.aperture)
-        return bool(np.all(self.normals @ x > 0))
-
-    @classmethod
-    def halfspace(cls, axis):
-        axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
-        return cls(tag="halfspace", n=axis.size, axis=axis, aperture=np.pi / 2,
-                   section=SphericalDomain1D.polar_cap(np.pi / 2))
-
-    @classmethod
-    def wedge(cls, nu1, nu2, n):
-        nu1 = np.asarray(nu1, dtype=float) / np.linalg.norm(nu1)
-        nu2 = np.asarray(nu2, dtype=float) / np.linalg.norm(nu2)
-        opening = np.pi - np.arccos(np.clip(nu1 @ nu2, -1.0, 1.0))
-        return cls(tag="wedge", n=n, normals=np.vstack([nu1, nu2]),
-                   aperture=opening, section=SphericalDomain1D.arc(opening))
-
-    @classmethod
-    def fan_intersection(cls, normals):
-        normals = np.atleast_2d(np.asarray(normals, dtype=float))
-        return cls(tag="fan", n=normals.shape[1], normals=normals, section=None)
+        return bool(np.all(self.normals @ np.asarray(x, dtype=float) > 0))
 
 
 def _tangent_fan(surfaces):
@@ -436,14 +409,16 @@ def _tangent_fan(surfaces):
 
 
 def tangent_cone(surfaces):
-    """Intersection of tangent half-spaces of the surfaces at 0."""
-    fan = _tangent_fan(surfaces)
-    normals = fan.normals
-    if fan.k == 1:
-        return TangentConeSpec.halfspace(normals[0])
-    if fan.k == 2:
-        return TangentConeSpec.wedge(normals[0], normals[1], fan.n)
-    return TangentConeSpec.fan_intersection(normals)
+    """Intersection of the tangent half-spaces of the surfaces at 0; its
+    section is the half-sphere (one) or the arc pi - angle(nu_1, nu_2) (two)."""
+    normals = _tangent_fan(surfaces).normals
+    section = None
+    if len(normals) == 1:
+        section = SphericalDomain1D.polar_cap(np.pi / 2)
+    elif len(normals) == 2:
+        section = SphericalDomain1D.arc(
+            np.pi - np.arccos(np.clip(normals[0] @ normals[1], -1.0, 1.0)))
+    return TangentConeSpec(normals, section)
 
 
 @dataclass
@@ -484,9 +459,6 @@ class DiffeoT:
             d[..., i] = signed_distance(s, x)
         d[..., k:] = _matvec(self.fan.completion, x)
         return d
-
-    def __call__(self, x):
-        return apply_T(self, x)
 
 
 def build_T(surfaces):

@@ -76,6 +76,8 @@ solve of the pipeline, the bench or the demos stops on it.  `m_history`
 is the ladder up to the reported M.  The search only searches: it hands
 back no field of the levels below the reported one, and
 `blowlab.solver.level_fields` solves them for a caller that wants them.
+Nor does it hand back the reported level's predicted correction: that
+depends on the path the search took to the level, not on the field.
 
 With `reuse_factor`, Newton is the simplified (chord) method of the same
 section.  A factorization is kept while a full step from it stays positive
@@ -214,7 +216,7 @@ def damped_newton(problem, x0, M, tol, solve=None):
 
 @dataclass
 class Escalation:
-    """Result of `escalate`; unpacks as (x, m_history, residual, stop_reason).
+    """Result of `escalate`: the reported field, its ladder and stop reason.
 
     `solve` is the factorization Newton kept at the reported level (None
     if it kept none); its Jacobian depends only on x off the Dirichlet
@@ -224,12 +226,8 @@ class Escalation:
 
     x: np.ndarray
     m_history: list
-    residual: float
     stop_reason: str
     solve: object = None
-
-    def __iter__(self):
-        return iter((self.x, self.m_history, self.residual, self.stop_reason))
 
 
 def escalate(problem, schedule, *, tol, interior_tol, max_levels):
@@ -244,7 +242,6 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels):
     The search, which solves every level it visits to `tol` and skips the
     levels its top level proves to reach the cap, is set out in the module
     docstring.
-    `residual` is the reported level's predicted Newton correction.
     """
     first = len(schedule) - 1      # the stop tests count from here on
     ladder = [float(M) for M in schedule][:max_levels]
@@ -252,7 +249,7 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels):
             problem.warm_start(None, ladder[-1]), ladder[-1]):
         ladder.append(ladder[-1] * GROWTH)
     band = problem.band
-    solved = {}    # level -> (x, predicted correction)
+    solved = {}    # level -> field
     own = {}       # level -> the factorization Newton kept there, held
                    # while the level may still be reported
     kept = None    # the factorization Newton kept at the level solved last
@@ -261,12 +258,11 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels):
         # level k, from the solved level `near`, or the supersolution
         nonlocal kept
         if k not in solved:
-            x = None if near is None else solved[near][0]
-            x, err, kept = damped_newton(problem, problem.warm_start(
+            x = None if near is None else solved[near]
+            solved[k], _, kept = damped_newton(problem, problem.warm_start(
                 x, ladder[k]), ladder[k], tol, solve=kept)
-            solved[k] = x, err
             own[k] = kept
-        return solved[k][0]
+        return solved[k]
 
     def stop(k, near, other=None):
         # level k, solved from `near`; its interior test compares it with
@@ -288,7 +284,7 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels):
     if reason == "cap":
         # every level below holds a smaller field, so each level whose cap
         # the top's field reaches, up to Newton's tolerance on both, stops
-        bound = solved[k][0] * ((1.0 + tol) / (1.0 - tol))
+        bound = solved[k] * ((1.0 + tol) / (1.0 - tol))
         jump = next((j for j in range(first, k)
                      if problem.cap_reached(bound, ladder[j])), k)
         if jump < k:
@@ -306,7 +302,6 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels):
         del own[k]
         k += 1
         reason = stop(k, k - 1, k - 1)
-    x, err = solved[k]
     kept = own.pop(k)
     own.clear()
-    return Escalation(x, ladder[:k + 1], err, reason or "max_levels", kept)
+    return Escalation(solved[k], ladder[:k + 1], reason or "max_levels", kept)

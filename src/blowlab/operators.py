@@ -24,7 +24,9 @@ call evaluates each polynomial once.  An operator has one coefficient
 evaluator (P, n) -> (a, b, c): the conformal one forms g^-1, dg, Gamma
 and the second-derivative values once per call and shares them between
 a, b and S_g.  `OperatorSpec.coefficients` calls it on chunks of points
-sized by a byte budget.
+sized by a byte budget.  This module applies no operator to a field: the
+solvers of `blowlab.solver` push the coefficients onto their own 2-D
+stencil and radial rows.
 """
 
 from __future__ import annotations
@@ -36,16 +38,13 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .polynomials import Polynomial
-from .profiles import derivative_arrays
 
 __all__ = [
     "MetricFamily",
     "OperatorSpec",
-    "TensorMesh",
     "conformal_quadratic_metric",
     "conformal_operator",
     "structure_constant",
-    "apply_operator",
     "euclidean_operator",
     "scalar_curvature",
 ]
@@ -325,52 +324,3 @@ def structure_constant(spec, radius, samples=4096, seed=11):
         + r**2 * np.abs(c)
     )
     return float(np.max(num / r**2))
-
-
-@dataclass(frozen=True)
-class TensorMesh:
-    """Cartesian tensor-product mesh given by per-axis coordinate arrays."""
-
-    axes: tuple
-
-    def __post_init__(self):
-        for ax in self.axes:
-            if len(ax) < 3 or np.any(np.diff(ax) <= 0):
-                raise ConfigError("each axis needs >= 3 strictly increasing nodes")
-
-    @property
-    def shape(self):
-        return tuple(len(ax) for ax in self.axes)
-
-    def points(self):
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def apply_operator(spec, fld, mesh):
-    """Nodewise application of L to a grid field, with the 3-point
-    derivatives of `profiles.derivative_arrays` along each axis."""
-    fld = np.asarray(fld, dtype=float)
-    if fld.shape != mesh.shape:
-        raise ConfigError(f"field shape {fld.shape} does not match mesh {mesh.shape}")
-    if len(mesh.axes) != spec.n:
-        raise ConfigError("mesh dimensionality does not match the operator")
-    n = spec.n
-    pts = mesh.points()
-    a, b, c = spec.coefficients(pts)
-    a = a.reshape(mesh.shape + (n, n))
-    b = b.reshape(mesh.shape + (n,))
-    c = c.reshape(mesh.shape)
-
-    def along(axis, f):
-        d1, d2 = derivative_arrays(mesh.axes[axis], np.moveaxis(f, axis, 0))
-        return np.moveaxis(d1, 0, axis), np.moveaxis(d2, 0, axis)
-
-    out = c * fld
-    for i in range(n):
-        d1, d2 = along(i, fld)
-        out += b[..., i] * d1
-        out += a[..., i, i] * d2
-        for j in range(i + 1, n):
-            out += 2.0 * a[..., i, j] * along(j, d1)[0]
-    return out

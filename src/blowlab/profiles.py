@@ -300,7 +300,6 @@ class BlowupProfile:
     theta: np.ndarray
     g: np.ndarray
     truncation: float
-    newton_residual: float
     m_history: list = field(default_factory=list)
     stop_reason: str = None        # why escalation stopped; not written out
     rho: np.ndarray = field(init=False)
@@ -309,9 +308,12 @@ class BlowupProfile:
     _spline: _NotAKnotSpline = field(init=False)
 
     def __post_init__(self):
-        if np.any(self.g <= 0.0):
+        if not np.all(self.g > 0.0):        # NaN fails it too
             raise DomainError("profile values must stay positive")
-        self.rho = self.g ** (-2.0 / (self.n - 2))
+        with np.errstate(over="ignore"):
+            self.rho = self.g ** (-2.0 / (self.n - 2))
+        if not np.isfinite(self.rho).all():
+            raise DomainError("profile values too small: rho overflows")
         # spline over interior nodes only: the Dirichlet value M at a
         # blow-up endpoint is a truncation artifact and would ring through
         # a global cubic fit
@@ -510,19 +512,17 @@ def solve_profile(domain, n, schedule=(1e2,), grid=None, nodes=None,
         theta, 1.0, drift, zero_order, domain.bc_lo, domain.bc_hi, n,
         domain.wall_distance(theta), domain.theta_hi - domain.theta_lo,
         "profile")
-    g, m_history, residual, stop_reason = escalate(
-        problem, schedule, tol=1e-10, interior_tol=interior_tol,
-        max_levels=max_levels)
+    found = escalate(problem, schedule, tol=1e-10, interior_tol=interior_tol,
+                     max_levels=max_levels)
 
     return BlowupProfile(
         domain=domain,
         n=n,
         theta=theta,
-        g=g,
-        truncation=m_history[-1],
-        newton_residual=residual,
-        m_history=m_history,
-        stop_reason=stop_reason,
+        g=found.x,
+        truncation=found.m_history[-1],
+        m_history=found.m_history,
+        stop_reason=found.stop_reason,
     )
 
 
@@ -561,7 +561,6 @@ def profile_to_csv(profile, path):
         "n": profile.n,
         "domain": profile.domain.as_dict(),
         "truncation": profile.truncation,
-        "newton_residual": profile.newton_residual,
     }
     # 17 significant digits, so that a profile reads back to the same floats
     rows = np.column_stack([profile.theta, profile.g, profile.rho]).tolist()
@@ -570,9 +569,9 @@ def profile_to_csv(profile, path):
 
 
 def profile_from_csv(path):
-    meta, _, data = read_csv(
-        path, ("n", "domain", "truncation", "newton_residual"),
-        ("theta", "g"), numeric=True)
+    # other keys are ignored, such as the `newton_residual` of older files
+    meta, _, data = read_csv(path, ("n", "domain", "truncation"),
+                             ("theta", "g"), numeric=True)
     # whatever the stored values fail is a fault of the artifact, not of
     # the config or of a solver
     try:
@@ -582,7 +581,6 @@ def profile_from_csv(path):
             theta=data[:, 0],
             g=data[:, 1],
             truncation=float(meta["truncation"]),
-            newton_residual=float(meta["newton_residual"]),
         )
     except (TypeError, ValueError, ConfigError, DomainError) as exc:
         raise MissingArtifactError(f"cannot read artifact {path}: {exc}") from None

@@ -238,7 +238,6 @@ class SolutionField:
     u: np.ndarray                  # (Nt, Ne) solution values
     d: np.ndarray                  # (Nt, Ne) distance to the real boundary
     truncation: float
-    newton_residual: float
     bracket_width: float = None
     u_high: np.ndarray = None
     m_history: list = field(default_factory=list)
@@ -363,15 +362,16 @@ def _wall_distance_field(domain, r, theta):
     if not domain.is_curved:
         gap = domain.aperture - theta
         return r * np.sin(np.minimum(gap, 0.5 * np.pi))
-    # curved meridian boundary: sample the boundary curve
+    # curved meridian boundary: the nearest of 400 samples of the curve, as
+    # a running minimum, so no (nodes, samples) table is formed
     rs = np.geomspace(max(domain.r_min * 0.5, 1e-6), domain.r_max, 400)
     bt = domain.theta_b(rs)
-    bx = rs * np.sin(bt)
-    bz = rs * np.cos(bt)
     px = r * np.sin(theta)
     pz = r * np.cos(theta)
-    d2 = (px[..., None] - bx) ** 2 + (pz[..., None] - bz) ** 2
-    return np.sqrt(np.min(d2, axis=-1))
+    d2 = np.full(px.shape, np.inf)
+    for bx, bz in zip(rs * np.sin(bt), rs * np.cos(bt)):
+        np.minimum(d2, (px - bx) ** 2 + (pz - bz) ** 2, out=d2)
+    return np.sqrt(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +400,6 @@ class _WedgeSystem:
         self.domain = domain
         self.op = op
         self.n = n
-        self.config = config
         self.bracket_factor = config.bracket[0]
         self.m = 0.5 * (n - 2.0)
         self.p = (n + 2.0) / (n - 2.0)
@@ -729,7 +728,6 @@ def solve(domain, op, n, config=None, forced_schedule=None):
         u=to_u(low.x),
         d=d,
         truncation=M_final,
-        newton_residual=low.residual,
         u_high=u_high,
         m_history=low.m_history,
         stop_reason=low.stop_reason,

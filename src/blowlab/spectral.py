@@ -68,15 +68,8 @@ def half_sphere_lambda1(n):
 class RateForm:
     """Predicted decay bound of |u/u_V - 1| near the vertex."""
 
-    kind: str          # "power" or "power-log"
     exponent: float
     description: str
-
-    def evaluate(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "power-log":
-            return r**2 * np.abs(np.log(r))
-        return r**self.exponent
 
 
 @dataclass
@@ -308,7 +301,7 @@ def regime_exponent(result):
     """Predicted bound form for the cone-approximation error."""
     mu1 = result.mu1
     if result.regime == "log":
-        return RateForm("power-log", 2.0, "C(-|x|^2 ln|x|)")
+        return RateForm(2.0, "C(-|x|^2 ln|x|)")
     if result.regime == "alpha-2":
-        return RateForm("power", 2.0, "C|x|^2")
-    return RateForm("power", mu1, f"C|x|^{mu1:.6g}")
+        return RateForm(2.0, "C|x|^2")
+    return RateForm(mu1, f"C|x|^{mu1:.6g}")

@@ -291,7 +291,7 @@ def test_ball_ratio_matches_analytic(ball_field):
 
 def test_fit_rate_power_law():
     r = np.geomspace(2.0**-7, 2.0**-1, 4000)
-    fit = fit_rate(RatioField(3.0 * r**2, r, "syn", "x"), 2.0**-7, 2.0**-2)
+    fit = fit_rate(RatioField(3.0 * r**2, r, "x"), 2.0**-7, 2.0**-2)
     assert abs(fit.alpha_hat - 2.0) < 1e-3
     assert fit.model == "power"
     assert fit.r_squared > 0.9999
@@ -300,7 +300,7 @@ def test_fit_rate_power_law():
 def test_fit_rate_log_model_preferred():
     r = np.geomspace(2.0**-7, 2.0**-1, 4000)
     vals = 0.5 * r**2 * np.abs(np.log(r))
-    fit = fit_rate(RatioField(vals, r, "syn", "x"), 2.0**-7, 2.0**-2,
+    fit = fit_rate(RatioField(vals, r, "x"), 2.0**-7, 2.0**-2,
                    compare_log_model=True)
     assert fit.model == "power-log"
     assert fit.log_model_residual < fit.residual
@@ -309,10 +309,10 @@ def test_fit_rate_log_model_preferred():
 def test_fit_rate_window_errors():
     r = np.geomspace(2.0**-3, 2.0**-1, 50)
     with pytest.raises(ConfigError):
-        fit_rate(RatioField(r**2, r, "syn", "x"), 2.0**-3, 2.0**-2)
+        fit_rate(RatioField(r**2, r, "x"), 2.0**-3, 2.0**-2)
     r2 = np.geomspace(2.0**-7, 2.0**-5, 50)  # upper annuli empty
     with pytest.raises(DomainError):
-        fit_rate(RatioField(r2**2, r2, "syn", "x"), 2.0**-7, 2.0**-2)
+        fit_rate(RatioField(r2**2, r2, "x"), 2.0**-7, 2.0**-2)
 
 
 @pytest.mark.parametrize("r_lo, r_hi", [
@@ -324,7 +324,7 @@ def test_fit_rate_rejects_a_window_outside_zero_inf(r_lo, r_hi):
     # until memory ran out
     r = np.geomspace(2.0**-7, 2.0**-1, 400)
     with pytest.raises(ConfigError, match="0 < fit_lo < fit_hi < inf"):
-        fit_rate(RatioField(r**2, r, "syn", "x"), r_lo, r_hi)
+        fit_rate(RatioField(r**2, r, "x"), r_lo, r_hi)
 
 
 def test_fit_window_stability(ball_field):

@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,90 @@ def test_library_config_error_names_its_case(tmp_path):
         assert err[0].count("tiny-ball") == 1
 
 
+# an n = 4 cap to append to CONFIG: the eigen stage on a profile of its own
+TINY_EIGEN = """
+[case:tiny-eigen]
+stages = profile eigen
+geometry = polar-sphere
+theta_lo = 0.0
+theta_hi = 1.0
+bc_lo = regular-pole
+bc_hi = blowup
+n = 4
+nodes = 200
+grading = 2.0
+schedule = 1e2
+interior_tol = 1e-8
+"""
+
+FUZZ_CONFIG = CONFIG + TINY_MERIDIAN + TINY_EIGEN
+FUZZ_VALUES = ("", "nan", "inf", "-1", "0", "1e308", "abc", "1e-300")
+
+
+def _case_options(config, case):
+    """{key: value} of `[case:CASE]` in `config`."""
+    body = config.split(f"[case:{case}]\n")[1].split("\n[")[0]
+    return dict(line.split(" = ", 1) for line in body.splitlines()
+                if " = " in line)
+
+
+@pytest.mark.parametrize("case", ["tiny-profile", "tiny-eigen", "tiny-ball",
+                                  "tiny-meridian", "tiny-barrier"])
+def test_config_boundary_fuzz(tmp_path, capsys, case):
+    # every key of the case times every value, through the console script's
+    # entry point, in this process, running the stages the case lists in
+    # order: a value is used, rejected (4), or ends in a failed check (1), a
+    # missing upstream artifact (3) or a solver failure (5) on one stderr
+    # line, with no exception and no warning
+    from blowlab.cli import main
+
+    options = _case_options(FUZZ_CONFIG, case)
+    bad = []
+    for key in options:
+        for k, value in enumerate(FUZZ_VALUES):
+            cell = tmp_path / f"{key}-{k}"
+            cell.mkdir()
+            cfg = cell / "cases.cfg"
+            cfg.write_text(_with_setting(FUZZ_CONFIG, case, f"{key} = {value}")
+                           .format(out=cell / "out"))
+            for stage in options["stages"].split():
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = main([stage, "--config", str(cfg),
+                                     "--case", case])
+                    except Exception as exc:    # reported with its cell
+                        code = f"{type(exc).__name__}: {exc}"
+                err = capsys.readouterr().err.strip().splitlines()
+                if (code not in (0, 1, 3, 4, 5) or caught
+                        or (code != 0 and len(err) != 1)):
+                    bad.append((key, value, stage, code, err,
+                                [str(w.message) for w in caught]))
+    assert bad == []
+
+
+def test_profile_meta_holds_the_field_only(tmp_path):
+    # the profile stage writes n, domain and truncation, and no solver
+    # record; a profile.csv that still holds `newton_residual` reads back
+    from blowlab.cli import main
+    from blowlab.profiles import profile_from_csv
+
+    cfg, out = tmp_path / "cases.cfg", tmp_path / "out"
+    cfg.write_text(CONFIG.format(out=out))
+    assert main(["profile", "--config", str(cfg), "--case",
+                 "tiny-profile"]) == 0
+    path = out / "tiny-profile" / "profile.csv"
+    meta, _, _ = read_csv(path)
+    assert sorted(meta) == ["domain", "n", "truncation"]
+    prof = profile_from_csv(path)
+    meta_line, rest = path.read_text().split("\n", 1)
+    older = tmp_path / "older.csv"
+    older.write_text(meta_line[:-1] + ', "newton_residual": 5.7e-16}\n' + rest)
+    back = profile_from_csv(older)
+    assert back.truncation == prof.truncation and back.domain == prof.domain
+    assert np.array_equal(back.g, prof.g)
+
+
 CURVED_MERIDIAN = """
 [suite]
 output = {out}
@@ -490,8 +575,26 @@ def test_run_stages_reports_cpu_time(tmp_path):
     cfg = tmp_path / "cases.cfg"
     cfg.write_text(CONFIG.split("[case:tiny-ball]")[0]
                    .format(out=tmp_path / "out"))
-    res = run_python(RUN_STAGES, str(cfg), str(tmp_path / "out"))
+    # a sitecustomize on the path records the thread variables that each
+    # process starts with: run_stages.py itself, then its six stages
+    hook, seen = tmp_path / "hook", tmp_path / "threads.txt"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(
+        "import os\n"
+        f"with open({str(seen)!r}, 'a') as fh:\n"
+        "    fh.write(' '.join(os.environ.get(key, '-') for key in "
+        "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'))"
+        " + '\\n')\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               MKL_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+                   [SRC, str(hook)] + ([os.environ["PYTHONPATH"]]
+                                       if os.environ.get("PYTHONPATH") else [])))
+    res = subprocess.run([sys.executable, RUN_STAGES, str(cfg),
+                          str(tmp_path / "out")], capture_output=True,
+                         text=True, env=env)
     assert res.returncode == 0
+    # the stages run with one BLAS/OpenMP thread, whatever the caller has
+    assert seen.read_text().splitlines() == ["2 2 2"] + ["1 1 1"] * len(STAGES)
     took = [line.split() for line in res.stderr.splitlines()
             if line.split()[1:2] == ["took"]]
     assert [words[0] for words in took] == list(STAGES)
@@ -706,8 +809,8 @@ def test_public_names_resolve_lazily():
         "certify_supersolution compare_to_cone fit_rate verify_theorem "
         "DiffeoT GraphSurface HyperplaneFan TangentConeSpec apply_T build_T "
         "jacobian_T paraboloid_surface plane_surface signed_distance "
-        "sphere_surface tangent_cone MetricFamily OperatorSpec TensorMesh "
-        "apply_operator conformal_operator conformal_quadratic_metric "
+        "sphere_surface tangent_cone MetricFamily OperatorSpec "
+        "conformal_operator conformal_quadratic_metric "
         "euclidean_operator scalar_curvature structure_constant "
         "BlowupProfile GridSpec SphericalDomain1D check_rho_bounds "
         "cone_solution graded_nodes profile_from_csv profile_to_csv "

@@ -8,7 +8,6 @@ from blowlab.geometry import (
     GraphSurface,
     HyperplaneFan,
     PolyGraph,
-    TangentConeSpec,
     apply_T,
     build_T,
     jacobian_T,
@@ -66,21 +65,23 @@ def test_chart_radius_guard():
 def test_tangent_cones():
     pl = plane_surface(3, [0, 0, 1])
     tc = tangent_cone([pl])
-    assert tc.tag == "halfspace"
-    assert np.allclose(tc.axis, [0, 0, 1])
+    assert np.allclose(tc.normals, [[0, 0, 1]])
+    assert tc.section == SphericalDomain1D.polar_cap(np.pi / 2)
     pl2 = plane_surface(3, [1, 0, 0])
     wedge = tangent_cone([pl, pl2])
-    assert wedge.tag == "wedge"
-    assert wedge.aperture == pytest.approx(np.pi / 2)
+    assert np.allclose(wedge.normals, [[0, 0, 1], [1, 0, 0]])
+    assert wedge.section.geometry == "circle-arc"
+    assert wedge.section.theta_hi == pytest.approx(np.pi / 2)
     pb = paraboloid_surface(3)
     tc = tangent_cone([pb])
-    assert tc.tag == "halfspace" and np.allclose(tc.axis, [0, 0, 1])
+    assert np.allclose(tc.normals, [[0, 0, 1]])
+    assert tc.section.geometry == "polar-sphere"
 
 
 def test_tangent_cone_of_three_planes_is_their_fan():
     planes = [plane_surface(3, e) for e in np.eye(3)]
     fan = tangent_cone(planes)
-    assert fan.tag == "fan" and fan.n == 3 and fan.section is None
+    assert fan.section is None
     assert np.array_equal(fan.normals, np.eye(3))
     assert fan.contains((0.1, 0.2, 0.3))
     assert not fan.contains((-0.1, 0.2, 0.3))
@@ -88,7 +89,7 @@ def test_tangent_cone_of_three_planes_is_their_fan():
     # fewer planes give the wedge and the half-space, which let the points
     # across the planes they drop in
     wedge, halfspace = tangent_cone(planes[:2]), tangent_cone(planes[:1])
-    assert wedge.tag == "wedge" and halfspace.tag == "halfspace"
+    assert len(wedge.normals) == 2 and len(halfspace.normals) == 1
     for cone, outside in ((wedge, (0.1, -0.2, 0.3)),
                           (halfspace, (-0.1, 0.2, 0.3))):
         assert cone.contains((0.1, 0.2, 0.3))
@@ -97,15 +98,15 @@ def test_tangent_cone_of_three_planes_is_their_fan():
 
 
 def test_tangent_cone_dilation_invariance():
-    section = SphericalDomain1D("polar-sphere", 0.0, np.pi / 3,
-                                bc_lo="regular-pole", bc_hi="blowup")
-    tc = TangentConeSpec(tag="cap-cone", n=3, axis=np.array([0.0, 0.0, 1.0]),
-                         aperture=np.pi / 3, section=section)
+    # the wedge of a sphere and a tilted plane, as `tangent_cone` builds it
+    tc = tangent_cone([sphere_surface(3, 1.0), plane_surface(3, [1, 0, 1])])
     x = np.array([0.1, 0.05, 0.3])
     assert tc.contains(x)
     for t in (0.1, 2.0, 17.0):
         assert tc.contains(t * x)
-    assert tc.section.geometry == "polar-sphere"
+        assert not tc.contains(-t * x)
+    assert tc.section.geometry == "circle-arc"
+    assert tc.section.theta_hi == pytest.approx(3 * np.pi / 4)
 
 
 def test_dependent_normals_error():
@@ -245,9 +246,13 @@ def test_composition_error_bounded():
 
 
 def test_wedge_section_matches_opening():
-    tc = TangentConeSpec.wedge([0, 0, 1], [1, 0, 0], 3)
-    assert tc.section.geometry == "circle-arc"
-    assert tc.section.theta_hi == pytest.approx(np.pi / 2)
+    # the arc's opening is pi minus the angle between the two normals
+    for normal, opening in (([1, 0, 0], np.pi / 2), ([1, 0, 1], 3 * np.pi / 4),
+                            ([1, 0, -1], np.pi / 4)):
+        tc = tangent_cone([plane_surface(3, [0, 0, 1]),
+                           plane_surface(3, normal)])
+        assert tc.section.geometry == "circle-arc"
+        assert tc.section.theta_hi == pytest.approx(opening)
 
 
 def test_building_a_surface_scans_no_hessians(monkeypatch):

@@ -9,10 +9,8 @@ from blowlab.errors import ConfigError, DomainError
 from blowlab.operators import (
     MetricFamily,
     OperatorSpec,
-    TensorMesh,
     _ball_samples,
     _christoffel,
-    apply_operator,
     conformal_operator,
     conformal_quadratic_metric,
     euclidean_operator,
@@ -390,71 +388,6 @@ def test_ellipticity_within_ball():
     eigs = np.linalg.eigvalsh(a)
     assert np.min(eigs) >= 1.0 - op.c_l * radius**2
     assert np.min(eigs) > 0
-
-
-def test_apply_halfspace_solution():
-    # u = x3^(-1/2) solves Lap u = 3/4 u^5; scaled residual below 1e-6
-    n = 3
-    axes = (np.linspace(0.0, 0.2, 5), np.linspace(0.0, 0.2, 5),
-            np.linspace(0.3, 0.8, 401))
-    mesh = TensorMesh(axes)
-    pts = mesh.points()
-    fld = (pts[:, 2] ** -0.5).reshape(mesh.shape)
-    lap = apply_operator(euclidean_operator(n), fld, mesh)
-    res = lap - 0.75 * fld**5
-    x3 = pts[:, 2].reshape(mesh.shape)
-    interior = np.zeros(mesh.shape, dtype=bool)
-    interior[1:-1, 1:-1, 1:-1] = True
-    assert np.max(np.abs(res[interior]) * x3[interior] ** 4.5) < 1e-6
-
-
-def test_apply_ball_solution_identity():
-    # Lap u_R = n(n-2)/4 u_R^((n+2)/(n-2)) to discretization order
-    from blowlab.solver import exact_ball
-
-    n, R = 3, 1.0
-    axes = tuple(np.linspace(-0.35, 0.35, 57) for _ in range(3))
-    mesh = TensorMesh(axes)
-    pts = mesh.points()
-    u = exact_ball(n, R, pts).reshape(mesh.shape)
-    lap = apply_operator(euclidean_operator(n), u, mesh)
-    res = lap - 0.75 * u**5
-    interior = np.zeros(mesh.shape, dtype=bool)
-    interior[1:-1, 1:-1, 1:-1] = True
-    assert np.max(np.abs(res[interior]) / np.abs(lap[interior])) < 1e-3
-
-
-def test_apply_constant_field():
-    mesh = TensorMesh(tuple(np.linspace(0, 1, 9) for _ in range(3)))
-    fld = np.full(mesh.shape, 2.5)
-    out = apply_operator(euclidean_operator(3), fld, mesh)
-    assert np.max(np.abs(out)) < 1e-12
-
-
-def test_apply_second_order_convergence():
-    n = 3
-    errs = []
-    hs = []
-    for count in (21, 41, 81):
-        axes = tuple(np.linspace(0.2, 1.0, count) for _ in range(n))
-        mesh = TensorMesh(axes)
-        pts = mesh.points()
-        u = np.exp(pts[:, 0]) * np.sin(pts[:, 1] + 0.3 * pts[:, 2])
-        lap_exact = (np.exp(pts[:, 0]) * np.sin(pts[:, 1] + 0.3 * pts[:, 2])
-                     * (1.0 - 1.0 - 0.09))
-        lap = apply_operator(euclidean_operator(n), u.reshape(mesh.shape), mesh)
-        interior = np.zeros(mesh.shape, dtype=bool)
-        interior[1:-1, 1:-1, 1:-1] = True
-        errs.append(np.max(np.abs(lap - lap_exact.reshape(mesh.shape))[interior]))
-        hs.append(0.8 / (count - 1))
-    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    assert abs(slope - 2.0) <= 0.1
-
-
-def test_apply_shape_mismatch():
-    mesh = TensorMesh(tuple(np.linspace(0, 1, 9) for _ in range(3)))
-    with pytest.raises(ConfigError):
-        apply_operator(euclidean_operator(3), np.zeros((4, 4, 4)), mesh)
 
 
 def test_structure_constant_radius_guard():

@@ -52,8 +52,7 @@ def test_every_artifact_reads_back_through_one_reader(tmp_path,
     meta, header, data = read_csv(path, numeric=True)
     assert header == ["theta", "g", "rho"]
     assert meta == {"n": 3, "domain": prof.domain.as_dict(),
-                    "truncation": prof.truncation,
-                    "newton_residual": prof.newton_residual}
+                    "truncation": prof.truncation}
     assert np.array_equal(data, np.column_stack([prof.theta, prof.g, prof.rho]))
     back = profile_from_csv(path)
     assert np.array_equal(back.g, prof.g) and back.domain == prof.domain
@@ -87,7 +86,7 @@ def test_every_artifact_reads_back_through_one_reader(tmp_path,
     fld = SolutionField(domain=DomainSpec2D("ball", aperture=np.pi, r_max=1.0),
                         n=3, operator_label="euclidean", t=r, eta=np.zeros(1),
                         u=(1.0 + r**2)[:, None], d=(1.0 - r)[:, None],
-                        truncation=100.0, newton_residual=1e-12)
+                        truncation=100.0)
     path = str(tmp_path / "field.csv")
     write_field_csv(path, fld)
     meta, header, rows = read_csv(path)
@@ -123,7 +122,7 @@ def test_field_writer_gives_the_bytes_of_write_csv(tmp_path):
     fld = SolutionField(
         domain=DomainSpec2D("meridian", aperture=np.pi / 3, r_min=2.0**-8),
         n=3, operator_label="euclidean", t=t, eta=np.linspace(0, 1, shape[1]),
-        u=u, d=d, truncation=100.0, newton_residual=1e-12, bracket_width=0.01)
+        u=u, d=d, truncation=100.0, bracket_width=0.01)
     write_field_csv(str(tmp_path / "field.csv"), fld)
     meta = {"n": 3, "operator": "euclidean", "reduction": "meridian",
             "truncation": 100.0, "bracket_width": 0.01}
@@ -147,10 +146,9 @@ def test_profile_and_eigen_writers_give_the_bytes_of_per_value_formats(
     phi[:5] = [np.nan, 1e300, -np.inf, np.inf, -0.0]
     domain = SphericalDomain1D("polar-sphere", 0.0, 1.0)
     prof = SimpleNamespace(n=3, domain=domain, truncation=100.0,
-                           newton_residual=1e-12, theta=theta, g=g, rho=-g)
+                           theta=theta, g=g, rho=-g)
     profile_to_csv(prof, str(tmp_path / "profile.csv"))
-    meta = {"n": 3, "domain": domain.as_dict(), "truncation": 100.0,
-            "newton_residual": 1e-12}
+    meta = {"n": 3, "domain": domain.as_dict(), "truncation": 100.0}
     write_csv(str(tmp_path / "profile-expected.csv"), ["theta", "g", "rho"],
               ([f"{v:.17g}" for v in row] for row in zip(theta, g, -g)),
               meta=meta)

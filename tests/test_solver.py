@@ -184,8 +184,7 @@ def test_growth_check_keeps_the_rows_of_the_interior_window():
     u = d**-0.5                 # d^((n-2)/2) u = 1 at n = 3
     u[edge] *= 2.0
     fld = SolutionField(domain=dom, n=3, operator_label="hand-built", t=t,
-                        eta=eta, u=u, d=d, truncation=1e2,
-                        newton_residual=0.0)
+                        eta=eta, u=u, d=d, truncation=1e2)
     assert np.any(fld.interior_window()[edge])
     assert growth_check(fld) == (1.0, 2.0)
 
@@ -422,8 +421,7 @@ def test_interior_window_keeps_rows_on_its_edges():
     assert np.exp(t[edge]) > 0.125
     u_high[edge] = 1.5
     fld = SolutionField(domain=dom, n=3, operator_label="hand-built", t=t,
-                        eta=eta, u=u, d=u, truncation=1e2,
-                        newton_residual=0.0, u_high=u_high)
+                        eta=eta, u=u, d=u, truncation=1e2, u_high=u_high)
     assert np.any(fld.interior_window(r_hi=0.125)[edge])
     assert fld.bracket_width_over(r_hi=0.125) == pytest.approx(0.5)
     inner = int(np.argmin(np.abs(np.exp(t) - 4.0 * dom.r_min)))
@@ -871,3 +869,48 @@ def test_theta_b_orders_match_loops(curve):
     r = np.geomspace(2.0**-8, 1.0, 50)[:, None]
     for order, want in enumerate(_theta_b_by_loops(dom, r)):
         assert dom.theta_b(r, order).tobytes() == want.tobytes()
+
+
+def _wall_distance_by_table(domain, r, theta):
+    """Distance to the curved meridian wall from the (nodes, samples) table
+    of squared distances that the running minimum replaced."""
+    rs = np.geomspace(max(domain.r_min * 0.5, 1e-6), domain.r_max, 400)
+    bt = domain.theta_b(rs)
+    px, pz = r * np.sin(theta), r * np.cos(theta)
+    d2 = ((px[..., None] - rs * np.sin(bt)) ** 2
+          + (pz[..., None] - rs * np.cos(bt)) ** 2)
+    return np.sqrt(np.min(d2, axis=-1))
+
+
+@pytest.mark.parametrize("curve", [(0.2,), (0.2, -0.3, 0.05)])
+def test_curved_wall_distance_matches_the_table(curve):
+    # each squared distance is formed as in the table, and a minimum is
+    # exact, so the field is the same to the bit
+    dom = DomainSpec2D("meridian", aperture=np.pi / 3, curve=curve)
+    system = _WedgeSystem(dom, euclidean_operator(3), 3,
+                          SolveConfig(nt_per_octave=4, n_eta=32))
+    want = _wall_distance_by_table(dom, system.rr, system.theta)
+    assert system.d.tobytes() == want.tobytes()
+
+
+def test_curved_wall_distance_forms_no_table(monkeypatch):
+    # the default mesh (257 x 192 nodes): the table of 400 samples per node
+    # peaked at 302 MB; the running minimum holds a few node arrays
+    import tracemalloc
+
+    peaks, inner = [], solver._wall_distance_field
+
+    def measured(*args):
+        tracemalloc.start()
+        try:
+            out = inner(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(solver, "_wall_distance_field", measured)
+    dom = DomainSpec2D("meridian", aperture=np.pi / 3, curve=(0.2,))
+    system = _WedgeSystem(dom, euclidean_operator(3), 3, SolveConfig())
+    assert system.d.shape == (257, 192)
+    assert len(peaks) == 1 and peaks[0] < 16 * 2**20

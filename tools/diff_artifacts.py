@@ -10,9 +10,9 @@ paired in reading order.  A file whose numbers do not pair up (different
 counts, or bytes that are not UTF-8 text) is reported as `differs`.  A
 file that opens with a `# {json}` meta line, as the CSV artifacts do, is
 judged in two parts, `data ...` and `meta ...`, each `same`, its largest
-relative change or `differs`: a solver record in the meta line, such as
-a Newton residual, may move far more than the data do.  The exit status
-is 0 when every file is the same and 1 otherwise.
+relative change or `differs`, so that a change of the meta line, such as
+a key that one side lacks, does not hide how far the data moved.  The
+exit status is 0 when every file is the same and 1 otherwise.
 
 Uses the standard library only.
 """

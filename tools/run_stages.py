@@ -4,10 +4,14 @@
 
 Each stage (profile, eigen, solve, certify, verify, report) runs as its
 own `python -m blowlab.cli STAGE --config CONFIG --out OUT`, in pipeline
-order, with this checkout's `src/` first on PYTHONPATH.  Every stage runs
-even when an earlier one fails.  The script prints one `STAGE exit CODE`
-line per stage on stdout, and the stage's wall time, CPU time (user +
-sys) and peak resident set size, start-up included, as one
+order, with this checkout's `src/` first on PYTHONPATH and one BLAS/OpenMP
+thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
+1), so that the CPU time counts only useful work: the extra threads of a
+default BLAS spin idle in these stages, and the artifacts do not depend on
+the thread count.  Every stage runs even when an earlier one fails.  The
+script prints one `STAGE exit CODE` line per stage on stdout, and the
+stage's wall time, CPU time (user + sys) and peak resident set size,
+start-up included, as one
 `STAGE took SECONDS s cpu SECONDS s peak RSS MB MB` line on stderr; it
 exits with the worst (largest) status.  The CPU time and the peak RSS are
 the stage process's own, read from `os.wait4` as it is reaped.  Together
@@ -25,6 +29,8 @@ import sys
 import time
 
 STAGES = ("profile", "eigen", "solve", "certify", "verify", "report")
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
@@ -34,6 +40,7 @@ def run_stages(config, out):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.update(dict.fromkeys(THREAD_VARIABLES, "1"))
     codes = []
     for stage in STAGES:
         t0 = time.perf_counter()
