@@ -29,7 +29,7 @@ cfg = SolveConfig(schedule=(1e2, 1e3, 1e4), bracket_tol=1.0, n_eta=200,
 op = euclidean_operator(3)
 fld = solve(dom, op, 3, cfg)
 
-r = fld.t
+r = fld.r
 exact = (2.0 / (1.0 - r**2)) ** 0.5
 mask = r <= 0.7
 print(f"interior error vs exact (|x| <= 0.7): "

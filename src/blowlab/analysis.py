@@ -459,7 +459,7 @@ def compare_to_cone(fld, baseline=None):
         vals = np.abs(fld.d**m * fld.u - 1.0)
         return RatioField(vals[window], fld.d[window], "halfspace-distance")
     window = fld.interior_window()
-    ref = np.exp(fld.t)[:, None] ** (-m) * _matched_profile(fld)[None, :]
+    ref = fld.r[:, None] ** (-m) * _matched_profile(fld)[None, :]
     vals = np.abs(fld.u / ref - 1.0)
     return RatioField(vals[window], fld.radii()[window], "matched-profile")
 
@@ -549,11 +549,12 @@ class TheoremRow:
     sharp_check: bool = None
 
 
-def verify_theorem(case, n, rate_fit, predicted=None, eigen=None,
+def verify_theorem(case, n, measured, predicted=None, eigen=None,
                    slack=0.2, sharp_at=None):
     """Assemble one verification row; PASS iff measured >= predicted - slack.
 
-    `predicted` overrides the spectral regime (for statements with a fixed
+    `measured` is the fitted exponent (`RateFit.alpha_hat`); `predicted`
+    overrides the spectral regime of `eigen` (for statements with a fixed
     exponent); `sharp_at` additionally asserts measured <= that value, used
     where a rate is claimed not improvable.
     """
@@ -567,7 +568,6 @@ def verify_theorem(case, n, rate_fit, predicted=None, eigen=None,
         predicted_form = form.description
     else:
         predicted_form = f"C|x|^{predicted:g}"
-    measured = rate_fit.alpha_hat
     passed = measured >= predicted - slack
     sharp = None
     if sharp_at is not None:

@@ -290,23 +290,15 @@ def _read_regime(cdir):
 
 
 def run_verify(case, outdir):
-    from .analysis import RateFit, verify_theorem
+    from .analysis import verify_theorem
 
     cdir = _case_dir(outdir, case.label)
-    meta, table = _read_ratio(cdir)
-    fit = RateFit(
-        alpha_hat=float(meta["alpha_hat"]),
-        c_hat=float(meta["c_hat"]),
-        r_squared=float(meta["r_squared"]),
-        window=(float(meta["window_lo"]), float(meta["window_hi"])),
-        table=table,
-        model=meta["model"],
-    )
+    meta, _ = _read_ratio(cdir)
     predicted = case.get("predicted", float, required=False)
     row = verify_theorem(
         case.label,
         case.get("n", int),
-        fit,
+        float(meta["alpha_hat"]),
         predicted=predicted,
         eigen=_read_regime(cdir) if predicted is None else None,
         slack=case.get("slack", float),

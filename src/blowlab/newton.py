@@ -8,8 +8,9 @@ lowest one, from the last scheduled level on, where the stop test holds,
 taken in this order: the mesh can no longer resolve the layer where u
 reaches M (stop_reason "cap"), or the relative change on the interior band
 between the level and a neighbouring solved level is under `interior_tol`
-("interior"; which neighbour is set out below).  When no level the ladder
-allows stops, the last one is reported ("max_levels").  This module owns
+("interior"; which neighbour is set out below).  When no level stops, a
+ladder within the schedule reports its last level ("max_levels"), and one
+grown past it raises NewtonError.  This module owns
 that method; a problem supplies only its discrete pieces:
 
     fixed               mask of the Dirichlet nodes (wall, and cuts in 2-D)
@@ -236,9 +237,10 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels):
     Returns an `Escalation`.  The ladder is `schedule`, then M times
     GROWTH, at most `max_levels` levels; the reported level is the lowest
     one, from the last scheduled level on, where the cap is reached or the
-    band moved by less than `interior_tol` from a neighbouring level, and
-    the last one ("max_levels") when none does, so a schedule given with
-    `max_levels=len(schedule)` ends at its last level, solved directly.
+    band moved by less than `interior_tol` from a neighbouring level.  When
+    none does, a ladder within the schedule ends at its last level
+    ("max_levels"), solved directly, and one grown past it raises
+    NewtonError.
     The search, which solves every level it visits to `tol` and skips the
     levels its top level proves to reach the cap, is set out in the module
     docstring.
@@ -302,6 +304,9 @@ def escalate(problem, schedule, *, tol, interior_tol, max_levels):
         del own[k]
         k += 1
         reason = stop(k, k - 1, k - 1)
+    if reason is None and len(ladder) > len(schedule):
+        raise NewtonError(f"{problem.name} truncation search found no stop "
+                          f"in {max_levels} levels (M up to {ladder[-1]:g})")
     kept = own.pop(k)
     own.clear()
     return Escalation(solved[k], ladder[:k + 1], reason or "max_levels", kept)

@@ -27,6 +27,9 @@ a, b and S_g.  `OperatorSpec.coefficients` calls it on chunks of points
 sized by a byte budget.  This module applies no operator to a field: the
 solvers of `blowlab.solver` push the coefficients onto their own 2-D
 stencil and radial rows.
+
+One sampler, `_ball_points`, draws the points of C_L and of the metric's
+positive-definiteness check, with NumPy alone (no `scipy.stats`).
 """
 
 from __future__ import annotations
@@ -91,14 +94,7 @@ class MetricFamily:
         self._check_positive_definite()
 
     def _check_positive_definite(self):
-        # 256 points uniform in the ball: a normal direction times radius
-        # U^(1/n); `_ball_samples` would import scipy.stats into every
-        # metric build
-        rng = np.random.default_rng(7)
-        dirs = rng.standard_normal((256, self.n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = VALIDITY_RADIUS * rng.uniform(size=256) ** (1.0 / self.n)
-        g = self.metric(dirs * radii[:, None])
+        g = self.metric(_ball_points(self.n, VALIDITY_RADIUS, 256, seed=7))
         # eigvalsh cannot take a non-finite sample: NaN stands in and fails
         low = np.min(np.linalg.eigvalsh(g)) if np.isfinite(g).all() else np.nan
         if not low > 0:
@@ -163,20 +159,13 @@ def _christoffel(ginv, dg):
     return 0.5 * (ginv @ bracket.reshape(P, n, n * n)).reshape(P, n, n, n)
 
 
-def _ball_samples(n, radius, count, seed=0, exclude_inner=0.0):
-    """Deterministic quasi-random samples in the ball of given radius."""
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=n, scramble=True, seed=seed)
-    pts = []
-    need = count
-    while need > 0:
-        cand = radius * (2.0 * sampler.random(2 * need + 16) - 1.0)
-        rad = np.linalg.norm(cand, axis=1)
-        keep = cand[(rad < radius) & (rad > exclude_inner)]
-        pts.append(keep[:need])
-        need -= len(keep[:need])
-    return np.vstack(pts)
+def _ball_points(n, radius, count, seed):
+    """`count` points uniform in the n-ball of `radius`, drawn with `seed`:
+    a normal direction times a radius whose n-th power is uniform."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((count, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs * (radius * rng.uniform(size=count) ** (1.0 / n))[:, None]
 
 
 def conformal_quadratic_metric(n, q):
@@ -309,14 +298,15 @@ def conformal_operator(metric):
 
 
 def structure_constant(spec, radius, samples=4096, seed=11):
-    """Supremum of the structure ratio on a quasi-random ball sample."""
+    """Supremum of the structure ratio over a ball sample with |x| > 1e-4."""
     if radius > VALIDITY_RADIUS:
         raise DomainError(
             f"radius {radius} exceeds the operator validity ball {VALIDITY_RADIUS}"
         )
-    pts = _ball_samples(spec.n, radius, samples, seed=seed, exclude_inner=1e-4)
-    a, b, c = spec.coefficients(pts)
+    pts = _ball_points(spec.n, radius, samples, seed)
     r = np.linalg.norm(pts, axis=1)
+    pts, r = pts[r > 1e-4], r[r > 1e-4]
+    a, b, c = spec.coefficients(pts)
     delta = np.eye(spec.n)
     num = (
         np.sum(np.abs(a - delta), axis=(1, 2))

@@ -342,14 +342,9 @@ class BlowupProfile:
         one-sided values that carry no boundary condition.
         """
         n = self.n
-        p = (n + 2.0) / (n - 2.0)
-        lin = -0.25 * (n - 2.0) ** 2
-        res = self.d2g + lin * self.g - 0.25 * n * (n - 2.0) * self.g**p
-        if self.domain.geometry == POLAR_SPHERE:
-            res = res + (n - 2.0) * guarded_cot(self.theta) * self.dg
-        else:
-            res = res + 0.5 * (n - 2.0) ** 2 * self.g  # flip sign: +m^2 g
-        return res
+        drift, zero_order = _profile_terms(self.domain, n, self.theta)
+        return (self.d2g + drift * self.dg + zero_order * self.g
+                - 0.25 * n * (n - 2.0) * self.g ** ((n + 2.0) / (n - 2.0)))
 
     def scaled_residual_norm(self):
         d = self.wall_distance()
@@ -425,7 +420,7 @@ class BandedProblem:
         return np.where(self.fixed, M, 0.0)
 
     def warm_start(self, g, M):
-        return np.maximum(np.minimum(self.start if g is None else g, M), 1e-10)
+        return np.minimum(self.start if g is None else g, M)
 
     def residual(self, g, data):
         fixed = self.fixed
@@ -477,6 +472,14 @@ class BandedProblem:
         return bool(self.probes) and M >= 2.0 * max(g[k] for k in self.probes)
 
 
+def _profile_terms(domain, n, theta):
+    """(drift, zero_order) of the profile equation g'' + drift g' +
+    zero_order g = n(n-2)/4 g^p at the nodes theta (module docstring)."""
+    if domain.geometry == POLAR_SPHERE:
+        return (n - 2.0) * guarded_cot(theta), -0.25 * (n - 2.0) ** 2
+    return np.zeros_like(theta), +0.25 * (n - 2.0) ** 2
+
+
 def solve_profile(domain, n, schedule=(1e2,), grid=None, nodes=None,
                   interior_tol=1e-8, max_levels=MAX_LEVELS):
     """Solve the separated profile at the reported truncation level.
@@ -486,7 +489,8 @@ def solve_profile(domain, n, schedule=(1e2,), grid=None, nodes=None,
     can no longer resolve the layer where the profile reaches M, or the
     interior (wall buffer excluded) stops moving at `interior_tol` (finite,
     > 0) relative, within `max_levels` levels (`blowlab.newton.escalate`;
-    `max_levels=1` solves one fixed level).  `nodes` overrides the graded
+    `max_levels=1` solves one fixed level, and a search that finds no stop
+    past the schedule raises NewtonError).  `nodes` overrides the graded
     grid with explicit theta nodes (used to match a 2-D solver's angular
     grid exactly).
     """
@@ -502,12 +506,7 @@ def solve_profile(domain, n, schedule=(1e2,), grid=None, nodes=None,
     check_schedule(schedule)
     check_tolerance("interior_tol", interior_tol)
 
-    if domain.geometry == POLAR_SPHERE:
-        drift = (n - 2.0) * guarded_cot(theta[1:-1])
-        zero_order = -0.25 * (n - 2.0) ** 2
-    else:
-        drift = np.zeros(theta.size - 2)
-        zero_order = +0.25 * (n - 2.0) ** 2
+    drift, zero_order = _profile_terms(domain, n, theta[1:-1])
     problem = BandedProblem(
         theta, 1.0, drift, zero_order, domain.bc_lo, domain.bc_hi, n,
         domain.wall_distance(theta), domain.theta_hi - domain.theta_lo,

@@ -233,7 +233,7 @@ class SolutionField:
     domain: DomainSpec2D
     n: int
     operator_label: str
-    t: np.ndarray                  # (Nt,) log radii; for balls, radii r
+    r: np.ndarray                  # (Nt,) radii
     eta: np.ndarray                # (Ne,) straightened angle; balls: (1,)
     u: np.ndarray                  # (Nt, Ne) solution values
     d: np.ndarray                  # (Nt, Ne) distance to the real boundary
@@ -244,13 +244,9 @@ class SolutionField:
     stop_reason: str = None        # why escalation stopped; not written out
 
     @property
-    def r(self):
-        return self.t if self.domain.reduction == BALL else np.exp(self.t)
-
-    @property
     def theta(self):
         if self.domain.reduction == BALL:
-            return np.zeros((self.t.size, 1))
+            return np.zeros((self.r.size, 1))
         return self.eta[None, :] * self.domain.theta_b(self.r)[:, None]
 
     def radii(self):
@@ -414,7 +410,6 @@ class _WedgeSystem:
         self.nt, self.ne = self.t.size, self.eta.size
         self.r = np.exp(self.t)
 
-        TT, EE = np.meshgrid(self.t, self.eta, indexing="ij")
         beta = domain.theta_b(self.r)
         outside = ~((0 < beta) & (beta < np.pi))
         if domain.reduction == MERIDIAN and outside.any():
@@ -428,15 +423,16 @@ class _WedgeSystem:
             if not np.isfinite(1.0 / beta**2).all():
                 raise DomainError(f"the mesh has collapsed: 1/theta_b^2 "
                                   f"overflows at aperture {domain.aperture:g}")
-        self.theta = EE * beta[:, None]
-        self.rr = np.exp(TT)
+        self.theta = self.eta[None, :] * beta[:, None]
+        self.rr = np.broadcast_to(self.r[:, None], self.theta.shape)
+        # w = r^m u: the one r^m of the system, node by node
+        self.wrad = self.rr.ravel() ** self.m
 
         self._assemble_linear()
         self.cut_cone = self._cut_cone(solve_profile(
             domain.section(), n, nodes=self.eta * domain.aperture))
         self.d = _wall_distance_field(domain, self.rr, self.theta)
-        self.sup_w = (self.rr**self.m * supersolution_start(self.d, n)).ravel()
-        self.wrad = self.rr.ravel() ** self.m
+        self.sup_w = self.wrad * supersolution_start(self.d, n).ravel()
 
         # interior band for the escalation stop: clear of the wall layer
         band2d = np.zeros((self.nt, self.ne), dtype=bool)
@@ -584,15 +580,13 @@ class _WedgeSystem:
 
     # -- the truncated problem of blowlab.newton ----------------------------
     def dirichlet(self, M):
-        """Dirichlet data vector: wall truncation + bracket cone data."""
-        wall_w = M * np.exp(self.m * self.t)      # w = M r^m on the wall
-        return np.minimum(self.bracket_factor * self.cut_cone,
-                          wall_w[:, None]).ravel()
+        """Dirichlet data vector: wall truncation w = M r^m + bracket cone
+        data."""
+        return np.minimum(self.bracket_factor * self.cut_cone.ravel(),
+                          M * self.wrad)
 
     def warm_start(self, w, M):
-        if w is None:
-            return np.maximum(np.minimum(self.sup_w, M * self.wrad), 1e-10)
-        return np.minimum(w, M * self.wrad)
+        return np.minimum(self.sup_w if w is None else w, M * self.wrad)
 
     def residual(self, w, bc_vals):
         f = self.L @ w
@@ -621,10 +615,10 @@ class _WedgeSystem:
         # resolve its layer is the innermost one
         w2d = w.reshape(self.nt, self.ne)
         probe = max(np.max(w2d[1:-1, col]) for col in self.probe_cols)
-        return M * np.exp(self.m * self.t[0]) >= 2.0 * probe
+        return M * self.wrad[0] >= 2.0 * probe
 
     def _to_u(self, w):
-        return w.reshape(self.nt, self.ne) / self.rr**self.m
+        return (w / self.wrad).reshape(self.nt, self.ne)
 
 
 # ---------------------------------------------------------------------------
@@ -663,14 +657,14 @@ def _truncated_problem(domain, op, n, config):
     """The truncated problem `solve` searches on `domain`, with the low
     bracket's cut data in 2-D.
 
-    Returns (problem, t, eta, d, to_u): the mesh and the distance field as
+    Returns (problem, r, eta, d, to_u): the mesh and the distance field as
     `SolutionField` holds them, and the map from the problem's unknown to u
     on that mesh.  Rejects an operator without the reduction's symmetry.
     """
     if domain.reduction != BALL:
         check_axisymmetry(op, domain, n)
         system = _WedgeSystem(domain, op, n, config)
-        return system, system.t, system.eta, system.d, system._to_u
+        return system, system.r, system.eta, system.d, system._to_u
     R = domain.r_max
     check_radial_symmetry(op, n, R)
     r = power_law_nodes(0.0, R, max(config.n_eta * 10, 2000),
@@ -703,7 +697,7 @@ def solve(domain, op, n, config=None, forced_schedule=None):
     schedule, max_levels = config.schedule, MAX_LEVELS
     if forced_schedule:
         schedule, max_levels = forced_schedule, len(forced_schedule)
-    problem, t, eta, d, to_u = _truncated_problem(domain, op, n, config)
+    problem, r, eta, d, to_u = _truncated_problem(domain, op, n, config)
     low = escalate(problem, schedule, tol=config.newton_tol,
                    interior_tol=config.interior_tol, max_levels=max_levels)
     M_final = low.m_history[-1]
@@ -723,7 +717,7 @@ def solve(domain, op, n, config=None, forced_schedule=None):
         domain=domain,
         n=n,
         operator_label=op.label,
-        t=t,
+        r=r,
         eta=eta,
         u=to_u(low.x),
         d=d,
@@ -755,9 +749,9 @@ def level_fields(fld, op, config):
     `(fld.truncation, fld.u)` itself.  Raises ConfigError when `config`
     builds a mesh other than the field's.
     """
-    problem, t, eta, _, to_u = _truncated_problem(fld.domain, op, fld.n,
+    problem, r, eta, _, to_u = _truncated_problem(fld.domain, op, fld.n,
                                                   config)
-    if not (np.array_equal(t, fld.t) and np.array_equal(eta, fld.eta)):
+    if not (np.array_equal(r, fld.r) and np.array_equal(eta, fld.eta)):
         raise ConfigError(f"config does not rebuild the field's "
                           f"{fld.u.shape[0]} x {fld.u.shape[1]} mesh")
     snaps, x, kept = [], None, None
@@ -831,7 +825,7 @@ def sum_supersolution_defect(fld_a, fld_b):
     n = fld_a.n
     p = (n + 2.0) / (n - 2.0)
     coef = 0.25 * n * (n - 2.0)
-    r = fld_a.t
+    r = fld_a.r
     u = fld_a.u[:, 0] + fld_b.u[:, 0]
     du, d2u = derivative_arrays(r, u)
     lap = d2u[1:-1] + (n - 1.0) / r[1:-1] * du[1:-1]

@@ -349,12 +349,12 @@ def test_fit_rotation_invariance(ball_field):
 def test_verify_rows(half_sphere_eigen, ball_field):
     ratio = compare_to_cone(ball_field)
     fit = fit_rate(ratio, 2.0**-9, 2.0**-2)
-    row = verify_theorem("ball-n3", 3, fit, predicted=1.0, slack=0.1,
-                         sharp_at=1.3)
+    row = verify_theorem("ball-n3", 3, fit.alpha_hat, predicted=1.0,
+                         slack=0.1, sharp_at=1.3)
     assert row.passed and row.sharp_check
     # regime-driven prediction follows the trichotomy
-    row2 = verify_theorem("half-sphere", 3, fit, eigen=half_sphere_eigen[3],
-                          slack=0.2)
+    row2 = verify_theorem("half-sphere", 3, fit.alpha_hat,
+                          eigen=half_sphere_eigen[3], slack=0.2)
     assert row2.predicted == 2.0
     assert not row2.passed  # measured ~1 against predicted 2
     assert row2.sharp_check is None  # no sharp_at, so no sharpness check

@@ -341,6 +341,30 @@ def test_config_boundary_fuzz(tmp_path, capsys, case):
     assert bad == []
 
 
+def test_profile_below_its_schedule_fails_and_eigen_finds_no_profile(
+        tmp_path, capsys):
+    # the fuzz cell `schedule = 1e-300` of tiny-eigen: the profile's search
+    # finds no stop, so no profile.csv is written and the eigen stage has
+    # nothing to read
+    from blowlab.cli import main
+
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(_with_setting(FUZZ_CONFIG, "tiny-eigen", "schedule = 1e-300")
+                   .format(out=tmp_path / "out"))
+    ends = []
+    for stage in ("profile", "eigen"):
+        code = main([stage, "--config", str(cfg), "--case", "tiny-eigen"])
+        ends.append((code, capsys.readouterr().err.strip().splitlines()))
+    (profile_code, profile_err), (eigen_code, eigen_err) = ends
+    assert profile_code == 5 and len(profile_err) == 1
+    assert profile_err[0].startswith("solver failure: NewtonError: case "
+                                     "tiny-eigen: profile truncation search "
+                                     "found no stop")
+    assert eigen_code == 3 and len(eigen_err) == 1
+    assert eigen_err[0].startswith("artifact error:")
+    assert "tiny-eigen/profile.csv" in eigen_err[0]
+
+
 def test_profile_meta_holds_the_field_only(tmp_path):
     # the profile stage writes n, domain and truncation, and no solver
     # record; a profile.csv that still holds `newton_residual` reads back
@@ -878,7 +902,8 @@ def test_verify_reads_the_regime_from_eigen_csv(light_stages):
     assert run_cli("verify", "--config", str(cfg),
                    "--case", "tiny-cone").returncode == 0
     eigen = first_eigenpair(profile_from_csv(str(cdir / "profile.csv")))
-    row = verify_theorem("tiny-cone", 3, LIGHT_FIT, eigen=eigen, slack=0.3)
+    row = verify_theorem("tiny-cone", 3, LIGHT_FIT.alpha_hat, eigen=eigen,
+                         slack=0.3)
     _, header, rows = read_csv(str(cdir / "verify.csv"))
     assert header == ["case", "n", "predicted_form", "predicted", "measured",
                       "passed"]

@@ -84,10 +84,14 @@ def test_escalate_stops():
     assert found.m_history == [1.0, 2.0, 4.0, 8.0]
     assert found.stop_reason == "cap"
     assert np.allclose(found.x[1:], np.sqrt(12.0), rtol=1e-12)
-    # ... or up to max_levels, which also cuts a schedule short
-    found = escalate(_Toy(coupling=1.0), [1.0, 2.0], **KW, max_levels=3)
-    assert found.m_history == [1.0, 2.0, 4.0]
-    assert found.stop_reason == "max_levels"
+    # ... and a search that grows the ladder past the schedule up to
+    # max_levels without a stop reports no level
+    with pytest.raises(NewtonError, match="toy truncation search found no "
+                                          r"stop in 3 levels \(M up to 4\)"):
+        escalate(_Toy(coupling=1.0), [1.0, 2.0], **KW, max_levels=3)
+    # a schedule that max_levels holds or cuts short ends at its last level
+    found = escalate(_Toy(coupling=1.0), [1.0, 2.0], **KW, max_levels=2)
+    assert found.m_history == [1.0, 2.0] and found.stop_reason == "max_levels"
     found = escalate(_Toy(), [1.0, 2.0, 4.0], **KW, max_levels=2)
     assert found.m_history == [1.0, 2.0] and found.stop_reason == "max_levels"
 

@@ -9,7 +9,7 @@ from blowlab.errors import ConfigError, DomainError
 from blowlab.operators import (
     MetricFamily,
     OperatorSpec,
-    _ball_samples,
+    _ball_points,
     _christoffel,
     conformal_operator,
     conformal_quadratic_metric,
@@ -165,7 +165,7 @@ METRICS = pytest.mark.parametrize("build", [
 @METRICS
 def test_derivative_tables_match_index_walk(build):
     met = build()
-    pts = _ball_samples(met.n, 1.0, 257, seed=21)
+    pts = _ball_points(met.n, 1.0, 257, seed=21)
     for order in range(3):
         got = met.derivatives(order, pts)
         assert got.flags.c_contiguous
@@ -175,7 +175,7 @@ def test_derivative_tables_match_index_walk(build):
 @METRICS
 def test_one_pass_coefficients_match_three_closures(build):
     met = build()
-    pts = _ball_samples(met.n, 1.0, 4096, seed=13)
+    pts = _ball_points(met.n, 1.0, 4096, seed=13)
     a, b, c = conformal_operator(met).coefficients(pts)
     a_ref, b_ref, c_ref = reference_coefficients(met, pts)
     assert np.array_equal(a, a_ref)
@@ -217,7 +217,7 @@ def test_d2g_matmul_matches_einsum(build):
     # dense einsum: within 1e-14 of the largest |S_g| (S_g changes sign
     # inside the ball for the off-diagonal metric)
     met = build()
-    pts = _ball_samples(met.n, 1.0, 1184, seed=5)
+    pts = _ball_points(met.n, 1.0, 1184, seed=5)
     got = scalar_curvature(met, pts)
     want = _curvature_by_einsum(met, pts)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -230,7 +230,7 @@ def test_one_pass_memory_and_evaluations(monkeypatch):
     # a few (256, 6^3)-double temporaries of one chunk: 2.2 MiB measured
     met = conformal_quadratic_metric(6, 0.3)
     op = conformal_operator(met)
-    pts = _ball_samples(6, 1.0, 1184, seed=5)
+    pts = _ball_points(6, 1.0, 1184, seed=5)
     op.coefficients(pts)            # builds the derivative tables
     tracemalloc.start()
     try:
@@ -266,7 +266,7 @@ def test_coefficients_are_evaluated_in_bounded_chunks():
     op = conformal_operator(conformal_quadratic_metric(6, 0.3))
     chunk = operators.COEFFICIENT_BYTES // (8 * 6**3)
     assert chunk == 256
-    pts = _ball_samples(6, 1.0, 3 * chunk + 5, seed=5)
+    pts = _ball_points(6, 1.0, 3 * chunk + 5, seed=5)
     whole = op.evaluate(pts)
     sizes = []
     evaluate = op.evaluate
@@ -296,7 +296,7 @@ def test_coefficients_do_not_depend_on_the_chunk_size(build, monkeypatch):
     # in any batch: from `Polynomial.__call__` and from each contraction
     met = build()
     op = conformal_operator(met)
-    pts = _ball_samples(met.n, 1.0, 600, seed=17)
+    pts = _ball_points(met.n, 1.0, 600, seed=17)
     sizes = []
     evaluate = op.evaluate
 
@@ -368,9 +368,9 @@ def test_conformal_structure_constant_stable():
 
 def test_structure_inequality_resampled():
     op = conformal_operator(conformal_quadratic_metric(3, 0.3))
-    from blowlab.operators import _ball_samples
+    from blowlab.operators import _ball_points
 
-    pts = _ball_samples(3, 1.0, 2048, seed=1234, exclude_inner=1e-4)
+    pts = _ball_points(3, 1.0, 2048, seed=1234)
     a, b, c = op.coefficients(pts)
     r = np.linalg.norm(pts, axis=1)
     lhs = (np.sum(np.abs(a - np.eye(3)), axis=(1, 2)) + r * np.sum(np.abs(b), axis=1)
@@ -380,10 +380,10 @@ def test_structure_inequality_resampled():
 
 def test_ellipticity_within_ball():
     op = conformal_operator(conformal_quadratic_metric(3, 0.3))
-    from blowlab.operators import _ball_samples
+    from blowlab.operators import _ball_points
 
     radius = 0.3
-    pts = _ball_samples(3, radius, 512, seed=3)
+    pts = _ball_points(3, radius, 512, seed=3)
     a, _, _ = op.coefficients(pts)
     eigs = np.linalg.eigvalsh(a)
     assert np.min(eigs) >= 1.0 - op.c_l * radius**2
@@ -413,13 +413,17 @@ def test_import_leaves_scipy_stats_out():
 
     src = os.path.dirname(os.path.dirname(blowlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    # the import alone, and a straightening map built on top of it
+    # the import alone; a straightening map and a conformal operator built
+    # on top of it; and the structure constant measured at its first read
     for work in ("import blowlab",
                  "from blowlab import build_T, sphere_surface; "
                  "build_T([sphere_surface(3, 1.0)])",
                  "from blowlab import conformal_operator, "
                  "conformal_quadratic_metric; "
-                 "conformal_operator(conformal_quadratic_metric(6, 0.3))"):
+                 "conformal_operator(conformal_quadratic_metric(6, 0.3))",
+                 "from blowlab import conformal_operator, "
+                 "conformal_quadratic_metric; "
+                 "conformal_operator(conformal_quadratic_metric(3, 0.3)).c_l"):
         code = f"import sys; {work}; print('scipy.stats' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              check=True, capture_output=True, text=True).stdout

@@ -149,6 +149,16 @@ def test_solve_profile_rejects_bad_schedules(schedule):
         solve_profile(cap(1.0), 3, schedule=schedule, grid=MEDIUM)
 
 
+def test_schedule_below_the_profile_is_a_newton_failure():
+    # wall data of 1e-300 lie far below the n = 4 cap's profile: no level of
+    # the ladder reaches the cap or settles, so the search raises instead of
+    # reporting a field that no level resolves
+    with pytest.raises(NewtonError, match="profile truncation search found "
+                                          "no stop in 80 levels"):
+        solve_profile(cap(1.0), 4, schedule=(1e-300,),
+                      grid=GridSpec(200, 2.0))
+
+
 def test_search_cost_on_a_profile(monkeypatch):
     # the n = 6 half-sphere of configs/cases.cfg stops at the cap after 39
     # ladder levels; the search visits few of them: 39 factorizations, one

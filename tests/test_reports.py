@@ -84,7 +84,7 @@ def test_every_artifact_reads_back_through_one_reader(tmp_path,
 
     r = np.linspace(0.0, 0.9, 4)
     fld = SolutionField(domain=DomainSpec2D("ball", aperture=np.pi, r_max=1.0),
-                        n=3, operator_label="euclidean", t=r, eta=np.zeros(1),
+                        n=3, operator_label="euclidean", r=r, eta=np.zeros(1),
                         u=(1.0 + r**2)[:, None], d=(1.0 - r)[:, None],
                         truncation=100.0)
     path = str(tmp_path / "field.csv")
@@ -118,10 +118,10 @@ def test_field_writer_gives_the_bytes_of_write_csv(tmp_path):
     u.flat[:9] = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, 5e-324,
                   1.0 / 3.0, 123456789012.5]
     d.flat[:4] = [1e16, 1e-5, 0.1 + 0.2, -2.0**-1074]
-    t = np.log(np.geomspace(2.0**-8, 1.0, shape[0]))
+    r = np.geomspace(2.0**-8, 1.0, shape[0])
     fld = SolutionField(
         domain=DomainSpec2D("meridian", aperture=np.pi / 3, r_min=2.0**-8),
-        n=3, operator_label="euclidean", t=t, eta=np.linspace(0, 1, shape[1]),
+        n=3, operator_label="euclidean", r=r, eta=np.linspace(0, 1, shape[1]),
         u=u, d=d, truncation=100.0, bracket_width=0.01)
     write_field_csv(str(tmp_path / "field.csv"), fld)
     meta = {"n": 3, "operator": "euclidean", "reduction": "meridian",

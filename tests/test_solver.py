@@ -76,11 +76,11 @@ def test_exact_ball_values():
 
 
 def test_ball_interior_matches_exact(ball_field):
-    r = ball_field.t
-    u = ball_field.u[:, 0]
+    mask = ball_field.r <= 0.7
+    r = ball_field.r[mask]
+    u = ball_field.u[mask, 0]
     exact = (2.0 / (1.0 - r**2)) ** 0.5
-    mask = r <= 0.7
-    assert np.max(np.abs(u[mask] / exact[mask] - 1.0)) <= 1e-3
+    assert np.max(np.abs(u / exact - 1.0)) <= 1e-3
 
 
 def test_halfspace_cone_matches_exact(halfspace_cone_field):
@@ -183,8 +183,8 @@ def test_growth_check_keeps_the_rows_of_the_interior_window():
     d = np.full((t.size, eta.size), 0.04)
     u = d**-0.5                 # d^((n-2)/2) u = 1 at n = 3
     u[edge] *= 2.0
-    fld = SolutionField(domain=dom, n=3, operator_label="hand-built", t=t,
-                        eta=eta, u=u, d=d, truncation=1e2)
+    fld = SolutionField(domain=dom, n=3, operator_label="hand-built",
+                        r=np.exp(t), eta=eta, u=u, d=d, truncation=1e2)
     assert np.any(fld.interior_window()[edge])
     assert growth_check(fld) == (1.0, 2.0)
 
@@ -227,7 +227,7 @@ def test_negative_curvature_lower_bound():
                                          n_eta=200, eta_grading=2.0))
     from blowlab.operators import scalar_curvature
 
-    r = fld.t[1:-1]
+    r = fld.r[1:-1]
     pts = np.zeros((r.size, n))
     pts[:, -1] = r
     s_g = scalar_curvature(met, pts)
@@ -257,10 +257,10 @@ def test_ball_order_of_accuracy():
         cfg = SolveConfig(schedule=(1e2, 1e3, 1e4), bracket_tol=1.0,
                           n_eta=count, eta_grading=2.0)
         fld = solve(BALL, euclidean_operator(3), 3, cfg)
-        r = fld.t
+        mask = fld.r <= 0.7
+        r = fld.r[mask]
         exact = (2.0 / (1.0 - r**2)) ** 0.5
-        mask = r <= 0.7
-        errs.append(np.max(np.abs(fld.u[mask, 0] / exact[mask] - 1.0)))
+        errs.append(np.max(np.abs(fld.u[mask, 0] / exact - 1.0)))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.5
 
@@ -401,7 +401,7 @@ def test_majorant_from_certificate(ball_field):
     cert = certify_supersolution(StructureClass(3, 0.0), "graded-sum", n=3)
     assert cert.passed
     A, B = cert.constants["A"], cert.constants["B"]
-    r = ball_field.t
+    r = ball_field.r
     mask = r <= cert.constants["r0"]
     u_star = (2.0 / (1.0 - r[mask] ** 2)) ** 0.5
     beta = cert.constants["beta"]
@@ -420,8 +420,9 @@ def test_interior_window_keeps_rows_on_its_edges():
     edge = int(np.argmin(np.abs(np.exp(t) - 0.125)))
     assert np.exp(t[edge]) > 0.125
     u_high[edge] = 1.5
-    fld = SolutionField(domain=dom, n=3, operator_label="hand-built", t=t,
-                        eta=eta, u=u, d=u, truncation=1e2, u_high=u_high)
+    fld = SolutionField(domain=dom, n=3, operator_label="hand-built",
+                        r=np.exp(t), eta=eta, u=u, d=u, truncation=1e2,
+                        u_high=u_high)
     assert np.any(fld.interior_window(r_hi=0.125)[edge])
     assert fld.bracket_width_over(r_hi=0.125) == pytest.approx(0.5)
     inner = int(np.argmin(np.abs(np.exp(t) - 4.0 * dom.r_min)))
@@ -525,7 +526,7 @@ def _dirichlet_by_loops(system, M):
     nt, ne = system.nt, system.ne
     idx = np.arange(nt * ne).reshape(nt, ne)
     vals = np.zeros(nt * ne)
-    wall_w = M * np.exp(system.m * system.t)
+    wall_w = M * system.r**system.m
     kind = system.kind
     for j in range(nt):
         for k in (0, ne - 1):
@@ -842,7 +843,7 @@ def test_node_maps_match_inline_formulas(grading):
     s = np.linspace(0.0, 1.0, 2000)
     r = R * (1.0 - (1.0 - s) ** grading)
     r[0], r[-1] = 0.0, R
-    assert fld.t.tobytes() == r.tobytes()
+    assert fld.r.tobytes() == r.tobytes()
     # graded_nodes on a cap: clustered at the blow-up end only
     dom = DomainSpec2D("meridian", aperture=1.0).section()
     theta = 0.0 + (1.0 - 0.0) * (1.0 - (1.0 - s) ** float(grading))
