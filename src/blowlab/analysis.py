@@ -80,11 +80,6 @@ class BarrierCertificate:
     passed: bool
     constants: dict = field(default_factory=dict)
 
-    def __str__(self):
-        tag = "PASS" if self.passed else "FAIL"
-        return (f"[{tag}] {self.label} on {self.region}: margin {self.margin:.3e} "
-                f"({self.node_count} nodes, {self.constants})")
-
 
 # ---------------------------------------------------------------------------
 # closed-form radial ingredients
@@ -230,8 +225,7 @@ def _cone_barrier_ingredients(eigen, r, case):
     n = prof.n
     m = 0.5 * (n - 2.0)
     mask = prof.interior_mask()
-    theta = prof.theta[mask][1:]   # drop the pole node: phi row there is BC
-    g = prof.g[mask][1:]
+    g = prof.g[mask][1:]           # drop the pole node: phi row there is BC
     rho = prof.rho[mask][1:]
     phi = eigen.phi[mask][1:]
     lam = eigen.lambda1
@@ -239,30 +233,27 @@ def _cone_barrier_ingredients(eigen, r, case):
     V = 0.25 * n * (n + 2.0) / rho**2
     alpha = 0.5 * (6.0 - n)
 
-    R, TH = np.meshgrid(r, theta, indexing="ij")
-    G = np.broadcast_to(g, R.shape)
-    PHI = np.broadcast_to(phi, R.shape)
-    VV = np.broadcast_to(V, R.shape)
+    R = r[:, None]      # radii down the rows, the angular nodes across
 
-    u_v = R ** (-m) * G
+    u_v = R ** (-m) * g
     lap_uv = 0.25 * n * (n - 2.0) * u_v ** ((n + 2.0) / (n - 2.0))
     term0 = u_v * R**2
     lap0 = lap_uv * R**2 + 4.0 * u_v
     term1 = R**alpha
     lap1 = alpha * (alpha + n - 2.0) * R ** (alpha - 2.0)
     if case == "quadratic":
-        term2 = R**alpha * PHI
-        lap2 = R ** (alpha - 2.0) * (alpha * (alpha + n - 2.0) - lam + VV) * PHI
+        term2 = R**alpha * phi
+        lap2 = R ** (alpha - 2.0) * (alpha * (alpha + n - 2.0) - lam + V) * phi
     elif case == "log":
-        term2 = -(R**alpha) * np.log(R) * PHI
+        term2 = -(R**alpha) * np.log(R) * phi
         lap2 = -(np.log(R) * R ** (alpha - 2.0)
-                 * (alpha * (alpha + n - 2.0) - lam + VV) * PHI
-                 + (2.0 * alpha + n - 2.0) * R ** (alpha - 2.0) * PHI)
+                 * (alpha * (alpha + n - 2.0) - lam + V) * phi
+                 + (2.0 * alpha + n - 2.0) * R ** (alpha - 2.0) * phi)
     elif case == "slow":
         a2 = mu - m
-        term2 = (R**a2 - R**alpha) * PHI
-        lap2 = (VV * R ** (a2 - 2.0)
-                - R ** (alpha - 2.0) * (alpha * (alpha + n - 2.0) - lam + VV)) * PHI
+        term2 = (R**a2 - R**alpha) * phi
+        lap2 = (V * R ** (a2 - 2.0)
+                - R ** (alpha - 2.0) * (alpha * (alpha + n - 2.0) - lam + V)) * phi
     else:
         raise ConfigError(f"unknown cone barrier case {case!r}")
     return u_v, lap_uv, term0, lap0, term1, lap1, term2, lap2, rho
@@ -347,18 +338,15 @@ def _certify_t_composed(op, eigen, tmap):
     node; the constant search reruns with that bound subtracted, so the
     found constants absorb the composition penalty.
     """
-    from .geometry import apply_T
+    from .geometry import _norm, apply_T
 
-    rng = np.random.default_rng(17)
-    points = []
-    for _ in range(24):
-        v = rng.standard_normal(tmap.n)
-        v /= np.linalg.norm(v)
-        points += [s * 0.5 * tmap.r_T * v for s in (0.1, 0.3, 0.6)]
-    points = np.array(points)
-    worst_ct = 0.0
-    for x, xb in zip(points, apply_T(tmap, points)):
-        worst_ct = max(worst_ct, np.linalg.norm(xb - x) / np.linalg.norm(x) ** 2)
+    # 24 unit directions, each at 0.1, 0.3 and 0.6 of r_T / 2
+    v = np.random.default_rng(17).standard_normal((24, tmap.n))
+    v /= _norm(v)[:, None]
+    scale = np.array([0.1, 0.3, 0.6]) * 0.5 * tmap.r_T
+    points = (scale[None, :, None] * v[:, None, :]).reshape(-1, tmap.n)
+    worst_ct = float(np.max(_norm(apply_T(tmap, points) - points)
+                            / _norm(points) ** 2))
     r_grid = np.geomspace(0.5 * tmap.r_T, 2.0**-8, 10)
     return _certify_cone_corrected(op, eigen, "quadratic", c_t=worst_ct,
                                    r_grid=r_grid, label="t-composed-quadratic")
@@ -419,6 +407,7 @@ def _matched_profile(fld):
     sees: wall data M r^m varies across columns, and matching the
     mid-window state keeps the comparison bias at the slow-drift level.
     """
+    from .newton import GROWTH
     from .profiles import solve_profile
 
     dom = fld.domain
@@ -426,7 +415,7 @@ def _matched_profile(fld):
     tau = fld.truncation * r_geo ** (0.5 * (fld.n - 2.0))
     schedule = [100.0]
     while schedule[-1] < tau:
-        schedule.append(schedule[-1] * 2.0)
+        schedule.append(schedule[-1] * GROWTH)
     return solve_profile(dom.section(), fld.n, nodes=fld.eta * dom.aperture,
                          schedule=schedule).g
 
@@ -454,8 +443,7 @@ def compare_to_cone(fld, baseline=None):
         vals = np.abs(fld.u / baseline.u - 1.0)
         return RatioField(vals[window], fld.radii()[window], "discrete-cone")
     if fld.domain.reduction == BALL:
-        window = (fld.d > 0) & (fld.d <= fld.domain.r_max)
-        window &= fld.d >= (fld.d.max() * 1e-4)
+        window = fld.interior_window() & (fld.d >= fld.d.max() * 1e-4)
         vals = np.abs(fld.d**m * fld.u - 1.0)
         return RatioField(vals[window], fld.d[window], "halfspace-distance")
     window = fld.interior_window()
@@ -474,11 +462,6 @@ class RateFit:
     model: str = "power"
     residual: float = 0.0
     log_model_residual: float = field(default=None, init=False)
-
-    def __str__(self):
-        return (f"alpha_hat={self.alpha_hat:.4f} C={self.c_hat:.3g} "
-                f"R2={self.r_squared:.4f} model={self.model} "
-                f"window=[{self.window[0]:.4g}, {self.window[1]:.4g}]")
 
 
 def check_fit_window(r_lo, r_hi):
@@ -509,8 +492,7 @@ def fit_rate(ratio, r_lo, r_hi, compare_log_model=False):
     v = np.array([t[1] for t in table])
     if np.any(v <= 0):
         raise DomainError("ratio vanished on an annulus; nothing to fit")
-    coeffs, res, *_ = np.polyfit(np.log(r_mid), np.log(v), 1, full=True)
-    alpha, logc = coeffs
+    alpha, logc = np.polyfit(np.log(r_mid), np.log(v), 1)
     pred = alpha * np.log(r_mid) + logc
     ss_res = float(np.sum((np.log(v) - pred) ** 2))
     ss_tot = float(np.sum((np.log(v) - np.mean(np.log(v))) ** 2))

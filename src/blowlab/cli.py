@@ -241,10 +241,11 @@ def run_solve(case, outdir):
 
 def _read_ratio(cdir):
     """(meta, table) of ratio.csv; table rows are (annulus_mid, max_ratio)."""
-    meta, _, table = read_csv(os.path.join(cdir, "ratio.csv"),
-                              ("alpha_hat", "c_hat", "r_squared", "window_lo",
-                               "window_hi", "model"),
-                              ("annulus_mid", "max_ratio"), numeric=True)
+    meta, _, table = read_csv(
+        os.path.join(cdir, "ratio.csv"),
+        {"alpha_hat": float, "c_hat": float, "r_squared": float,
+         "window_lo": float, "window_hi": float, "model": str},
+        ("annulus_mid", "max_ratio"), numeric=True)
     return meta, table
 
 
@@ -273,20 +274,24 @@ def run_certify(case, outdir):
     return cert.passed, f"certify: {status} margin={cert.margin:.3e}"
 
 
+def _regime(name):
+    """`name` if it is a regime `first_eigenpair` assigns; else ValueError."""
+    from .spectral import REGIMES
+
+    if name not in REGIMES:
+        raise ValueError(f"unknown regime, not one of {REGIMES}")
+    return name
+
+
 def _read_regime(cdir):
     """mu1 and regime of the eigen stage, from the metadata of eigen.csv.
 
     All that `verify_theorem` reads of an eigenpair; the JSON line keeps
     mu1 to the last bit, so the eigenpair is not solved again.
     """
-    path = os.path.join(cdir, "eigen.csv")
-    meta, _, _ = read_csv(path, ("mu1", "regime"))
-    try:
-        return SimpleNamespace(mu1=float(meta["mu1"]),
-                               regime=str(meta["regime"]))
-    except (TypeError, ValueError) as exc:
-        raise MissingArtifactError(
-            f"cannot read artifact {path}: {exc}") from None
+    meta, _, _ = read_csv(os.path.join(cdir, "eigen.csv"),
+                          {"mu1": float, "regime": _regime})
+    return SimpleNamespace(mu1=meta["mu1"], regime=meta["regime"])
 
 
 def run_verify(case, outdir):
@@ -298,7 +303,7 @@ def run_verify(case, outdir):
     row = verify_theorem(
         case.label,
         case.get("n", int),
-        float(meta["alpha_hat"]),
+        meta["alpha_hat"],
         predicted=predicted,
         eigen=_read_regime(cdir) if predicted is None else None,
         slack=case.get("slack", float),
@@ -335,8 +340,7 @@ def run_report(cases, outdir):
                     write_loglog_svg(
                         os.path.join(cdir, "ratio.svg"), label, pts[:, 0],
                         pts[:, 1], title=f"{label}: cone-approximation decay",
-                        fitted=(float(meta["alpha_hat"]),
-                                float(meta["c_hat"])),
+                        fitted=(meta["alpha_hat"], meta["c_hat"]),
                     )
                 except DomainError as exc:
                     raise MissingArtifactError(

@@ -29,6 +29,7 @@ blow-up boundary and is the coefficient the spectral module consumes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -569,17 +570,20 @@ def profile_to_csv(profile, path):
 
 def profile_from_csv(path):
     # other keys are ignored, such as the `newton_residual` of older files
-    meta, _, data = read_csv(path, ("n", "domain", "truncation"),
-                             ("theta", "g"), numeric=True)
+    meta, _, data = read_csv(
+        path, {"n": operator.index, "domain": dict, "truncation": float},
+        ("theta", "g"), numeric=True)
     # whatever the stored values fail is a fault of the artifact, not of
     # the config or of a solver
     try:
+        if meta["n"] < 3:
+            raise ValueError(f"dimension n = {meta['n']} is below 3")
         return BlowupProfile(
             domain=SphericalDomain1D(**meta["domain"]),
-            n=int(meta["n"]),
+            n=meta["n"],
             theta=data[:, 0],
             g=data[:, 1],
-            truncation=float(meta["truncation"]),
+            truncation=meta["truncation"],
         )
     except (TypeError, ValueError, ConfigError, DomainError) as exc:
         raise MissingArtifactError(f"cannot read artifact {path}: {exc}") from None

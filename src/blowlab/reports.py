@@ -61,14 +61,16 @@ def write_csv(path, header, rows, meta=None, row_format=None):
     _write_lines(path, header, lines, meta)
 
 
-def read_csv(path, meta_keys=(), columns=(), numeric=False):
+def read_csv(path, meta_keys=None, columns=(), numeric=False):
     """(meta, header, rows) of a CSV artifact, rows as lists of strings.
 
-    `meta` is the `# {json}` line ({} without one) and must hold every key
-    of `meta_keys`; `header` must name every one of `columns`.  With
-    `numeric` the rows come as one float array, one column per header
-    field.  A file that cannot be read this way raises MissingArtifactError
-    naming it, a missing file included.
+    `meta` is the `# {json}` line ({} without one).  It must hold every key
+    of the mapping `meta_keys`, each value converted by the type the key
+    maps to (`float`, `str`, `dict`, `operator.index` for a JSON integer, or
+    a callable raising TypeError or ValueError).  `header` must name every
+    one of `columns`.  With `numeric` the rows come as one float array, one
+    column per header field.  A file that cannot be read this way raises
+    MissingArtifactError naming it, a missing file included.
     """
     try:
         with open(path) as fh:
@@ -76,11 +78,16 @@ def read_csv(path, meta_keys=(), columns=(), numeric=False):
         has_meta = bool(lines) and lines[0].startswith("# ")
         meta = dict(json.loads(lines.pop(0)[2:])) if has_meta else {}
         header, *rows = (line.split(",") for line in lines)
-        missing = ([key for key in meta_keys if key not in meta]
+        missing = ([key for key in meta_keys or {} if key not in meta]
                    + [col for col in columns if col not in header])
         if missing or any(len(row) != len(header) for row in rows):
             raise ValueError(f"missing fields {missing}" if missing
                              else "a row does not match the header")
+        for key, kind in (meta_keys or {}).items():
+            try:
+                meta[key] = kind(meta[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"meta {key} = {meta[key]!r}: {exc}") from None
         if numeric:
             rows = np.array(rows, dtype=float).reshape(len(rows), len(header))
     except (OSError, TypeError, ValueError) as exc:
@@ -205,9 +212,14 @@ def write_loglog_svg(path, label, xs, ys, title="", fitted=None):
     if fitted is not None:
         alpha, c = fitted
         fit_xs = np.logspace(x0 + 0.02, x1 - 0.02, 32)
+        with np.errstate(all="ignore"):
+            fit_ys = [c * x**alpha for x in fit_xs]
+        if not all(0 < y < np.inf for y in fit_ys):
+            raise DomainError(f"{label}: the fitted line {c:g} x^{alpha:g} is "
+                              f"not finite and positive over the plot")
         path_d = " ".join(
-            ("M" if i == 0 else "L") + f"{sx(x):.1f},{sy(c * x**alpha):.1f}"
-            for i, x in enumerate(fit_xs)
+            ("M" if i == 0 else "L") + f"{sx(x):.1f},{sy(y):.1f}"
+            for i, (x, y) in enumerate(zip(fit_xs, fit_ys))
         )
         parts.append(f'<path d="{path_d}" fill="none" stroke="#888888" '
                      f'stroke-dasharray="5,4"/>')

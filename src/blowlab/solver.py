@@ -73,6 +73,7 @@ from .profiles import (
     REGULAR_POLE,
     BandedProblem,
     SphericalDomain1D,
+    _profile_terms,
     derivative_arrays,
     guarded_cot,
     nonuniform_d1,
@@ -351,12 +352,10 @@ def _check_symmetry(samples, symmetry, measure):
 
 
 def _wall_distance_field(domain, r, theta):
-    """Euclidean distance to the real (blow-up) boundary of a wedge."""
-    if domain.reduction == CROSS_SECTION:
-        gap = np.minimum(theta, domain.aperture - theta)
-        return r * np.sin(np.minimum(gap, 0.5 * np.pi))
+    """Euclidean distance to the real (blow-up) boundary of a wedge: on a
+    straight one, r sin of its section's wall angle, capped at pi/2."""
     if not domain.is_curved:
-        gap = domain.aperture - theta
+        gap = domain.section().wall_distance(theta)
         return r * np.sin(np.minimum(gap, 0.5 * np.pi))
     # curved meridian boundary: the nearest of 400 samples of the curve, as
     # a running minimum, so no (nodes, samples) table is formed
@@ -386,7 +385,9 @@ class _WedgeSystem:
 
     It is the truncated problem that `blowlab.newton.escalate` searches; the
     cut rows carry `bracket_factor` times the cone data, the low bracket's
-    `config.bracket[0]` until a caller sets another.
+    `config.bracket[0]` until a caller sets another.  The tangent cone's
+    `section` gives the eta grading, the pole or wall at eta = 0, the probe
+    columns and, as its profile drift, the wedge's angular drift.
     """
 
     name = "2-D"
@@ -404,9 +405,10 @@ class _WedgeSystem:
         octaves = np.log2(domain.r_max / domain.r_min)
         nt = max(int(np.ceil(octaves * config.nt_per_octave)) + 1, 8)
         self.t = np.linspace(np.log(domain.r_min), np.log(domain.r_max), nt)
+        self.section = section = domain.section()
         self.eta = power_law_nodes(0.0, 1.0, config.n_eta, config.eta_grading,
-                                   lo_blow=domain.reduction == CROSS_SECTION,
-                                   hi_blow=True)
+                                   lo_blow=section.bc_lo == BLOWUP,
+                                   hi_blow=section.bc_hi == BLOWUP)
         self.nt, self.ne = self.t.size, self.eta.size
         self.r = np.exp(self.t)
 
@@ -430,7 +432,7 @@ class _WedgeSystem:
 
         self._assemble_linear()
         self.cut_cone = self._cut_cone(solve_profile(
-            domain.section(), n, nodes=self.eta * domain.aperture))
+            section, n, nodes=self.eta * domain.aperture))
         self.d = _wall_distance_field(domain, self.rr, self.theta)
         self.sup_w = self.wrad * supersolution_start(self.d, n).ravel()
 
@@ -440,16 +442,16 @@ class _WedgeSystem:
         band2d[1:-1, :] = gap[None, :] >= 0.02 * domain.aperture
         self.band = band2d.ravel() & self.interior_mask
 
-        # resolvability probe: u four cells inside the lateral wall
-        self.probe_cols = [self.ne - 5]
-        if domain.reduction == CROSS_SECTION:
-            self.probe_cols.append(4)
+        # resolvability probes: u four cells inside each blow-up wall
+        self.probe_cols = [col for col, bc in ((4, section.bc_lo),
+                                               (-5, section.bc_hi))
+                           if bc == BLOWUP]
 
     # -- masks ------------------------------------------------------------
     def _classify(self):
         kind = np.full((self.nt, self.ne), INTERIOR, dtype=np.int8)
         kind[:, -1] = WALL
-        kind[1:-1, 0] = POLE if self.domain.reduction == MERIDIAN else WALL
+        kind[1:-1, 0] = POLE if self.section.bc_lo == REGULAR_POLE else WALL
         # radial cuts win at the corners so the bracket data stays consistent
         kind[[0, -1], :] = CUT
         return kind
@@ -466,8 +468,7 @@ class _WedgeSystem:
         r = self.rr
         theta = self.theta
         base_t = (n - 2.0) if dom.reduction == MERIDIAN else 0.0
-        base_th = ((n - 2.0) * guarded_cot(theta) if dom.reduction == MERIDIAN
-                   else np.zeros_like(theta))
+        base_th = _profile_terms(self.section, n, theta)[0]
 
         if self.op.is_euclidean:
             att = atth = athth = at = ath = cc = np.zeros_like(r)

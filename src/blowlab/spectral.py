@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 MU_EQUAL_TWO_TOL = 1e-6
+# the decay regimes, for mu1 > 2, mu1 = 2 and mu1 < 2 (module docstring)
+REGIMES = ALPHA_2, LOG, ALPHA_MU = ("alpha-2", "log", "alpha-mu")
 INVERSE_STEPS = 3         # shift-0 inverse iterations before the Rayleigh steps
 MAX_RAYLEIGH_STEPS = 8
 STAGNATION = 1e-12        # relative move of the quotient that ends the steps
@@ -78,18 +80,13 @@ class EigenResult:
     lambda1: float
     phi: np.ndarray            # on the profile nodes, zero at blow-up ends
     mu1: float
-    regime: str                # alpha-2 | log | alpha-mu
+    regime: str                # one of REGIMES
     nu_hat: float
     iterations: int            # tridiagonal solves of the eigensolve
 
     @property
     def n(self):
         return self.profile.n
-
-
-def _weight(profile):
-    """Measure weight sin^(n-2) of the polar sphere, the only assembled geometry."""
-    return lambda th: np.sin(th) ** (profile.n - 2)
 
 
 def _sphere_area(k):
@@ -115,7 +112,6 @@ def _form(profile):
     theta = profile.theta
     rho = profile.rho.copy()
     N = theta.size
-    w = _weight(profile)
     coef = 0.25 * n * (n + 2.0)
     interior = profile.interior_mask()
 
@@ -129,7 +125,8 @@ def _form(profile):
 
     h = np.diff(theta)
     mid = theta[:-1] + 0.5 * h
-    flux = w(mid) / h  # interface conductances
+    # interface conductances; sin^(n-2) is the polar sphere's measure weight
+    flux = np.sin(mid) ** (n - 2) / h
 
     # mass and potential of the half cells [theta_j, mid_j] and
     # [mid_j, theta_j+1], rho linear on each cell, from one set of
@@ -141,7 +138,7 @@ def _form(profile):
     t = centre[..., None] + half[..., None] * gx
     lam = (t - theta[:-1, None]) / h[:, None]
     rr = np.maximum(rho[:-1, None] * (1 - lam) + rho[1:, None] * lam, 1e-300)
-    wt = w(t)
+    wt = np.sin(t) ** (n - 2)
     mass_half = half * np.sum(wt * gw, axis=-1)
     pot_half = half * np.sum(wt * coef / rr**2 * gw, axis=-1)
 
@@ -252,11 +249,11 @@ def first_eigenpair(profile):
 
     mu1 = float(np.sqrt((0.5 * (n - 2.0)) ** 2 + lam))
     if abs(mu1 - 2.0) <= MU_EQUAL_TWO_TOL:
-        regime = "log"
+        regime = LOG
     elif mu1 > 2.0:
-        regime = "alpha-2"
+        regime = ALPHA_2
     else:
-        regime = "alpha-mu"
+        regime = ALPHA_MU
     nu_hat = _fit_decay_exponent(profile, phi)
     return EigenResult(
         profile=profile,
@@ -300,8 +297,8 @@ def rayleigh(profile, phi):
 def regime_exponent(result):
     """Predicted bound form for the cone-approximation error."""
     mu1 = result.mu1
-    if result.regime == "log":
+    if result.regime == LOG:
         return RateForm(2.0, "C(-|x|^2 ln|x|)")
-    if result.regime == "alpha-2":
+    if result.regime == ALPHA_2:
         return RateForm(2.0, "C|x|^2")
     return RateForm(mu1, f"C|x|^{mu1:.6g}")

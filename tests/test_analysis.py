@@ -14,6 +14,7 @@ from blowlab.analysis import (
 )
 from blowlab.errors import ConfigError, DomainError
 from blowlab.operators import euclidean_operator
+from blowlab.profiles import solve_profile
 from blowlab.solver import DomainSpec2D, SolveConfig, solve
 from blowlab.spectral import first_eigenpair
 
@@ -388,3 +389,111 @@ def test_cone_search_measures_derivative_constant_once(
                                  eigen=half_sphere_eigen[3], **kw)
     assert cert.passed
     assert len(calls) == 1
+
+
+def _ingredients_on_a_meshgrid(eigen, r, case):
+    """The cone barrier ingredients with every term formed on full (r, theta)
+    arrays of a meshgrid: the reference of the broadcast ones."""
+    prof = eigen.profile
+    n = prof.n
+    m = 0.5 * (n - 2.0)
+    mask = prof.interior_mask()
+    theta = prof.theta[mask][1:]
+    g, rho, phi = (x[mask][1:] for x in (prof.g, prof.rho, eigen.phi))
+    lam, mu = eigen.lambda1, eigen.mu1
+    V = 0.25 * n * (n + 2.0) / rho**2
+    alpha = 0.5 * (6.0 - n)
+    R, _ = np.meshgrid(r, theta, indexing="ij")
+    G, PHI, VV = (np.broadcast_to(x, R.shape) for x in (g, phi, V))
+    u_v = R ** (-m) * G
+    lap_uv = 0.25 * n * (n - 2.0) * u_v ** ((n + 2.0) / (n - 2.0))
+    term0, lap0 = u_v * R**2, lap_uv * R**2 + 4.0 * u_v
+    term1 = R**alpha
+    lap1 = alpha * (alpha + n - 2.0) * R ** (alpha - 2.0)
+    if case == "quadratic":
+        term2 = R**alpha * PHI
+        lap2 = R ** (alpha - 2.0) * (alpha * (alpha + n - 2.0) - lam + VV) * PHI
+    elif case == "log":
+        term2 = -(R**alpha) * np.log(R) * PHI
+        lap2 = -(np.log(R) * R ** (alpha - 2.0)
+                 * (alpha * (alpha + n - 2.0) - lam + VV) * PHI
+                 + (2.0 * alpha + n - 2.0) * R ** (alpha - 2.0) * PHI)
+    else:
+        a2 = mu - m
+        term2 = (R**a2 - R**alpha) * PHI
+        lap2 = (VV * R ** (a2 - 2.0)
+                - R ** (alpha - 2.0) * (alpha * (alpha + n - 2.0) - lam + VV)) * PHI
+    return u_v, lap_uv, term0, lap0, term1, lap1, term2, lap2, rho
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("case", ["quadratic", "log", "slow"])
+def test_cone_ingredients_broadcast_to_the_meshgrid_floats(half_sphere_eigen,
+                                                           case, n):
+    from blowlab.analysis import _cone_barrier_ingredients
+
+    r = np.geomspace(0.25 * 2.0**-6, 0.25, 48)
+    got = _cone_barrier_ingredients(half_sphere_eigen[n], r, case)
+    want = _ingredients_on_a_meshgrid(half_sphere_eigen[n], r, case)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert np.broadcast_to(x, y.shape).tobytes() == y.tobytes()
+
+
+def _c_t_by_points(tmap):
+    """C_T of the t-composed barrier, one draw and one norm per point."""
+    from blowlab.geometry import apply_T
+
+    rng = np.random.default_rng(17)
+    points = []
+    for _ in range(24):
+        v = rng.standard_normal(tmap.n)
+        v /= np.linalg.norm(v)
+        points += [s * 0.5 * tmap.r_T * v for s in (0.1, 0.3, 0.6)]
+    points = np.array(points)
+    worst = 0.0
+    for x, xb in zip(points, apply_T(tmap, points)):
+        worst = max(worst, np.linalg.norm(xb - x) / np.linalg.norm(x) ** 2)
+    return worst
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_c_t_is_the_per_point_one(monkeypatch, radius):
+    from blowlab import analysis
+    from blowlab.geometry import build_T, sphere_surface
+
+    tmap = build_T([sphere_surface(3, radius)])
+    seen = []
+    monkeypatch.setattr(analysis, "_certify_cone_corrected",
+                        lambda *args, c_t, **kw: seen.append(c_t))
+    analysis._certify_t_composed(euclidean_operator(3), None, tmap)
+    assert seen == [_c_t_by_points(tmap)] and type(seen[0]) is float
+
+
+# the widest n = 3 cap of the sweep-1d benchmark's domains, seeds 1 and 7
+SWEEP_CAPS = (1.279447609929085, 1.2868284590157075)
+
+
+@pytest.mark.parametrize("aperture", [np.pi / 2, *SWEEP_CAPS])
+def test_cone_certificates_of_the_sweep_domains(monkeypatch, aperture):
+    # the sweep-1d searches on the n = 3 half-sphere and the widest cap
+    # give the margins and constants of the meshgrid ingredients, and the
+    # t-composed one the per-point C_T
+    from blowlab import analysis
+    from blowlab.geometry import build_T, sphere_surface
+    from conftest import MEDIUM, cap
+
+    eig = first_eigenpair(solve_profile(cap(aperture), 3, grid=MEDIUM))
+    op, tmap = euclidean_operator(3), build_T([sphere_surface(3, 1.0)])
+
+    def certificates():
+        return [certify_supersolution(op, "cone-quadratic", eigen=eig),
+                certify_supersolution(op, "t-composed", eigen=eig, tmap=tmap)]
+
+    got = certificates()
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_cone_barrier_ingredients",
+                  _ingredients_on_a_meshgrid)
+        want = certificates()
+    assert got == want
+    assert got[1].constants["C_T"] == _c_t_by_points(tmap)

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -341,6 +342,68 @@ def test_config_boundary_fuzz(tmp_path, capsys, case):
     assert bad == []
 
 
+# the meta values the artifact fuzz sets (JSON text), and REMOVED: no key
+REMOVED = None
+ARTIFACT_VALUES = ('"abc"', "null", "true", "[]", "{}", "-1", "0", "1e308",
+                   "NaN", REMOVED)
+
+
+def _with_meta(text, key, value):
+    """CSV text whose `# {json}` line sets `key` to the JSON text `value`,
+    or lacks `key` when `value` is REMOVED."""
+    meta_line, rest = text.split("\n", 1)
+    items = [f"{json.dumps(k)}: {json.dumps(v)}"
+             for k, v in json.loads(meta_line[2:]).items() if k != key]
+    if value is not REMOVED:
+        items.append(f"{json.dumps(key)}: {value}")
+    return "# {" + ", ".join(items) + "}\n" + rest
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "true"), ("n", "0"), ("n", "1e308"), ("n", "3.0"), ("n", "2")])
+def test_profile_csv_needs_an_integer_dimension_of_three_or_more(
+        tmp_path, capsys, key, value):
+    # n reads as a JSON integer of at least 3: true (the integer 1) and 0
+    # gave an eigenpair or a traceback, 1e308 an overflow
+    from blowlab.cli import main
+
+    cfg, out = tmp_path / "cases.cfg", tmp_path / "out"
+    cfg.write_text(FUZZ_CONFIG.format(out=out))
+    assert main(["profile", "--config", str(cfg), "--case", "tiny-eigen"]) == 0
+    path = out / "tiny-eigen" / "profile.csv"
+    path.write_text(_with_meta(path.read_text(), key, value))
+    capsys.readouterr()
+    assert main(["eigen", "--config", str(cfg), "--case", "tiny-eigen"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("artifact error: cannot read "
+                                               "artifact ")
+    assert "tiny-eigen/profile.csv" in err[0]
+    assert not (out / "tiny-eigen" / "eigen.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha_hat", "1e308"), ("alpha_hat", "NaN"), ("c_hat", "0"),
+    ("c_hat", "-1")])
+def test_report_draws_no_fitted_line_it_cannot_place(tmp_path, capsys, key,
+                                                     value):
+    # c x^alpha must be finite and positive over the plot: the report
+    # wrote a broken ratio.svg under NumPy warnings
+    from blowlab.cli import main
+
+    cfg, out = tmp_path / "cases.cfg", tmp_path / "out"
+    cfg.write_text(FUZZ_CONFIG.format(out=out))
+    assert main(["solve", "--config", str(cfg), "--case", "tiny-ball"]) == 0
+    path = out / "tiny-ball" / "ratio.csv"
+    path.write_text(_with_meta(path.read_text(), key, value))
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg), "--case", "tiny-ball"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("report failed: cannot plot artifact ")
+    assert "tiny-ball/ratio.csv" in err[0] and "fitted line" in err[0]
+    assert not (out / "tiny-ball" / "ratio.svg").exists()
+
+
 def test_profile_below_its_schedule_fails_and_eigen_finds_no_profile(
         tmp_path, capsys):
     # the fuzz cell `schedule = 1e-300` of tiny-eigen: the profile's search
@@ -581,7 +644,8 @@ def test_perturbed_pair_solve_and_verify(tmp_path):
     for stage in ("solve", "verify"):
         assert run_cli(stage, "--config", str(cfg)).returncode == 0
     ratio = out / "tiny-pair" / "ratio.csv"
-    meta, _, _ = read_csv(ratio, ("reference", "alpha_hat", "bracket_width"))
+    meta, _, _ = read_csv(ratio, {"reference": str, "alpha_hat": float,
+                                  "bracket_width": float})
     assert meta["reference"] == "discrete-cone"
     assert meta["alpha_hat"] == pytest.approx(2.042102997732212, rel=1e-9)
     assert meta["bracket_width"] == pytest.approx(0.004756189835238099,
@@ -910,3 +974,75 @@ def test_verify_reads_the_regime_from_eigen_csv(light_stages):
     assert rows == [[fmt(v) for v in (row.case, row.n, row.predicted_form,
                                       row.predicted, row.measured,
                                       row.passed)]]
+
+
+@pytest.mark.parametrize("regime", ['"banana"', '"ALPHA-2"', "null", "2"])
+def test_verify_rejects_a_regime_eigen_does_not_assign(light_stages, capsys,
+                                                       regime):
+    # any other regime read as alpha-mu: "banana" gave a FAIL row predicting
+    # mu1 instead of 2.  The regime is one of spectral.REGIMES, or eigen.csv
+    # is malformed
+    from blowlab.cli import main
+
+    cfg, out = light_stages
+    assert main(["eigen", "--config", str(cfg), "--case", "tiny-cone"]) == 0
+    path = out / "tiny-cone" / "eigen.csv"
+    path.write_text(_with_meta(path.read_text(), "regime", regime))
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg), "--case", "tiny-cone"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("artifact error: cannot read "
+                                               "artifact ")
+    assert "tiny-cone/eigen.csv: meta regime = " in err[0]
+    assert not (out / "tiny-cone" / "verify.csv").exists()
+
+
+# per fuzzed case: its config, the stages that write what the readers need,
+# the artifact fuzzed and the stages that read it back
+ARTIFACT_READERS = {
+    "tiny-profile": (FUZZ_CONFIG, ("profile",), "profile.csv", ("eigen",)),
+    "tiny-eigen": (FUZZ_CONFIG, ("profile",), "profile.csv", ("eigen",)),
+    "tiny-ball": (FUZZ_CONFIG, ("solve",), "ratio.csv", ("verify", "report")),
+    "tiny-cone": (LIGHT_STAGES, ("profile", "eigen"), "eigen.csv",
+                  ("verify",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARTIFACT_READERS))
+def test_artifact_boundary_fuzz(tmp_path, capsys, case):
+    # every meta key of an artifact a later stage reads back, set to each
+    # value or removed, then the later stages through the console script's
+    # entry point, in this process: an artifact value is used, or ends in a
+    # failed check (1), a malformed artifact (3) or a solver failure (5) on
+    # one stderr line, with no exception and no warning
+    from blowlab.cli import main
+
+    config, writers, name, readers = ARTIFACT_READERS[case]
+    cfg, written = tmp_path / "cases.cfg", tmp_path / "out"
+    cfg.write_text(config.format(out=written))
+    if case == "tiny-cone":     # a cone verify case without `predicted`
+        write_ratio_csv(str(written / case / "ratio.csv"), LIGHT_FIT)
+    for stage in writers:
+        assert main([stage, "--config", str(cfg), "--case", case]) == 0
+    capsys.readouterr()
+    text = (written / case / name).read_text()
+    bad = []
+    for key in json.loads(text.split("\n", 1)[0][2:]):
+        for k, value in enumerate(ARTIFACT_VALUES):
+            out = tmp_path / f"{key}-{k}"
+            shutil.copytree(written, out)
+            (out / case / name).write_text(_with_meta(text, key, value))
+            for stage in readers:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = main([stage, "--config", str(cfg), "--case",
+                                     case, "--out", str(out)])
+                    except Exception as exc:    # reported with its cell
+                        code = f"{type(exc).__name__}: {exc}"
+                err = capsys.readouterr().err.strip().splitlines()
+                if (code not in (0, 1, 3, 5) or caught
+                        or (code != 0 and len(err) != 1)):
+                    bad.append((key, value, stage, code, err,
+                                [str(w.message) for w in caught]))
+    assert bad == []

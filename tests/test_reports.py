@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blowlab.analysis import RateFit
-from blowlab.errors import MissingArtifactError
+from blowlab.errors import DomainError, MissingArtifactError
 from blowlab.profiles import (
     SphericalDomain1D,
     profile_from_csv,
@@ -17,6 +17,7 @@ from blowlab.reports import (
     write_csv,
     write_eigen_csv,
     write_field_csv,
+    write_loglog_svg,
     write_markdown_table,
     write_ratio_csv,
 )
@@ -177,12 +178,48 @@ def test_profile_and_eigen_writers_give_the_bytes_of_per_value_formats(
                  "a row does not match the header", id="short-row"),
     pytest.param('# {"alpha_hat": 1}\nannulus_mid,max_ratio\n0.1,x\n', None,
                  id="not-a-number"),
+    pytest.param('# {"alpha_hat": "abc"}\nannulus_mid,max_ratio\n0.1,1\n',
+                 "meta alpha_hat = 'abc': could not convert", id="meta-not-a-float"),
 ])
 def test_malformed_artifact_names_the_file(tmp_path, text, problem):
     path = tmp_path / "ratio.csv"
     if text is not None:
         path.write_text(text)
     with pytest.raises(MissingArtifactError, match="ratio.csv") as info:
-        read_csv(str(path), ("alpha_hat",), ("annulus_mid", "max_ratio"),
+        read_csv(str(path), {"alpha_hat": float}, ("annulus_mid", "max_ratio"),
                  numeric=True)
     assert problem is None or problem in str(info.value)
+
+
+def test_read_csv_types_the_meta_values(tmp_path):
+    # each key is read as the type it maps to; a value that does not convert
+    # is a malformed artifact that names the file and the key
+    import operator
+
+    path = tmp_path / "profile.csv"
+    kinds = {"n": operator.index, "domain": dict, "truncation": float}
+    path.write_text('# {"n": 3, "domain": {}, "truncation": 1, "x": "y"}\n'
+                    "theta,g\n0,1\n")
+    meta, _, _ = read_csv(str(path), kinds)
+    assert meta == {"n": 3, "domain": {}, "truncation": 1.0, "x": "y"}
+    assert type(meta["truncation"]) is float
+    # operator.index takes a JSON integer only (true is the integer 1)
+    for value in ("3.0", "1e308", "null", '"3"', "[]"):
+        path.write_text(f'# {{"n": {value}, "domain": {{}}, "truncation": 1}}\n'
+                        "theta,g\n0,1\n")
+        with pytest.raises(MissingArtifactError, match="profile.csv: meta n = "):
+            read_csv(str(path), kinds)
+
+
+@pytest.mark.parametrize("fitted", [(1e308, 1.0), (float("nan"), 1.0),
+                                    (1.0, 0.0), (1.0, -1.0), (1.0, np.inf)])
+def test_loglog_svg_draws_only_a_fitted_line_it_can_place(tmp_path, fitted):
+    # c x^alpha must be finite and positive over the plot's x-range
+    path = tmp_path / "ratio.svg"
+    with pytest.raises(DomainError, match="fitted line"):
+        write_loglog_svg(str(path), "case", [0.01, 0.1], [1e-4, 1e-2],
+                         fitted=fitted)
+    assert not path.exists()
+    write_loglog_svg(str(path), "case", [0.01, 0.1], [1e-4, 1e-2],
+                     fitted=(2.0, 1.0))
+    assert "slope 2.000" in path.read_text()

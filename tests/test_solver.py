@@ -17,7 +17,9 @@ from blowlab.operators import (
 from blowlab import solver
 from blowlab.newton import damped_newton
 from blowlab.profiles import (
+    _profile_terms,
     graded_nodes,
+    guarded_cot,
     nonuniform_d1,
     nonuniform_d2,
     one_sided_d1,
@@ -915,3 +917,32 @@ def test_curved_wall_distance_forms_no_table(monkeypatch):
     system = _WedgeSystem(dom, euclidean_operator(3), 3, SolveConfig())
     assert system.d.shape == (257, 192)
     assert len(peaks) == 1 and peaks[0] < 16 * 2**20
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("reduction, aperture", [
+    ("meridian", np.pi / 3), ("meridian", 2.0),
+    ("cross-section", np.pi / 2), ("cross-section", 4.0)])
+def test_straight_wedge_takes_its_walls_from_the_section(reduction, aperture,
+                                                         n):
+    # the section's ends give the eta grading, the pole or wall column at
+    # eta = 0 and one probe per blow-up end; its wall distance and profile
+    # drift give the same floats as the wedge formulas written per reduction
+    dom = DomainSpec2D(reduction, aperture=aperture, r_min=2.0**-6)
+    system = _WedgeSystem(dom, euclidean_operator(n), n,
+                          SolveConfig(nt_per_octave=4, n_eta=32))
+    theta, meridian = system.theta, reduction == "meridian"
+    gap = aperture - theta if meridian else np.minimum(theta, aperture - theta)
+    d = system.rr * np.sin(np.minimum(gap, 0.5 * np.pi))
+    assert system.d.tobytes() == d.tobytes()
+    drift = ((n - 2.0) * guarded_cot(theta) if meridian
+             else np.zeros_like(theta))
+    assert (_profile_terms(system.section, n, theta)[0].tobytes()
+            == drift.tobytes())
+    s = np.linspace(0.0, 1.0, 32)
+    eta = (s**2 / (s**2 + (1.0 - s) ** 2) if not meridian
+           else 1.0 - (1.0 - s) ** 2)
+    assert np.allclose(system.eta, eta, rtol=0, atol=1e-15)
+    assert (system.kind[1:-1, 0] == (solver.POLE if meridian
+                                     else solver.WALL)).all()
+    assert system.probe_cols == ([-5] if meridian else [4, -5])

@@ -8,7 +8,6 @@ from blowlab.profiles import (BlowupProfile, GridSpec, SphericalDomain1D,
 from blowlab.spectral import (
     _assemble,
     _sphere_area,
-    _weight,
     first_eigenpair,
     half_sphere_lambda1,
     rayleigh,
@@ -249,8 +248,11 @@ def _assemble_by_loops(profile):
     theta = profile.theta
     rho = profile.rho.copy()
     N = theta.size
-    w = _weight(profile)
     coef = 0.25 * n * (n + 2.0)
+
+    def w(th):
+        """Measure weight sin^(n-2) of the polar sphere."""
+        return np.sin(th) ** (n - 2)
 
     if profile.domain.bc_lo == "blowup":
         slope = (rho[2] - rho[1]) / (theta[2] - theta[1])
