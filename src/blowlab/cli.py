@@ -1,12 +1,13 @@
 """Config-driven experiment runner.
 
 Subcommands stage the pipeline (profile -> eigen -> solve -> certify ->
-verify -> report) over the cases of a plain-text key-value config; every
-numeric choice (grids, schedules, tolerances, fit windows) must appear in
-the config, and artifacts are deterministic: rerunning a stage with the
-same inputs rewrites byte-identical files.  A cone case without a
-`predicted` key takes verify's prediction from mu1 and regime in the
-metadata of its eigen.csv, the eigen stage's artifact.
+verify -> report) over the cases of a plain-text key-value config, and
+artifacts are deterministic: rerunning a stage with the same inputs
+rewrites byte-identical files.  `KEYS` is the config schema: per case key,
+its parser, whether a case may leave it out, and the stages that read it;
+a key outside it, or one no stage of its case reads, is a config error.
+A cone case without a `predicted` key takes verify's prediction from the
+mu1 in the metadata of its eigen.csv, the eigen stage's artifact.
 
 Each stage imports only the modules it runs, inside its runner and the
 `Case` builders, so `report` and `verify` start without SciPy and only
@@ -52,33 +53,111 @@ STAGES = ("profile", "eigen", "solve", "certify", "verify", "report")
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
 
 
 def _parse_floats(text):
     return tuple(float(tok) for tok in text.split())
 
 
+def _parse_bool(text):
+    """One of configparser's spellings of a boolean (1/yes/true/on and
+    0/no/false/off, in any case)."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+REQUIRED, OPTIONAL = "required", "optional"
+
+# every case key: its parser; REQUIRED, OPTIONAL (left out, the library's
+# default stands) or the value it takes when left out; and the stages that
+# read it, as a `stages` line names them.  A case sets only keys that one
+# of its stages reads
+KEYS = {
+    # the profile's spherical section and grid
+    "geometry": (str, REQUIRED, "profile"),
+    "theta_lo": (float, REQUIRED, "profile"),
+    "theta_hi": (float, REQUIRED, "profile"),
+    "bc_lo": (str, OPTIONAL, "profile"),
+    "bc_hi": (str, OPTIONAL, "profile"),
+    "nodes": (int, REQUIRED, "profile"),
+    "grading": (float, REQUIRED, "profile"),
+    "n": (int, REQUIRED, "profile solve certify verify"),
+    "schedule": (_parse_floats, REQUIRED, "profile solve"),
+    "interior_tol": (float, REQUIRED, "profile solve"),
+    # the 2-D domain, its operator, the solve and its rate fit
+    "reduction": (str, REQUIRED, "solve"),
+    "aperture": (float, math.pi, "solve"),     # a ball does not read it
+    "r_min": (float, OPTIONAL, "solve"),
+    "r_max": (float, REQUIRED, "solve"),
+    "curve": (_parse_floats, OPTIONAL, "solve"),
+    "operator": (str, REQUIRED, "solve"),
+    "q": (float, REQUIRED, "solve"),
+    "nt_per_octave": (int, OPTIONAL, "solve"),
+    "n_eta": (int, OPTIONAL, "solve"),
+    "eta_grading": (float, REQUIRED, "solve"),
+    "newton_tol": (float, REQUIRED, "solve"),
+    "bracket_low": (float, REQUIRED, "solve"),
+    "bracket_high": (float, REQUIRED, "solve"),
+    "bracket_tol": (float, REQUIRED, "solve"),
+    "fit_lo": (float, REQUIRED, "solve"),
+    "fit_hi": (float, REQUIRED, "solve"),
+    "log_model": (_parse_bool, OPTIONAL, "solve"),
+    # the barrier certificate
+    "barrier": (str, REQUIRED, "certify"),
+    "c_l": (float, REQUIRED, "certify"),
+    # the theorem row
+    "predicted": (float, OPTIONAL, "verify"),
+    "slack": (float, REQUIRED, "verify"),
+    "sharp_at": (float, OPTIONAL, "verify"),
+}
+
+
 class Case:
+    """One `[case:LABEL]` section: its stages, and its keys as set.
+
+    A key outside `KEYS`, or one that none of the case's stages reads, is
+    rejected here; a value is parsed when a stage reads it.
+    """
+
     def __init__(self, label, options):
         self.label = label
         self.opt = dict(options)
-        self.stages = tuple(self.opt.get("stages", "").split())
+        self.stages = tuple(self.opt.pop("stages", "").split())
         unknown = set(self.stages) - set(STAGES)
         if unknown:
             raise ConfigError(f"case {label}: unknown stages {sorted(unknown)}")
+        unknown = [key for key in self.opt if key not in KEYS]
+        if unknown:
+            raise ConfigError(f"case {label}: unknown keys {unknown}")
+        unread = [key for key in self.opt
+                  if not set(KEYS[key][2].split()) & set(self.stages)]
+        if unread:
+            raise ConfigError(f"case {label}: keys {unread} are read by none "
+                              f"of its stages {list(self.stages)}")
 
-    def get(self, key, cast=str, required=True, default=None):
+    def get(self, key):
+        """The value of `key` as its parser reads it; when the case leaves
+        it out, its default, or None for an OPTIONAL key."""
+        parse, default, _ = KEYS[key]
         if key not in self.opt:
-            if required and default is None:
+            if default is REQUIRED:
                 raise ConfigError(f"case {self.label}: missing key {key!r}")
-            return default
+            return None if default is OPTIONAL else default
         try:
-            if cast is bool:
-                return self.opt[key].strip().lower() in ("1", "true", "yes")
-            return cast(self.opt[key])
+            return parse(self.opt[key])
         except ValueError as exc:
             raise ConfigError(f"case {self.label}: bad value for {key}: {exc}")
+
+    def given(self, *keys, **renamed):
+        """Keyword arguments from `keys`, and from `renamed` (argument name
+        to key), without the OPTIONAL keys the case leaves out, so that
+        those take the library's defaults."""
+        pairs = [(key, key) for key in keys] + list(renamed.items())
+        values = [(name, self.get(key)) for name, key in pairs]
+        return {name: value for name, value in values if value is not None}
 
     # -- domain / operator builders ---------------------------------------
     # each builder imports the module it builds from, so that a stage
@@ -87,30 +166,19 @@ class Case:
         from .profiles import SphericalDomain1D
 
         return SphericalDomain1D(
-            geometry=self.get("geometry"),
-            theta_lo=self.get("theta_lo", float),
-            theta_hi=self.get("theta_hi", float),
-            bc_lo=self.get("bc_lo", default="blowup"),
-            bc_hi=self.get("bc_hi", default="blowup"),
-            label=self.label,
-        )
+            **self.given("geometry", "theta_lo", "theta_hi", "bc_lo", "bc_hi"),
+            label=self.label)
 
     def grid_spec(self):
         from .profiles import GridSpec
 
-        return GridSpec(count=self.get("nodes", int),
-                        grading=self.get("grading", float))
+        return GridSpec(count=self.get("nodes"), grading=self.get("grading"))
 
     def domain2d(self):
         from .solver import DomainSpec2D
 
-        return DomainSpec2D(
-            reduction=self.get("reduction"),
-            aperture=self.get("aperture", float, default=math.pi),
-            r_min=self.get("r_min", float, default=2.0**-8),
-            r_max=self.get("r_max", float),
-            curve=self.get("curve", _parse_floats, default=()),
-        )
+        return DomainSpec2D(**self.given("reduction", "aperture", "r_min",
+                                         "r_max", "curve"))
 
     def operator(self):
         from .operators import (
@@ -120,30 +188,22 @@ class Case:
         )
 
         name = self.get("operator")
-        n = self.get("n", int)
+        n = self.get("n")
         if name == "euclidean":
             return euclidean_operator(n)
         if name == "conformal-quadratic":
-            q = self.get("q", float)
+            q = self.get("q")
             return conformal_operator(conformal_quadratic_metric(n, q))
         raise ConfigError(f"case {self.label}: unknown operator {name!r}")
 
     def solve_config(self):
         from .solver import SolveConfig
 
-        # a mesh key the case leaves out takes SolveConfig's default
-        mesh = {key: self.get(key, int) for key in ("nt_per_octave", "n_eta")
-                if key in self.opt}
         return SolveConfig(
-            schedule=self.get("schedule", _parse_floats),
-            newton_tol=self.get("newton_tol", float),
-            interior_tol=self.get("interior_tol", float),
-            bracket=(self.get("bracket_low", float),
-                     self.get("bracket_high", float)),
-            bracket_tol=self.get("bracket_tol", float),
-            eta_grading=self.get("eta_grading", float),
-            **mesh,
-        )
+            bracket=(self.get("bracket_low"), self.get("bracket_high")),
+            **self.given("schedule", "newton_tol", "interior_tol",
+                         "bracket_tol", "eta_grading", "nt_per_octave",
+                         "n_eta"))
 
 
 def load_config(path):
@@ -187,10 +247,9 @@ def run_profile(case, outdir):
     from .profiles import profile_to_csv, solve_profile
 
     dom = case.spherical_domain()
-    n = case.get("n", int)
-    schedule = case.get("schedule", _parse_floats, default=(1e2,))
-    prof = solve_profile(dom, n, schedule=schedule, grid=case.grid_spec(),
-                         interior_tol=case.get("interior_tol", float))
+    prof = solve_profile(dom, case.get("n"), schedule=case.get("schedule"),
+                         grid=case.grid_spec(),
+                         interior_tol=case.get("interior_tol"))
     profile_to_csv(prof, os.path.join(_case_dir(outdir, case.label), "profile.csv"))
     return True, f"profile: g(lo)={prof.g[0]:.8g} M={prof.truncation:g}"
 
@@ -217,11 +276,13 @@ def run_solve(case, outdir):
 
     cdir = _case_dir(outdir, case.label)
     dom = case.domain2d()
-    n = case.get("n", int)
+    n = case.get("n")
     cfg = case.solve_config()
     op = case.operator()
-    fit_lo, fit_hi = case.get("fit_lo", float), case.get("fit_hi", float)
+    fit_lo, fit_hi = case.get("fit_lo"), case.get("fit_hi")
     check_fit_window(fit_lo, fit_hi)
+    # every key is read before the solve, so a bad one costs no solve
+    model = case.given(compare_log_model="log_model")
     if dom.reduction != "ball" and not op.is_euclidean:
         base = solve(dom, euclidean_operator(n), n, cfg)
         fld = solve(dom, op, n, cfg, forced_schedule=base.m_history)
@@ -230,8 +291,7 @@ def run_solve(case, outdir):
         fld = solve(dom, op, n, cfg)
         ratio = compare_to_cone(fld)
     write_field_csv(os.path.join(cdir, "field.csv"), fld)
-    fit = fit_rate(ratio, fit_lo, fit_hi,
-                   compare_log_model=case.get("log_model", bool, default=False))
+    fit = fit_rate(ratio, fit_lo, fit_hi, **model)
     write_ratio_csv(os.path.join(cdir, "ratio.csv"), fit,
                     meta={"reference": ratio.reference,
                           "bracket_width": fld.bracket_width})
@@ -253,9 +313,9 @@ def run_certify(case, outdir):
     from .analysis import StructureClass, certify_supersolution
 
     cdir = _case_dir(outdir, case.label)
-    n = case.get("n", int)
+    n = case.get("n")
     candidate = case.get("barrier")
-    c_l = case.get("c_l", float)
+    c_l = case.get("c_l")
     op = StructureClass(n=n, c_l=c_l)
     if candidate.startswith("cone-"):
         from .spectral import first_eigenpair
@@ -274,24 +334,22 @@ def run_certify(case, outdir):
     return cert.passed, f"certify: {status} margin={cert.margin:.3e}"
 
 
-def _regime(name):
-    """`name` if it is a regime `first_eigenpair` assigns; else ValueError."""
-    from .spectral import REGIMES
+def _read_mu1(cdir, n):
+    """mu1 of the eigen stage, from the metadata of eigen.csv.
 
-    if name not in REGIMES:
-        raise ValueError(f"unknown regime, not one of {REGIMES}")
-    return name
-
-
-def _read_regime(cdir):
-    """mu1 and regime of the eigen stage, from the metadata of eigen.csv.
-
-    All that `verify_theorem` reads of an eigenpair; the JSON line keeps
-    mu1 to the last bit, so the eigenpair is not solved again.
+    All that `verify_theorem` reads of an eigenpair: the regime follows
+    from mu1 (`spectral.decay_regime`), and the JSON line keeps mu1 to the
+    last bit, so the eigenpair is not solved again.  lambda1 > 0, so mu1 is
+    finite and above (n-2)/2.
     """
-    meta, _, _ = read_csv(os.path.join(cdir, "eigen.csv"),
-                          {"mu1": float, "regime": _regime})
-    return SimpleNamespace(mu1=meta["mu1"], regime=meta["regime"])
+    def mu1(value):
+        value = float(value)
+        if not 0.5 * (n - 2) < value < math.inf:      # NaN fails it too
+            raise ValueError(f"need a finite mu1 > (n-2)/2 = {0.5 * (n - 2):g}")
+        return value
+
+    meta, _, _ = read_csv(os.path.join(cdir, "eigen.csv"), {"mu1": mu1})
+    return SimpleNamespace(mu1=meta["mu1"])
 
 
 def run_verify(case, outdir):
@@ -299,16 +357,11 @@ def run_verify(case, outdir):
 
     cdir = _case_dir(outdir, case.label)
     meta, _ = _read_ratio(cdir)
-    predicted = case.get("predicted", float, required=False)
+    n, predicted = case.get("n"), case.get("predicted")
     row = verify_theorem(
-        case.label,
-        case.get("n", int),
-        meta["alpha_hat"],
-        predicted=predicted,
-        eigen=_read_regime(cdir) if predicted is None else None,
-        slack=case.get("slack", float),
-        sharp_at=case.get("sharp_at", float, required=False),
-    )
+        case.label, n, meta["alpha_hat"], predicted=predicted,
+        eigen=_read_mu1(cdir, n) if predicted is None else None,
+        slack=case.get("slack"), sharp_at=case.get("sharp_at"))
     write_csv(
         os.path.join(cdir, "verify.csv"),
         ["case", "n", "predicted_form", "predicted", "measured", "passed"],

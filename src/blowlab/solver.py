@@ -342,10 +342,12 @@ def check_axisymmetry(op, domain, n):
 
 def _check_symmetry(samples, symmetry, measure):
     """Raise ConfigError unless every coefficient tuple of `samples` is
-    within 1e-9 of the first, entry for entry."""
+    within 1e-9 of the first, entry for entry, relative to the larger of
+    the two entries' magnitudes and 1."""
     base, *others = samples
     for other in others:
-        worst = max(np.max(np.abs(x - y)) for x, y in zip(base, other))
+        worst = max(np.max(np.abs(x - y) / np.maximum(1.0, np.maximum(
+            np.abs(x), np.abs(y)))) for x, y in zip(base, other))
         if worst > 1e-9:
             raise ConfigError(
                 f"operator is not {symmetry} ({measure} {worst:.3e})")

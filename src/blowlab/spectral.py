@@ -50,7 +50,7 @@ __all__ = [
 
 MU_EQUAL_TWO_TOL = 1e-6
 # the decay regimes, for mu1 > 2, mu1 = 2 and mu1 < 2 (module docstring)
-REGIMES = ALPHA_2, LOG, ALPHA_MU = ("alpha-2", "log", "alpha-mu")
+ALPHA_2, LOG, ALPHA_MU = "alpha-2", "log", "alpha-mu"
 INVERSE_STEPS = 3         # shift-0 inverse iterations before the Rayleigh steps
 MAX_RAYLEIGH_STEPS = 8
 STAGNATION = 1e-12        # relative move of the quotient that ends the steps
@@ -80,13 +80,24 @@ class EigenResult:
     lambda1: float
     phi: np.ndarray            # on the profile nodes, zero at blow-up ends
     mu1: float
-    regime: str                # one of REGIMES
     nu_hat: float
     iterations: int            # tridiagonal solves of the eigensolve
 
     @property
     def n(self):
         return self.profile.n
+
+    @property
+    def regime(self):
+        return decay_regime(self.mu1)
+
+
+def decay_regime(mu1):
+    """The decay regime of mu1: LOG within MU_EQUAL_TWO_TOL of 2, else
+    ALPHA_2 above 2 and ALPHA_MU below."""
+    if abs(mu1 - 2.0) <= MU_EQUAL_TWO_TOL:
+        return LOG
+    return ALPHA_2 if mu1 > 2.0 else ALPHA_MU
 
 
 def _sphere_area(k):
@@ -247,21 +258,12 @@ def first_eigenpair(profile):
     # scale so the full L^2(Sigma) norm (transverse sphere factored in) is 1
     phi /= np.sqrt(_sphere_area(n - 2) * (x @ (mass * x)))
 
-    mu1 = float(np.sqrt((0.5 * (n - 2.0)) ** 2 + lam))
-    if abs(mu1 - 2.0) <= MU_EQUAL_TWO_TOL:
-        regime = LOG
-    elif mu1 > 2.0:
-        regime = ALPHA_2
-    else:
-        regime = ALPHA_MU
-    nu_hat = _fit_decay_exponent(profile, phi)
     return EigenResult(
         profile=profile,
         lambda1=lam,
         phi=phi,
-        mu1=mu1,
-        regime=regime,
-        nu_hat=nu_hat,
+        mu1=float(np.sqrt((0.5 * (n - 2.0)) ** 2 + lam)),
+        nu_hat=_fit_decay_exponent(profile, phi),
         iterations=solves,
     )
 
@@ -295,10 +297,12 @@ def rayleigh(profile, phi):
 
 
 def regime_exponent(result):
-    """Predicted bound form for the cone-approximation error."""
+    """Predicted bound form for the cone-approximation error, from the
+    `mu1` of `result` (an `EigenResult`, or anything with a `mu1`)."""
     mu1 = result.mu1
-    if result.regime == LOG:
+    regime = decay_regime(mu1)
+    if regime == LOG:
         return RateForm(2.0, "C(-|x|^2 ln|x|)")
-    if result.regime == ALPHA_2:
+    if regime == ALPHA_2:
         return RateForm(2.0, "C|x|^2")
     return RateForm(mu1, f"C|x|^{mu1:.6g}")

@@ -98,9 +98,10 @@ BAD_SCHEDULES = ["schedule =", "schedule = abc", "schedule = nan",
                  "schedule = inf", "schedule = 0", "schedule = -100"]
 
 
-def _with_setting(config, case, setting):
-    """`config` with the line of `setting`'s key in `[case:CASE]` replaced."""
-    key = setting.split("=")[0].strip()
+def _with_setting(config, case, setting, key=None):
+    """`config` with the line of `key` (by default `setting`'s key) in
+    `[case:CASE]` replaced by `setting`."""
+    key = key or setting.split("=")[0].strip()
     lines, section = [], None
     for line in config.splitlines():
         if line.startswith("["):
@@ -340,6 +341,117 @@ def test_config_boundary_fuzz(tmp_path, capsys, case):
                     bad.append((key, value, stage, code, err,
                                 [str(w.message) for w in caught]))
     assert bad == []
+
+
+# per fuzzed case, a key of the schema that none of its stages reads
+UNREAD_KEY = {"tiny-profile": "slack", "tiny-eigen": "fit_lo",
+              "tiny-ball": "barrier", "tiny-meridian": "nodes",
+              "tiny-barrier": "slack"}
+
+
+def _with_line(config, case, line):
+    """`config` with `line` first in `[case:CASE]`."""
+    header = f"[case:{case}]\n"
+    return config.replace(header, header + line + "\n")
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_KEY))
+def test_config_key_fuzz(tmp_path, capsys, case):
+    # every key of the case with its last letter dropped (`n` would lose
+    # its name), one unknown key, and one key that no stage of the case
+    # reads, through the console script's entry point, in this process:
+    # every stage the case lists exits 4 on one stderr line naming the
+    # case and the key.  No cell did so before: a key with a default
+    # (bc_lo, r_min, nt_per_octave, ...) took it, a required one was
+    # missing under its right name, and an unknown or unread key went
+    # unread
+    from blowlab.cli import main
+
+    options = _case_options(FUZZ_CONFIG, case)
+    cells = [(key[:-1], _with_setting(FUZZ_CONFIG, case,
+                                      f"{key[:-1]} = {value}", key=key))
+             for key, value in options.items() if len(key) > 1]
+    for name, value in (("tolerance", "1e-8"), (UNREAD_KEY[case], "1.0")):
+        cells.append((name, _with_line(FUZZ_CONFIG, case, f"{name} = {value}")))
+    bad = []
+    for k, (name, config) in enumerate(cells):
+        cfg = tmp_path / f"{k}.cfg"
+        cfg.write_text(config.format(out=tmp_path / f"out-{k}"))
+        for stage in options["stages"].split():
+            code = main([stage, "--config", str(cfg), "--case", case])
+            err = capsys.readouterr().err.strip().splitlines()
+            if not (code == 4 and len(err) == 1
+                    and err[0].startswith(f"config error: case {case}: ")
+                    and f"'{name}'" in err[0]):
+                bad.append((name, stage, code, err))
+    assert bad == []
+
+
+CASES_CFG = os.path.join(ROOT, "configs", "cases.cfg")
+
+
+@pytest.mark.parametrize("key, setting", [
+    ("nt_per_octave", "nt_per_octav = 24"), ("r_min", "rmin = 0.001953125"),
+    ("aperture", "apertur = 1.0471975511965976"), (None, "log_model = ture")])
+def test_a_mistyped_key_of_cases_cfg_is_rejected_before_the_solve(
+        tmp_path, capsys, key, setting):
+    # cone-n6-q03 solved at nt_per_octave = 32, the default, and read
+    # `ture` as False (exit 0); at r_min = 2^-8, the default, it failed on
+    # an empty annulus (exit 5), and without its aperture on "meridian
+    # aperture must lie in (0, pi)" (exit 4): messages without the key
+    from blowlab.cli import main
+
+    with open(CASES_CFG) as fh:
+        config = fh.read()
+    case = "cone-n6-q03"
+    config = (_with_line(config, case, setting) if key is None
+              else _with_setting(config, case, setting, key=key))
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(config.replace("output = out", f"output = {tmp_path}"))
+    assert main(["solve", "--config", str(cfg), "--case", case]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    name = setting.split(" = ")[0]
+    assert len(err) == 1 and err[0].startswith(f"config error: case {case}: ")
+    assert name in err[0]
+    assert not (tmp_path / case / "field.csv").exists()
+
+
+@pytest.mark.parametrize("text, value", [
+    *((t, True) for t in ("1", "yes", "true", "on", "True", " YES ")),
+    *((t, False) for t in ("0", "no", "false", "off", "Off"))])
+def test_log_model_reads_configparsers_booleans(text, value):
+    from blowlab.cli import Case
+
+    assert Case("x", {"stages": "solve", "log_model": text}).get(
+        "log_model") is value
+
+
+@pytest.mark.parametrize("seed", [None, 7, 631, 640])
+def test_the_benchmarked_configs_load(tmp_path, seed):
+    # configs/cases.cfg (seed None) and the pipeline-n3 workload's configs:
+    # every key parses, and every builder of every stage a case lists
+    # builds; a config error there would fail the workload
+    import importlib.util
+
+    from blowlab.cli import load_config
+
+    path = CASES_CFG
+    if seed is not None:
+        spec = importlib.util.spec_from_file_location(
+            "workloads", os.path.join(ROOT, "benchmark", "workloads.py"))
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        path = tmp_path / "cases.cfg"
+        path.write_text(workloads.pipeline_config(seed, str(tmp_path / "out")))
+    _, cases = load_config(str(path))
+    builders = {"profile": ("spherical_domain", "grid_spec"),
+                "solve": ("domain2d", "solve_config", "operator")}
+    for case in cases.values():
+        for key in case.opt:
+            case.get(key)
+        for stage in case.stages:
+            for builder in builders.get(stage, ()):
+                getattr(case, builder)()
 
 
 # the meta values the artifact fuzz sets (JSON text), and REMOVED: no key
@@ -976,25 +1088,39 @@ def test_verify_reads_the_regime_from_eigen_csv(light_stages):
                                       row.passed)]]
 
 
-@pytest.mark.parametrize("regime", ['"banana"', '"ALPHA-2"', "null", "2"])
-def test_verify_rejects_a_regime_eigen_does_not_assign(light_stages, capsys,
-                                                       regime):
-    # any other regime read as alpha-mu: "banana" gave a FAIL row predicting
-    # mu1 instead of 2.  The regime is one of spectral.REGIMES, or eigen.csv
-    # is malformed
+@pytest.mark.parametrize("mu1", ["-1", "0", "NaN", "Infinity", "0.5"])
+def test_verify_needs_a_finite_mu1_above_its_floor(light_stages, capsys, mu1):
+    # lambda1 > 0, so mu1 > (n - 2)/2 = 0.5 at n = 3.  Verify read the
+    # regime beside mu1, so each of these gave a PASS row predicting 2
     from blowlab.cli import main
 
     cfg, out = light_stages
     assert main(["eigen", "--config", str(cfg), "--case", "tiny-cone"]) == 0
     path = out / "tiny-cone" / "eigen.csv"
-    path.write_text(_with_meta(path.read_text(), "regime", regime))
+    path.write_text(_with_meta(path.read_text(), "mu1", mu1))
     capsys.readouterr()
     assert main(["verify", "--config", str(cfg), "--case", "tiny-cone"]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("artifact error: cannot read "
                                                "artifact ")
-    assert "tiny-cone/eigen.csv: meta regime = " in err[0]
+    assert "tiny-cone/eigen.csv: meta mu1 = " in err[0]
     assert not (out / "tiny-cone" / "verify.csv").exists()
+
+
+def test_verify_reads_mu1_alone(light_stages, capsys):
+    # the regime follows from mu1: eigen.csv without it gives the same row
+    from blowlab.cli import main
+
+    cfg, out = light_stages
+    cdir = out / "tiny-cone"
+    for stage in ("eigen", "verify"):
+        assert main([stage, "--config", str(cfg), "--case", "tiny-cone"]) == 0
+    row = (cdir / "verify.csv").read_bytes()
+    (cdir / "verify.csv").unlink()
+    path = cdir / "eigen.csv"
+    path.write_text(_with_meta(path.read_text(), "regime", REMOVED))
+    assert main(["verify", "--config", str(cfg), "--case", "tiny-cone"]) == 0
+    assert (cdir / "verify.csv").read_bytes() == row
 
 
 # per fuzzed case: its config, the stages that write what the readers need,

@@ -295,6 +295,33 @@ def test_radial_symmetry_guard():
         solve(BALL, op, n, SolveConfig(schedule=(1e2,), bracket_tol=1.0))
 
 
+@pytest.mark.parametrize("aperture", [0.5, 1.0, 2.0, 3.0])
+def test_axisymmetry_tolerance_scales_with_the_coefficients(aperture):
+    # (1 - 0.9|x|^2)^4 delta is radial; its zero-order coefficient reaches
+    # 3.2e3 on the sampled points, and the azimuths disagree by up to
+    # 4.7e-9 there, 1.5e-12 relative: an absolute 1e-9 rejected all four
+    op = conformal_operator(conformal_quadratic_metric(3, -0.9))
+    dom = DomainSpec2D("meridian", aperture=aperture, r_min=2.0**-6)
+    solver.check_axisymmetry(op, dom, 3)
+
+
+def test_axisymmetry_check_rejects_a_small_relative_anisotropy():
+    # the same radial metric with its zero-order coefficient moved by at
+    # most 1e-6 relative, as the point leaves the x1-x3 plane
+    n = 3
+    base = conformal_operator(conformal_quadratic_metric(n, -0.9))
+
+    def skew_coefficients(pts):
+        a, b, c = base.evaluate(pts)
+        sin2 = pts[:, 1] ** 2 / np.sum(pts**2, axis=1)
+        return a, b, c * (1.0 + 1e-6 * sin2)
+
+    op = OperatorSpec(n=n, evaluate=skew_coefficients, label="skew")
+    dom = DomainSpec2D("meridian", aperture=1.0, r_min=2.0**-6)
+    with pytest.raises(ConfigError, match="axisymmetric"):
+        solver.check_axisymmetry(op, dom, n)
+
+
 def test_axisymmetry_check_evaluates_all_azimuths_at_once():
     op = conformal_operator(conformal_quadratic_metric(6, 0.3))
     evaluate = op.evaluate

@@ -211,17 +211,17 @@ def test_regime_dispatch(half_sphere_eigen):
     eig = half_sphere_eigen[3]
     form = regime_exponent(eig)
     assert form.exponent == 2.0 and form.description == "C|x|^2"
-    # synthetic branches
+    # synthetic branches: the regime follows mu1
     import copy
 
     log_case = copy.copy(eig)
     log_case.mu1 = 2.0 + 1e-9
-    log_case.regime = "log"
+    assert log_case.regime == "log"
     form = regime_exponent(log_case)
     assert form.exponent == 2.0 and form.description == "C(-|x|^2 ln|x|)"
     slow = copy.copy(eig)
     slow.mu1 = 1.4
-    slow.regime = "alpha-mu"
+    assert slow.regime == "alpha-mu"
     form = regime_exponent(slow)
     assert abs(form.exponent - 1.4) < 1e-12 and form.description == "C|x|^1.4"
 
