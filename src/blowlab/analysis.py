@@ -18,12 +18,13 @@ Cone-corrected barriers use the exact angular identities
 with V = n(n+2)/(4 rho^2), so no numerical differentiation enters the
 certificates.
 
-One search serves every barrier.  It tests a trial one block of its grid
-at a time (a radius row of a cone grid, smallest radius first, or the
-whole 1-D array), drops it at its first block that is not positive, and
-gives the full margin only to a trial positive on every block.  If none
-passes, it runs again over every full margin, so each certificate is the
-exhaustive search's to the last bit.
+One search serves every barrier.  It keeps a witness: the lowest node of
+the last trial whose full margin was not positive.  Failed trials tend to
+fail at the same node, so a trial is first tested there, at one node, and
+dropped if its margin is not positive; only a trial that survives its
+witness gets the full margin, whose lowest node becomes the next witness
+if it fails.  If none passes, it runs again over every full margin, so
+each certificate is the exhaustive search's to the last bit.
 
 Ratio fields |u/u_V - 1| are measured inside the localization window and
 their decay fitted over dyadic annuli; a solve with the Euclidean
@@ -124,28 +125,38 @@ def _trial(label, region, margin, constants):
 
 
 def _positive(margin):
-    """Whether a block's margin exists and is > 0 everywhere (NaN is not)."""
+    """Whether a margin exists and is > 0 everywhere (NaN is not)."""
     return margin is not None and bool(np.min(margin) > 0.0)
 
 
-def _search(trials, blocks=(slice(None),)):
+def _search(trials):
     """The first passing certificate of `trials()`, in search order; if
     none passes, the first one with the best margin.
 
     `trials()` yields (label, region, constants, margin), where
-    `margin(rows)` is the trial's nodewise margin on `rows` of the leading
-    axis, or None where its barrier w is not positive.  A trial is dropped
-    at its first block of `blocks`, in order, whose margin is not
-    positive; only a trial positive on every block gets its full margin
-    and certificate.  If none passes, every full margin is evaluated in a
-    second run of `trials()`, so a FAIL is the exhaustive search's best.
+    `margin(index)` is the trial's nodewise margin on the basic `index` of
+    its grid, or None where its barrier w is not positive.  The witness is
+    the lowest node of the last trial whose full margin was not positive
+    (a NaN node first), as one-element slices, so that it is read through
+    the same array arithmetic as the full margin (a NumPy scalar's `**`
+    can round differently).  A trial whose margin at
+    the witness is not positive cannot pass and is dropped; any other gets
+    its full margin, which passes or gives the next witness.  If none
+    passes, every full margin is evaluated in a second run of `trials()`,
+    so a FAIL is the exhaustive search's best.
     """
-    whole = slice(None)
+    whole, witness = slice(None), None
     for label, region, constants, margin in trials():
-        if all(_positive(margin(rows)) for rows in blocks):
-            cert = _trial(label, region, margin(whole), constants)
-            if cert.passed:
-                return cert
+        if witness is not None and not _positive(margin(witness)):
+            continue
+        full = margin(whole)
+        if full is None:
+            continue
+        cert = _trial(label, region, full, constants)
+        if cert.passed:
+            return cert
+        witness = tuple(slice(k, k + 1) for k in
+                        np.unravel_index(np.argmin(full), full.shape))
     best = None
     for label, region, constants, margin in trials():
         full = margin(whole)
@@ -281,20 +292,22 @@ def _certify_cone_corrected(op, eigen, case, samples=48,
     label = label or f"cone-{case}"
 
     def margin_of(grid, A0, A1, A2):
-        """The nodewise margin of one trial on rows of the (r, theta) grid."""
-        (u_v, lap_uv, t0, l0, t1, l1, t2, l2), r, rho_w = grid
+        """One trial's nodewise margin on an index of the (r, theta) grid."""
+        u_v, lap_uv, t0, l0, t1, l1, t2, l2, r, rho_w = grid
 
-        def margin(rows):
-            w = u_v[rows] + A0 * t0[rows] + A1 * t1[rows] + A2 * t2[rows]
+        def margin(index):
+            w = u_v[index] + A0 * t0[index] + A1 * t1[index] + A2 * t2[index]
             if np.any(w <= 0):
                 return None
-            lap_w = lap_uv[rows] + A0 * l0[rows] + A1 * l1[rows] + A2 * l2[rows]
+            lap_w = (lap_uv[index] + A0 * l0[index] + A1 * l1[index]
+                     + A2 * l2[index])
             out = coef * w**p - lap_w
             if cls.c_l > 0:
                 # A inflated for the correction terms
-                out = out - cls.c_l * 4.0 * A_meas * np.abs(w) * rho_w
+                out = out - cls.c_l * 4.0 * A_meas * np.abs(w) * rho_w[index]
             if c_t is not None:
-                out = out - c_t * 2.0 * A_meas * np.abs(w) * rho_w / r[rows]
+                out = (out - c_t * 2.0 * A_meas * np.abs(w) * rho_w[index]
+                       / r[index])
             return out
 
         return margin
@@ -303,8 +316,11 @@ def _certify_cone_corrected(op, eigen, case, samples=48,
         for r0 in r_grid:
             r = np.geomspace(r0 * 2.0**-6, r0, samples)
             *terms, rho = _cone_barrier_ingredients(eigen, r, case)
-            rho_w = rho**-2 + 1.0      # per angular node, broadcast over r
-            grid = (terms, r[:, None], rho_w)
+            # full-shape views (no copies): any basic index of the grid
+            # reads the same nodes of every ingredient
+            shape = (samples, rho.size)
+            grid = [np.broadcast_to(x, shape)
+                    for x in (*terms, r[:, None], rho**-2 + 1.0)]
             for A0, k1, k2 in product(a0_grid, k_grid, k_grid):
                 A1, A2 = k1 * A0, k2 * A0
                 constants = {"A0": A0, "A1": A1, "A2": A2, "r0": r0,
@@ -314,8 +330,7 @@ def _certify_cone_corrected(op, eigen, case, samples=48,
                 yield (label, f"V cap B_{r0:g}", constants,
                        margin_of(grid, A0, A1, A2))
 
-    # one block per radius row, the smallest radius first
-    return _search(trials, [slice(i, i + 1) for i in range(samples)])
+    return _search(trials)
 
 
 def _profile_derivative_constant(profile):

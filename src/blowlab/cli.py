@@ -5,7 +5,8 @@ verify -> report) over the cases of a plain-text key-value config, and
 artifacts are deterministic: rerunning a stage with the same inputs
 rewrites byte-identical files.  `KEYS` is the config schema: per case key,
 its parser, whether a case may leave it out, and the stages that read it;
-a key outside it, or one no stage of its case reads, is a config error.
+a key outside it, one no stage of its case reads, or one that the value of
+another key leaves unread (`UNREAD_WHEN`) is a config error.
 A cone case without a `predicted` key takes verify's prediction from the
 mu1 in the metadata of its eigen.csv, the eigen stage's artifact.
 
@@ -89,7 +90,7 @@ KEYS = {
     "interior_tol": (float, REQUIRED, "profile solve"),
     # the 2-D domain, its operator, the solve and its rate fit
     "reduction": (str, REQUIRED, "solve"),
-    "aperture": (float, math.pi, "solve"),     # a ball does not read it
+    "aperture": (float, REQUIRED, "solve"),
     "r_min": (float, OPTIONAL, "solve"),
     "r_max": (float, REQUIRED, "solve"),
     "curve": (_parse_floats, OPTIONAL, "solve"),
@@ -112,6 +113,13 @@ KEYS = {
     "predicted": (float, OPTIONAL, "verify"),
     "slack": (float, REQUIRED, "verify"),
     "sharp_at": (float, OPTIONAL, "verify"),
+}
+
+# the keys that a value of another key leaves unread: a case with that
+# value may not set them, and need not set a REQUIRED one
+UNREAD_WHEN = {
+    ("operator", "euclidean"): ("q",),
+    ("reduction", "ball"): ("aperture", "r_min", "curve", "nt_per_octave"),
 }
 
 
@@ -137,6 +145,11 @@ class Case:
         if unread:
             raise ConfigError(f"case {label}: keys {unread} are read by none "
                               f"of its stages {list(self.stages)}")
+        for (key, value), keys in UNREAD_WHEN.items():
+            unread = [k for k in keys if k in self.opt]
+            if self.opt.get(key) == value and unread:
+                raise ConfigError(f"case {label}: keys {unread} are not read "
+                                  f"when {key} = {value}")
 
     def get(self, key):
         """The value of `key` as its parser reads it; when the case leaves
@@ -175,8 +188,12 @@ class Case:
         return GridSpec(count=self.get("nodes"), grading=self.get("grading"))
 
     def domain2d(self):
-        from .solver import DomainSpec2D
+        from .solver import BALL, DomainSpec2D
 
+        if self.get("reduction") == BALL:
+            # a ball reads its radius alone; pi spans its whole sphere
+            return DomainSpec2D(BALL, aperture=math.pi,
+                                r_max=self.get("r_max"))
         return DomainSpec2D(**self.given("reduction", "aperture", "r_min",
                                          "r_max", "curve"))
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowlab.analysis import (
     BarrierCertificate,
@@ -77,29 +79,34 @@ def test_failed_search_returns_certificate(half_sphere_eigen):
     assert cert.margin <= 0
 
 
-def _rows_trials(specs, asked):
-    """trials() over fixed nodewise margins, one block per row.
+def _grid_trials(specs, asked):
+    """trials() over fixed nodewise margins on one (row, column) grid.
 
     Each spec is (margin, w_bad_rows): the trial's margin array, and the
     rows where its barrier w is not positive.  `asked` records each
-    (trial, rows) a margin is asked for, and each trial as it is yielded.
+    (trial, index) a margin is asked for, and each trial as it is yielded.
     """
     def trials():
         for k, (values, w_bad) in enumerate(specs):
-            def margin(rows, k=k, values=values, w_bad=w_bad):
-                asked.append((k, rows))
-                if any(i in w_bad for i in range(len(values))[rows]):
-                    return None
-                return values[rows]
+            bad = np.zeros(values.shape, dtype=bool)
+            bad[sorted(w_bad)] = True
+
+            def margin(index, k=k, values=values, bad=bad):
+                asked.append((k, index))
+                return None if bad[index].any() else values[index]
             asked.append(k)
             yield f"trial-{k}", "B_1", {"k": k}, margin
 
-    blocks = [slice(i, i + 1) for i in range(len(specs[0][0]))]
-    return trials, blocks
+    return trials
 
 
 def _margins(*rows):
     return np.array(rows, dtype=float)
+
+
+def _node(i, j):
+    """The witness index of node (i, j): one-element slices."""
+    return slice(i, i + 1), slice(j, j + 1)
 
 
 WHOLE = slice(None)
@@ -113,31 +120,34 @@ def test_search_returns_first_pass_else_best_margin():
     passing = [spec(-3.0), spec(2.0), spec(5.0)]
     # the first passing trial in search order, not the best one, and the
     # search stops there
-    cert = _search(*_rows_trials(passing, asked))
+    cert = _search(_grid_trials(passing, asked))
     assert cert.constants == {"k": 1} and cert.passed
     assert [a for a in asked if isinstance(a, int)] == [0, 1]
+    # trial 0 fails at node (0, 0), where trial 1 is tested first
+    assert asked == [0, (0, WHOLE), 1, (1, _node(0, 0)), (1, WHOLE)]
     # none passes: the best margin, the first of equal ones
     failing = [spec(-3.0), spec(-1.0), spec(-1.0), spec(-2.0)]
-    best = _search(*_rows_trials(failing, []))
+    best = _search(_grid_trials(failing, []))
     assert best.constants == {"k": 1} and best.margin == -1.0
     assert not best.passed
     assert _search(lambda: iter(())) is None
 
 
 def test_search_without_a_pass_returns_the_exhaustive_best():
-    # trial 0 fails in row 0 but is best over the whole grid; trial 1 is
-    # positive in row 0 and fails worse in row 2
+    # trial 0 fails at node (0, 0) but is best over the whole grid; trial 1
+    # is positive there and fails worse at node (2, 0); trial 2 is
+    # positive at (2, 0) and fails at (0, 0)
     specs = [(_margins([-1.0, 5.0], [2.0, 2.0], [3.0, 3.0]), ()),
              (_margins([4.0, 4.0], [4.0, 4.0], [-9.0, 1.0]), ()),
              (_margins([-2.0, 1.0], [-0.5, 1.0], [1.0, 1.0]), ())]
     asked = []
-    cert = _search(*_rows_trials(specs, asked))
+    cert = _search(_grid_trials(specs, asked))
     assert cert == BarrierCertificate("trial-0", "B_1", -1.0, 6, False,
                                       {"k": 0})
-    # the row-wise pass, then every full margin
-    assert asked == [0, (0, slice(0, 1)),
-                     1, (1, slice(0, 1)), (1, slice(1, 2)), (1, slice(2, 3)),
-                     2, (2, slice(0, 1)),
+    # the witness pass, then every full margin
+    assert asked == [0, (0, WHOLE),
+                     1, (1, _node(0, 0)), (1, WHOLE),
+                     2, (2, _node(2, 0)), (2, WHOLE),
                      0, (0, WHOLE), 1, (1, WHOLE), 2, (2, WHOLE)]
 
 
@@ -148,49 +158,75 @@ def test_search_rejects_a_trial_at_its_first_nonpositive_row():
              (_margins([0.0, 2.0], [3.0, 4.0], [5.0, 6.0]), ()),
              (_margins([1.0, 2.0], [3.0, 4.0], [5.0, 0.5]), ())]
     asked = []
-    cert = _search(*_rows_trials(specs, asked))
+    cert = _search(_grid_trials(specs, asked))
     assert cert == BarrierCertificate("trial-2", "B_1", 0.5, 6, True, {"k": 2})
-    # no full margin for a rejected trial, and a zero row ends its trial
-    assert asked == [0, (0, slice(0, 1)), (0, slice(1, 2)), (0, slice(2, 3)),
-                     1, (1, slice(0, 1)),
-                     2, (2, slice(0, 1)), (2, slice(1, 2)), (2, slice(2, 3)),
-                     (2, WHOLE)]
+    # a zero fails a full margin, and its node is the next witness
+    assert asked == [0, (0, WHOLE),
+                     1, (1, _node(2, 1)), (1, WHOLE),
+                     2, (2, _node(0, 0)), (2, WHOLE)]
+    # an exact zero at the witness drops its trial without a full margin
+    zero = (_margins([1.0, 2.0], [3.0, 4.0], [5.0, 0.0]), ())
+    asked = []
+    cert = _search(_grid_trials([specs[0], zero, specs[2]], asked))
+    assert cert.constants == {"k": 2} and cert.passed
+    assert asked == [0, (0, WHOLE), 1, (1, _node(2, 1)),
+                     2, (2, _node(2, 1)), (2, WHOLE)]
 
 
 def test_search_skips_a_trial_whose_barrier_fails_in_a_later_row():
     # trial 0 has the best margin everywhere, but its w is not positive in
-    # row 2: it is never a certificate, in the row-wise pass or the full one
+    # row 2: it is never a certificate, in the witness pass or the full one
     w_bad = (_margins([9.0, 9.0], [9.0, 9.0], [9.0, 9.0]), {2})
     asked = []
-    cert = _search(*_rows_trials([w_bad, (_margins([1.0], [2.0], [3.0]), ())],
-                                 asked))
+    cert = _search(_grid_trials([w_bad, (_margins([1.0], [2.0], [3.0]), ())],
+                                asked))
     assert cert.constants == {"k": 1} and cert.passed
-    assert (0, WHOLE) not in asked
+    # a margin that does not exist sets no witness
+    assert asked == [0, (0, WHOLE), 1, (1, WHOLE)]
     failing = (_margins([-1.0, 1.0], [1.0, 1.0], [1.0, 1.0]), ())
-    cert = _search(*_rows_trials([w_bad, failing], []))
+    cert = _search(_grid_trials([w_bad, failing], []))
     assert cert == BarrierCertificate("trial-1", "B_1", -1.0, 6, False,
                                       {"k": 1})
-    assert _search(*_rows_trials([w_bad], [])) is None
+    assert _search(_grid_trials([w_bad], [])) is None
+    # a w that is not positive at the witness drops its trial there
+    w_bad_first = (w_bad[0], {0})
+    asked = []
+    cert = _search(_grid_trials([failing, w_bad_first, w_bad], asked))
+    assert cert == BarrierCertificate("trial-0", "B_1", -1.0, 6, False,
+                                      {"k": 0})
+    assert asked == [0, (0, WHOLE), 1, (1, _node(0, 0)),
+                     2, (2, _node(0, 0)), (2, WHOLE),
+                     0, (0, WHOLE), 1, (1, WHOLE), 2, (2, WHOLE)]
 
 
 def test_search_never_passes_a_nan_margin():
     nan_rows = [(_margins([1.0, 1.0], [np.nan, 1.0]), ()),
                 (_margins([np.nan, 1.0], [1.0, 1.0]), ())]
-    for specs in (nan_rows, nan_rows[::-1]):
+    for specs, nan_node in ((nan_rows, _node(1, 0)),
+                            (nan_rows[::-1], _node(0, 0))):
         asked = []
-        cert = _search(*_rows_trials(specs, asked))
+        cert = _search(_grid_trials(specs, asked))
         assert not cert.passed and np.isnan(cert.margin)
-        # no trial got a full margin before the exhaustive pass
-        assert asked.index((0, WHOLE)) > asked.index((1, slice(0, 1)))
-    # a NaN block ends its trial, and the next trial can still pass
+        # trial 0's NaN node is the witness, where trial 1 is positive
+        assert asked == [0, (0, WHOLE), 1, (1, nan_node), (1, WHOLE),
+                         0, (0, WHOLE), 1, (1, WHOLE)]
+    # a NaN margin fails its trial, and the next trial can still pass
     asked = []
-    cert = _search(*_rows_trials(
+    cert = _search(_grid_trials(
         [nan_rows[0], (_margins([1.0, 1.0], [2.0, 2.0]), ())], asked))
     assert cert.constants == {"k": 1} and cert.passed
-    assert (0, WHOLE) not in asked
+    assert asked == [0, (0, WHOLE), 1, (1, _node(1, 0)), (1, WHOLE)]
+    # a NaN at the witness drops its trial there
+    asked = []
+    cert = _search(_grid_trials(
+        [nan_rows[0], nan_rows[0], (_margins([1.0, 1.0], [2.0, 2.0]), ())],
+        asked))
+    assert cert.constants == {"k": 2} and cert.passed
+    assert asked == [0, (0, WHOLE), 1, (1, _node(1, 0)),
+                     2, (2, _node(1, 0)), (2, WHOLE)]
 
 
-def _exhaustive_search(trials, blocks=None):
+def _exhaustive_search(trials):
     """The search as one full margin per trial, in search order."""
     best = None
     for label, region, constants, margin in trials():
@@ -203,6 +239,78 @@ def _exhaustive_search(trials, blocks=None):
         if best is None or cert.margin > best.margin:
             best = cert
     return best
+
+
+def _cert_key(cert):
+    """A certificate's fields, its margin by repr, so that NaN equals NaN."""
+    if cert is None:
+        return None
+    return (cert.label, cert.region, repr(cert.margin), cert.node_count,
+            cert.passed, cert.constants)
+
+
+# margins from a few values, so that exact zeros and ties come often
+POSITIVE_VALUES = (1e-300, 0.5, 1.0, 3.0)
+SEARCH_VALUES = (-2.0, -1.0, -1e-300, 0.0, np.nan, *POSITIVE_VALUES)
+
+
+@st.composite
+def _search_specs(draw):
+    """Up to six trials on one grid of at most 3 x 3 nodes: each a margin
+    array, positive but at up to two nodes, and the rows where its w is
+    not positive."""
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    size = shape[0] * shape[1]
+    specs = []
+    for _ in range(draw(st.integers(0, 6))):
+        values = draw(st.lists(st.sampled_from(POSITIVE_VALUES),
+                               min_size=size, max_size=size))
+        for _ in range(draw(st.integers(0, 2))):
+            values[draw(st.integers(0, size - 1))] = draw(
+                st.sampled_from(SEARCH_VALUES))
+        w_bad = draw(st.sets(st.integers(0, shape[0] - 1), max_size=1))
+        specs.append((np.array(values).reshape(shape), w_bad))
+    return specs
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_search_specs())
+def test_search_is_the_exhaustive_search(specs):
+    trials = _grid_trials(specs, [])
+    assert _cert_key(_search(trials)) == _cert_key(_exhaustive_search(trials))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("case, c_l, c_t", [
+    ("quadratic", 0.0, None), ("quadratic", 2.0, 0.5), ("log", 2.0, None),
+    ("slow", 2.0, None)])
+def test_cone_margin_at_a_witness_is_the_full_margins_node(
+        half_sphere_eigen, monkeypatch, n, case, c_l, c_t):
+    # the margin read at one-element slices is the full margin's node to
+    # the last bit (a NumPy scalar's ** can differ from the array ufunc's),
+    # at the lowest node and at nodes spread over the grid
+    from blowlab import analysis
+
+    seen = []
+
+    def checking(trials):
+        rng = np.random.default_rng(n)
+        for k, (*_, margin) in enumerate(trials()):
+            full = None if k % 97 else margin(WHOLE)
+            if full is None:
+                continue
+            lowest = np.unravel_index(np.argmin(full), full.shape)
+            picks = zip(rng.integers(0, full.shape[0], 64),
+                        rng.integers(0, full.shape[1], 64))
+            for i, j in [lowest, (0, 0), (-1, -1), *picks]:
+                i, j = i % full.shape[0], j % full.shape[1]
+                seen.append(margin(_node(i, j)).tobytes()
+                            == full[i:i + 1, j:j + 1].tobytes())
+
+    monkeypatch.setattr(analysis, "_search", checking)
+    analysis._certify_cone_corrected(StructureClass(n, c_l),
+                                     half_sphere_eigen[n], case, c_t=c_t)
+    assert len(seen) > 1000 and all(seen)
 
 
 def _same_as_exhaustive(monkeypatch, *args, **kw):

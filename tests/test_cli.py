@@ -387,6 +387,61 @@ def test_config_key_fuzz(tmp_path, capsys, case):
     assert bad == []
 
 
+@pytest.mark.parametrize("case, line", [
+    ("tiny-meridian", "q = 0.3"), ("tiny-ball", "aperture = 1.0"),
+    ("tiny-ball", "r_min = 0.5"), ("tiny-ball", "curve = 0.1"),
+    ("tiny-ball", "nt_per_octave = 4")])
+def test_a_key_another_keys_value_leaves_unread_is_rejected(tmp_path, capsys,
+                                                           case, line):
+    # q with a Euclidean operator, and the wedge's keys in a ball case,
+    # were accepted and ignored: each cell ended as the case without it
+    # (the ball's with exit 0, the meridian's with its empty-annulus
+    # exit 5).  Now every stage of the case exits 4 on one line naming
+    # the key, before any solve
+    from blowlab.cli import main
+
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(_with_line(FUZZ_CONFIG, case, line)
+                   .format(out=tmp_path / "out"))
+    key = line.split(" = ")[0]
+    for stage in _case_options(FUZZ_CONFIG, case)["stages"].split():
+        assert main([stage, "--config", str(cfg), "--case", case]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"config error: case {case}: keys ['{key}'] are not read when ")
+    assert not (tmp_path / "out" / case).exists()
+
+
+def _without_key(config, case, key):
+    """`config` without the line of `key` in `[case:CASE]`."""
+    lines, section = [], None
+    for line in config.splitlines():
+        if line.startswith("["):
+            section = line
+        if not (section == f"[case:{case}]" and line.startswith(key + " = ")):
+            lines.append(line)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("reduction", ["meridian", "cross-section"])
+def test_a_wedge_without_aperture_misses_the_key(tmp_path, capsys, reduction):
+    # the key defaulted to pi for every reduction: a meridian failed on
+    # "meridian aperture must lie in (0, pi)" (exit 4), and a
+    # cross-section solved a wedge of opening pi (its fit then failed,
+    # exit 5).  Only a ball may leave it out
+    from blowlab.cli import main
+
+    config = _with_setting(_without_key(FUZZ_CONFIG, "tiny-meridian",
+                                        "aperture"),
+                           "tiny-meridian", f"reduction = {reduction}")
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(config.format(out=tmp_path / "out"))
+    assert main(["solve", "--config", str(cfg), "--case", "tiny-meridian"]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: case tiny-meridian: missing key 'aperture'"]
+    assert not (tmp_path / "out" / "tiny-meridian" / "field.csv").exists()
+
+
 CASES_CFG = os.path.join(ROOT, "configs", "cases.cfg")
 
 
