@@ -18,13 +18,13 @@ Cone-corrected barriers use the exact angular identities
 with V = n(n+2)/(4 rho^2), so no numerical differentiation enters the
 certificates.
 
-One search serves every barrier.  It keeps a witness: the lowest node of
-the last trial whose full margin was not positive.  Failed trials tend to
-fail at the same node, so a trial is first tested there, at one node, and
-dropped if its margin is not positive; only a trial that survives its
-witness gets the full margin, whose lowest node becomes the next witness
-if it fails.  If none passes, it runs again over every full margin, so
-each certificate is the exhaustive search's to the last bit.
+Every barrier is a table: per radius, closed-form terms w_k on a sample
+grid and one row of coefficients c per trial, w = sum_k c_k w_k; one
+margin formula and one search serve them all.  The search keeps a witness,
+the lowest node of the last failed full margin; failed trials tend to fail
+at the same node, so the trials left are read there as one array, and only
+one positive there gets its full margin.  If none passes, it runs again
+over every full margin: each certificate is the exhaustive search's.
 
 Ratio fields |u/u_V - 1| are measured inside the localization window and
 their decay fitted over dyadic annuli; a solve with the Euclidean
@@ -38,7 +38,6 @@ no other path pays for that profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -97,15 +96,6 @@ def _ball_profile(n, R, r):
     return u, du, d2u, lap
 
 
-def _radial_class_term(c_l, r, w, dw, d2w):
-    """C_L (r^2 max_ij |d_ij w| + r sum_i |d_i w| + |w|) for a radial w."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(r > 0, np.abs(dw) / r, np.abs(d2w))
-    hess_max = np.maximum(np.abs(d2w), slope)
-    with np.errstate(over="ignore"):    # inf: the trial's margin fails
-        return c_l * (r**2 * hess_max + r * np.abs(dw) + np.abs(w))
-
-
 def _class_of(op, n):
     if isinstance(op, StructureClass):
         return op
@@ -116,92 +106,136 @@ def _class_of(op, n):
 # certificates
 
 
-def _trial(label, region, margin, constants):
-    """The certificate of one trial from its nodewise margin."""
-    worst = float(np.min(margin))
-    return BarrierCertificate(label=label, region=region, margin=worst,
-                              node_count=margin.size, passed=worst > 0.0,
-                              constants=constants)
-
-
-def _positive(margin):
-    """Whether a margin exists and is > 0 everywhere (NaN is not)."""
-    return margin is not None and bool(np.min(margin) > 0.0)
-
-
-def _search(trials):
-    """The first passing certificate of `trials()`, in search order; if
-    none passes, the first one with the best margin.
-
-    `trials()` yields (label, region, constants, margin), where
-    `margin(index)` is the trial's nodewise margin on the basic `index` of
-    its grid, or None where its barrier w is not positive.  The witness is
-    the lowest node of the last trial whose full margin was not positive
-    (a NaN node first), as one-element slices, so that it is read through
-    the same array arithmetic as the full margin (a NumPy scalar's `**`
-    can round differently).  A trial whose margin at
-    the witness is not positive cannot pass and is dropped; any other gets
-    its full margin, which passes or gives the next witness.  If none
-    passes, every full margin is evaluated in a second run of `trials()`,
-    so a FAIL is the exhaustive search's best.
+@dataclass(frozen=True)
+class _Grid:
+    """One radius of a barrier search: its trials are the rows c of
+    `coefficients`, in search order, each the barrier w = sum_k c_k w_k.
+    `basis` holds the terms w_k, then Delta w_k and, for a radial barrier,
+    w_k' and w_k'', each a tuple over k of arrays of the full node shape,
+    as are `r` and `rho_w`.  `names` names the constant of each column.
     """
-    whole, witness = slice(None), None
-    for label, region, constants, margin in trials():
-        if witness is not None and not _positive(margin(witness)):
-            continue
-        full = margin(whole)
-        if full is None:
-            continue
-        cert = _trial(label, region, full, constants)
-        if cert.passed:
-            return cert
-        witness = tuple(slice(k, k + 1) for k in
-                        np.unravel_index(np.argmin(full), full.shape))
-    best = None
-    for label, region, constants, margin in trials():
-        full = margin(whole)
-        if full is None:
-            continue
-        cert = _trial(label, region, full, constants)
-        if cert.passed:
-            return cert
-        if best is None or cert.margin > best.margin:
-            best = cert
+
+    label: str
+    region: str
+    cls: StructureClass
+    basis: tuple
+    coefficients: np.ndarray
+    names: tuple
+    constants: dict             # the grid's own constants
+    r: np.ndarray               # |x| at the nodes
+    rho_w: np.ndarray = None    # cone barriers: rho^-2 + 1 at the nodes,
+    a: float = None             # the profile's derivative constant
+    c_t: float = None           # and a map T's straightening constant
+
+
+def _margin(grid, rows, index):
+    """The margins n(n-2)/4 w^p - Delta w - penalty of the trials `rows` of
+    `grid` on the basic `index` of its nodes, and which trials have one (w
+    is tested positive before any power is taken).  The penalty is the
+    class's worst case, through a radial barrier's derivatives or a cone
+    barrier's derivative constant A, plus a T-composed one's composition
+    error.  The coefficients broadcast as (trials, 1, ...), so a trial's
+    margin at a node is the same to the last bit alone or in any batch.
+    """
+    c = grid.coefficients[rows]
+    c = c.reshape(c.shape + (1,) * np.ndim(grid.r))
+    sums = []
+    for terms in grid.basis:        # sum_k c_k x_k, in basis order
+        sums.append(c[:, 0] * terms[0][index])
+        for k in range(1, len(terms)):
+            sums[-1] += c[:, k] * terms[k][index]
+    has = ~np.any(sums[0] <= 0, axis=tuple(range(1, sums[0].ndim)))
+    if not has.all():
+        sums = [x[has] for x in sums]
+    w, lap, *derivatives = sums
+    n, c_l, r = grid.cls.n, grid.cls.c_l, grid.r[index]
+    out = 0.25 * n * (n - 2.0) * w ** ((n + 2.0) / (n - 2.0)) - lap
+    if derivatives:
+        dw, d2w = derivatives
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(r > 0, np.abs(dw) / r, np.abs(d2w))
+        hess_max = np.maximum(np.abs(d2w), slope)
+        with np.errstate(over="ignore"):    # inf: the trial's margin fails
+            return has, out - c_l * (r**2 * hess_max + r * np.abs(dw)
+                                     + np.abs(w))
+    if c_l > 0:     # A inflated for the correction terms
+        out = out - c_l * 4.0 * grid.a * np.abs(w) * grid.rho_w[index]
+    if grid.c_t is not None:
+        out = out - grid.c_t * 2.0 * grid.a * np.abs(w) * grid.rho_w[index] / r
+    return has, out
+
+
+def _search(grids):
+    """The first passing certificate of the trials of `grids()` (a `_Grid`
+    per radius), in search order; if none passes, the first one with the
+    best margin.  The witness is the lowest node of the last trial whose
+    full margin was not positive (a NaN node first), as one-element slices,
+    so that it is read through the same array arithmetic as the full margin
+    (a NumPy scalar's `**` can round differently).  The trials of a grid
+    not yet evaluated are read there as one array; one not positive there
+    cannot pass and is dropped, and the next survivor gets its full margin,
+    which passes or gives the next witness.  If none passes, the loop runs
+    again without a witness, over every full margin, so a FAIL is the
+    exhaustive search's best.
+    """
+    for exhaustive in (False, True):
+        witness = best = None
+        for grid in grids():
+            rest = np.arange(len(grid.coefficients))   # not yet evaluated
+            while rest.size:
+                if witness is not None:
+                    has, at = _margin(grid, rest, witness)
+                    rest = rest[has][at.ravel() > 0]    # one node each
+                    if not rest.size:
+                        break
+                k, rest = rest[0], rest[1:]
+                has, full = _margin(grid, [k], slice(None))
+                if not has[0]:
+                    continue
+                worst = float(np.min(full))
+                if worst > 0.0 or best is None or worst > best.margin:
+                    named = {key: c for key, c in
+                             zip(grid.names, grid.coefficients[k]) if key}
+                    best = BarrierCertificate(
+                        grid.label, grid.region, worst, full.size, worst > 0.0,
+                        {**named, **grid.constants})
+                    if best.passed:
+                        return best
+                if not exhaustive:
+                    witness = tuple(slice(i, i + 1) for i in np.unravel_index(
+                        np.argmin(full[0]), full[0].shape))
     return best
 
 
 def _certify_double_ball(op, n, radii=None, samples=512):
     """2 u_R supersolution with an explicitly found largest radius R*."""
     cls = _class_of(op, n)
-    p = (n + 2.0) / (n - 2.0)
-    coef = 0.25 * n * (n - 2.0)
     if radii is None:
         radii = np.geomspace(1.0, 2.0**-12, 25)
 
-    def trials():
+    def grids():
         for R in radii:
             r = np.linspace(0.0, R * (1.0 - 1e-6), samples)
             u, du, d2u, lap = _ball_profile(n, R, r)
-            w = 2.0 * u
-            margin = (coef * w**p - 2.0 * lap
-                      - _radial_class_term(cls.c_l, r, w, 2.0 * du, 2.0 * d2u))
-            yield ("double-ball", f"B_{R:g}", {"R_star": R, "C_L": cls.c_l},
-                   margin.__getitem__)
+            yield _Grid("double-ball", f"B_{R:g}", cls,
+                        ((u,), (lap,), (du,), (d2u,)), np.array([[2.0]]),
+                        (None,), {"R_star": R, "C_L": cls.c_l}, r)
 
-    return _search(trials)
+    return _search(grids)
 
 
 def _certify_graded_sum(op, n):
     """w = u* + A u*^beta + B u* r^2 on the unit ball (u* = u_1 exactly)."""
     cls = _class_of(op, n)
-    p = (n + 2.0) / (n - 2.0)
-    coef = 0.25 * n * (n - 2.0)
     beta = (n - 6.0) / (n - 2.0) if n >= 6 else 0.0
     a_grid = np.geomspace(0.25, 64.0, 9)
     b_grid = np.geomspace(0.25, 256.0, 11)
     r_grid = np.geomspace(0.5, 2.0**-6, 15)
+    # the rows of the Cartesian product, in itertools.product's order
+    A, B = (x.ravel() for x in np.meshgrid(a_grid, b_grid, indexing="ij"))
+    coefficients = np.column_stack([np.ones_like(A), A, B])
 
-    def trials():
+    def grids():
         for r0 in r_grid:
             r = np.linspace(0.0, min(r0, 1 - 1e-6), 512)
             u, du, d2u, lap_u = _ball_profile(n, 1.0, r)
@@ -216,18 +250,13 @@ def _certify_graded_sum(op, n):
             dur2 = du * r**2 + 2.0 * r * u
             d2ur2 = d2u * r**2 + 4.0 * r * du + 2.0 * u
             lap_ur2 = lap_u * r**2 + 4.0 * r * du + 2.0 * n * u
-            for A, B in product(a_grid, b_grid):
-                w = u + A * ub + B * ur2
-                lap_w = lap_u + A * lap_ub + B * lap_ur2
-                dw = du + A * dub + B * dur2
-                d2w = d2u + A * d2ub + B * d2ur2
-                margin = (coef * w**p - lap_w
-                          - _radial_class_term(cls.c_l, r, w, dw, d2w))
-                yield ("graded-sum", f"B_{r0:g} (ball R=1)",
-                       {"A": A, "B": B, "beta": beta, "r0": r0,
-                        "C_L": cls.c_l}, margin.__getitem__)
+            yield _Grid("graded-sum", f"B_{r0:g} (ball R=1)", cls,
+                        ((u, ub, ur2), (lap_u, lap_ub, lap_ur2),
+                         (du, dub, dur2), (d2u, d2ub, d2ur2)),
+                        coefficients, (None, "A", "B"),
+                        {"beta": beta, "r0": r0, "C_L": cls.c_l}, r)
 
-    return _search(trials)
+    return _search(grids)
 
 
 def _cone_barrier_ingredients(eigen, r, case):
@@ -271,8 +300,7 @@ def _cone_barrier_ingredients(eigen, r, case):
 
 
 def _certify_cone_corrected(op, eigen, case, samples=48,
-                            a0_grid=None, k_grid=None, r_grid=None,
-                            c_t=None, label=None):
+                            a0_grid=None, k_grid=None, r_grid=None, c_t=None):
     """u_V + A0 u_V r^2 + A1 r^((6-n)/2) + A2 (case term), vertex region.
 
     `c_t`, the straightening constant of a map T, subtracts the composition
@@ -281,56 +309,34 @@ def _certify_cone_corrected(op, eigen, case, samples=48,
     """
     n = eigen.n
     cls = _class_of(op, n)
-    p = (n + 2.0) / (n - 2.0)
-    coef = 0.25 * n * (n - 2.0)
     a0_grid = a0_grid if a0_grid is not None else np.geomspace(0.5, 512.0, 11)
     k_grid = k_grid if k_grid is not None else np.geomspace(1.0, 64.0, 7)
     r_grid = r_grid if r_grid is not None else np.geomspace(0.25, 2.0**-8, 12)
+    A0, k1, k2 = (x.ravel() for x in np.meshgrid(
+        a0_grid, k_grid, k_grid, indexing="ij"))
+    coefficients = np.column_stack([np.ones_like(A0), A0, k1 * A0, k2 * A0])
     # measured derivative constant of u_V: the paper's A-bound
     # r rho |grad u_V| <= A u_V with A from the profile
     A_meas = _profile_derivative_constant(eigen.profile)
-    label = label or f"cone-{case}"
+    label, constants = f"cone-{case}", {"C_L": cls.c_l}
+    if c_t is not None:
+        label, constants["C_T"] = f"t-composed-{case}", c_t
 
-    def margin_of(grid, A0, A1, A2):
-        """One trial's nodewise margin on an index of the (r, theta) grid."""
-        u_v, lap_uv, t0, l0, t1, l1, t2, l2, r, rho_w = grid
-
-        def margin(index):
-            w = u_v[index] + A0 * t0[index] + A1 * t1[index] + A2 * t2[index]
-            if np.any(w <= 0):
-                return None
-            lap_w = (lap_uv[index] + A0 * l0[index] + A1 * l1[index]
-                     + A2 * l2[index])
-            out = coef * w**p - lap_w
-            if cls.c_l > 0:
-                # A inflated for the correction terms
-                out = out - cls.c_l * 4.0 * A_meas * np.abs(w) * rho_w[index]
-            if c_t is not None:
-                out = (out - c_t * 2.0 * A_meas * np.abs(w) * rho_w[index]
-                       / r[index])
-            return out
-
-        return margin
-
-    def trials():
+    def grids():
         for r0 in r_grid:
             r = np.geomspace(r0 * 2.0**-6, r0, samples)
             *terms, rho = _cone_barrier_ingredients(eigen, r, case)
             # full-shape views (no copies): any basic index of the grid
             # reads the same nodes of every ingredient
             shape = (samples, rho.size)
-            grid = [np.broadcast_to(x, shape)
-                    for x in (*terms, r[:, None], rho**-2 + 1.0)]
-            for A0, k1, k2 in product(a0_grid, k_grid, k_grid):
-                A1, A2 = k1 * A0, k2 * A0
-                constants = {"A0": A0, "A1": A1, "A2": A2, "r0": r0,
-                             "C_L": cls.c_l}
-                if c_t is not None:
-                    constants["C_T"] = c_t
-                yield (label, f"V cap B_{r0:g}", constants,
-                       margin_of(grid, A0, A1, A2))
+            *terms, r_w, rho_w = (np.broadcast_to(x, shape) for x in
+                                  (*terms, r[:, None], rho**-2 + 1.0))
+            yield _Grid(label, f"V cap B_{r0:g}", cls,
+                        (terms[::2], terms[1::2]), coefficients,
+                        (None, "A0", "A1", "A2"), {"r0": r0, **constants},
+                        r_w, rho_w, A_meas, c_t)
 
-    return _search(trials)
+    return _search(grids)
 
 
 def _profile_derivative_constant(profile):
@@ -364,7 +370,7 @@ def _certify_t_composed(op, eigen, tmap):
                             / _norm(points) ** 2))
     r_grid = np.geomspace(0.5 * tmap.r_T, 2.0**-8, 10)
     return _certify_cone_corrected(op, eigen, "quadratic", c_t=worst_ct,
-                                   r_grid=r_grid, label="t-composed-quadratic")
+                                   r_grid=r_grid)
 
 
 def certify_supersolution(op, candidate, n=None, eigen=None, tmap=None, **kw):
@@ -376,14 +382,11 @@ def certify_supersolution(op, candidate, n=None, eigen=None, tmap=None, **kw):
     Returns a certificate; a failed search is a FAIL certificate with the
     best margin found, not an exception.
     """
-    if candidate == "double-ball":
+    if candidate in ("double-ball", "graded-sum"):
         if n is None:
-            raise ConfigError("double-ball candidate needs the dimension n")
-        return _certify_double_ball(op, n, **kw)
-    if candidate == "graded-sum":
-        if n is None:
-            raise ConfigError("graded-sum candidate needs the dimension n")
-        return _certify_graded_sum(op, n, **kw)
+            raise ConfigError(f"{candidate} candidate needs the dimension n")
+        return (_certify_double_ball if candidate == "double-ball"
+                else _certify_graded_sum)(op, n, **kw)
     if candidate.startswith("cone-"):
         if eigen is None:
             raise ConfigError("cone barriers need the first eigenpair")

@@ -570,7 +570,7 @@ def profile_to_csv(profile, path):
 
 def profile_from_csv(path):
     # other keys are ignored, such as the `newton_residual` of older files
-    meta, _, data = read_csv(
+    meta, header, data = read_csv(
         path, {"n": operator.index, "domain": dict, "truncation": float},
         ("theta", "g"), numeric=True)
     # whatever the stored values fail is a fault of the artifact, not of
@@ -578,12 +578,17 @@ def profile_from_csv(path):
     try:
         if meta["n"] < 3:
             raise ValueError(f"dimension n = {meta['n']} is below 3")
-        return BlowupProfile(
-            domain=SphericalDomain1D(**meta["domain"]),
-            n=meta["n"],
-            theta=data[:, 0],
-            g=data[:, 1],
-            truncation=meta["truncation"],
-        )
+        domain = SphericalDomain1D(**meta["domain"])
+        theta, g = (data[:, header.index(col)] for col in ("theta", "g"))
+        # NaN fails every comparison, and the ends bound the nodes between
+        if not (theta.size > 1 and theta[0] == domain.theta_lo
+                and theta[-1] == domain.theta_hi
+                and np.all(np.diff(theta) > 0)):
+            raise ValueError("theta must increase strictly from the "
+                             "domain's theta_lo to its theta_hi")
+        if not np.all(np.isfinite(g) & (g > 0) & (g <= meta["truncation"])):
+            raise ValueError("g must be finite and lie in (0, truncation]")
+        return BlowupProfile(domain=domain, n=meta["n"], theta=theta, g=g,
+                             truncation=meta["truncation"])
     except (TypeError, ValueError, ConfigError, DomainError) as exc:
         raise MissingArtifactError(f"cannot read artifact {path}: {exc}") from None

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blowlab import analysis
 from blowlab.analysis import (
     BarrierCertificate,
     RatioField,
     _search,
-    _trial,
     StructureClass,
     certify_supersolution,
     compare_to_cone,
@@ -79,25 +79,58 @@ def test_failed_search_returns_certificate(half_sphere_eigen):
     assert cert.margin <= 0
 
 
-def _grid_trials(specs, asked):
-    """trials() over fixed nodewise margins on one (row, column) grid.
+# a basis term w_k = 1e-200 makes n(n-2)/4 w^p vanish at n = 4 (w^3
+# underflows to 0), so that a trial's margin is -Delta w to the last bit
+TINY = 1e-200
+WHOLE = slice(None)
+
+
+def _tables(grids):
+    """grids() over fixed nodewise margins, one `_Grid` per list of specs.
 
     Each spec is (margin, w_bad_rows): the trial's margin array, and the
-    rows where its barrier w is not positive.  `asked` records each
-    (trial, index) a margin is asked for, and each trial as it is yielded.
+    rows where its barrier w is not positive.  Trial k of a grid has the
+    basis term k alone (w_k = TINY, or -1 on its bad rows, and Delta w_k =
+    -margin), so that its margin is the spec's; NaN in a spec reaches every
+    trial of its grid at that node (0 NaN is NaN).  A last column with
+    all-zero terms records the trial's number over all grids as the
+    constant "k".
     """
-    def trials():
-        for k, (values, w_bad) in enumerate(specs):
-            bad = np.zeros(values.shape, dtype=bool)
-            bad[sorted(w_bad)] = True
+    cls = StructureClass(4, 0.0)
+    built, first = [], 0
+    for g, specs in enumerate(grids):
+        shape = specs[0][0].shape
+        ws, laps = [], []
+        for values, w_bad in specs:
+            w = np.full(shape, TINY)
+            w[sorted(w_bad)] = -1.0
+            ws.append(w)
+            laps.append(-values)
+        zero = np.zeros(shape)
+        count = len(specs)
+        coefficients = np.column_stack(
+            [np.eye(count), np.arange(first, first + count)])
+        # C_L = 0 and no C_T: the margin has no penalty
+        built.append(analysis._Grid(
+            "test", f"grid-{g}", cls, (ws + [zero], laps + [zero]),
+            coefficients, (None,) * count + ("k",), {}, zero))
+        first += count
+    return lambda: iter(built)
 
-            def margin(index, k=k, values=values, bad=bad):
-                asked.append((k, index))
-                return None if bad[index].any() else values[index]
-            asked.append(k)
-            yield f"trial-{k}", "B_1", {"k": k}, margin
 
-    return trials
+def _recording(monkeypatch):
+    """The list that each margin asked for is appended to, as (trials,
+    index): the trial numbers read and the index they are read on."""
+    asked = []
+    margin = analysis._margin
+
+    def recording(grid, rows, index):
+        trials = tuple(int(k) for k in grid.coefficients[rows, -1])
+        asked.append((trials, index))
+        return margin(grid, rows, index)
+
+    monkeypatch.setattr(analysis, "_margin", recording)
+    return asked
 
 
 def _margins(*rows):
@@ -109,135 +142,142 @@ def _node(i, j):
     return slice(i, i + 1), slice(j, j + 1)
 
 
-WHOLE = slice(None)
+def _cert(margin, passed, k):
+    """The certificate of trial k on a first grid of 3 x 2 nodes."""
+    return BarrierCertificate("test", "grid-0", margin, 6, passed, {"k": k})
 
 
-def test_search_returns_first_pass_else_best_margin():
+def test_search_returns_first_pass_else_best_margin(monkeypatch):
     def spec(margin):
         return _margins([margin, 1.0], [2.0, 3.0]), ()
 
-    asked = []
-    passing = [spec(-3.0), spec(2.0), spec(5.0)]
+    asked = _recording(monkeypatch)
     # the first passing trial in search order, not the best one, and the
     # search stops there
-    cert = _search(_grid_trials(passing, asked))
+    cert = _search(_tables([[spec(-3.0), spec(2.0), spec(5.0)]]))
     assert cert.constants == {"k": 1} and cert.passed
-    assert [a for a in asked if isinstance(a, int)] == [0, 1]
-    # trial 0 fails at node (0, 0), where trial 1 is tested first
-    assert asked == [0, (0, WHOLE), 1, (1, _node(0, 0)), (1, WHOLE)]
+    # trial 0 fails at node (0, 0), where trials 1 and 2 are read at once;
+    # trial 1, the first of them, gets its full margin
+    assert asked == [((0,), WHOLE), ((1, 2), _node(0, 0)), ((1,), WHOLE)]
     # none passes: the best margin, the first of equal ones
-    failing = [spec(-3.0), spec(-1.0), spec(-1.0), spec(-2.0)]
-    best = _search(_grid_trials(failing, []))
+    best = _search(_tables([[spec(-3.0), spec(-1.0), spec(-1.0),
+                             spec(-2.0)]]))
     assert best.constants == {"k": 1} and best.margin == -1.0
     assert not best.passed
     assert _search(lambda: iter(())) is None
 
 
-def test_search_without_a_pass_returns_the_exhaustive_best():
+def test_search_without_a_pass_returns_the_exhaustive_best(monkeypatch):
     # trial 0 fails at node (0, 0) but is best over the whole grid; trial 1
-    # is positive there and fails worse at node (2, 0); trial 2 is
-    # positive at (2, 0) and fails at (0, 0)
+    # is positive there and fails worse at node (2, 0); trial 2 fails at
+    # (0, 0) and is positive at (2, 0)
     specs = [(_margins([-1.0, 5.0], [2.0, 2.0], [3.0, 3.0]), ()),
              (_margins([4.0, 4.0], [4.0, 4.0], [-9.0, 1.0]), ()),
              (_margins([-2.0, 1.0], [-0.5, 1.0], [1.0, 1.0]), ())]
-    asked = []
-    cert = _search(_grid_trials(specs, asked))
-    assert cert == BarrierCertificate("trial-0", "B_1", -1.0, 6, False,
-                                      {"k": 0})
-    # the witness pass, then every full margin
-    assert asked == [0, (0, WHOLE),
-                     1, (1, _node(0, 0)), (1, WHOLE),
-                     2, (2, _node(2, 0)), (2, WHOLE),
-                     0, (0, WHOLE), 1, (1, WHOLE), 2, (2, WHOLE)]
+    asked = _recording(monkeypatch)
+    assert _search(_tables([specs])) == _cert(-1.0, False, 0)
+    # one grid: trial 2 is dropped at the first witness with trial 1 read
+    # beside it; then every full margin
+    assert asked == [((0,), WHOLE), ((1, 2), _node(0, 0)), ((1,), WHOLE),
+                     ((0,), WHOLE), ((1,), WHOLE), ((2,), WHOLE)]
+    # a grid each: the witness carries over to the next grid, and trial 2
+    # is read at trial 1's lowest node
+    asked.clear()
+    cert = _search(_tables([[spec] for spec in specs]))
+    assert cert == _cert(-1.0, False, 0)
+    assert asked == [((0,), WHOLE), ((1,), _node(0, 0)), ((1,), WHOLE),
+                     ((2,), _node(2, 0)), ((2,), WHOLE),
+                     ((0,), WHOLE), ((1,), WHOLE), ((2,), WHOLE)]
 
 
-def test_search_rejects_a_trial_at_its_first_nonpositive_row():
+def test_search_rejects_a_trial_at_its_first_nonpositive_row(monkeypatch):
     # trial 0 is non-positive only at one node of its last row, trial 1
     # only at an exact zero in its first row; trial 2 passes
     specs = [(_margins([1.0, 2.0], [3.0, 4.0], [5.0, -1e-300]), ()),
              (_margins([0.0, 2.0], [3.0, 4.0], [5.0, 6.0]), ()),
              (_margins([1.0, 2.0], [3.0, 4.0], [5.0, 0.5]), ())]
-    asked = []
-    cert = _search(_grid_trials(specs, asked))
-    assert cert == BarrierCertificate("trial-2", "B_1", 0.5, 6, True, {"k": 2})
+    asked = _recording(monkeypatch)
+    assert _search(_tables([specs])) == _cert(0.5, True, 2)
     # a zero fails a full margin, and its node is the next witness
-    assert asked == [0, (0, WHOLE),
-                     1, (1, _node(2, 1)), (1, WHOLE),
-                     2, (2, _node(0, 0)), (2, WHOLE)]
+    assert asked == [((0,), WHOLE), ((1, 2), _node(2, 1)), ((1,), WHOLE),
+                     ((2,), _node(0, 0)), ((2,), WHOLE)]
     # an exact zero at the witness drops its trial without a full margin
     zero = (_margins([1.0, 2.0], [3.0, 4.0], [5.0, 0.0]), ())
-    asked = []
-    cert = _search(_grid_trials([specs[0], zero, specs[2]], asked))
+    asked.clear()
+    cert = _search(_tables([[specs[0], zero, specs[2]]]))
     assert cert.constants == {"k": 2} and cert.passed
-    assert asked == [0, (0, WHOLE), 1, (1, _node(2, 1)),
-                     2, (2, _node(2, 1)), (2, WHOLE)]
+    assert asked == [((0,), WHOLE), ((1, 2), _node(2, 1)), ((2,), WHOLE)]
 
 
-def test_search_skips_a_trial_whose_barrier_fails_in_a_later_row():
+def test_search_skips_a_trial_whose_barrier_fails_in_a_later_row(
+        monkeypatch):
     # trial 0 has the best margin everywhere, but its w is not positive in
     # row 2: it is never a certificate, in the witness pass or the full one
     w_bad = (_margins([9.0, 9.0], [9.0, 9.0], [9.0, 9.0]), {2})
-    asked = []
-    cert = _search(_grid_trials([w_bad, (_margins([1.0], [2.0], [3.0]), ())],
-                                asked))
+    asked = _recording(monkeypatch)
+    cert = _search(_tables([[w_bad], [(_margins([1.0], [2.0], [3.0]), ())]]))
     assert cert.constants == {"k": 1} and cert.passed
     # a margin that does not exist sets no witness
-    assert asked == [0, (0, WHOLE), 1, (1, WHOLE)]
+    assert asked == [((0,), WHOLE), ((1,), WHOLE)]
     failing = (_margins([-1.0, 1.0], [1.0, 1.0], [1.0, 1.0]), ())
-    cert = _search(_grid_trials([w_bad, failing], []))
-    assert cert == BarrierCertificate("trial-1", "B_1", -1.0, 6, False,
-                                      {"k": 1})
-    assert _search(_grid_trials([w_bad], [])) is None
+    assert _search(_tables([[w_bad, failing]])) == _cert(-1.0, False, 1)
+    assert _search(_tables([[w_bad]])) is None
     # a w that is not positive at the witness drops its trial there
     w_bad_first = (w_bad[0], {0})
-    asked = []
-    cert = _search(_grid_trials([failing, w_bad_first, w_bad], asked))
-    assert cert == BarrierCertificate("trial-0", "B_1", -1.0, 6, False,
-                                      {"k": 0})
-    assert asked == [0, (0, WHOLE), 1, (1, _node(0, 0)),
-                     2, (2, _node(0, 0)), (2, WHOLE),
-                     0, (0, WHOLE), 1, (1, WHOLE), 2, (2, WHOLE)]
+    asked.clear()
+    cert = _search(_tables([[failing, w_bad_first, w_bad]]))
+    assert cert == _cert(-1.0, False, 0)
+    assert asked == [((0,), WHOLE), ((1, 2), _node(0, 0)), ((2,), WHOLE),
+                     ((0,), WHOLE), ((1,), WHOLE), ((2,), WHOLE)]
 
 
-def test_search_never_passes_a_nan_margin():
+def test_search_never_passes_a_nan_margin(monkeypatch):
+    # a grid each, so that a NaN reaches only its own trial
     nan_rows = [(_margins([1.0, 1.0], [np.nan, 1.0]), ()),
                 (_margins([np.nan, 1.0], [1.0, 1.0]), ())]
+    asked = _recording(monkeypatch)
     for specs, nan_node in ((nan_rows, _node(1, 0)),
                             (nan_rows[::-1], _node(0, 0))):
-        asked = []
-        cert = _search(_grid_trials(specs, asked))
+        asked.clear()
+        cert = _search(_tables([[spec] for spec in specs]))
         assert not cert.passed and np.isnan(cert.margin)
         # trial 0's NaN node is the witness, where trial 1 is positive
-        assert asked == [0, (0, WHOLE), 1, (1, nan_node), (1, WHOLE),
-                         0, (0, WHOLE), 1, (1, WHOLE)]
+        assert asked == [((0,), WHOLE), ((1,), nan_node), ((1,), WHOLE),
+                         ((0,), WHOLE), ((1,), WHOLE)]
     # a NaN margin fails its trial, and the next trial can still pass
-    asked = []
-    cert = _search(_grid_trials(
-        [nan_rows[0], (_margins([1.0, 1.0], [2.0, 2.0]), ())], asked))
+    good = (_margins([1.0, 1.0], [2.0, 2.0]), ())
+    asked.clear()
+    cert = _search(_tables([[nan_rows[0]], [good]]))
     assert cert.constants == {"k": 1} and cert.passed
-    assert asked == [0, (0, WHOLE), 1, (1, _node(1, 0)), (1, WHOLE)]
+    assert asked == [((0,), WHOLE), ((1,), _node(1, 0)), ((1,), WHOLE)]
     # a NaN at the witness drops its trial there
-    asked = []
-    cert = _search(_grid_trials(
-        [nan_rows[0], nan_rows[0], (_margins([1.0, 1.0], [2.0, 2.0]), ())],
-        asked))
+    asked.clear()
+    cert = _search(_tables([[nan_rows[0]], [nan_rows[0]], [good]]))
     assert cert.constants == {"k": 2} and cert.passed
-    assert asked == [0, (0, WHOLE), 1, (1, _node(1, 0)),
-                     2, (2, _node(1, 0)), (2, WHOLE)]
+    assert asked == [((0,), WHOLE), ((1,), _node(1, 0)), ((2,), _node(1, 0)),
+                     ((2,), WHOLE)]
+    # in one grid the NaN of trial 0 reaches trial 1 too: neither passes
+    assert not _search(_tables([[nan_rows[0], good]])).passed
 
 
-def _exhaustive_search(trials):
+def _exhaustive_search(grids):
     """The search as one full margin per trial, in search order."""
     best = None
-    for label, region, constants, margin in trials():
-        full = margin(slice(None))
-        if full is None:
-            continue
-        cert = _trial(label, region, full, constants)
-        if cert.passed:
-            return cert
-        if best is None or cert.margin > best.margin:
-            best = cert
+    for grid in grids():
+        for k in range(len(grid.coefficients)):
+            has, full = analysis._margin(grid, [k], WHOLE)
+            if not has[0]:
+                continue
+            worst = float(np.min(full))
+            named = {key: c for key, c in
+                     zip(grid.names, grid.coefficients[k]) if key}
+            cert = BarrierCertificate(grid.label, grid.region, worst,
+                                      full.size, worst > 0.0,
+                                      {**named, **grid.constants})
+            if cert.passed:
+                return cert
+            if best is None or cert.margin > best.margin:
+                best = cert
     return best
 
 
@@ -255,29 +295,32 @@ SEARCH_VALUES = (-2.0, -1.0, -1e-300, 0.0, np.nan, *POSITIVE_VALUES)
 
 
 @st.composite
-def _search_specs(draw):
-    """Up to six trials on one grid of at most 3 x 3 nodes: each a margin
-    array, positive but at up to two nodes, and the rows where its w is
-    not positive."""
+def _search_grids(draw):
+    """Up to six trials in up to three grids of one shape of at most 3 x 3
+    nodes: each a margin array, positive but at up to two nodes, and the
+    rows where its w is not positive."""
     shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
     size = shape[0] * shape[1]
-    specs = []
-    for _ in range(draw(st.integers(0, 6))):
-        values = draw(st.lists(st.sampled_from(POSITIVE_VALUES),
-                               min_size=size, max_size=size))
-        for _ in range(draw(st.integers(0, 2))):
-            values[draw(st.integers(0, size - 1))] = draw(
-                st.sampled_from(SEARCH_VALUES))
-        w_bad = draw(st.sets(st.integers(0, shape[0] - 1), max_size=1))
-        specs.append((np.array(values).reshape(shape), w_bad))
-    return specs
+    grids = []
+    for _ in range(draw(st.integers(0, 3))):
+        specs = []
+        for _ in range(draw(st.integers(1, 2))):
+            values = draw(st.lists(st.sampled_from(POSITIVE_VALUES),
+                                   min_size=size, max_size=size))
+            for _ in range(draw(st.integers(0, 2))):
+                values[draw(st.integers(0, size - 1))] = draw(
+                    st.sampled_from(SEARCH_VALUES))
+            w_bad = draw(st.sets(st.integers(0, shape[0] - 1), max_size=1))
+            specs.append((np.array(values).reshape(shape), w_bad))
+        grids.append(specs)
+    return grids
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(_search_specs())
-def test_search_is_the_exhaustive_search(specs):
-    trials = _grid_trials(specs, [])
-    assert _cert_key(_search(trials)) == _cert_key(_exhaustive_search(trials))
+@given(_search_grids())
+def test_search_is_the_exhaustive_search(grids):
+    tables = _tables(grids)
+    assert _cert_key(_search(tables)) == _cert_key(_exhaustive_search(tables))
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -286,26 +329,33 @@ def test_search_is_the_exhaustive_search(specs):
     ("slow", 2.0, None)])
 def test_cone_margin_at_a_witness_is_the_full_margins_node(
         half_sphere_eigen, monkeypatch, n, case, c_l, c_t):
-    # the margin read at one-element slices is the full margin's node to
-    # the last bit (a NumPy scalar's ** can differ from the array ufunc's),
-    # at the lowest node and at nodes spread over the grid
-    from blowlab import analysis
-
+    # every trial of a grid read at once at one node, as one-element
+    # slices, gives each trial the full margin's node to the last bit (a
+    # NumPy scalar's ** can differ from the array ufunc's): at the lowest
+    # node of every 97th trial, the corners and 64 random nodes
     seen = []
 
-    def checking(trials):
+    def checking(grids):
         rng = np.random.default_rng(n)
-        for k, (*_, margin) in enumerate(trials()):
-            full = None if k % 97 else margin(WHOLE)
-            if full is None:
-                continue
-            lowest = np.unravel_index(np.argmin(full), full.shape)
-            picks = zip(rng.integers(0, full.shape[0], 64),
-                        rng.integers(0, full.shape[1], 64))
-            for i, j in [lowest, (0, 0), (-1, -1), *picks]:
-                i, j = i % full.shape[0], j % full.shape[1]
-                seen.append(margin(_node(i, j)).tobytes()
-                            == full[i:i + 1, j:j + 1].tobytes())
+        for grid in grids():
+            rows = np.arange(len(grid.coefficients))
+            fulls = {}
+            for k in rows[::97]:
+                has, full = analysis._margin(grid, [k], WHOLE)
+                if has[0]:
+                    fulls[k] = full[0]
+            shape = grid.r.shape
+            nodes = [np.unravel_index(np.argmin(f), shape)
+                     for f in fulls.values()]
+            nodes += [(0, 0), (shape[0] - 1, shape[1] - 1),
+                      *zip(rng.integers(0, shape[0], 64),
+                           rng.integers(0, shape[1], 64))]
+            for i, j in nodes:
+                has, at = analysis._margin(grid, rows, _node(i, j))
+                batched = dict(zip(rows[has], at))
+                for k, full in fulls.items():
+                    seen.append(batched[k].tobytes()
+                                == full[i:i + 1, j:j + 1].tobytes())
 
     monkeypatch.setattr(analysis, "_search", checking)
     analysis._certify_cone_corrected(StructureClass(n, c_l),
@@ -314,8 +364,6 @@ def test_cone_margin_at_a_witness_is_the_full_margins_node(
 
 
 def _same_as_exhaustive(monkeypatch, *args, **kw):
-    from blowlab import analysis
-
     cert = certify_supersolution(*args, **kw)
     with monkeypatch.context() as m:
         m.setattr(analysis, "_search", _exhaustive_search)

@@ -1227,3 +1227,52 @@ def test_artifact_boundary_fuzz(tmp_path, capsys, case):
                     bad.append((key, value, stage, code, err,
                                 [str(w.message) for w in caught]))
     assert bad == []
+
+
+# the data cells the profile fuzz sets, and the stages that read profile.csv
+PROFILE_VALUES = ("abc", "nan", "inf", "-1", "0", "1e308", "1e-320")
+PROFILE_READERS = {"tiny-eigen": (FUZZ_CONFIG, ("eigen",)),
+                   "tiny-cone": (LIGHT_STAGES, ("eigen", "certify"))}
+
+
+@pytest.mark.parametrize("case", sorted(PROFILE_READERS))
+def test_profile_data_fuzz(tmp_path, capsys, case):
+    # theta and g in the first, a middle and the last row of profile.csv,
+    # set to each value, then the stages that read it, through the console
+    # script's entry point: a value other than the one written is rejected
+    # as a malformed artifact (3) on one stderr line, with no warning
+    from blowlab.cli import main
+
+    config, readers = PROFILE_READERS[case]
+    cfg, out = tmp_path / "cases.cfg", tmp_path / "out"
+    cfg.write_text(config.format(out=out))
+    for stage in ("profile", *readers):     # the file as written is read
+        assert main([stage, "--config", str(cfg), "--case", case]) == 0
+    capsys.readouterr()
+    path = out / case / "profile.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    rows = (2, (2 + len(lines)) // 2, len(lines) - 1)    # after meta, header
+    bad = []
+    for column, name in enumerate(("theta", "g")):
+        for row in rows:
+            fields = lines[row].split(",")
+            for value in PROFILE_VALUES:
+                if value != "abc" and float(value) == float(fields[column]):
+                    continue            # the value written: a valid file
+                cell = fields.copy()
+                cell[column] = value
+                text = lines.copy()
+                text[row] = ",".join(cell)
+                path.write_text("".join(text))
+                for stage in readers:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        code = main([stage, "--config", str(cfg),
+                                     "--case", case])
+                    err = capsys.readouterr().err.strip().splitlines()
+                    if (code != 3 or caught or len(err) != 1
+                            or not err[0].startswith(
+                                "artifact error: cannot read artifact ")):
+                        bad.append((name, row, value, stage, code, err,
+                                    [str(w.message) for w in caught]))
+    assert bad == []

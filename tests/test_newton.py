@@ -427,6 +427,44 @@ def test_search_reports_the_level_a_climb_stops_at(case, monkeypatch):
     assert np.max(checked[-1][window]) <= 1e-9
 
 
+# meridian solves whose solution lies above the supersolution start (2/d)^m
+# at some nodes (a q < 0 shrinks the conformal factor), so that the top
+# level does not stop and the search steps up
+STEP_UP_CASES = [(3, -0.5, 1.0), (4, -0.9, 0.5), (4, -0.9, 1.0),
+                 (4, -0.9, 2.0), (4, -0.9, 3.0)]
+STEP_UP_CONFIG = SolveConfig(schedule=(1e2,), nt_per_octave=8, n_eta=32,
+                             bracket_tol=1.0)
+
+
+@pytest.mark.parametrize("n, q, aperture", STEP_UP_CASES)
+def test_search_steps_up_to_the_level_a_climb_stops_at(n, q, aperture,
+                                                      monkeypatch):
+    # the search reports the climb's level and stop reason, and its field
+    # within 10 newton_tol on every node, after climbing above its top: the
+    # first level whose supersolution start reaches the cap
+    checked = []
+
+    def against_climb(problem, schedule, **kw):
+        result = escalate(problem, schedule, **kw)
+        levels, reason = _climb(problem, schedule, **kw)
+        top = next(M for M in (schedule[-1] * newton.GROWTH**k
+                               for k in range(kw["max_levels"]))
+                   if problem.cap_reached(problem.warm_start(None, M), M))
+        x_ref = levels[-1][1]
+        checked.append((result.m_history, [M for M, _ in levels],
+                        result.stop_reason, reason, top,
+                        np.max(np.abs(result.x - x_ref) / x_ref)))
+        return result
+
+    monkeypatch.setattr(solver, "escalate", against_climb)
+    dom = DomainSpec2D("meridian", aperture=aperture, r_min=2.0**-6)
+    solve(dom, _operator(n, q), n, STEP_UP_CONFIG)
+    [(history, climbed, stop, climb_stop, top, change)] = checked
+    assert history == climbed and stop == climb_stop
+    assert history[-1] > top
+    assert change <= 10.0 * STEP_UP_CONFIG.newton_tol
+
+
 def _same_problem(ref, u, u_high, m_history):
     assert m_history[-1] == ref.m_history[-1]
     window = ref.interior_window()
